@@ -139,24 +139,24 @@ class DistributedTxnManager:
         self.max_committed = 0
         self.committed: set[int] = set()
         self.aborted: set[int] = set()
+        # dxids begun and not yet committed or aborted, as in ProcArray:
+        # snapshots are built from this set, never from the whole history.
+        # mark_committed and mark_aborted are the only places a transaction
+        # finishes, so they alone remove from it.
+        self._live: set[int] = set()
 
     def begin(self, tick: int) -> TransactionDescriptor:
         dxid = self.next_dxid
         self.next_dxid += 1
-        in_progress = frozenset(
-            d for d, t in self.transactions.items() if not t.is_finished()
-        ) | {dxid}
-        snap = DistributedSnapshot(in_progress, self.max_committed)
+        self._live.add(dxid)
+        snap = DistributedSnapshot(frozenset(self._live), self.max_committed)
         txn = TransactionDescriptor(dxid=dxid, begin_tick=tick, snapshot=snap)
         self.transactions[dxid] = txn
         return txn
 
     def current_snapshot(self) -> DistributedSnapshot:
         """Snapshot as a fresh observer would see the cluster right now."""
-        in_progress = frozenset(
-            d for d, t in self.transactions.items() if not t.is_finished()
-        )
-        return DistributedSnapshot(in_progress, self.max_committed)
+        return DistributedSnapshot(frozenset(self._live), self.max_committed)
 
     def plan_commit(self, txn: TransactionDescriptor, force_2pc: bool = False) -> Protocol:
         """Pick the commit protocol from the observed write-set."""
@@ -172,24 +172,22 @@ class DistributedTxnManager:
         txn.state = TxnState.COMMITTED
         self.committed.add(dxid)
         self.max_committed = max(self.max_committed, dxid)
+        self._live.discard(dxid)
 
     def mark_aborted(self, dxid: int) -> None:
         txn = self.transactions[dxid]
         txn.state = TxnState.ABORTED
         self.aborted.add(dxid)
+        self._live.discard(dxid)
 
     def is_committed(self, dxid: int) -> bool:
         return dxid in self.committed
 
     def is_live(self, dxid: int) -> bool:
-        txn = self.transactions.get(dxid)
-        return txn is not None and not txn.is_finished()
+        return dxid in self._live
 
     def live_snapshots(self) -> list[DistributedSnapshot]:
-        return [
-            t.snapshot for _, t in sorted(self.transactions.items())
-            if not t.is_finished()
-        ]
+        return [self.transactions[d].snapshot for d in sorted(self._live)]
 
     def truncation_horizon(self) -> int:
         """Oldest dxid visible as running to any live snapshot."""

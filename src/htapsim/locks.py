@@ -106,10 +106,18 @@ class LockTable:
     another transaction that is still waiting (no lock jumping).  A waiter
     compatible with both is granted even when a blocked waiter sits ahead
     of it.
+
+    Like PostgreSQL's per-backend lock list, the table also records, for
+    each transaction, the tags it has requests on, so that releasing a
+    transaction's locks visits only those queues.  They are visited in
+    queue creation order, the order of `_queues`, which `_born` (the
+    arrival number of the request that created each queue) reproduces.
     """
 
     segment: int
     _queues: dict[LockTag, list[LockRequest]] = field(default_factory=dict)
+    _born: dict[LockTag, int] = field(default_factory=dict)
+    _tags_of: dict[int, set[LockTag]] = field(default_factory=dict)
     _active: set[int] = field(default_factory=set)
     _next_seq: int = 0
 
@@ -137,7 +145,10 @@ class LockTable:
             raise ProtocolError(f"txn {txn} not active on segment {self.segment}")
         if tag.segment != self.segment:
             raise ProtocolError(f"tag {tag} does not belong to segment {self.segment}")
-        queue = self._queues.setdefault(tag, [])
+        queue = self._queues.get(tag)
+        if queue is None:
+            queue = self._queues[tag] = []
+            self._born[tag] = self._next_seq
         for req in queue:
             if req.txn == txn and req.mode == mode:
                 if req.status is RequestStatus.GRANTED:
@@ -151,6 +162,7 @@ class LockTable:
         if blockers:
             req.status = RequestStatus.WAITING
         queue.append(req)
+        self._tags_of.setdefault(txn, set()).add(tag)
         if blockers:
             return AcquireResult.BLOCKED, blockers
         return AcquireResult.GRANTED, []
@@ -162,14 +174,10 @@ class LockTable:
         Idempotent: releasing a txn that holds nothing returns [].
         """
         promoted: list[LockRequest] = []
-        for tag in list(self._queues):
-            queue = self._queues[tag]
-            remaining = [r for r in queue if r.txn != txn]
-            if len(remaining) != len(queue):
-                self._queues[tag] = remaining
-                promoted.extend(self._reevaluate(tag))
-            if not self._queues[tag]:
-                del self._queues[tag]
+        for tag in self._tags_in_queue_order(self._tags_of.pop(txn, ())):
+            self._queues[tag] = [r for r in self._queues[tag] if r.txn != txn]
+            promoted.extend(self._reevaluate(tag))
+            self._drop_if_empty(tag)
         self._active.discard(txn)
         return promoted
 
@@ -184,9 +192,13 @@ class LockTable:
         if not held:
             raise ProtocolError(f"txn {txn} does not hold tuple lock {tag}")
         self._queues[tag] = [r for r in queue if r not in held]
+        if not any(r.txn == txn for r in self._queues[tag]):
+            tags = self._tags_of[txn]
+            tags.discard(tag)
+            if not tags:
+                del self._tags_of[txn]
         promoted = self._reevaluate(tag)
-        if not self._queues[tag]:
-            del self._queues[tag]
+        self._drop_if_empty(tag)
         return promoted
 
     # -- queries used by the wait-graph and the simulator ---------------------
@@ -221,15 +233,37 @@ class LockTable:
         return False
 
     def locks_of(self, txn: int) -> list[LockRequest]:
+        """Every request of `txn`, by queue creation order, then arrival."""
         out = []
-        for tag in self._queues:
+        for tag in self._tags_in_queue_order(self._tags_of.get(txn, ())):
             out.extend(r for r in self._queues[tag] if r.txn == txn)
         return out
 
+    def has_requests(self, txn: int) -> bool:
+        """True iff `txn` holds or waits for any lock on this segment."""
+        return txn in self._tags_of
+
     def check_invariants(self) -> None:
         """Each queue is in arrival order, no two granted requests on one tag
-        conflict (distinct txns), and every waiter has at least one blocker."""
+        conflict (distinct txns), and every waiter has at least one blocker.
+        The per-transaction tag index lists exactly the tags each transaction
+        has requests on, and `_born` follows the queues' creation order."""
+        born = list(self._born.values())
+        if list(self._born) != list(self._queues) or born != sorted(born):
+            raise AssertionError(
+                f"queue birth order {self._born} does not match {list(self._queues)}"
+            )
+        tags_of: dict[int, set[LockTag]] = {}
         for tag, queue in self._queues.items():
+            for r in queue:
+                tags_of.setdefault(r.txn, set()).add(tag)
+        if tags_of != self._tags_of:
+            raise AssertionError(
+                f"per-transaction tag index {self._tags_of} != queues {tags_of}"
+            )
+        for tag, queue in self._queues.items():
+            if not queue:
+                raise AssertionError(f"empty queue kept for {tag}")
             seqs = [r.sort_key() for r in queue]
             if seqs != sorted(set(seqs)):
                 raise AssertionError(f"queue on {tag} is not in arrival order: {seqs}")
@@ -245,6 +279,14 @@ class LockTable:
                     raise AssertionError(f"waiter without blocker on {tag}: {r}")
 
     # -- internals ------------------------------------------------------------
+
+    def _tags_in_queue_order(self, tags) -> list[LockTag]:
+        return sorted(tags, key=self._born.__getitem__)
+
+    def _drop_if_empty(self, tag: LockTag) -> None:
+        if not self._queues[tag]:
+            del self._queues[tag]
+            del self._born[tag]
 
     def _blockers_for(
         self, queue: list[LockRequest], req: LockRequest

@@ -215,6 +215,7 @@ def parse_scenario(text: str) -> Scenario:
     for rec in doc.get("groups", []) or []:
         scenario.groups.append(_parse_group(rec))
 
+    dist_keys = {spec.table.name: spec.table.dist_key for spec in scenario.tables}
     seen_seq: dict[int, int] = {}
     for rec in doc.get("sessions", []) or []:
         line = _line(rec)
@@ -235,6 +236,11 @@ def parse_scenario(text: str) -> Scenario:
                 )
             seen_seq[seq] = sline
             step = parse_sql(str(step_rec["sql"]), seq, sid, sline)
+            if step.kind == "update" and dist_keys.get(step.table) == "c2":
+                raise ScenarioError(
+                    f"line {sline}: updating the distribution key is not supported"
+                    f" ({step.table} is distributed by c2)"
+                )
             if "mem" in step_rec:
                 step.mem = float(step_rec["mem"])
             if "cpu" in step_rec:

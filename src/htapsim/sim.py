@@ -380,7 +380,7 @@ class Cluster:
         for store in self.stores.values():
             store.create_table(table)
         for values in rows:
-            seg = route(values[0], self.config.n_segments)
+            seg = route(table.dist_value(values), self.config.n_segments)
             self.stores[seg].insert_version(
                 table.name, tuple(values), BOOTSTRAP_LOCAL_XID, 0
             )
@@ -614,7 +614,7 @@ class Cluster:
             by_seg: dict[int, list] = {}
             for values in step.rows:
                 by_seg.setdefault(
-                    route(values[0], self.config.n_segments), []
+                    route(table.dist_value(values), self.config.n_segments), []
                 ).append(tuple(values))
             stmt.outstanding = len(by_seg)
             for seg in sorted(by_seg):
@@ -756,7 +756,7 @@ class Cluster:
     def _touched_segments(self, txn: TransactionDescriptor) -> list[int]:
         touched = {s for s in txn.local_xids if s != COORD}
         for s in range(self.config.n_segments):
-            if self.lock_tables[s].locks_of(txn.dxid):
+            if self.lock_tables[s].has_requests(txn.dxid):
                 touched.add(s)
         return sorted(touched)
 

@@ -2,9 +2,11 @@
 
 Tables have two integer columns (c1, c2) and are distributed by one of them.
 Each row is a version chain keyed by a stable ctid; updates stamp the visible
-version with the updater's local xid and append a successor.  All blocking
-behavior (tuple locks, transaction-lock waits) lives in the simulator; the
-store itself is passive data plus pure scan/stamp operations.
+version with the updater's local xid and append a successor.  Updates set only
+the second column, so the first (c1) is fixed for the life of a chain, and a
+per-table index from c1 value to slots serves every scan whose predicate fixes
+c1.  All blocking behavior (tuple locks, transaction-lock waits) lives in the
+simulator; the store itself is passive data plus pure scan/stamp operations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ class TableDef:
             raise StoreError(
                 f"distribution key {self.dist_key!r} is not a column of {self.name}"
             )
+
+    def dist_value(self, values: tuple[int, int]) -> int:
+        """The distribution-key value of a row, which decides its segment."""
+        return values[self.columns.index(self.dist_key)]
 
 
 def route(key_value: int, n_segments: int) -> int:
@@ -79,10 +85,13 @@ class SegmentStore:
         self.segment = segment
         self.tables: dict[str, dict[int, list[TupleVersion]]] = {}
         self._next_slot: dict[str, int] = {}
+        # table -> c1 value -> slots, in increasing slot order
+        self._by_c1: dict[str, dict[int, list[int]]] = {}
 
     def create_table(self, table: TableDef) -> None:
         self.tables.setdefault(table.name, {})
         self._next_slot.setdefault(table.name, 0)
+        self._by_c1.setdefault(table.name, {})
 
     def insert_version(
         self, table: str, values: tuple[int, int], local_xid: int, cid: int
@@ -93,6 +102,7 @@ class SegmentStore:
         self.tables[table][slot] = [
             TupleVersion(values=values, xmin_local=local_xid, cmin=cid, ctid=ctid)
         ]
+        self._by_c1[table].setdefault(values[0], []).append(slot)
         return ctid
 
     def chain(self, table: str, slot: int) -> list[TupleVersion]:
@@ -106,10 +116,19 @@ class SegmentStore:
         return None
 
     def scan(self, table_def: TableDef, pred: Predicate, is_visible):
-        """Yield (slot, version) for visible rows matching the predicate."""
+        """(slot, version) for visible rows matching the predicate, by slot.
+
+        A predicate that fixes c1 visits only the slots the c1 index lists
+        for that value; any other predicate examines every slot.
+        """
         out = []
         table = table_def.name
-        for slot in sorted(self.tables.get(table, {})):
+        c1 = pred.eqs.get(table_def.columns[0])
+        if c1 is None:
+            slots = self.tables.get(table, {})  # slots are inserted in order
+        else:
+            slots = self._by_c1.get(table, {}).get(c1, ())
+        for slot in slots:
             version = self.visible_version(table, slot, is_visible)
             if version is not None and pred.matches(version.values, table_def.columns):
                 out.append((slot, version))
@@ -133,12 +152,15 @@ class SegmentStore:
         uncommitted or aborted transaction is visible only to its writer.
         Their xmin is the aborted xid, so no snapshot can see them.  The
         chain then stays a chain: each version but the last is stamped and
-        followed by its successor.
+        followed by its successor.  The successor must keep the victim's c1,
+        which the c1 index relies on.
         """
         chain = self.tables[table][slot]
         pos = next((i for i, v in enumerate(chain) if v is victim), None)
         if pos is None:
             raise StoreError(f"version {victim} is not in chain {table}:{slot}")
+        if new_values[0] != victim.values[0]:
+            raise StoreError(f"an update may not change c1 of {table}:{slot}")
         del chain[pos + 1 :]
         victim.xmax_local = local_xid
         victim.cmax = cid

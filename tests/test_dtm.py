@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from htapsim.dtm import (
     MSG_COMMIT,
@@ -243,3 +244,38 @@ class TestTruncation:
         entries = dict(mapping.entries)
         h2 = mgr.truncate_mapping(mapping)
         assert (h1, entries) == (h2, dict(mapping.entries))
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["begin", "commit", "abort"]), st.integers(0, 50)),
+        max_size=60,
+    )
+)
+def test_live_set_matches_recomputation_over_all_transactions(ops):
+    """Snapshots built from the live-dxid set equal a scan of every
+    transaction ever begun, across random begin/commit/abort sequences."""
+    mgr = DistributedTxnManager()
+
+    def unfinished():
+        return frozenset(
+            d for d, t in mgr.transactions.items() if not t.is_finished()
+        )
+
+    for tick, (op, pick) in enumerate(ops):
+        live = sorted(unfinished())
+        if op == "begin":
+            txn = mgr.begin(tick)
+            assert txn.snapshot.in_progress == unfinished()
+            assert txn.snapshot.max_committed == max(mgr.committed, default=0)
+        elif live:
+            dxid = live[pick % len(live)]
+            (mgr.mark_committed if op == "commit" else mgr.mark_aborted)(dxid)
+        assert mgr.current_snapshot().in_progress == unfinished()
+        assert mgr.live_snapshots() == [
+            t.snapshot
+            for _, t in sorted(mgr.transactions.items())
+            if not t.is_finished()
+        ]
+        for dxid in range(mgr.next_dxid + 1):
+            assert mgr.is_live(dxid) == (dxid in unfinished())

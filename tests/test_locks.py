@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -278,3 +280,79 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
         else:
             held[txn].add((tag, mode))
         table.check_invariants()
+
+
+def reference_release_all(table, txn):
+    """release_all as a walk over every queue on the segment, in dict order."""
+    promoted = []
+    for tag in list(table._queues):
+        queue = table._queues[tag]
+        remaining = [r for r in queue if r.txn != txn]
+        if len(remaining) != len(queue):
+            table._queues[tag] = remaining
+            promoted.extend(table._reevaluate(tag))
+    return promoted
+
+
+def reference_locks_of(table, txn):
+    return [r for queue in table._queues.values() for r in queue if r.txn == txn]
+
+
+def as_keys(requests):
+    return [(r.txn, r.tag, r.mode, r.seq, r.status) for r in requests]
+
+
+lock_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["acquire", "acquire", "release_all", "release_tuple"]),
+        st.integers(1, 5),  # txn
+        st.integers(0, 3),  # tag: relations t0, t1 or tuples (t0, 0), (t0, 1)
+        st.integers(1, 8),  # mode
+    ),
+    max_size=50,
+)
+
+
+@given(lock_ops)
+def test_per_transaction_index_matches_walk_over_every_queue(ops):
+    """release_all promotes the same requests in the same order as a walk
+    over every queue, and locks_of lists the same requests, while queues are
+    created, emptied and created again in a new order."""
+    table = LockTable(0)
+    for t in range(1, 6):
+        table.register_txn(t)
+    tags = [
+        rel(0, "t0"),
+        rel(0, "t1"),
+        LockTag(TagKind.TUPLE, 0, ("t0", 0)),
+        LockTag(TagKind.TUPLE, 0, ("t0", 1)),
+    ]
+    for tick, (op, txn, tag_index, mode) in enumerate(ops):
+        tag = tags[tag_index]
+        mine = table.locks_of(txn)
+        assert as_keys(mine) == as_keys(reference_locks_of(table, txn))
+        assert table.has_requests(txn) == bool(mine)
+        if op == "acquire":
+            if any(r.status is RequestStatus.WAITING for r in mine):
+                continue  # a blocked transaction issues nothing more
+            table.acquire(txn, tag, LockMode(mode), tick)
+        elif op == "release_all":
+            reference = copy.deepcopy(table)
+            expected = reference_release_all(reference, txn)
+            assert as_keys(table.release_all(txn, tick)) == as_keys(expected)
+            table.register_txn(txn)
+        elif tag.kind is TagKind.TUPLE and any(
+            r.tag == tag and r.status is RequestStatus.GRANTED for r in mine
+        ):
+            table.release_tuple_lock(txn, tag)
+        table.check_invariants()
+
+
+def test_invariant_fixture_stops_at_first_bad_grant(checked_lock_tables, monkeypatch):
+    """With the checking fixture on, a grant-rule bug fails at the acquire
+    that makes the bad state."""
+    monkeypatch.setattr(LockTable, "_blockers_for", lambda self, queue, req: [])
+    table = make_table(1, 2)
+    table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)
+    with pytest.raises(AssertionError, match="conflicting grants"):
+        table.acquire(2, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)

@@ -10,10 +10,15 @@ predicates pin rows by key.
 
 import random
 
+import pytest
+
 from htapsim.gdd import GddConfig, Outcome, detect, reduce
 from htapsim.scenario import Scenario, SessionDef, Step, TableSpec, parse_sql
 from htapsim.sim import Cluster, SimConfig
 from htapsim.store import Predicate, TableDef
+
+# every lock-table change in these runs is followed by check_invariants()
+pytestmark = pytest.mark.usefixtures("checked_lock_tables")
 
 
 def make_steps(sid, texts):

@@ -137,3 +137,19 @@ sessions:
 """
             )
         assert "seq and sql" in str(err.value)
+
+    def test_update_of_c2_distributed_table_rejected_with_line(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(
+                """
+tables:
+  - {name: t, distributed_by: c2, rows: [[1, 5]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=6 where c1=1}
+"""
+            )
+        assert "line 8" in str(err.value)
+        assert "distribution key" in str(err.value)

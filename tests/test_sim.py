@@ -20,6 +20,9 @@ from htapsim.sim import Cluster, SimConfig, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+# every lock-table change in these runs is followed by check_invariants()
+pytestmark = pytest.mark.usefixtures("checked_lock_tables")
+
 
 def run_file(name, **cfg):
     scenario = parse_scenario((SCENARIOS / name).read_text())
@@ -111,6 +114,28 @@ sessions:
 """
         )
         assert result.scans["A"] == [(2, [])]
+
+    def test_c2_distributed_rows_found_by_c2_point_select(self):
+        result = run_text(
+            """
+tables:
+  - {name: t, distributed_by: c2, rows: [[1, 5], [2, 7], [3, 9]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "insert t values (4, 11)"}
+      - {seq: 3, sql: select t where c2=5}
+      - {seq: 4, sql: select t where c2=11}
+      - {seq: 5, sql: select t}
+      - {seq: 6, sql: commit}
+"""
+        )
+        assert result.scans["A"] == [
+            (3, [(1, 5)]),
+            (4, [(4, 11)]),
+            (5, [(1, 5), (2, 7), (3, 9), (4, 11)]),
+        ]
 
     def test_reader_sees_prewrite_values_of_uncommitted_update(self):
         result = run_text(

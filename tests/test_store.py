@@ -127,3 +127,69 @@ class TestVersionChains:
         assert store.visible_version("t", slot, old_only).values == (1, 10)
         assert store.visible_version("t", slot, newest).values == (1, 11)
         assert store.visible_version("t", slot, lambda v: False) is None
+
+
+def brute_force_scan(store, table_def, pred, is_visible):
+    """Reference scan: every slot in slot order, newest visible version,
+    then the predicate."""
+    out = []
+    chains = store.tables[table_def.name]
+    for slot in sorted(chains):
+        version = next((v for v in reversed(chains[slot]) if is_visible(v)), None)
+        if version is not None and pred.matches(version.values, table_def.columns):
+            out.append((slot, version))
+    return out
+
+
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just("update"), st.integers(0, 30), st.integers(0, 4)),
+        st.tuples(st.just("abort"), st.just(0), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(store_ops, st.integers(0, 4), st.integers(0, 4))
+def test_c1_index_scan_matches_filtered_full_scan(ops, c1, c2):
+    """A scan through the c1 index returns what a filtered walk over every
+    slot returns, after inserts, stamps, aborted stampers and re-stamps."""
+    t = TableDef("t")
+    store = SegmentStore(0)
+    store.create_table(t)
+    aborted = set()
+
+    def is_visible(v):
+        if v.xmin_local in aborted:
+            return False
+        return v.xmax_local == 0 or v.xmax_local in aborted
+
+    xid = 0
+    for op, a, b in ops:
+        xid += 1
+        if op == "insert":
+            store.insert_version("t", (a, b), xid, 0)
+        elif op == "update" and store.tables["t"]:
+            slot = a % len(store.tables["t"])
+            victim = store.visible_version("t", slot, is_visible)
+            if victim is not None:  # re-stamps it if its stamper aborted
+                store.stamp_and_append("t", slot, victim, (victim.values[0], b), xid, 0)
+        elif op == "abort":
+            aborted.add(xid - 1)  # the previous operation's writer
+        for pred in (Predicate({"c1": c1}), Predicate({"c1": c1, "c2": c2})):
+            assert store.scan(t, pred, is_visible) == brute_force_scan(
+                store, t, pred, is_visible
+            )
+    for pred in (Predicate(), Predicate({"c2": c2})):
+        assert store.scan(t, pred, is_visible) == brute_force_scan(
+            store, t, pred, is_visible
+        )
+
+
+def test_update_may_not_change_c1():
+    store = SegmentStore(0)
+    store.create_table(TableDef("t"))
+    slot = store.insert_version("t", (1, 10), 1, 1)[1]
+    with pytest.raises(StoreError):
+        store.stamp_and_append("t", slot, store.chain("t", slot)[0], (2, 10), 2, 1)
