@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .dtm import Protocol
-from .scenario import Step, parse_sql
+from .scenario import parse_sql
 from .sim import Cluster, SimConfig
 from .store import TableDef
 

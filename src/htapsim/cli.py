@@ -8,7 +8,7 @@ import sys
 from .bench import WORKLOADS, bench
 from .gdd import GddConfig, Outcome, detect, find_cycle, reduce
 from .interconnect import JoinOutcome, run_join_scenario
-from .scenario import ScenarioError, load_scenario, parse_cpuset
+from .scenario import ScenarioError, load_scenario
 from .sim import SimConfig, run_scenario
 from .waitgraph import GlobalWaitForGraph
 

@@ -22,8 +22,6 @@ class IntegrityError(Exception):
 
 class TxnState(Enum):
     ACTIVE = "active"
-    PREPARING = "preparing"
-    COMMITTING = "committing"
     COMMITTED = "committed"
     ABORTED = "aborted"
 
@@ -57,7 +55,7 @@ class TransactionDescriptor:
         return self.local_xids.get(segment)
 
     def is_finished(self) -> bool:
-        return self.state in (TxnState.COMMITTED, TxnState.ABORTED)
+        return self.state is not TxnState.ACTIVE
 
 
 class Protocol(Enum):
@@ -131,14 +129,19 @@ class XidMapping:
 
 
 class DistributedTxnManager:
-    """Coordinator-side dxid allocation, snapshot creation and commit planning."""
+    """Coordinator-side dxid allocation, snapshot creation and commit planning.
+
+    The only owner of distributed transaction state: each descriptor's
+    `state`, the committed set and the live set change only in `begin`,
+    `mark_committed` and `mark_aborted`.  Each segment's own commit log, the
+    simulator's `local_states`, is that segment's and is updated by it.
+    """
 
     def __init__(self):
         self.next_dxid = 1
         self.transactions: dict[int, TransactionDescriptor] = {}
         self.max_committed = 0
         self.committed: set[int] = set()
-        self.aborted: set[int] = set()
         # dxids begun and not yet committed or aborted, as in ProcArray:
         # snapshots are built from this set, never from the whole history.
         # mark_committed and mark_aborted are the only places a transaction
@@ -177,7 +180,6 @@ class DistributedTxnManager:
     def mark_aborted(self, dxid: int) -> None:
         txn = self.transactions[dxid]
         txn.state = TxnState.ABORTED
-        self.aborted.add(dxid)
         self._live.discard(dxid)
 
     def is_committed(self, dxid: int) -> bool:

@@ -16,9 +16,9 @@ collected information stale and it is discarded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .waitgraph import GlobalWaitForGraph, WaitEdge
 
@@ -61,10 +61,6 @@ class DetectionVerdict:
     @property
     def residual_edges(self) -> list[WaitEdge]:
         return self.residual.edges()
-
-    @property
-    def victim(self) -> int | None:
-        return self.victims[0] if self.victims else None
 
 
 @dataclass
@@ -210,14 +206,22 @@ def find_cycle(g: GlobalWaitForGraph) -> list[int]:
     succ: dict[int, list[int]] = {}
     for e in g.edges():
         succ.setdefault(e.waiter, []).append(e.holder)
-    for k in succ:
-        succ[k] = sorted(set(succ[k]))
-    state: dict[int, int] = {}  # 0 unvisited implicit, 1 on stack, 2 done
+    return first_cycle(succ)
 
-    def dfs(v: int, path: list[int]) -> list[int] | None:
+
+def first_cycle(succ: Mapping[object, Iterable]) -> list:
+    """One directed cycle of a successor map, its vertices in walk order.
+
+    Depth-first search from each vertex in sorted order, visiting successors
+    in sorted order, so the cycle found is deterministic; vertices must be
+    orderable.  [] if acyclic.
+    """
+    state: dict = {}  # 0 unvisited implicit, 1 on stack, 2 done
+
+    def dfs(v, path: list) -> list | None:
         state[v] = 1
         path.append(v)
-        for w in succ.get(v, []):
+        for w in sorted(set(succ.get(v, ()))):
             if state.get(w, 0) == 1:
                 return path[path.index(w):]
             if state.get(w, 0) == 0:

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .gdd import first_cycle
 from .store import route
 
 OUTER_SLICE = 1
@@ -259,31 +260,7 @@ def run_join_scenario(
         elif isinstance(p, JoinConsumer) and p.blocked_channels:
             for ch in p.blocked_channels:
                 edges.setdefault(p.pid, []).append(ch.sender)
-    cycle = _find_cycle(edges)
+    nodes = first_cycle(edges)
+    cycle = list(zip(nodes, nodes[1:] + nodes[:1]))
     return JoinResult(JoinOutcome.STALLED, cycle, outer_n, inner_n)
 
-
-def _find_cycle(edges: dict[ProcId, list[ProcId]]) -> list[tuple[ProcId, ProcId]]:
-    state: dict[ProcId, int] = {}
-
-    def dfs(v: ProcId, path: list[ProcId]):
-        state[v] = 1
-        path.append(v)
-        for w in sorted(edges.get(v, [])):
-            if state.get(w, 0) == 1:
-                nodes = path[path.index(w):]
-                return list(zip(nodes, nodes[1:] + [w]))
-            if state.get(w, 0) == 0:
-                found = dfs(w, path)
-                if found:
-                    return found
-        path.pop()
-        state[v] = 2
-        return None
-
-    for v in sorted(edges):
-        if state.get(v, 0) == 0:
-            cycle = dfs(v, [])
-            if cycle:
-                return cycle
-    return []

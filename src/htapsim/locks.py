@@ -218,20 +218,6 @@ class LockTable:
         request is not blocked."""
         return self._blockers_for(self._queues.get(req.tag, []), req)
 
-    def holders(self, tag: LockTag) -> list[LockRequest]:
-        return [
-            r
-            for r in self._queues.get(tag, [])
-            if r.status is RequestStatus.GRANTED
-        ]
-
-    def holds(self, txn: int, tag: LockTag, mode: LockMode | None = None) -> bool:
-        for r in self._queues.get(tag, []):
-            if r.txn == txn and r.status is RequestStatus.GRANTED:
-                if mode is None or r.mode == mode:
-                    return True
-        return False
-
     def locks_of(self, txn: int) -> list[LockRequest]:
         """Every request of `txn`, by queue creation order, then arrival."""
         out = []

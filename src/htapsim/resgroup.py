@@ -11,7 +11,7 @@ three layers are exhausted.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -300,9 +300,6 @@ class CpuScheduler:
         for task in self.running:
             self.group_core_ticks[task.group] += 1
         return finished
-
-    def idle_cores_this_tick(self) -> int:
-        return self.n_cores - len(self.running)
 
     def grantable_waiting(self) -> int:
         """Waiting tasks that could run now given the hard caps."""

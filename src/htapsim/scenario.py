@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .resgroup import ResourceGroupConfig
-from .store import Predicate, TableDef
+from .resgroup import ConfigError, ResourceGroupConfig
+from .store import Predicate, StoreError, TableDef
 
 
 class ScenarioError(Exception):
@@ -146,6 +146,13 @@ def _line(rec: dict) -> int:
     return rec.get("__line__", 0)
 
 
+def _number(convert, value, what: str, line: int):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"line {line}: {what} must be a number, not {value!r}") from None
+
+
 def parse_cpuset(text) -> frozenset[int]:
     """Parse cpuset syntax like "0-3" or "0-3,8,10-11"."""
     cores: set[int] = set()
@@ -182,6 +189,8 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
         )
     except KeyError as exc:
         raise ScenarioError(f"line {line}: group missing parameter {exc}") from None
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"line {line}: {exc}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -206,7 +215,12 @@ def parse_scenario(text: str) -> Scenario:
             )
         except KeyError as exc:
             raise ScenarioError(f"line {line}: table missing {exc}") from None
-        rows = [tuple(int(v) for v in row) for row in rec.get("rows", []) or []]
+        except StoreError as exc:
+            raise ScenarioError(f"line {line}: {exc}") from None
+        rows = [
+            tuple(_number(int, v, "a row value", line) for v in row)
+            for row in rec.get("rows", []) or []
+        ]
         for row in rows:
             if len(row) != 2:
                 raise ScenarioError(f"line {line}: rows must be (c1, c2) pairs")
@@ -229,22 +243,24 @@ def parse_scenario(text: str) -> Scenario:
             sline = _line(step_rec)
             if "seq" not in step_rec or "sql" not in step_rec:
                 raise ScenarioError(f"line {sline}: step needs seq and sql")
-            seq = int(step_rec["seq"])
+            seq = _number(int, step_rec["seq"], "seq", sline)
             if seq in seen_seq:
                 raise ScenarioError(
                     f"line {sline}: duplicate seq {seq} (first at line {seen_seq[seq]})"
                 )
             seen_seq[seq] = sline
             step = parse_sql(str(step_rec["sql"]), seq, sid, sline)
+            if step.table is not None and step.table not in dist_keys:
+                raise ScenarioError(f"line {sline}: unknown table {step.table!r}")
             if step.kind == "update" and dist_keys.get(step.table) == "c2":
                 raise ScenarioError(
                     f"line {sline}: updating the distribution key is not supported"
                     f" ({step.table} is distributed by c2)"
                 )
             if "mem" in step_rec:
-                step.mem = float(step_rec["mem"])
+                step.mem = _number(float, step_rec["mem"], "mem", sline)
             if "cpu" in step_rec:
-                step.cpu = int(step_rec["cpu"])
+                step.cpu = _number(int, step_rec["cpu"], "cpu", sline)
             scenario.steps.append(step)
 
     if "expect" in doc and doc["expect"]:
@@ -262,9 +278,19 @@ def parse_scenario(text: str) -> Scenario:
 
     scenario.steps.sort(key=lambda s: s.seq)
     sids = {s.sid for s in scenario.sessions}
+    in_txn: set[str] = set()  # sessions whose last begin is not yet closed
     for step in scenario.steps:
         if step.session not in sids:
             raise ScenarioError(f"step {step.seq}: unknown session {step.session!r}")
+        if step.kind == "begin":
+            in_txn.add(step.session)
+        elif step.kind != "detect" and step.session not in in_txn:
+            raise ScenarioError(
+                f"line {seen_seq[step.seq]}: {step.raw!r} outside a transaction"
+                f" of session {step.session} (seq {step.seq})"
+            )
+        elif step.kind in ("commit", "abort"):
+            in_txn.discard(step.session)
     return scenario
 
 

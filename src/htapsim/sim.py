@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import dtm as dtm_mod
@@ -41,6 +42,15 @@ from .waitgraph import GlobalWaitForGraph, collect_global, snapshot_local
 
 COORD = -1
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
+
+# the relation lock each statement kind takes, on the coordinator and on every
+# segment it reaches; legacy locking overrides "update" (see _lock_relation)
+RELATION_LOCK_MODE = {
+    "update": LockMode.ROW_EXCLUSIVE,
+    "insert": LockMode.ROW_EXCLUSIVE,
+    "select": LockMode.ACCESS_SHARE,
+    "lock": LockMode.ACCESS_EXCLUSIVE,
+}
 
 
 @dataclass
@@ -71,13 +81,12 @@ class Session:
         self.txn: TransactionDescriptor | None = None
         self.stmt: "Statement | None" = None
         self.queued = False  # waiting for an admission slot
-        self.protocol_busy = False  # commit/abort round in flight
+        self.round: _Round | None = None  # commit/abort round in flight
         self.skip_until_begin = False  # aborted txn: drop its remaining steps
         self.terminal = False
         self.outcomes: list[str] = []
         self.txn_latencies: list[int] = []
         self.scan_results: list[tuple[int, list]] = []
-        self.pending_abort_reason = ""
 
     @property
     def free(self) -> bool:
@@ -85,7 +94,7 @@ class Session:
             not self.terminal
             and self.stmt is None
             and not self.queued
-            and not self.protocol_busy
+            and self.round is None
         )
 
     def peek_step(self) -> Step | None:
@@ -125,14 +134,29 @@ class Session:
 
 
 class Statement:
-    def __init__(self, session: Session, step: Step, tick: int):
+    def __init__(self, session: Session, step: Step):
         self.session = session
         self.step = step
-        self.issued_tick = tick
         self.outstanding = 0
         self.rows: list[tuple[int, int]] = []
         self.count = 0
         self.dead = False
+
+
+@dataclass(eq=False)
+class _Round:
+    """One exchange that ends a transaction: a prepare, commit or abort round.
+
+    `awaiting` holds the sites still to reply, and `then` runs once all have.
+    The round in flight is `session.round`; a reply to any other round (one
+    that was replaced, as a prepare round by its abort, or one that finished)
+    is dropped.
+    """
+
+    session: Session
+    awaiting: set[int]
+    then: Callable[[], None]
+    abort: bool = False
 
 
 class _UpdatePart:
@@ -160,11 +184,7 @@ class _UpdatePart:
         cl = self.cluster
         if self.stmt.dead or self.txn.is_finished():
             return
-        mode = (
-            LockMode.EXCLUSIVE if cl.config.legacy_locking else LockMode.ROW_EXCLUSIVE
-        )
-        tag = LockTag(TagKind.RELATION, self.seg, self.table.name)
-        if not cl._acquire_or_park(self.seg, self.txn, tag, mode, self):
+        if not cl._lock_relation(self.seg, self.stmt, self.txn, self):
             return
         if self.targets is None:
             vis = cl._visibility(self.seg, self.txn)
@@ -251,13 +271,7 @@ class _SimplePart:
         cl = self.cluster
         if self.stmt.dead or self.txn.is_finished():
             return
-        mode = {
-            "insert": LockMode.ROW_EXCLUSIVE,
-            "select": LockMode.ACCESS_SHARE,
-            "lock": LockMode.ACCESS_EXCLUSIVE,
-        }[self.kind]
-        tag = LockTag(TagKind.RELATION, self.seg, self.table.name)
-        if not cl._acquire_or_park(self.seg, self.txn, tag, mode, self):
+        if not cl._lock_relation(self.seg, self.stmt, self.txn, self):
             return
         if self.kind == "insert":
             local = cl._ensure_local_xid(self.seg, self.txn)
@@ -282,11 +296,9 @@ class _SimplePart:
 class _CoordStage:
     """Coordinator-side relation-lock stage of a statement, parkable."""
 
-    def __init__(self, cluster, stmt: Statement, tag: LockTag, mode: LockMode):
+    def __init__(self, cluster, stmt: Statement):
         self.cluster = cluster
         self.stmt = stmt
-        self.tag = tag
-        self.mode = mode
 
     def run(self) -> None:
         cl = self.cluster
@@ -294,7 +306,7 @@ class _CoordStage:
         txn = stmt.session.txn
         if stmt.dead or txn is None or txn.is_finished():
             return
-        if not cl._acquire_or_park(COORD, txn, self.tag, self.mode, self):
+        if not cl._lock_relation(COORD, stmt, txn, self):
             return
         cl._dispatch_parts(stmt)
 
@@ -330,7 +342,6 @@ class Cluster:
         self.verdicts: list[DetectionVerdict] = []
         self.accounting: dict[int, CommitAccounting] = {}
         self.txn_sessions: dict[int, Session] = {}
-        self._commit_pending: dict[int, dict] = {}
 
         self.resources: ResourceGroups | None = None
         self.admission: AdmissionControl | None = None
@@ -463,7 +474,7 @@ class Cluster:
             session = self.sessions[step.session]
             if step.kind == "detect":
                 self._cursor += 1
-                self.run_detector(forced=True)
+                self.run_detector()
                 return True
             if session.terminal or (
                 session.skip_until_begin and step.kind != "begin"
@@ -489,7 +500,7 @@ class Cluster:
             return False
         session.pop_step()
         if step.kind == "detect":
-            self.run_detector(forced=True)
+            self.run_detector()
             return True
         self._issue_step(session, step)
         return True
@@ -517,7 +528,7 @@ class Cluster:
             self._start_abort(session, "user")
             return
         session.txn.command_id += 1
-        stmt = Statement(session, step, self.clock)
+        stmt = Statement(session, step)
         session.stmt = stmt
         if step.mem is not None and self.ledger is not None and session.group:
             result = self.ledger.charge(session.sid, session.group, step.mem)
@@ -572,18 +583,7 @@ class Cluster:
 
     def _stmt_acquire_coord(self, stmt: Statement) -> None:
         """Take the coordinator relation lock, then fan out to segments."""
-        step = stmt.step
-        table = self.catalog[step.table]
-        mode = {
-            "update": LockMode.EXCLUSIVE
-            if self.config.legacy_locking
-            else LockMode.ROW_EXCLUSIVE,
-            "insert": LockMode.ROW_EXCLUSIVE,
-            "select": LockMode.ACCESS_SHARE,
-            "lock": LockMode.ACCESS_EXCLUSIVE,
-        }[step.kind]
-        tag = LockTag(TagKind.RELATION, COORD, table.name)
-        _CoordStage(self, stmt, tag, mode).run()
+        _CoordStage(self, stmt).run()
 
     def _dispatch_parts(self, stmt: Statement) -> None:
         step = stmt.step
@@ -671,6 +671,18 @@ class Cluster:
             dxid_committed=self.dtm.is_committed,
         )
 
+    def _lock_relation(self, site, stmt: Statement, txn, cont) -> bool:
+        """Take the statement's relation lock at `site`, or park `cont` on it.
+
+        Legacy locking makes updates take EXCLUSIVE, one writer per table.
+        """
+        kind = stmt.step.kind
+        mode = RELATION_LOCK_MODE[kind]
+        if kind == "update" and self.config.legacy_locking:
+            mode = LockMode.EXCLUSIVE
+        tag = LockTag(TagKind.RELATION, site, stmt.step.table)
+        return self._acquire_or_park(site, txn, tag, mode, cont)
+
     def _acquire_or_park(self, site, txn, tag, mode, cont) -> bool:
         result, blockers = self.lock_tables[site].acquire(
             txn.dxid, tag, mode, self.clock
@@ -751,7 +763,7 @@ class Cluster:
         if self.config.eager and not session.terminal:
             self.schedule(0, lambda: self._issue_for_session(session))
 
-    # ------------------------------------------------------- commit protocol
+    # ------------------------------------------------ commit and abort rounds
 
     def _touched_segments(self, txn: TransactionDescriptor) -> list[int]:
         touched = {s for s in txn.local_xids if s != COORD}
@@ -761,130 +773,54 @@ class Cluster:
         return sorted(touched)
 
     def _start_commit(self, session: Session) -> None:
+        """Commit in rounds: under 2PC a prepare round, then the commit round.
+
+        One-phase commit is the commit round alone, over its one write
+        segment; a read-only commit is a commit round with no site to wait
+        for, so it finishes at once.  Touched segments that wrote nothing end
+        the transaction locally first; those messages are not counted.
+        """
         txn = session.txn
-        session.protocol_busy = True
         protocol = self.dtm.plan_commit(txn, self.config.force_2pc)
-        acc = self.accounting[txn.dxid]
-        acc.protocol = protocol
+        self.accounting[txn.dxid].protocol = protocol
         touched = self._touched_segments(txn)
-        pending = {
-            "session": session,
-            "protocol": protocol,
-            "phase": "",
-            "awaiting": set(),
-            "touched": touched,
-        }
-        self._commit_pending[txn.dxid] = pending
+        writers = sorted(txn.write_segments)
         self._trace(
             "coord",
             "commit_start",
             f"session={session.sid} dxid={txn.dxid} protocol={protocol.value} "
-            f"write_segments={sorted(txn.write_segments)}",
+            f"write_segments={writers}",
         )
-        if protocol is Protocol.READ_ONLY:
-            # local commit: end-of-txn cleanup rides on the session teardown,
-            # not on commit-protocol messages, so nothing is counted here
+
+        def commit() -> None:
             for seg in touched:
-                self.send(COORD, seg, lambda s=seg: self._segment_end_ro(s, txn))
-            self._finish_txn(session, committed=True)
-            return
-        if protocol is Protocol.ONE_PHASE:
-            txn.state = TxnState.COMMITTING
-            seg = sorted(txn.write_segments)[0]
-            pending["phase"] = "commit"
-            pending["awaiting"] = {seg}
-            for other in touched:
-                if other != seg:
-                    self.send(COORD, other, lambda s=other: self._segment_end_ro(s, txn))
-            acc.count_message(dtm_mod.MSG_COMMIT)
-            self.send(COORD, seg, lambda s=seg: self._segment_commit(s, txn, True))
-            return
-        txn.state = TxnState.PREPARING
-        pending["phase"] = "prepare"
-        pending["awaiting"] = set(txn.write_segments)
-        for seg in sorted(txn.write_segments):
-            acc.count_message(dtm_mod.MSG_PREPARE)
-            self.send(COORD, seg, lambda s=seg: self._segment_prepare(s, txn))
+                if seg not in txn.write_segments:
+                    self.send(COORD, seg, lambda s=seg: self._segment_end(s, txn))
+            self._send_round(
+                session,
+                writers,
+                dtm_mod.MSG_COMMIT,
+                self._segment_end,
+                lambda: self._finish_txn(session, committed=True),
+            )
 
-    def _segment_end_ro(self, seg: int, txn: TransactionDescriptor) -> None:
-        """Local cleanup of a segment the commit protocol does not visit."""
-        local = txn.local_xids.get(seg)
-        if local is not None:
-            self.local_states[seg][local] = "committed"
-        promoted = self.lock_tables[seg].release_all(txn.dxid, self.clock)
-        self._trace(seg, "end_local", f"dxid={txn.dxid}")
-        self._schedule_promotions(seg, promoted)
+        def prepared() -> None:
+            self._fsync(COORD, txn, dtm_mod.FSYNC_COORD_COMMIT)
+            commit()
 
-    def _segment_prepare(self, seg: int, txn: TransactionDescriptor) -> None:
-        if self._prepare_veto(seg, txn):
-            self._trace(seg, "prepare_fail", f"dxid={txn.dxid}")
-            self.send(seg, COORD, lambda: self._prepare_reply(seg, txn, False))
-            return
-        self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-        self._trace(seg, "prepared", f"dxid={txn.dxid}")
-        self.send(seg, COORD, lambda: self._prepare_reply(seg, txn, True))
-
-    def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
-        return False  # test hook: patched to inject prepare failures
-
-    def _prepare_reply(self, seg: int, txn: TransactionDescriptor, ok: bool) -> None:
-        pending = self._commit_pending.get(txn.dxid)
-        if pending is None or pending["phase"] != "prepare":
-            return
-        acc = self.accounting[txn.dxid]
-        if not ok:
-            self._trace("coord", "prepare_failed", f"dxid={txn.dxid} seg={seg}")
-            self._start_abort(pending["session"], "prepare_failed")
-            return
-        acc.count_message(dtm_mod.MSG_PREPARE_OK)
-        pending["awaiting"].discard(seg)
-        if pending["awaiting"]:
-            return
-        self._fsync(COORD, txn, dtm_mod.FSYNC_COORD_COMMIT)
-        txn.state = TxnState.COMMITTING
-        pending["phase"] = "commit"
-        pending["awaiting"] = set(txn.write_segments)
-        for other in pending["touched"]:
-            if other not in txn.write_segments:
-                self.send(COORD, other, lambda s=other: self._segment_end_ro(s, txn))
-        for seg2 in sorted(txn.write_segments):
-            acc.count_message(dtm_mod.MSG_COMMIT)
-            self.send(COORD, seg2, lambda s=seg2: self._segment_commit(s, txn, False))
-
-    def _segment_commit(self, seg: int, txn: TransactionDescriptor, onephase: bool) -> None:
-        self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
-        local = txn.local_xids.get(seg)
-        if local is not None:
-            self.local_states[seg][local] = "committed"
-        promoted = self.lock_tables[seg].release_all(txn.dxid, self.clock)
-        self._trace(seg, "commit_local", f"dxid={txn.dxid} onephase={onephase}")
-        self._schedule_promotions(seg, promoted)
-        self.send(seg, COORD, lambda: self._commit_reply(seg, txn))
-
-    def _commit_reply(self, seg: int, txn: TransactionDescriptor) -> None:
-        pending = self._commit_pending.get(txn.dxid)
-        if pending is None or pending["phase"] != "commit":
-            return
-        self.accounting[txn.dxid].count_message(dtm_mod.MSG_COMMIT_OK)
-        pending["awaiting"].discard(seg)
-        if not pending["awaiting"]:
-            self._finish_txn(pending["session"], committed=True)
-
-    def _fsync(self, site, txn, kind: str) -> None:
-        self.accounting[txn.dxid].count_fsync(kind)
-        self._trace(site, "fsync", f"dxid={txn.dxid} kind={kind}")
-
-    # ----------------------------------------------------------------- abort
+        if protocol is Protocol.TWO_PHASE:
+            self._send_round(
+                session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare, prepared
+            )
+        else:
+            commit()
 
     def _start_abort(self, session: Session, reason: str) -> None:
         txn = session.txn
         if txn is None or txn.is_finished():
             return
-        pending = self._commit_pending.get(txn.dxid)
-        if pending is not None and pending.get("phase") == "abort":
+        if session.round is not None and session.round.abort:
             return
-        session.protocol_busy = True
-        session.pending_abort_reason = reason
         if session.stmt is not None:
             if session.stmt.step.kind == "update":
                 self.inflight_updates -= 1
@@ -894,48 +830,99 @@ class Cluster:
         self._cpu_parked.pop(session.sid, None)
         self._cpu_pending.pop(session.sid, None)
         touched = self._touched_segments(txn)
-        self._commit_pending[txn.dxid] = {
-            "session": session,
-            "protocol": None,
-            "phase": "abort",
-            "awaiting": set(touched),
-            "touched": touched,
-        }
         self._trace(
             "coord",
             "abort_start",
             f"session={session.sid} dxid={txn.dxid} reason={reason}",
         )
-        if not touched:
-            self._finish_txn(session, committed=False, reason=reason)
-            return
-        for seg in touched:
-            self.send(COORD, seg, lambda s=seg: self._segment_abort(s, txn))
+        self._send_round(
+            session,
+            touched,
+            None,
+            self._segment_end,
+            lambda: self._finish_txn(session, committed=False, reason=reason),
+            abort=True,
+        )
 
-    def _segment_abort(self, seg: int, txn: TransactionDescriptor) -> None:
+    def _send_round(self, session, sites, msg, at_site, then, abort=False) -> None:
+        """Start a round: send `msg` to each site in order, where
+        `at_site(site, txn, round)` runs; `then` runs once every site has
+        replied, at once if there is none.  Abort messages are not counted
+        (`msg` is None).  The round replaces the session's round in flight."""
+        txn = session.txn
+        rnd = _Round(session, set(sites), then, abort)
+        session.round = rnd
+        for site in sites:
+            if msg is not None:
+                self.accounting[txn.dxid].count_message(msg)
+            self.send(COORD, site, lambda s=site: at_site(s, txn, rnd))
+        if not sites:
+            then()
+
+    def _reply(self, rnd: _Round, site: int, msg: str | None, ok: bool = True) -> None:
+        """A site's reply to `rnd`, counted as `msg`; dropped unless `rnd` is
+        the round in flight.  A vetoed prepare (`ok` False) aborts instead."""
+        session = rnd.session
+        if session.round is not rnd:
+            return
+        dxid = session.txn.dxid
+        if not ok:
+            self._trace("coord", "prepare_failed", f"dxid={dxid} seg={site}")
+            self._start_abort(session, "prepare_failed")
+            return
+        if msg is not None:
+            self.accounting[dxid].count_message(msg)
+        rnd.awaiting.discard(site)
+        if not rnd.awaiting:
+            rnd.then()
+
+    def _segment_prepare(self, seg: int, txn: TransactionDescriptor, rnd: _Round) -> None:
+        if self._prepare_veto(seg, txn):
+            self._trace(seg, "prepare_fail", f"dxid={txn.dxid}")
+            self.send(seg, COORD, lambda: self._reply(rnd, seg, None, ok=False))
+            return
+        self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
+        self._trace(seg, "prepared", f"dxid={txn.dxid}")
+        self.send(seg, COORD, lambda: self._reply(rnd, seg, dtm_mod.MSG_PREPARE_OK))
+
+    def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
+        return False  # test hook: patched to inject prepare failures
+
+    def _segment_end(
+        self, seg: int, txn: TransactionDescriptor, rnd: _Round | None = None
+    ) -> None:
+        """End `txn` on one segment: record its local outcome, release its
+        locks and wake their waiters.
+
+        With no round this is the local end of a segment that the commit
+        round does not visit.  In a commit round the segment first makes its
+        commit durable; in a commit or abort round it then replies.
+        """
+        committed = rnd is None or not rnd.abort
+        if rnd is not None and committed:
+            self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
         local = txn.local_xids.get(seg)
         if local is not None:
-            self.local_states[seg][local] = "aborted"
+            self.local_states[seg][local] = "committed" if committed else "aborted"
         promoted = self.lock_tables[seg].release_all(txn.dxid, self.clock)
-        self._trace(seg, "abort_local", f"dxid={txn.dxid}")
+        if rnd is None:
+            self._trace(seg, "end_local", f"dxid={txn.dxid}")
+        elif committed:
+            onephase = self.accounting[txn.dxid].protocol is Protocol.ONE_PHASE
+            self._trace(seg, "commit_local", f"dxid={txn.dxid} onephase={onephase}")
+        else:
+            self._trace(seg, "abort_local", f"dxid={txn.dxid}")
         self._schedule_promotions(seg, promoted)
-        self.send(seg, COORD, lambda: self._abort_reply(seg, txn))
+        if rnd is not None:
+            reply = dtm_mod.MSG_COMMIT_OK if committed else None
+            self.send(seg, COORD, lambda: self._reply(rnd, seg, reply))
 
-    def _abort_reply(self, seg: int, txn: TransactionDescriptor) -> None:
-        pending = self._commit_pending.get(txn.dxid)
-        if pending is None or pending.get("phase") != "abort":
-            return
-        pending["awaiting"].discard(seg)
-        if not pending["awaiting"]:
-            session = pending["session"]
-            self._finish_txn(
-                session, committed=False, reason=session.pending_abort_reason
-            )
+    def _fsync(self, site, txn, kind: str) -> None:
+        self.accounting[txn.dxid].count_fsync(kind)
+        self._trace(site, "fsync", f"dxid={txn.dxid} kind={kind}")
 
     def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
         txn = session.txn
-        if txn is None or txn.is_finished():
-            return
         if committed:
             self.dtm.mark_committed(txn.dxid)
             self.committed_txns += 1
@@ -949,7 +936,6 @@ class Cluster:
         session.txn_latencies.append(acc.latency_ticks)
         promoted = self.lock_tables[COORD].release_all(txn.dxid, self.clock)
         self._schedule_promotions(COORD, promoted)
-        self._commit_pending.pop(txn.dxid, None)
         self._trace(
             "coord",
             "txn_end",
@@ -963,7 +949,7 @@ class Cluster:
                 waiter = self.sessions[freed]
                 self.schedule(0, lambda: self._begin_admitted(waiter))
         session.txn = None
-        session.protocol_busy = False
+        session.round = None
         self._progress += 1
         if not committed and reason != "user":
             session.skip_to_next_txn()
@@ -972,8 +958,7 @@ class Cluster:
     # ------------------------------------------------------ deadlock breaking
 
     def txn_is_live(self, dxid: int) -> bool:
-        txn = self.dtm.transactions.get(dxid)
-        return txn is not None and txn.state is TxnState.ACTIVE
+        return self.dtm.is_live(dxid)
 
     def abort_transaction(self, dxid: int, reason: str = "deadlock_victim") -> None:
         session = self.txn_sessions.get(dxid)
@@ -1017,7 +1002,7 @@ class Cluster:
             self.schedule(
                 skew * i,
                 lambda s=site: self._pending_local_graphs.__setitem__(
-                    s, snapshot_local(self.lock_tables[s], self.clock)
+                    s, snapshot_local(self.lock_tables[s])
                 ),
                 background=True,
             )
@@ -1032,7 +1017,7 @@ class Cluster:
         self._reschedule_after(verdict)
 
     def collect_graph(self) -> GlobalWaitForGraph:
-        return collect_global([self.lock_tables[s] for s in self.sites], self.clock)
+        return collect_global([self.lock_tables[s] for s in self.sites])
 
     def run_detector(self, forced: bool = False) -> DetectionVerdict:
         return self._detect_on(self.collect_graph())

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .locks import LockTable, RequestStatus, TagKind
+from .locks import LockTable, TagKind
 
 
 class EdgeKind(Enum):
@@ -36,7 +36,6 @@ class WaitEdge:
 class LocalWaitGraph:
     segment: int
     edges: set[WaitEdge] = field(default_factory=set)
-    collected_at: int = 0
 
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.edges if e.waiter == v)
@@ -83,7 +82,7 @@ class GlobalWaitForGraph:
     def copy(self) -> "GlobalWaitForGraph":
         return GlobalWaitForGraph(
             {
-                seg: LocalWaitGraph(seg, set(lg.edges), lg.collected_at)
+                seg: LocalWaitGraph(seg, set(lg.edges))
                 for seg, lg in self.locals.items()
             }
         )
@@ -151,13 +150,13 @@ def edge_kind_for(tag_kind: TagKind) -> EdgeKind:
     return EdgeKind.DOTTED if tag_kind is TagKind.TUPLE else EdgeKind.SOLID
 
 
-def snapshot_local(table: LockTable, tick: int = 0) -> LocalWaitGraph:
+def snapshot_local(table: LockTable) -> LocalWaitGraph:
     """Derive one segment's wait-for graph from its lock table.
 
     A request blocked by k holders yields k edges; the edge label comes from
     the kind of the tag being waited on.
     """
-    lg = LocalWaitGraph(table.segment, collected_at=tick)
+    lg = LocalWaitGraph(table.segment)
     for req in table.waiting_requests():
         kind = edge_kind_for(req.tag.kind)
         for blocker in table.blockers_of(req):
@@ -167,16 +166,12 @@ def snapshot_local(table: LockTable, tick: int = 0) -> LocalWaitGraph:
     return lg
 
 
-def collect_global(
-    tables: list[LockTable], tick: int = 0, skew: int = 0
-) -> GlobalWaitForGraph:
-    """Snapshot every segment's local graph.
+def collect_global(tables: list[LockTable]) -> GlobalWaitForGraph:
+    """Snapshot every segment's local graph at once.
 
-    With a nonzero skew the recorded collection times differ per segment;
-    the caller is responsible for actually spreading the snapshots over time
-    (the simulator does this when skew is configured).
+    The simulator spreads the snapshots over time itself when
+    `SimConfig.collection_skew` is set.
     """
-    locals_ = {}
-    for i, table in enumerate(sorted(tables, key=lambda t: t.segment)):
-        locals_[table.segment] = snapshot_local(table, tick + skew * i)
-    return GlobalWaitForGraph(locals_)
+    return GlobalWaitForGraph(
+        {t.segment: snapshot_local(t) for t in sorted(tables, key=lambda t: t.segment)}
+    )

@@ -151,7 +151,6 @@ class TestDetect:
         verdict = detect(dotted_clean_graph(), self.all_live)
         assert verdict.outcome is Outcome.CLEAN
         assert verdict.victims == ()
-        assert verdict.victim is None
 
     def test_finished_txn_makes_verdict_stale(self):
         live = {A: True, B: True, C: False, D: True}

@@ -153,3 +153,69 @@ sessions:
             )
         assert "line 8" in str(err.value)
         assert "distribution key" in str(err.value)
+
+
+MALFORMED = {
+    "undeclared table": (
+        """
+tables:
+  - {name: t1}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t2}
+""",
+        8,
+        "unknown table 't2'",
+    ),
+    "statement before begin": (
+        """
+tables:
+  - {name: t1}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: select t1}
+      - {seq: 2, sql: begin}
+""",
+        7,
+        "outside a transaction",
+    ),
+    "zero concurrency": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 0, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+""",
+        3,
+        "concurrency",
+    ),
+    "distribution key not a column": (
+        """
+tables:
+  - {name: t1, distributed_by: c3}
+""",
+        3,
+        "distribution key 'c3'",
+    ),
+    "seq not a number": (
+        """
+sessions:
+  - id: A
+    steps:
+      - {seq: x, sql: begin}
+""",
+        5,
+        "seq must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_names_its_line(case):
+    """Each of these used to escape `htapsim run` as a traceback."""
+    text, line, fragment = MALFORMED[case]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert f"line {line}:" in str(err.value)
+    assert fragment in str(err.value)

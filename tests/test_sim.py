@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from htapsim.dtm import (
     expected_accounting,
 )
 from htapsim.gdd import GddConfig
-from htapsim.scenario import Scenario, parse_scenario
+from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_scenario, parse_sql
 from htapsim.sim import Cluster, SimConfig, run_scenario
+from htapsim.store import TableDef
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -34,7 +36,28 @@ def run_text(text, **cfg):
     return run_scenario(scenario, SimConfig(**cfg))
 
 
+SCENARIO_FILES = sorted(p.name for p in SCENARIOS.glob("*.yaml"))
+
+
 class TestPaperScenarios:
+    @pytest.mark.parametrize("skew", [1, 5])
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_staggered_collection_meets_expectations(self, name, skew):
+        scenario, result = run_file(name, collection_skew=skew)
+        ok, problems = result.expectations_met(scenario.expect)
+        assert ok, problems
+
+    @pytest.mark.parametrize("skew", [1, 5])
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_background_detector_with_staggered_collection(self, name, skew):
+        """Without the scripted `detect` steps only the periodic detector,
+        collecting one site every `skew` ticks, can find the deadlocks."""
+        scenario = parse_scenario((SCENARIOS / name).read_text())
+        scenario.steps = [s for s in scenario.steps if s.kind != "detect"]
+        result = run_scenario(scenario, SimConfig(collection_skew=skew))
+        ok, problems = result.expectations_met(scenario.expect)
+        assert ok, problems
+
     def test_two_txn_deadlock(self):
         scenario, result = run_file("deadlock_two_txn.yaml")
         ok, problems = result.expectations_met(scenario.expect)
@@ -217,17 +240,14 @@ sessions:
         assert result.outcomes == {"A": "aborted:user", "B": "committed"}
 
     def test_statement_outside_txn_is_an_error(self):
+        # built without the parser, which rejects such a script itself
+        scenario = Scenario(
+            tables=[TableSpec(TableDef("t1"))],
+            sessions=[SessionDef("A")],
+            steps=[parse_sql("select t1", 1, "A")],
+        )
         with pytest.raises(RuntimeError):
-            run_text(
-                """
-tables:
-  - {name: t1}
-sessions:
-  - id: A
-    steps:
-      - {seq: 1, sql: select t1}
-"""
-            )
+            run_scenario(scenario, SimConfig())
 
 
 def run_cluster(text, **cfg):
@@ -316,20 +336,35 @@ sessions:
         assert sum(acc.fsyncs.values()) == 0
 
     def test_duplicate_commit_reply_is_idempotent(self):
-        cluster = run_cluster(INSERT_ONE_SEGMENT)
-        txn = cluster.dtm.transactions[1]
+        cluster = Cluster(SimConfig(), parse_scenario(INSERT_ONE_SEGMENT))
+        session = cluster.sessions["A"]
+        cluster.run(stop_when=lambda c: session.round is not None)
+        commit_round = session.round
+        (seg,) = commit_round.awaiting
+        cluster.run()
+        assert session.outcomes == ["committed"] and session.round is None
         before = cluster.committed_txns
-        cluster._commit_reply(0, txn)  # straggler ack after completion
+        acc = cluster.accounting[1]
+        messages, fsyncs = Counter(acc.messages), Counter(acc.fsyncs)
+        cluster._reply(commit_round, seg, MSG_COMMIT_OK)  # straggler ack after completion
         assert cluster.committed_txns == before
+        assert acc.messages == messages and acc.fsyncs == fsyncs
+        assert session.outcomes == ["committed"]
 
-    def test_prepare_failure_aborts_everywhere(self):
+    @pytest.mark.parametrize("veto", [0, 1, 2])
+    def test_prepare_failure_aborts_everywhere(self, veto):
         scenario = parse_scenario(WRITE_THREE_SEGMENTS)
         cluster = Cluster(SimConfig(), scenario)
-        cluster._prepare_veto = lambda seg, txn: seg == 1
+        cluster._prepare_veto = lambda seg, txn: seg == veto
         cluster.run()
         assert cluster.sessions["A"].outcomes == ["aborted:prepare_failed"]
         # atomicity: no segment kept the update
         assert cluster.state_digest() == "t:[(0, 0), (1, 0), (2, 0)]"
+        # the segments before the veto answered in time; the later PrepareOk
+        # replies reach an aborted round and are dropped, and no Commit goes out
+        acc = cluster.accounting[1]
+        assert acc.messages == Counter({MSG_PREPARE: 3, MSG_PREPARE_OK: veto})
+        assert acc.fsyncs == Counter({FSYNC_SEGMENT_PREPARE: 2})
 
     def test_forced_2pc_produces_identical_final_state(self):
         one = run_cluster(INSERT_ONE_SEGMENT)
