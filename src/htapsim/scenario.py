@@ -217,13 +217,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {line}: table missing {exc}") from None
         except StoreError as exc:
             raise ScenarioError(f"line {line}: {exc}") from None
-        rows = [
-            tuple(_number(int, v, "a row value", line) for v in row)
-            for row in rec.get("rows", []) or []
-        ]
-        for row in rows:
-            if len(row) != 2:
-                raise ScenarioError(f"line {line}: rows must be (c1, c2) pairs")
+        rows = rec.get("rows", []) or []
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 2 for row in rows
+        ):
+            raise ScenarioError(f"line {line}: rows must be (c1, c2) pairs")
+        rows = [tuple(_number(int, v, "a row value", line) for v in row) for row in rows]
         scenario.tables.append(TableSpec(table, rows))
 
     for rec in doc.get("groups", []) or []:
@@ -283,6 +282,11 @@ def parse_scenario(text: str) -> Scenario:
         if step.session not in sids:
             raise ScenarioError(f"step {step.seq}: unknown session {step.session!r}")
         if step.kind == "begin":
+            if step.session in in_txn:
+                raise ScenarioError(
+                    f"line {seen_seq[step.seq]}: begin inside an open transaction"
+                    f" of session {step.session} (seq {step.seq})"
+                )
             in_txn.add(step.session)
         elif step.kind != "detect" and step.session not in in_txn:
             raise ScenarioError(

@@ -515,6 +515,10 @@ class Cluster:
             "driver", "issue", f"seq={step.seq} session={session.sid} sql={step.raw}"
         )
         if step.kind == "begin":
+            if session.txn is not None:
+                raise RuntimeError(
+                    f"session {session.sid}: begin inside an open transaction"
+                )
             self._do_begin(session)
             return
         if session.txn is None or session.txn.is_finished():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from htapsim.locks import (
+    CONFLICT_MASK,
     AcquireResult,
     LockMode,
     LockTable,
@@ -44,6 +45,11 @@ class TestConflictMatrix:
         for a in range(1, 9):
             for b in range(1, 9):
                 assert conflicts(a, b) == (b in CONFLICT_TABLE[a]), (a, b)
+
+    def test_bitmask_per_mode_matches_table(self):
+        # all 64 pairs, and no bit outside levels 1..8
+        for a in range(1, 9):
+            assert CONFLICT_MASK[a] == sum(1 << b for b in CONFLICT_TABLE[a]), a
 
     def test_known_pairs(self):
         assert conflicts(LockMode.ACCESS_SHARE, LockMode.ACCESS_EXCLUSIVE)
@@ -192,6 +198,55 @@ class TestReleaseTupleLock:
             table.release_tuple_lock(1, rel(0))
 
 
+def counting(monkeypatch, name):
+    """Count the calls of LockTable.<name> made from now on."""
+    calls = []
+    original = getattr(LockTable, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(LockTable, name, counted)
+    return calls
+
+
+class TestModeMasks:
+    """With many compatible holders on one tag, the per-tag mode masks let a
+    compatible request and a release skip the walk over the holders."""
+
+    HOLDERS = 256
+
+    def crowded(self):
+        table = make_table(*range(1, self.HOLDERS + 3))
+        for txn in range(1, self.HOLDERS + 1):
+            table.acquire(txn, rel(0), LockMode.ROW_EXCLUSIVE, 0)
+        return table
+
+    def test_compatible_acquire_skips_the_blocking_rule(self, monkeypatch):
+        table = self.crowded()
+        walks = counting(monkeypatch, "_blockers_for")
+        result, _ = table.acquire(self.HOLDERS + 1, rel(0), LockMode.ROW_EXCLUSIVE, 1)
+        assert result is AcquireResult.GRANTED
+        assert walks == []
+        # a conflicting request is still decided by the rule
+        result, blockers = table.acquire(self.HOLDERS + 2, rel(0), LockMode.SHARE, 2)
+        assert result is AcquireResult.BLOCKED
+        assert len(blockers) == self.HOLDERS + 1
+        assert len(walks) == 1
+        table.check_invariants()
+
+    def test_release_with_nobody_waiting_skips_reevaluation(self, monkeypatch):
+        table = self.crowded()
+        reevaluations = counting(monkeypatch, "_reevaluate")
+        assert table.release_all(1, 1) == []
+        assert reevaluations == []
+        table.acquire(self.HOLDERS + 2, rel(0), LockMode.SHARE, 2)
+        assert table.release_all(2, 3) == []  # the waiter still waits on 3..
+        assert len(reevaluations) == 1
+        table.check_invariants()
+
+
 def blocked_by(queue, i, txn, mode):
     """Reference blocking rule over (txn, mode, status) entries in arrival
     order: entry i conflicts with a granted entry of another txn, or with an
@@ -283,19 +338,25 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
 
 
 def reference_release_all(table, txn):
-    """release_all as a walk over every queue on the segment, in dict order."""
+    """release_all as a walk over every queue on the segment, in dict order,
+    re-evaluating every queue the transaction left."""
     promoted = []
-    for tag in list(table._queues):
-        queue = table._queues[tag]
-        remaining = [r for r in queue if r.txn != txn]
-        if len(remaining) != len(queue):
-            table._queues[tag] = remaining
-            promoted.extend(table._reevaluate(tag))
+    for queue in table._queues.values():
+        mine = [r for r in queue.requests.values() if r.txn == txn]
+        if mine:
+            for r in mine:
+                queue.remove(r)
+            promoted.extend(table._reevaluate(queue))
     return promoted
 
 
 def reference_locks_of(table, txn):
-    return [r for queue in table._queues.values() for r in queue if r.txn == txn]
+    return [
+        r
+        for queue in table._queues.values()
+        for r in queue.requests.values()
+        if r.txn == txn
+    ]
 
 
 def as_keys(requests):

@@ -182,6 +182,29 @@ sessions:
         7,
         "outside a transaction",
     ),
+    "begin inside a transaction": (
+        """
+tables:
+  - {name: t, rows: [[1, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=5 where c1=1}
+      - {seq: 3, sql: begin}
+      - {seq: 4, sql: commit}
+""",
+        9,
+        "begin inside an open transaction",
+    ),
+    "row not a list": (
+        """
+tables:
+  - {name: t1, rows: [5]}
+""",
+        3,
+        "rows must be (c1, c2) pairs",
+    ),
     "zero concurrency": (
         """
 groups:

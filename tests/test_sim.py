@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +23,8 @@ from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_scenario, pa
 from htapsim.sim import Cluster, SimConfig, run_scenario
 from htapsim.store import TableDef
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 # every lock-table change in these runs is followed by check_invariants()
 pytestmark = pytest.mark.usefixtures("checked_lock_tables")
@@ -249,6 +253,17 @@ sessions:
         with pytest.raises(RuntimeError):
             run_scenario(scenario, SimConfig())
 
+    def test_begin_inside_open_txn_is_an_error(self):
+        # built without the parser, which rejects such a script itself
+        steps = ["begin", "update t1 set c2=5 where c1=1", "begin", "commit"]
+        scenario = Scenario(
+            tables=[TableSpec(TableDef("t1"), [(1, 0)])],
+            sessions=[SessionDef("A")],
+            steps=[parse_sql(sql, seq, "A") for seq, sql in enumerate(steps, 1)],
+        )
+        with pytest.raises(RuntimeError, match="begin inside an open transaction"):
+            run_scenario(scenario, SimConfig())
+
 
 def run_cluster(text, **cfg):
     scenario = parse_scenario(text)
@@ -440,6 +455,35 @@ class TestDeterminism:
     def test_metrics_are_reproducible_too(self):
         csvs = {run_file("clean_mixed_edges.yaml", seed=7)[1].metrics_csv for _ in range(2)}
         assert len(csvs) == 1
+
+    def test_bench_output_does_not_depend_on_hash_seed(self):
+        """Lock tags, relation names and other keys hash differently in each
+        process; no trace line or metric may depend on those hash values.
+        The run is the perfbench tick budget and there are three processes:
+        locks released in hash order instead of queue creation order change
+        the trace in about half of all processes at this length, and not at
+        all at 150 ticks."""
+        script = (
+            "import hashlib\n"
+            "from htapsim.bench import bench\n"
+            "r = bench('tpcb-like', 32, 500)\n"
+            "assert any('lock_wait' in line for line in r.trace)\n"
+            "for text in ('\\n'.join(r.trace), r.metrics_csv):\n"
+            "    print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(ROOT / "src")}
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
 
 
 class TestResourceIntegration:
