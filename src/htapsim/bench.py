@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .scenario import parse_sql
+# Not called here: perfbench's tracer looks `parse_sql` up in this module to
+# count scenario parsing (ROADMAP item 2 moves that lookup).
+from .scenario import Step, parse_sql  # noqa: F401
 from .sim import Cluster, SimConfig
-from .store import TableDef
+from .store import Predicate, TableDef
 
 WORKLOADS = ("update-only", "insert-only", "tpcb-like", "mixed-htap")
 
@@ -67,69 +69,88 @@ def percentile(values: list, q: float) -> float:
     return float(ordered[idx])
 
 
-def _steps(sid: str, texts: list[str], cpu: dict[int, int] | None = None):
-    for i, text in enumerate(texts):
-        step = parse_sql(text, seq=0, session=sid)
-        if cpu and i in cpu:
-            step.cpu = cpu[i]
-        yield step
+def _txn_ends(sid: str) -> tuple[Step, Step]:
+    """A client's `begin` and `commit` steps, shared by all its transactions."""
+    return Step(0, sid, "begin", "begin"), Step(0, sid, "commit", "commit")
+
+
+def _update(sid: str, table: str, key: int, c2: int, cpu: int | None = None) -> Step:
+    return Step(
+        0,
+        sid,
+        "update",
+        f"update {table} set c2={c2} where c1={key}",
+        table=table,
+        pred=Predicate({"c1": key}),
+        set_c2=c2,
+        cpu=cpu,
+    )
+
+
+def _insert(sid: str, table: str, rows: list[tuple[int, int]]) -> Step:
+    values = ",".join(f"({a},{b})" for a, b in rows)
+    return Step(0, sid, "insert", f"insert {table} values {values}", table=table, rows=rows)
 
 
 def update_only_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):
     """Single-row updates to keys private to this client (no row conflicts)."""
     own = [k for k in range(keys) if k % clients == idx] or [idx]
+    begin, commit = _txn_ends(sid)
     while True:
         key = rng.choice(own)
-        yield from _steps(
-            sid, ["begin", f"update accounts set c2={rng.randrange(1000)} where c1={key}", "commit"]
-        )
+        yield begin
+        yield _update(sid, "accounts", key, rng.randrange(1000))
+        yield commit
 
 
 def insert_only_client(sid: str, idx: int, rng: random.Random, n_segments: int):
     """Per-transaction inserts that all route to one segment (1PC candidates)."""
+    begin, commit = _txn_ends(sid)
     n = 0
     while True:
         key = idx * n_segments + (n % n_segments)  # constant within the txn
-        values = ",".join(f"({key},{n + j})" for j in range(3))
-        yield from _steps(sid, ["begin", f"insert history values {values}", "commit"])
+        yield begin
+        yield _insert(sid, "history", [(key, n + j) for j in range(3)])
+        yield commit
         n += 1
 
 
 def tpcb_like_client(sid: str, idx: int, clients: int, rng: random.Random, scale):
     """Account/teller/branch updates plus a history insert per transaction."""
     accounts, tellers, branches = scale
+    begin, commit = _txn_ends(sid)
     while True:
         a = rng.randrange(accounts)
         t = idx % tellers
         b = idx % branches
         delta = rng.randrange(100)
-        yield from _steps(
-            sid,
-            [
-                "begin",
-                f"update accounts set c2={delta} where c1={a}",
-                f"update tellers set c2={delta} where c1={t}",
-                f"update branches set c2={delta} where c1={b}",
-                f"insert history values ({a},{delta})",
-                "commit",
-            ],
-        )
+        yield begin
+        yield _update(sid, "accounts", a, delta)
+        yield _update(sid, "tellers", t, delta)
+        yield _update(sid, "branches", b, delta)
+        yield _insert(sid, "history", [(a, delta)])
+        yield commit
 
 
 def olap_client(sid: str, rng: random.Random, scan_cpu: int):
+    begin, commit = _txn_ends(sid)
+    scan = Step(
+        0, sid, "select", "select bigtable", table="bigtable", pred=Predicate(), cpu=scan_cpu
+    )
     while True:
-        yield from _steps(sid, ["begin", "select bigtable", "commit"], cpu={1: scan_cpu})
+        yield begin
+        yield scan
+        yield commit
 
 
 def oltp_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):
     own = [k for k in range(keys) if k % clients == idx] or [idx]
+    begin, commit = _txn_ends(sid)
     while True:
         key = rng.choice(own)
-        yield from _steps(
-            sid,
-            ["begin", f"update accounts set c2={rng.randrange(100)} where c1={key}", "commit"],
-            cpu={1: 1},
-        )
+        yield begin
+        yield _update(sid, "accounts", key, rng.randrange(100), cpu=1)
+        yield commit
 
 
 def bench(

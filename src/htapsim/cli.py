@@ -13,6 +13,17 @@ from .sim import SimConfig, run_scenario
 from .waitgraph import GlobalWaitForGraph
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -102,21 +113,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--segments", type=int, default=3)
+    p_run.add_argument("--segments", type=_positive_int, default=3)
     p_run.add_argument("--legacy-locking", action="store_true")
-    p_run.add_argument("--gdd-period", type=int, default=100)
+    p_run.add_argument("--gdd-period", type=_positive_int, default=100)
     p_run.add_argument("--out", help="write per-transaction metrics CSV")
     p_run.add_argument("--trace", help="write the event trace log")
     p_run.set_defaults(fn=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a synthesized workload")
     p_bench.add_argument("--workload", choices=WORKLOADS, required=True)
-    p_bench.add_argument("--clients", type=int, required=True)
-    p_bench.add_argument("--ticks", type=int, required=True)
+    p_bench.add_argument("--clients", type=_positive_int, required=True)
+    p_bench.add_argument("--ticks", type=_positive_int, required=True)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--segments", type=int, default=3)
+    p_bench.add_argument("--segments", type=_positive_int, default=3)
     p_bench.add_argument("--legacy-locking", action="store_true")
-    p_bench.add_argument("--gdd-period", type=int, default=100)
+    p_bench.add_argument("--gdd-period", type=_positive_int, default=100)
     p_bench.add_argument("--out", help="write per-transaction metrics CSV")
     p_bench.set_defaults(fn=_cmd_bench)
 

@@ -243,7 +243,9 @@ class CpuScheduler:
         self.waiting: dict[str, deque[_Task]] = {
             name: deque() for name in sorted(groups.configs)
         }
-        self.running: list[_Task] = []
+        self.running: list[_Task] = []  # in start order
+        # tasks in `running` per group, kept as tasks start and finish
+        self.group_running: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
         self.vtime: dict[str, float] = {name: 0.0 for name in self.share_groups}
         self.group_core_ticks: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
 
@@ -258,7 +260,11 @@ class CpuScheduler:
         return bool(self.running) or any(self.waiting.values())
 
     def _running_count(self, names) -> int:
-        return sum(1 for t in self.running if t.group in names)
+        return sum(self.group_running[n] for n in names)
+
+    def _start(self, task: _Task) -> None:
+        self.running.append(task)
+        self.group_running[task.group] += 1
 
     def tick(self) -> list[object]:
         """Advance one tick; returns queries whose bursts completed."""
@@ -268,23 +274,25 @@ class CpuScheduler:
             task.remaining -= 1
             if task.remaining <= 0:
                 finished.append(task.query)
+                self.group_running[task.group] -= 1
             else:
                 still.append(task)
         self.running = still
 
         # hard partitions: each cpuset group fills only its own cores
         for name, cores in self.cpuset_groups.items():
-            while self.waiting[name] and self._running_count({name}) < len(cores):
-                self.running.append(self.waiting[name].popleft())
+            waiting = self.waiting[name]
+            while waiting and self.group_running[name] < len(cores):
+                self._start(waiting.popleft())
 
         # shared cores: smallest virtual time first among runnable share groups
         active_vtimes = [
             self.vtime[n]
             for n in self.share_groups
-            if self.waiting[n] or self._running_count({n})
+            if self.waiting[n] or self.group_running[n]
         ]
         floor = min(active_vtimes) if active_vtimes else 0.0
-        free = self.shared_cores - self._running_count(set(self.share_groups))
+        free = self.shared_cores - self._running_count(self.share_groups)
         while free > 0:
             candidates = [n for n in self.share_groups if self.waiting[n]]
             if not candidates:
@@ -294,20 +302,20 @@ class CpuScheduler:
             # returning groups must not replay accumulated idle credit
             self.vtime[name] = max(self.vtime[name], floor)
             self.vtime[name] += task.remaining / self.share_groups[name]
-            self.running.append(task)
+            self._start(task)
             free -= 1
 
-        for task in self.running:
-            self.group_core_ticks[task.group] += 1
+        for name, n in self.group_running.items():
+            self.group_core_ticks[name] += n
         return finished
 
     def grantable_waiting(self) -> int:
         """Waiting tasks that could run now given the hard caps."""
         n = 0
         for name, cores in self.cpuset_groups.items():
-            room = len(cores) - self._running_count({name})
+            room = len(cores) - self.group_running[name]
             n += min(room, len(self.waiting[name]))
-        shared_room = self.shared_cores - self._running_count(set(self.share_groups))
+        shared_room = self.shared_cores - self._running_count(self.share_groups)
         share_waiting = sum(len(self.waiting[n]) for n in self.share_groups)
         n += min(shared_room, share_waiting)
         return n

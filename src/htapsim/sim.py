@@ -25,7 +25,14 @@ from .dtm import (
     TxnState,
     XidMapping,
 )
-from .gdd import DetectionVerdict, GddConfig, Outcome, break_deadlock, detect
+from .gdd import (
+    DetectionVerdict,
+    GddConfig,
+    Outcome,
+    ReductionStep,
+    break_deadlock,
+    detect,
+)
 from .locks import AcquireResult, LockMode, LockTable, LockTag, TagKind
 from .resgroup import (
     Admission,
@@ -68,16 +75,46 @@ class SimConfig:
     resource_groups: list[ResourceGroupConfig] = field(default_factory=list)
     global_memory: float = 1000.0
     n_cores: int = 32
+    # record trace events; they are kept as tuples and only rendered to text
+    # when `Cluster.trace` is read
     trace_enabled: bool = True
+
+
+def _render_event(event: tuple) -> str:
+    """One `tick|site|kind|details` trace line from a `Cluster._trace` event."""
+    tick, site, kind, template, *args = event
+    if type(site) is not str:
+        site = "coord" if site == COORD else f"seg{site}"
+    details = template.format(*args) if type(template) is str else template(*args)
+    return f"{tick}|{site}|{kind}|{details}"
+
+
+def _begin_details(sid: str, dxid: int, snap) -> str:
+    return (
+        f"session={sid} dxid={dxid} in_progress={sorted(snap.in_progress)} "
+        f"max_committed={snap.max_committed}"
+    )
+
+
+def _lock_wait_details(dxid: int, tag: LockTag, mode: str, blockers: frozenset) -> str:
+    return f"dxid={dxid} tag={tag} mode={mode} blockers={sorted(blockers)}"
+
+
+def _verdict_details(outcome: str, residual: tuple, victims: tuple) -> str:
+    return (
+        f"outcome={outcome} residual={[str(e) for e in residual]} "
+        f"victims={list(victims)}"
+    )
 
 
 class Session:
     def __init__(self, sid: str, group: str | None = None, step_iter=None):
         self.sid = sid
         self.group = group
-        self.steps: list[Step] = []
-        self.step_iter = step_iter  # generator source for bench workloads
-        self.next_idx = 0
+        # the session's own steps: a bench client's generator, or a scenario
+        # session's steps in eager mode; none in strict global-order mode
+        self.step_iter = iter(()) if step_iter is None else step_iter
+        self._next: Step | None = None  # one-step lookahead, see peek_step
         self.txn: TransactionDescriptor | None = None
         self.stmt: "Statement | None" = None
         self.queued = False  # waiting for an admission slot
@@ -98,34 +135,24 @@ class Session:
         )
 
     def peek_step(self) -> Step | None:
-        if self.step_iter is not None:
-            if not self.steps:
-                try:
-                    self.steps.append(next(self.step_iter))
-                except StopIteration:
-                    return None
-            return self.steps[0]
-        if self.next_idx < len(self.steps):
-            return self.steps[self.next_idx]
-        return None
+        """The next step, or None once the session has none left."""
+        if self._next is None:
+            self._next = next(self.step_iter, None)
+        return self._next
 
-    def pop_step(self) -> Step:
-        if self.step_iter is not None:
-            if not self.steps:
-                self.steps.append(next(self.step_iter))
-            return self.steps.pop(0)
-        step = self.steps[self.next_idx]
-        self.next_idx += 1
+    def pop_step(self) -> Step | None:
+        step = self.peek_step()
+        self._next = None
         return step
 
     def skip_to_next_txn(self) -> None:
-        """After an abort, drop the remainder of the transaction's steps."""
+        """After an abort, drop the remainder of the transaction's steps; a
+        session with no step left becomes terminal."""
         self.skip_until_begin = True
         while True:
             step = self.peek_step()
             if step is None:
-                if self.step_iter is None:
-                    self.terminal = True
+                self.terminal = True
                 return
             if step.kind == "begin":
                 self.skip_until_begin = False
@@ -245,7 +272,7 @@ class _UpdatePart:
             self.table.name, slot, version, new_values, local, self.txn.command_id
         )
         self.stamped += 1
-        cl._trace(self.seg, "stamp", f"dxid={self.txn.dxid} {self.table.name}:{slot}")
+        cl._trace(self.seg, "stamp", "dxid={} {}:{}", self.txn.dxid, self.table.name, slot)
         if self.held_tuple_tag is not None:
             promoted = cl.lock_tables[self.seg].release_tuple_lock(
                 self.txn.dxid, self.held_tuple_tag
@@ -279,7 +306,7 @@ class _SimplePart:
                 cl.stores[self.seg].insert_version(
                     self.table.name, values, local, self.txn.command_id
                 )
-            cl._trace(self.seg, "insert", f"dxid={self.txn.dxid} rows={len(self.rows)}")
+            cl._trace(self.seg, "insert", "dxid={} rows={}", self.txn.dxid, len(self.rows))
             cl._segment_part_done(
                 self.seg, self.stmt, self.txn, len(self.rows), wrote=bool(self.rows)
             )
@@ -289,7 +316,7 @@ class _SimplePart:
             rows = [v.values for _, v in found]
             cl._segment_part_done(self.seg, self.stmt, self.txn, len(rows), rows=rows)
         else:  # lock
-            cl._trace(self.seg, "relation_locked", f"dxid={self.txn.dxid} {self.table.name}")
+            cl._trace(self.seg, "relation_locked", "dxid={} {}", self.txn.dxid, self.table.name)
             cl._segment_part_done(self.seg, self.stmt, self.txn, 0)
 
 
@@ -321,7 +348,8 @@ class Cluster:
         self._heap: list = []
         self._seq = 0
         self._fg_pending = 0
-        self.trace: list[str] = []
+        self._events: list[tuple] = []  # trace events not yet rendered
+        self._trace_lines: list[str] = []  # the rendered trace, see `trace`
 
         self.dtm = DistributedTxnManager()
         self.dtm.committed.add(0)  # bootstrap writer of preloaded rows
@@ -378,13 +406,13 @@ class Cluster:
     def _load_scenario(self, scenario: Scenario) -> None:
         for spec in scenario.tables:
             self.create_table(spec.table, spec.rows)
+        own: dict[str, list[Step]] = {sdef.sid: [] for sdef in scenario.sessions}
+        if self.config.eager:
+            for step in scenario.steps:
+                own[step.session].append(step)
         for sdef in scenario.sessions:
-            self.add_session(sdef.sid, sdef.group)
-        for step in scenario.steps:
-            self._global_steps.append(step)
-            if self.config.eager:
-                self.sessions[step.session].steps.append(step)
-        self._global_steps.sort(key=lambda s: s.seq)
+            self.add_session(sdef.sid, sdef.group, step_iter=iter(own[sdef.sid]))
+        self._global_steps = sorted(scenario.steps, key=lambda s: s.seq)
 
     def create_table(self, table: TableDef, rows=()) -> None:
         self.catalog[table.name] = table
@@ -407,14 +435,29 @@ class Cluster:
 
     # ------------------------------------------------------------ event loop
 
-    def _trace(self, site, kind: str, details: str) -> None:
+    def _trace(self, site, kind: str, template, *args) -> None:
+        """Record one trace event as the flat tuple (tick, site, kind,
+        template, *args), and nothing at all unless `trace_enabled` is set.
+
+        Nothing is formatted here: reading `trace` renders the event.  The
+        arguments must be values that no later step changes (ints, strings,
+        frozensets, tuples, lock tags, frozen records).  `template` is a
+        `str.format` template or, where the details need more than formatting,
+        a function of the arguments that returns them.
+        """
         if self.config.trace_enabled:
-            name = (
-                "coord"
-                if site == COORD
-                else (site if isinstance(site, str) else f"seg{site}")
-            )
-            self.trace.append(f"{self.clock}|{name}|{kind}|{details}")
+            self._events.append((self.clock, site, kind, template, *args))
+
+    @property
+    def trace(self) -> list[str]:
+        """The text trace, one `tick|site|kind|details` line per event.
+
+        Events recorded since the last read are rendered into the cached list
+        and then dropped, so the list returned grows as the run goes on."""
+        if self._events:
+            self._trace_lines.extend(map(_render_event, self._events))
+            self._events.clear()
+        return self._trace_lines
 
     def schedule(self, delay: int, fn, background: bool = False) -> None:
         self._seq += 1
@@ -480,7 +523,7 @@ class Cluster:
                 session.skip_until_begin and step.kind != "begin"
             ):
                 self._trace(
-                    "driver", "step_skipped", f"seq={step.seq} session={step.session}"
+                    "driver", "step_skipped", "seq={} session={}", step.seq, step.session
                 )
                 self._cursor += 1
                 continue
@@ -495,10 +538,9 @@ class Cluster:
     def _issue_for_session(self, session: Session) -> bool:
         if not session.free:
             return False
-        step = session.peek_step()
+        step = session.pop_step()
         if step is None:
             return False
-        session.pop_step()
         if step.kind == "detect":
             self.run_detector()
             return True
@@ -512,7 +554,7 @@ class Cluster:
 
     def _issue_step(self, session: Session, step: Step) -> None:
         self._trace(
-            "driver", "issue", f"seq={step.seq} session={session.sid} sql={step.raw}"
+            "driver", "issue", "seq={} session={} sql={}", step.seq, session.sid, step.raw
         )
         if step.kind == "begin":
             if session.txn is not None:
@@ -538,7 +580,7 @@ class Cluster:
             result = self.ledger.charge(session.sid, session.group, step.mem)
             if result is ChargeResult.CANCELLED:
                 self._trace(
-                    "coord", "mem_cancel", f"session={session.sid} bytes={step.mem}"
+                    "coord", "mem_cancel", "session={} bytes={}", session.sid, step.mem
                 )
                 self._start_abort(session, "memory_cancelled")
                 return
@@ -557,7 +599,7 @@ class Cluster:
         if self.admission is not None and session.group:
             if self.admission.admit(session.sid, session.group) is Admission.QUEUE:
                 session.queued = True
-                self._trace("coord", "admission_queue", f"session={session.sid}")
+                self._trace("coord", "admission_queue", "session={}", session.sid)
                 return
         self._begin_admitted(session)
 
@@ -576,13 +618,7 @@ class Cluster:
             LockMode.EXCLUSIVE,
             self.clock,
         )
-        self._trace(
-            "coord",
-            "begin",
-            f"session={session.sid} dxid={txn.dxid} "
-            f"in_progress={sorted(txn.snapshot.in_progress)} "
-            f"max_committed={txn.snapshot.max_committed}",
-        )
+        self._trace("coord", "begin", _begin_details, session.sid, txn.dxid, txn.snapshot)
         self._session_freed(session)
 
     def _stmt_acquire_coord(self, stmt: Statement) -> None:
@@ -655,7 +691,7 @@ class Cluster:
             LockMode.EXCLUSIVE,
             self.clock,
         )
-        self._trace(seg, "assign_local_xid", f"dxid={txn.dxid} local={local}")
+        self._trace(seg, "assign_local_xid", "dxid={} local={}", txn.dxid, local)
         return local
 
     def _visibility(self, seg: int, txn: TransactionDescriptor | None, snapshot=None):
@@ -697,8 +733,11 @@ class Cluster:
         self._trace(
             site,
             "lock_wait",
-            f"dxid={txn.dxid} tag={tag} mode={mode.name} "
-            f"blockers={sorted({b.txn for b in blockers})}",
+            _lock_wait_details,
+            txn.dxid,
+            tag,
+            mode.name,
+            frozenset([b.txn for b in blockers]),
         )
         self._ensure_gdd_scheduled()
         return False
@@ -706,7 +745,7 @@ class Cluster:
     def _schedule_promotions(self, site, promoted) -> None:
         for req in promoted:
             self._trace(
-                site, "lock_grant", f"dxid={req.txn} tag={req.tag} mode={req.mode.name}"
+                site, "lock_grant", "dxid={} tag={} mode={}", req.txn, req.tag, req.mode.name
             )
             cont = self._parked[site].pop((req.tag, req.txn), None)
             if cont is not None:
@@ -725,7 +764,7 @@ class Cluster:
     def _segment_stmt_failed(self, seg, stmt, txn, reason: str) -> None:
         if stmt.dead:
             return
-        self._trace(seg, "stmt_conflict", f"dxid={txn.dxid} reason={reason}")
+        self._trace(seg, "stmt_conflict", "dxid={} reason={}", txn.dxid, reason)
 
         def deliver():
             if stmt.dead or txn.is_finished():
@@ -757,7 +796,10 @@ class Cluster:
         self._trace(
             "coord",
             "stmt_done",
-            f"session={session.sid} seq={stmt.step.seq} count={stmt.count}",
+            "session={} seq={} count={}",
+            session.sid,
+            stmt.step.seq,
+            stmt.count,
         )
         session.stmt = None
         self._progress += 1
@@ -792,8 +834,11 @@ class Cluster:
         self._trace(
             "coord",
             "commit_start",
-            f"session={session.sid} dxid={txn.dxid} protocol={protocol.value} "
-            f"write_segments={writers}",
+            "session={} dxid={} protocol={} write_segments={}",
+            session.sid,
+            txn.dxid,
+            protocol.value,
+            writers,  # nothing changes this list: the rounds below only read it
         )
 
         def commit() -> None:
@@ -835,9 +880,7 @@ class Cluster:
         self._cpu_pending.pop(session.sid, None)
         touched = self._touched_segments(txn)
         self._trace(
-            "coord",
-            "abort_start",
-            f"session={session.sid} dxid={txn.dxid} reason={reason}",
+            "coord", "abort_start", "session={} dxid={} reason={}", session.sid, txn.dxid, reason
         )
         self._send_round(
             session,
@@ -871,7 +914,7 @@ class Cluster:
             return
         dxid = session.txn.dxid
         if not ok:
-            self._trace("coord", "prepare_failed", f"dxid={dxid} seg={site}")
+            self._trace("coord", "prepare_failed", "dxid={} seg={}", dxid, site)
             self._start_abort(session, "prepare_failed")
             return
         if msg is not None:
@@ -882,11 +925,11 @@ class Cluster:
 
     def _segment_prepare(self, seg: int, txn: TransactionDescriptor, rnd: _Round) -> None:
         if self._prepare_veto(seg, txn):
-            self._trace(seg, "prepare_fail", f"dxid={txn.dxid}")
+            self._trace(seg, "prepare_fail", "dxid={}", txn.dxid)
             self.send(seg, COORD, lambda: self._reply(rnd, seg, None, ok=False))
             return
         self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-        self._trace(seg, "prepared", f"dxid={txn.dxid}")
+        self._trace(seg, "prepared", "dxid={}", txn.dxid)
         self.send(seg, COORD, lambda: self._reply(rnd, seg, dtm_mod.MSG_PREPARE_OK))
 
     def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
@@ -910,12 +953,12 @@ class Cluster:
             self.local_states[seg][local] = "committed" if committed else "aborted"
         promoted = self.lock_tables[seg].release_all(txn.dxid, self.clock)
         if rnd is None:
-            self._trace(seg, "end_local", f"dxid={txn.dxid}")
+            self._trace(seg, "end_local", "dxid={}", txn.dxid)
         elif committed:
             onephase = self.accounting[txn.dxid].protocol is Protocol.ONE_PHASE
-            self._trace(seg, "commit_local", f"dxid={txn.dxid} onephase={onephase}")
+            self._trace(seg, "commit_local", "dxid={} onephase={}", txn.dxid, onephase)
         else:
-            self._trace(seg, "abort_local", f"dxid={txn.dxid}")
+            self._trace(seg, "abort_local", "dxid={}", txn.dxid)
         self._schedule_promotions(seg, promoted)
         if rnd is not None:
             reply = dtm_mod.MSG_COMMIT_OK if committed else None
@@ -923,7 +966,7 @@ class Cluster:
 
     def _fsync(self, site, txn, kind: str) -> None:
         self.accounting[txn.dxid].count_fsync(kind)
-        self._trace(site, "fsync", f"dxid={txn.dxid} kind={kind}")
+        self._trace(site, "fsync", "dxid={} kind={}", txn.dxid, kind)
 
     def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
         txn = session.txn
@@ -943,7 +986,10 @@ class Cluster:
         self._trace(
             "coord",
             "txn_end",
-            f"session={session.sid} dxid={txn.dxid} outcome={session.outcomes[-1]}",
+            "session={} dxid={} outcome={}",
+            session.sid,
+            txn.dxid,
+            session.outcomes[-1],
         )
         if self.ledger is not None:
             self.ledger.release(session.sid)
@@ -1029,13 +1075,14 @@ class Cluster:
     def _detect_on(self, graph: GlobalWaitForGraph) -> DetectionVerdict:
         verdict = detect(graph, self.txn_is_live, self.config.gdd.victim_policy)
         for step in verdict.steps:
-            self._trace("gdd", "reduce", step.describe())
+            self._trace("gdd", "reduce", ReductionStep.describe, step)
         self._trace(
             "gdd",
             "verdict",
-            f"outcome={verdict.outcome.value} "
-            f"residual={[str(e) for e in verdict.residual_edges]} "
-            f"victims={list(verdict.victims)}",
+            _verdict_details,
+            verdict.outcome.value,
+            tuple(verdict.residual_edges),
+            verdict.victims,
         )
         self.verdicts.append(verdict)
         if verdict.outcome is Outcome.DEADLOCK:

@@ -5,6 +5,10 @@ The file name does not match pytest's `test_*.py` pattern, so a plain
 
     PYTHONPATH=src python -m pytest tests/bench_locks.py -p no:cacheprovider
 
+pyproject's `pythonpath = ["src"]` takes precedence over PYTHONPATH, so to
+time another checkout, run from inside that checkout; the header line
+"htapsim under test" names the copy being measured.
+
 Each case times one round on a tag that already has N compatible
 ROW_EXCLUSIVE holders, the queue shape concurrent updaters make on a
 relation.  With the cost of a grant and a release bound to the requesting

@@ -1,8 +1,17 @@
 import functools
+import os
 
 import pytest
 
+import htapsim
 from htapsim.locks import LockTable
+
+
+def pytest_report_header(config):
+    # pyproject's `pythonpath = ["src"]` goes ahead of PYTHONPATH, so name the
+    # copy of htapsim these tests import
+    return f"htapsim under test: {os.path.dirname(htapsim.__file__)}"
+
 
 # LockTable methods that change lock state
 _CHANGES = ("acquire", "release_all", "release_tuple_lock")

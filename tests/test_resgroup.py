@@ -243,3 +243,35 @@ class TestCpuScheduler:
         sched.tick()
         running = [t for t in sched.running if t.group == "a"]
         assert len(running) == 16  # only the shared half of the machine
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from("abp"), st.integers(1, 6)),
+                st.just("tick"),
+            ),
+            max_size=80,
+        )
+    )
+    def test_running_counts_match_a_recount_after_every_tick(self, ops):
+        groups = ResourceGroups(
+            [shares("a", mem=10, cpu=30), shares("b", mem=10, cpu=10),
+             pinned("p", range(0, 3), mem=10)],
+            1000.0,
+            n_cores=8,
+        )
+        sched = CpuScheduler(groups)
+        core_ticks = {name: 0 for name in "abp"}
+        for n, op in enumerate(ops + ["tick"] * 8):
+            if op != "tick":
+                sched.submit(f"q{n}", op[0], op[1])
+                continue
+            sched.tick()
+            recount = {name: 0 for name in "abp"}
+            for task in sched.running:
+                recount[task.group] += 1
+            assert sched.group_running == recount
+            for name in core_ticks:
+                core_ticks[name] += recount[name]
+            assert sched.group_core_ticks == core_ticks
