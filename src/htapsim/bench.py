@@ -8,6 +8,7 @@ tick-denominated and only meaningful as ratios between configurations.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 
@@ -164,9 +165,7 @@ def bench(
         raise ValueError(f"unknown workload {workload!r}; pick one of {WORKLOADS}")
     if clients < 1:
         raise ValueError("need at least one client")
-    config = config or SimConfig()
-    config.eager = True
-    config.seed = seed
+    config = dataclasses.replace(config or SimConfig(), eager=True, seed=seed)
     if workload == "mixed-htap" and not config.resource_groups:
         config.resource_groups = default_htap_groups()
     cluster = Cluster(config)

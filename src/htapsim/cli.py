@@ -13,15 +13,22 @@ from .sim import SimConfig, run_scenario
 from .waitgraph import GlobalWaitForGraph
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for counts that must be at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _cmd_run(args) -> int:
@@ -137,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(fn=_cmd_detect)
 
     p_net = sub.add_parser("netdeadlock", help="run the interconnect join scenario")
-    p_net.add_argument("--segments", type=int, default=3)
-    p_net.add_argument("--buffer", type=int, default=2)
+    # the join's built-in adversarial routing needs at least 3 segments
+    p_net.add_argument("--segments", type=_int_at_least(3), default=3)
+    p_net.add_argument("--buffer", type=_positive_int, default=2)
     p_net.add_argument("--prefetch", choices=("on", "off"), default="off")
     p_net.set_defaults(fn=_cmd_netdeadlock)
     return parser

@@ -198,9 +198,6 @@ class LockTable:
     def register_txn(self, txn: int) -> None:
         self._active.add(txn)
 
-    def is_registered(self, txn: int) -> bool:
-        return txn in self._active
-
     # -- core operations -----------------------------------------------------
 
     def acquire(

@@ -51,7 +51,7 @@ COORD = -1
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
 
 # the relation lock each statement kind takes, on the coordinator and on every
-# segment it reaches; legacy locking overrides "update" (see _lock_relation)
+# segment it reaches; legacy locking overrides "update" (see _Part._work)
 RELATION_LOCK_MODE = {
     "update": LockMode.ROW_EXCLUSIVE,
     "insert": LockMode.ROW_EXCLUSIVE,
@@ -164,7 +164,9 @@ class Statement:
     def __init__(self, session: Session, step: Step):
         self.session = session
         self.step = step
-        self.outstanding = 0
+        self.txn = session.txn
+        self.cpu_left = 0  # workers of its gang still to finish their burst
+        self.outstanding = 0  # segment parts dispatched and not yet replied
         self.rows: list[tuple[int, int]] = []
         self.count = 0
         self.dead = False
@@ -186,156 +188,122 @@ class _Round:
     abort: bool = False
 
 
-class _UpdatePart:
-    """Resumable per-segment update execution.
+class _Part:
+    """One site's share of a statement, run as a generator.
 
-    Stages: relation lock -> target scan -> per-slot stamping with the tuple
-    lock / transaction lock dance.  Parked at whichever acquire blocked;
-    resuming re-enters the same stage (the grant is already in the table).
+    The coordinator's share takes the statement's relation lock there and
+    then fans the statement out to the segments; a segment's share takes the
+    relation lock there and then inserts, scans, locks or updates.  An update
+    stamps its target slots one at a time, and each slot is one loop, as in
+    PostgreSQL's `heap_update`: read the row's version visible to the
+    snapshot; if an in-progress transaction stamped it, queue on the tuple
+    lock and then on the stamper's transaction lock, and read the row again
+    after each wait.  A tuple lock granted by a wake counts as held, and is
+    released once the slot is stamped, only after that re-read finds the
+    stamper still running.
+
+    `work` yields where it waits for a lock.  The wait parks the part in
+    `Cluster._parked`; the grant schedules `run`, which resumes `work` after
+    its `yield` with the lock already granted.  After every wait the part
+    stops if its statement has died meanwhile.
     """
 
-    def __init__(self, cluster, seg, stmt, txn, table, pred, set_c2):
+    def __init__(self, cluster: Cluster, site: int, stmt: Statement, rows=None):
         self.cluster = cluster
-        self.seg = seg
+        self.site = site
         self.stmt = stmt
-        self.txn = txn
-        self.table = table
-        self.pred = pred or Predicate()
-        self.set_c2 = set_c2
-        self.targets: list[int] | None = None
-        self.idx = 0
-        self.held_tuple_tag: LockTag | None = None
-        self.stamped = 0
+        self.rows = rows  # an insert's rows routed to this site
+        self.work = self._work()
 
     def run(self) -> None:
-        cl = self.cluster
-        if self.stmt.dead or self.txn.is_finished():
+        next(self.work, None)
+
+    def _live(self) -> bool:
+        return not (self.stmt.dead or self.stmt.txn.is_finished())
+
+    def _work(self):
+        cl, site, stmt = self.cluster, self.site, self.stmt
+        txn, step = stmt.txn, stmt.step
+        if not self._live():
             return
-        if not cl._lock_relation(self.seg, self.stmt, self.txn, self):
-            return
-        if self.targets is None:
-            vis = cl._visibility(self.seg, self.txn)
-            self.targets = [
-                slot
-                for slot, _ in cl.stores[self.seg].scan(self.table, self.pred, vis)
-            ]
-        while self.idx < len(self.targets):
-            outcome = self._try_slot(self.targets[self.idx])
-            if outcome == "parked":
+        mode = RELATION_LOCK_MODE[step.kind]
+        if step.kind == "update" and cl.config.legacy_locking:
+            mode = LockMode.EXCLUSIVE  # legacy locking: one writer per table
+        tag = LockTag(TagKind.RELATION, site, step.table)
+        if not cl._acquire_or_park(site, txn, tag, mode, self):
+            yield
+            if not self._live():
                 return
-            if outcome == "conflict":
-                cl._segment_stmt_failed(self.seg, self.stmt, self.txn, "serialization")
-                return
-            self.idx += 1
-        cl._segment_part_done(
-            self.seg, self.stmt, self.txn, self.stamped, wrote=self.stamped > 0
-        )
-
-    def _try_slot(self, slot: int) -> str:
-        cl = self.cluster
-        store = cl.stores[self.seg]
-        vis = cl._visibility(self.seg, self.txn)
-        version = store.visible_version(self.table.name, slot, vis)
-        if version is None:
-            return "done"  # nothing visible to stamp under our snapshot
-        local = cl._ensure_local_xid(self.seg, self.txn)
-        if version.xmax_local == 0:
-            self._stamp(store, slot, version, local)
-            return "done"
-        stamper = version.xmax_local
-        if stamper == local:
-            return "done"  # stamped by an earlier command of this transaction
-        state = cl.local_states[self.seg].get(stamper, "aborted")
-        if state == "committed":
-            return "conflict"  # first updater won and committed; we lose
-        if state == "aborted":
-            self._stamp(store, slot, version, local)
-            return "done"
-        # stamper still in progress: queue on the tuple, then on its txn lock
-        tuple_tag = LockTag(TagKind.TUPLE, self.seg, (self.table.name, slot))
-        if self.held_tuple_tag != tuple_tag:
-            if not cl._acquire_or_park(
-                self.seg, self.txn, tuple_tag, LockMode.EXCLUSIVE, self
-            ):
-                return "parked"
-            self.held_tuple_tag = tuple_tag
-        xact_tag = LockTag(TagKind.TRANSACTION, self.seg, stamper)
-        if not cl._acquire_or_park(self.seg, self.txn, xact_tag, LockMode.SHARE, self):
-            return "parked"
-        # transaction lock granted: the stamper finished; re-examine the slot
-        return self._try_slot(slot)
-
-    def _stamp(self, store, slot, version, local) -> None:
-        cl = self.cluster
-        new_values = (version.values[0], self.set_c2)
-        store.stamp_and_append(
-            self.table.name, slot, version, new_values, local, self.txn.command_id
-        )
-        self.stamped += 1
-        cl._trace(self.seg, "stamp", "dxid={} {}:{}", self.txn.dxid, self.table.name, slot)
-        if self.held_tuple_tag is not None:
-            promoted = cl.lock_tables[self.seg].release_tuple_lock(
-                self.txn.dxid, self.held_tuple_tag
-            )
-            self.held_tuple_tag = None
-            cl._schedule_promotions(self.seg, promoted)
-
-
-class _SimplePart:
-    """Per-segment execution for insert / select / lock statements."""
-
-    def __init__(self, cluster, seg, stmt, txn, kind, table, pred=None, rows=None):
-        self.cluster = cluster
-        self.seg = seg
-        self.stmt = stmt
-        self.txn = txn
-        self.kind = kind
-        self.table = table
-        self.pred = pred or Predicate()
-        self.rows = rows or []
-
-    def run(self) -> None:
-        cl = self.cluster
-        if self.stmt.dead or self.txn.is_finished():
-            return
-        if not cl._lock_relation(self.seg, self.stmt, self.txn, self):
-            return
-        if self.kind == "insert":
-            local = cl._ensure_local_xid(self.seg, self.txn)
+        if site == COORD:
+            cl._dispatch_parts(stmt)
+        elif step.kind == "update":
+            yield from self._update()
+        elif step.kind == "insert":
+            local = cl._ensure_local_xid(site, txn)
             for values in self.rows:
-                cl.stores[self.seg].insert_version(
-                    self.table.name, values, local, self.txn.command_id
-                )
-            cl._trace(self.seg, "insert", "dxid={} rows={}", self.txn.dxid, len(self.rows))
-            cl._segment_part_done(
-                self.seg, self.stmt, self.txn, len(self.rows), wrote=bool(self.rows)
-            )
-        elif self.kind == "select":
-            vis = cl._visibility(self.seg, self.txn)
-            found = cl.stores[self.seg].scan(self.table, self.pred, vis)
+                cl.stores[site].insert_version(step.table, values, local, txn.command_id)
+            cl._trace(site, "insert", "dxid={} rows={}", txn.dxid, len(self.rows))
+            cl._segment_part_done(site, stmt, len(self.rows), wrote=bool(self.rows))
+        elif step.kind == "select":
+            vis = cl._visibility(site, txn)
+            found = cl.stores[site].scan(cl.catalog[step.table], step.pred or Predicate(), vis)
             rows = [v.values for _, v in found]
-            cl._segment_part_done(self.seg, self.stmt, self.txn, len(rows), rows=rows)
+            cl._segment_part_done(site, stmt, len(rows), rows=rows)
         else:  # lock
-            cl._trace(self.seg, "relation_locked", "dxid={} {}", self.txn.dxid, self.table.name)
-            cl._segment_part_done(self.seg, self.stmt, self.txn, 0)
+            cl._trace(site, "relation_locked", "dxid={} {}", txn.dxid, step.table)
+            cl._segment_part_done(site, stmt, 0)
 
-
-class _CoordStage:
-    """Coordinator-side relation-lock stage of a statement, parkable."""
-
-    def __init__(self, cluster, stmt: Statement):
-        self.cluster = cluster
-        self.stmt = stmt
-
-    def run(self) -> None:
-        cl = self.cluster
-        stmt = self.stmt
-        txn = stmt.session.txn
-        if stmt.dead or txn is None or txn.is_finished():
-            return
-        if not cl._lock_relation(COORD, stmt, txn, self):
-            return
-        cl._dispatch_parts(stmt)
+    def _update(self):
+        cl, seg, stmt = self.cluster, self.site, self.stmt
+        txn, step = stmt.txn, stmt.step
+        store = cl.stores[seg]
+        vis = cl._visibility(seg, txn)
+        pred = step.pred or Predicate()
+        targets = [slot for slot, _ in store.scan(cl.catalog[step.table], pred, vis)]
+        stamped = 0
+        for slot in targets:
+            tuple_granted = tuple_held = False
+            while True:
+                version = store.visible_version(step.table, slot, vis)
+                if version is None:
+                    break  # nothing visible to stamp under our snapshot
+                local = cl._ensure_local_xid(seg, txn)
+                stamper = version.xmax_local
+                if stamper == local:
+                    break  # stamped by an earlier command of this transaction
+                state = cl.local_states[seg].get(stamper, "aborted") if stamper else "unstamped"
+                if state == "committed":
+                    # first updater won and committed; we lose
+                    cl._segment_stmt_failed(seg, stmt, "serialization")
+                    return
+                if state != "in_progress":
+                    new_values = (version.values[0], step.set_c2)
+                    store.stamp_and_append(
+                        step.table, slot, version, new_values, local, txn.command_id
+                    )
+                    stamped += 1
+                    cl._trace(seg, "stamp", "dxid={} {}:{}", txn.dxid, step.table, slot)
+                    if tuple_held:
+                        promoted = cl.lock_tables[seg].release_tuple_lock(txn.dxid, tuple_tag)
+                        cl._schedule_promotions(seg, promoted)
+                    break
+                # stamper still in progress: queue on the tuple, then on its txn lock
+                tuple_tag = LockTag(TagKind.TUPLE, seg, (step.table, slot))
+                if not tuple_granted:
+                    tuple_granted = True
+                    if not cl._acquire_or_park(seg, txn, tuple_tag, LockMode.EXCLUSIVE, self):
+                        yield
+                        if not self._live():
+                            return
+                        continue  # re-read: a woken grant is held only if a stamper runs
+                tuple_held = True
+                xact_tag = LockTag(TagKind.TRANSACTION, seg, stamper)
+                if not cl._acquire_or_park(seg, txn, xact_tag, LockMode.SHARE, self):
+                    yield
+                    if not self._live():
+                        return
+                # granted: the stamper has finished, so read the row again
+        cl._segment_part_done(seg, stmt, stamped, wrote=stamped > 0)
 
 
 class Cluster:
@@ -376,8 +344,6 @@ class Cluster:
         self.ledger: MemoryLedger | None = None
         self.cpu: CpuScheduler | None = None
         self._cpu_tick_scheduled = False
-        self._cpu_parked: dict[str, Statement] = {}
-        self._cpu_pending: dict[str, int] = {}
         groups = list(config.resource_groups)
         if scenario is not None:
             groups = groups + list(scenario.groups)
@@ -588,12 +554,11 @@ class Cluster:
             # one worker per segment: the statement's gang occupies a core on
             # each until the burst completes everywhere
             for k in range(self.config.n_segments):
-                self.cpu.submit(f"{session.sid}/{k}", session.group, step.cpu)
-            self._cpu_pending[session.sid] = self.config.n_segments
-            self._cpu_parked[session.sid] = stmt
+                self.cpu.submit((stmt, k), session.group, step.cpu)
+            stmt.cpu_left = self.config.n_segments
             self._ensure_cpu_tick()
             return
-        self._stmt_acquire_coord(stmt)
+        _Part(self, COORD, stmt).run()
 
     def _do_begin(self, session: Session) -> None:
         if self.admission is not None and session.group:
@@ -621,57 +586,34 @@ class Cluster:
         self._trace("coord", "begin", _begin_details, session.sid, txn.dxid, txn.snapshot)
         self._session_freed(session)
 
-    def _stmt_acquire_coord(self, stmt: Statement) -> None:
-        """Take the coordinator relation lock, then fan out to segments."""
-        _CoordStage(self, stmt).run()
-
     def _dispatch_parts(self, stmt: Statement) -> None:
+        """Send the statement's parts from the coordinator: an insert to the
+        segments its rows route to, in segment order; a statement whose
+        predicate pins the distribution key to that key's segment; any other
+        to every segment."""
         step = stmt.step
-        txn = stmt.session.txn
         table = self.catalog[step.table]
+        n = self.config.n_segments
+        if step.kind == "insert":
+            rows_at: dict[int, list | None] = {}
+            for values in step.rows:
+                rows_at.setdefault(route(table.dist_value(values), n), []).append(
+                    tuple(values)
+                )
+            rows_at = dict(sorted(rows_at.items()))
+        else:
+            pinned = step.pred.pinned_key(table) if step.pred is not None else None
+            segs = range(n) if pinned is None else [route(pinned, n)]
+            rows_at = dict.fromkeys(segs)
         if step.kind == "update":
             self.inflight_updates += 1
             self.max_inflight_updates = max(
                 self.max_inflight_updates, self.inflight_updates
             )
-        if step.kind in ("update", "select"):
-            pinned = step.pred.pinned_key(table) if step.pred is not None else None
-            targets = (
-                [route(pinned, self.config.n_segments)]
-                if pinned is not None
-                else list(range(self.config.n_segments))
-            )
-            stmt.outstanding = len(targets)
-            for seg in targets:
-                part = (
-                    _UpdatePart(self, seg, stmt, txn, table, step.pred, step.set_c2)
-                    if step.kind == "update"
-                    else _SimplePart(self, seg, stmt, txn, "select", table, step.pred)
-                )
-                self._register_txn_at(seg, txn)
-                self.send(COORD, seg, part.run)
-        elif step.kind == "insert":
-            by_seg: dict[int, list] = {}
-            for values in step.rows:
-                by_seg.setdefault(
-                    route(table.dist_value(values), self.config.n_segments), []
-                ).append(tuple(values))
-            stmt.outstanding = len(by_seg)
-            for seg in sorted(by_seg):
-                part = _SimplePart(self, seg, stmt, txn, "insert", table, rows=by_seg[seg])
-                self._register_txn_at(seg, txn)
-                self.send(COORD, seg, part.run)
-        elif step.kind == "lock":
-            targets = list(range(self.config.n_segments))
-            stmt.outstanding = len(targets)
-            for seg in targets:
-                part = _SimplePart(self, seg, stmt, txn, "lock", table)
-                self._register_txn_at(seg, txn)
-                self.send(COORD, seg, part.run)
-
-    def _register_txn_at(self, seg: int, txn: TransactionDescriptor) -> None:
-        if not self.lock_tables[seg].is_registered(txn.dxid):
-            self.lock_tables[seg].register_txn(txn.dxid)
+        stmt.outstanding = len(rows_at)
+        for seg, rows in rows_at.items():
+            self.lock_tables[seg].register_txn(stmt.txn.dxid)
+            self.send(COORD, seg, _Part(self, seg, stmt, rows).run)
 
     # -------------------------------------------------- segment-side helpers
 
@@ -711,18 +653,6 @@ class Cluster:
             dxid_committed=self.dtm.is_committed,
         )
 
-    def _lock_relation(self, site, stmt: Statement, txn, cont) -> bool:
-        """Take the statement's relation lock at `site`, or park `cont` on it.
-
-        Legacy locking makes updates take EXCLUSIVE, one writer per table.
-        """
-        kind = stmt.step.kind
-        mode = RELATION_LOCK_MODE[kind]
-        if kind == "update" and self.config.legacy_locking:
-            mode = LockMode.EXCLUSIVE
-        tag = LockTag(TagKind.RELATION, site, stmt.step.table)
-        return self._acquire_or_park(site, txn, tag, mode, cont)
-
     def _acquire_or_park(self, site, txn, tag, mode, cont) -> bool:
         result, blockers = self.lock_tables[site].acquire(
             txn.dxid, tag, mode, self.clock
@@ -756,14 +686,15 @@ class Cluster:
             for key in [k for k in self._parked[site] if k[1] == txn.dxid]:
                 del self._parked[site][key]
 
-    def _segment_part_done(self, seg, stmt, txn, count, rows=None, wrote=False) -> None:
+    def _segment_part_done(self, seg, stmt, count, rows=None, wrote=False) -> None:
         if stmt.dead:
             return
         self.send(seg, COORD, lambda: self._part_reply(stmt, seg, count, rows, wrote))
 
-    def _segment_stmt_failed(self, seg, stmt, txn, reason: str) -> None:
+    def _segment_stmt_failed(self, seg, stmt, reason: str) -> None:
         if stmt.dead:
             return
+        txn = stmt.txn
         self._trace(seg, "stmt_conflict", "dxid={} reason={}", txn.dxid, reason)
 
         def deliver():
@@ -776,9 +707,8 @@ class Cluster:
     def _part_reply(self, stmt, seg, count, rows, wrote) -> None:
         if stmt.dead:
             return
-        txn = stmt.session.txn
         if wrote:
-            txn.write_segments.add(seg)
+            stmt.txn.write_segments.add(seg)
         if rows:
             stmt.rows.extend(rows)
         stmt.count += count
@@ -870,14 +800,13 @@ class Cluster:
             return
         if session.round is not None and session.round.abort:
             return
-        if session.stmt is not None:
-            if session.stmt.step.kind == "update":
-                self.inflight_updates -= 1
-            session.stmt.dead = True
+        stmt = session.stmt
+        if stmt is not None:
+            if stmt.step.kind == "update" and stmt.outstanding:
+                self.inflight_updates -= 1  # undo the dispatch's increment
+            stmt.dead = True
             session.stmt = None
         self._drop_parked(txn)
-        self._cpu_parked.pop(session.sid, None)
-        self._cpu_pending.pop(session.sid, None)
         touched = self._touched_segments(txn)
         self._trace(
             "coord", "abort_start", "session={} dxid={} reason={}", session.sid, txn.dxid, reason
@@ -1102,19 +1031,10 @@ class Cluster:
 
     def _cpu_tick(self) -> None:
         self._cpu_tick_scheduled = False
-        finished = self.cpu.tick()
-        for qid in finished:
-            sid = qid.rsplit("/", 1)[0]
-            left = self._cpu_pending.get(sid)
-            if left is None:
-                continue  # statement was torn down while its gang ran
-            if left > 1:
-                self._cpu_pending[sid] = left - 1
-                continue
-            del self._cpu_pending[sid]
-            stmt = self._cpu_parked.pop(sid, None)
-            if stmt is not None and not stmt.dead:
-                self.schedule(0, lambda s=stmt: self._stmt_acquire_coord(s))
+        for stmt, _ in self.cpu.tick():
+            stmt.cpu_left -= 1
+            if stmt.cpu_left == 0 and not stmt.dead:
+                self.schedule(0, _Part(self, COORD, stmt).run)
         if self.cpu.has_work():
             self._ensure_cpu_tick()
 

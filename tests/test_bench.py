@@ -97,3 +97,9 @@ def test_no_event_recorded_with_tracing_off(monkeypatch):
     assert windowed[-1].recorded == 0
     assert result.trace == []
     assert result.committed > 0
+
+
+def test_bench_leaves_the_callers_config_unchanged():
+    config = SimConfig()
+    bench_mod.bench("mixed-htap", 4, 50, config, seed=1)
+    assert config == SimConfig()

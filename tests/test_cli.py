@@ -1,5 +1,7 @@
-"""Command-line argument checks: bad counts end in an argparse error."""
+"""Command-line checks: bad counts end in an argparse error, and every
+command runs end to end."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ BENCH = ["bench", "--workload", "tpcb-like", "--clients", "2", "--ticks", "10"]
         pytest.param(
             ["run", SCENARIO, "--gdd-period", "0"], "--gdd-period", id="run-gdd-period-0"
         ),
+        pytest.param(["netdeadlock", "--buffer", "0"], "--buffer", id="netdeadlock-buffer-0"),
     ],
 )
 def test_count_below_one_is_an_argument_error(argv, option, capsys):
@@ -30,6 +33,15 @@ def test_count_below_one_is_an_argument_error(argv, option, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: must be at least 1" in err
+
+
+@pytest.mark.parametrize("segments", ["0", "1", "2"])
+def test_netdeadlock_needs_three_segments(segments, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["netdeadlock", "--segments", segments])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --segments: must be at least 3, not {segments}" in err
 
 
 def test_non_number_count_is_an_argument_error(capsys):
@@ -43,3 +55,66 @@ def test_valid_counts_still_run(capsys):
     assert main(BENCH) == 0
     assert "workload=tpcb-like clients=2 ticks=10" in capsys.readouterr().out
     assert main(["run", SCENARIO, "--segments", "3"]) == 0
+
+
+def write_graph(tmp_path, edges) -> str:
+    path = tmp_path / "graph.json"
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [
+                    {"segment": seg, "from": waiter, "to": holder, "kind": kind}
+                    for seg, waiter, holder, kind in edges
+                ]
+            }
+        )
+    )
+    return str(path)
+
+
+# 1 waits for 2 on segment 0 and 2 for 1 on segment 1: a global cycle
+DEADLOCKED = [(0, 1, 2, "solid"), (1, 2, 1, "solid")]
+# 1 waits for 2, which waits on a tuple lock that 3 holds: reducible
+CLEAN = [(0, 1, 2, "solid"), (0, 2, 3, "dotted")]
+
+
+def test_detect_clean_graph(tmp_path, capsys):
+    assert main(["detect", "--graph", write_graph(tmp_path, CLEAN)]) == 0
+    assert capsys.readouterr().out == "CLEAN\n"
+
+
+def test_detect_deadlocked_graph(tmp_path, capsys):
+    assert main(["detect", "--graph", write_graph(tmp_path, DEADLOCKED)]) == 2
+    assert capsys.readouterr().out == "DEADLOCK 1 2\n"
+
+
+def test_detect_trace_prints_each_removal(tmp_path, capsys):
+    assert main(["detect", "--graph", write_graph(tmp_path, CLEAN), "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "global out-degree of 3 is 0: remove vertex 3, drop edges [2..>3@seg0]",
+        "global out-degree of 2 is 0: remove vertex 2, drop edges [1-->2@seg0]",
+        "CLEAN",
+    ]
+
+
+@pytest.mark.parametrize("content", [None, "not json", '{"edges": [{"segment": 0}]}'])
+def test_detect_unreadable_graph(content, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["detect", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read graph: ")
+
+
+def test_netdeadlock_without_prefetch_stalls(capsys):
+    assert main(["netdeadlock", "--prefetch", "off"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("STALLED")
+    assert "waits for" in out
+
+
+def test_netdeadlock_with_prefetch_completes(capsys):
+    assert main(["netdeadlock", "--prefetch", "on", "--segments", "4"]) == 0
+    assert capsys.readouterr().out.startswith("COMPLETED")

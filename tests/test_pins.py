@@ -16,6 +16,7 @@ import pytest
 
 from htapsim import load_scenario, run_scenario
 from htapsim.bench import bench
+from htapsim.sim import SimConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -49,6 +50,25 @@ BENCH_PINS = {
     ),
 }
 
+# (workload, SimConfig flag set) -> the layout of BENCH_PINS
+MODE_BENCH_PINS = {
+    ("tpcb-like", "force_2pc"): (
+        150, 60, 258, 12.0, 12.0, {"2pc": 60}, 32,
+        "e7b2c8f22ff1f1822f65a63e360de336c131dce40ed4e4d30d91a22f0687dfde",
+        "9dcf41ab8fe2bc173e423aaf3f8550c1874180e04491a3021a4bba730a3e181f",
+    ),
+    ("tpcb-like", "legacy_locking"): (
+        150, 5, 13, 34.0, 54.0, {"1pc": 3, "2pc": 2}, 1,
+        "96f3568478cfacc23b225092e32c610bf6692683f1ab2cb658be22285f0ea05f",
+        "828411f947b5af92d79741c71e138bc97985abb8d5c969060f391d38bb01628c",
+    ),
+    ("update-only", "legacy_locking"): (
+        150, 37, 0, 76.0, 128.0, {"1pc": 37}, 1,
+        "24b08c880ccb5ad4a7272d912641b5e143630016d776defc80816386f0de738a",
+        "79c6f3473def401eb466992937103356c37c68f3b6d04b87a9ee2218d2135090",
+    ),
+}
+
 SCENARIO_TRACE_PINS = {
     "clean_dotted_edges.yaml":
         "414222ba19c4b8c469ad79f576035999d345a326b43c4912816afeff9ad41375",
@@ -61,11 +81,29 @@ SCENARIO_TRACE_PINS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(BENCH_PINS))
-def test_bench_outputs_pinned(workload):
-    ticks, *want = BENCH_PINS[workload]
-    r = bench(workload, clients=32, duration_ticks=ticks, seed=0)
-    got = [
+# (scenario file, SimConfig flag set) -> trace sha256
+MODE_SCENARIO_TRACE_PINS = {
+    ("clean_dotted_edges.yaml", "eager"):
+        "edc54899330d4cd581b1fe5a5d20c972a2f38d9e305d6f0146afb177a1459aec",
+    ("clean_dotted_edges.yaml", "legacy_locking"):
+        "41e33dfe757670a5e2ef77803bf07f71615fac5262869da8b00db39dd357c150",
+    ("clean_mixed_edges.yaml", "eager"):
+        "cc1dcc798cf29a0a847d87ab5e100469f2607e25b2752cb96a9a0201cbcd248f",
+    ("clean_mixed_edges.yaml", "legacy_locking"):
+        "829215269150ffecd4ba521b024857b85d6954f6ab22847bff7f10645273b92a",
+    ("deadlock_two_txn.yaml", "eager"):
+        "8b2b368d1147df5321ff9ba82cb0dbb945517006bfe4c6fd5d2f13feaa3fd700",
+    ("deadlock_two_txn.yaml", "legacy_locking"):
+        "519994402a37c4e5c197c3f41234792685a6c5fe2568e578ccc68631e29ec374",
+    ("deadlock_with_coordinator.yaml", "eager"):
+        "e7c7a3680cd424f4a780cd58718990f5d6dac9f4adb26c728278d97f8c49f4af",
+    ("deadlock_with_coordinator.yaml", "legacy_locking"):
+        "0d62560d1f0c7432a56f1e721a996752b9d0d40827fb92b8f1ec519ee1ecd601",
+}
+
+
+def bench_outputs(r) -> list:
+    return [
         r.committed,
         r.aborted,
         r.p50_latency,
@@ -75,7 +113,21 @@ def test_bench_outputs_pinned(workload):
         sha256("\n".join(r.trace)),
         sha256(r.metrics_csv),
     ]
-    assert got == want
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_PINS))
+def test_bench_outputs_pinned(workload):
+    ticks, *want = BENCH_PINS[workload]
+    r = bench(workload, clients=32, duration_ticks=ticks, seed=0)
+    assert bench_outputs(r) == want
+
+
+@pytest.mark.parametrize("workload, flag", sorted(MODE_BENCH_PINS))
+def test_bench_outputs_pinned_under_flag(workload, flag):
+    ticks, *want = MODE_BENCH_PINS[workload, flag]
+    config = SimConfig(**{flag: True})
+    r = bench(workload, clients=32, duration_ticks=ticks, config=config, seed=0)
+    assert bench_outputs(r) == want
 
 
 def test_every_scenario_file_is_pinned():
@@ -88,3 +140,10 @@ def test_every_scenario_file_is_pinned():
 def test_scenario_trace_pinned(name):
     result = run_scenario(load_scenario(str(SCENARIOS / name)))
     assert sha256("\n".join(result.trace)) == SCENARIO_TRACE_PINS[name]
+
+
+@pytest.mark.parametrize("name, flag", sorted(MODE_SCENARIO_TRACE_PINS))
+def test_scenario_trace_pinned_under_flag(name, flag):
+    config = SimConfig(**{flag: True})
+    result = run_scenario(load_scenario(str(SCENARIOS / name)), config)
+    assert sha256("\n".join(result.trace)) == MODE_SCENARIO_TRACE_PINS[name, flag]

@@ -443,6 +443,36 @@ class TestLegacyLocking:
         assert result.outcomes == {"A": "committed", "B": "committed"}
         assert not any("lock_wait" in l for l in result.trace)
 
+    def test_victim_waiting_on_coordinator_leaves_no_inflight_update(self):
+        """B's second update never leaves the coordinator: it waits there
+        for t1, which A holds.  Aborting it must not undo a dispatch that
+        never happened."""
+        cluster = run_cluster(
+            """
+tables:
+  - {name: t1, rows: [[3, 0]]}
+  - {name: t2, rows: [[3, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 3, sql: update t1 set c2=1 where c1=3}
+      - {seq: 5, sql: update t2 set c2=1 where c1=3}
+      - {seq: 8, sql: commit}
+  - id: B
+    steps:
+      - {seq: 2, sql: begin}
+      - {seq: 4, sql: update t2 set c2=2 where c1=3}
+      - {seq: 6, sql: update t1 set c2=2 where c1=3}
+      - {seq: 7, sql: detect}
+      - {seq: 9, sql: commit}
+""",
+            legacy_locking=True,
+        )
+        assert cluster.session_outcome("A") == "committed"
+        assert cluster.session_outcome("B") == "aborted:deadlock_victim"
+        assert cluster.inflight_updates == 0
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
@@ -549,3 +579,40 @@ sessions:
         assert result.outcomes["A"] == "committed"
         end_line = next(l for l in result.trace if "txn_end" in l)
         assert int(end_line.split("|")[0]) >= 25
+
+    TWO_BURSTS = """
+tables:
+  - {name: t, rows: [[3, 0]]}
+groups:
+  - {name: g, CONCURRENCY: 5, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 50}
+sessions:
+  - id: A
+    group: g
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, cpu: 6}
+      - {seq: 3, sql: commit}
+      - {seq: 4, sql: begin}
+      - {seq: 5, sql: select t, cpu: 6}
+      - {seq: 6, sql: commit}
+"""
+
+    @staticmethod
+    def second_burst_ticks(cluster) -> int:
+        """Ticks from when seq 5 is sent to when it completes."""
+        sent = next(l for l in cluster.trace if "|issue|seq=5 " in l)
+        done = next(l for l in cluster.trace if "|stmt_done|" in l and "seq=5" in l)
+        return int(done.split("|")[0]) - int(sent.split("|")[0])
+
+    def test_aborted_statements_workers_do_not_count_for_the_next(self):
+        """The first burst's statement is aborted while its gang still runs;
+        those workers finishing must not complete the next statement's gang."""
+        scenario = parse_scenario(self.TWO_BURSTS)
+        plain = Cluster(SimConfig(eager=True), scenario)
+        plain.run()
+        cluster = Cluster(SimConfig(eager=True), parse_scenario(self.TWO_BURSTS))
+        cluster.run(until_tick=2)
+        cluster.abort_transaction(cluster.sessions["A"].txn.dxid)
+        cluster.run()
+        assert cluster.sessions["A"].outcomes == ["aborted:deadlock_victim", "committed"]
+        assert self.second_burst_ticks(cluster) == self.second_burst_ticks(plain) == 9
