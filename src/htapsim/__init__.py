@@ -35,7 +35,6 @@ from .store import Predicate, SegmentStore, TableDef, TupleVersion, route
 from .waitgraph import (
     EdgeKind,
     GlobalWaitForGraph,
-    LocalWaitGraph,
     WaitEdge,
     collect_global,
     snapshot_local,

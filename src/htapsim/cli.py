@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .bench import WORKLOADS, bench
-from .gdd import GddConfig, Outcome, detect, find_cycle, reduce
+from .gdd import GddConfig, Outcome, detect, find_cycle
 from .interconnect import JoinOutcome, run_join_scenario
 from .scenario import ScenarioError, load_scenario
 from .sim import SimConfig, run_scenario
@@ -41,7 +41,6 @@ def _cmd_run(args) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
     config = SimConfig(
-        seed=args.seed,
         n_segments=args.segments,
         legacy_locking=args.legacy_locking,
         gdd=GddConfig(period=args.gdd_period),
@@ -83,14 +82,13 @@ def _cmd_detect(args) -> int:
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             graph = GlobalWaitForGraph.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read graph: {exc}", file=sys.stderr)
         return 2
-    if args.trace:
-        _, steps = reduce(graph)
-        for step in steps:
-            print(step.describe())
     verdict = detect(graph, live=lambda dxid: True)
+    if args.trace:
+        for step in verdict.steps:
+            print(step.describe())
     if verdict.outcome is Outcome.CLEAN:
         print("CLEAN")
         return 0
@@ -119,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--segments", type=_positive_int, default=3)
     p_run.add_argument("--legacy-locking", action="store_true")
     p_run.add_argument("--gdd-period", type=_positive_int, default=100)

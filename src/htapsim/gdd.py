@@ -15,12 +15,15 @@ collected information stale and it is discarded.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
-from .waitgraph import GlobalWaitForGraph, WaitEdge
+from .waitgraph import EdgeKind, GlobalWaitForGraph, WaitEdge
 
 
 class Outcome(Enum):
@@ -66,69 +69,94 @@ class DetectionVerdict:
 @dataclass
 class GddConfig:
     period: int = 100  # ticks between detector runs
-    victim_policy: str = "youngest_dxid"
 
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError("detector period must be >= 1")
-        if self.victim_policy not in VICTIM_POLICIES:
-            raise ValueError(f"unknown victim policy {self.victim_policy!r}")
 
 
 def reduce(
     g: GlobalWaitForGraph, rng: random.Random | None = None
 ) -> tuple[GlobalWaitForGraph, list[ReductionStep]]:
-    """Run the two greedy rules to fixpoint on a copy of g.
+    """Run the two greedy rules to fixpoint; g itself is left as it is.
 
-    The default iteration order (vertices ascending by dxid, segments
-    ascending) makes traces reproducible.  Passing an rng shuffles vertex and
-    segment visit order and the rule order inside each pass; the residual
+    A rule's scope is None for R1 and a segment for R2.  Out-degree counters
+    per (scope, vertex) tell when a rule applies, so each edge is removed
+    once: O((V + E) log V).  A pass visits the vertices its rule applies to
+    in ascending dxid, R2 one segment at a time in ascending order.  A vertex
+    that becomes removable behind the cursor waits for the next pass, so the
+    step log is that of rescanning every vertex each pass, and traces are
+    reproducible.  Passing an rng draws random vertex ranks per pass in place
+    of dxid order, shuffles the segments and may run R2 first; the residual
     graph is the same either way (confluence), only the step log differs.
     """
-    g = g.copy()
+    edges = g.edges()  # sorted, so edge indices sort as the edges do
+    deg: Counter = Counter()  # (scope, v) -> live out-edges of v in the scope
+    into: dict[tuple, set[int]] = {}  # (scope, v) -> the in-edges its rule drops
+    for i, e in enumerate(edges):
+        for scope in (None, e.segment):
+            deg[scope, e.waiter] += 1
+        into.setdefault((None, e.holder), set()).add(i)
+        if e.kind is EdgeKind.DOTTED:
+            into.setdefault((e.segment, e.holder), set()).add(i)
+    # scope -> the vertices its rule may apply to at its next pass
+    ready: dict[int | None, set[int]] = {None: set()}
+    for scope, v in into:
+        if not deg[scope, v]:
+            ready.setdefault(scope, set()).add(v)
     steps: list[ReductionStep] = []
 
-    def order(items: list) -> list:
-        items = sorted(items)
-        if rng is not None:
-            rng.shuffle(items)
-        return items
+    def remove(ids: set[int]) -> tuple[WaitEdge, ...]:
+        removed = sorted(ids)
+        for i in removed:
+            e = edges[i]
+            for scope in (None, e.segment):
+                into.get((scope, e.holder), set()).discard(i)
+                deg[scope, e.waiter] -= 1
+                if not deg[scope, e.waiter] and into.get((scope, e.waiter)):
+                    ready.setdefault(scope, set()).add(e.waiter)
+        return tuple(edges[i] for i in removed)
 
-    def pass_global() -> bool:
+    def peel(scope: int | None) -> bool:
+        """One pass of a rule over its ready vertices, lowest rank first."""
+        # a vertex's rank is its dxid, or one random draw per pass
+        rank = (lambda v: v) if rng is None else functools.cache(lambda v: rng.random())
+        pending = ready[scope]
+        heap = [(rank(v), v) for v in pending]
+        heapq.heapify(heap)
+        pending.clear()
         hit = False
-        for v in order(list(g.vertices)):
-            if g.global_out_degree(v) == 0:
-                removed = g.remove_edges_to(v)
-                if removed:
-                    steps.append(ReductionStep("global", v, None, tuple(removed)))
-                    hit = True
+        while heap:
+            r, v = heapq.heappop(heap)
+            if not into.get((scope, v)):
+                continue
+            removed = remove(into[scope, v])
+            rule = "global" if scope is None else "local"
+            steps.append(ReductionStep(rule, v, scope, removed))
+            hit = True
+            for w in (e.waiter for e in removed):
+                if w in pending and rank(w) > r:  # ahead of the cursor
+                    pending.discard(w)
+                    heapq.heappush(heap, (rank(w), w))
         return hit
 
     def pass_local() -> bool:
-        hit = False
-        for seg in order(list(g.locals)):
-            for v in order(list(g.vertices)):
-                if g.local_out_degree(v, seg) == 0:
-                    removed = g.remove_dotted_edges_to(v, seg)
-                    if removed:
-                        steps.append(ReductionStep("local", v, seg, tuple(removed)))
-                        hit = True
-        return hit
+        segments = sorted(s for s, vs in ready.items() if vs and s is not None)
+        if rng is not None:
+            rng.shuffle(segments)
+        return any([peel(seg) for seg in segments])
 
     while True:
-        passes = [pass_global, pass_local]
+        passes = [lambda: peel(None), pass_local]
         if rng is not None and rng.random() < 0.5:
             passes.reverse()
         if not any([p() for p in passes]):
             break
-    return g, steps
+    live = (edges[i] for (scope, _), ids in into.items() if scope is None for i in ids)
+    return GlobalWaitForGraph(live), steps
 
 
-def detect(
-    g: GlobalWaitForGraph,
-    live: Mapping[int, bool] | Callable[[int], bool],
-    victim_policy: str = "youngest_dxid",
-) -> DetectionVerdict:
+def detect(g: GlobalWaitForGraph, live: Callable[[int], bool]) -> DetectionVerdict:
     """Reduce g and validate the residual against live transaction state.
 
     `live` answers whether a dxid is still running.  Empty residual -> Clean.
@@ -139,13 +167,10 @@ def detect(
     residual, steps = reduce(g)
     if residual.is_empty():
         return DetectionVerdict(Outcome.CLEAN, residual, tuple(steps))
-    is_live = live if callable(live) else lambda d: bool(live.get(d, False))
-    if any(not is_live(v) for v in sorted(residual.vertices)):
+    if any(not live(v) for v in sorted(residual.vertices)):
         return DetectionVerdict(Outcome.STALE, residual, tuple(steps))
-    victims = tuple(
-        VICTIM_POLICIES[victim_policy](comp)
-        for comp in _weak_components(residual)
-    )
+    # dxids increase monotonically, so the largest dxid is the youngest txn
+    victims = tuple(max(comp) for comp in _weak_components(residual))
     return DetectionVerdict(Outcome.DEADLOCK, residual, tuple(steps), victims)
 
 
@@ -165,16 +190,6 @@ def break_deadlock(verdict: DetectionVerdict, cluster) -> list[int]:
         cluster.abort_transaction(victim, reason="deadlock_victim")
         aborted.append(victim)
     return aborted
-
-
-def _youngest(component: list[int]) -> int:
-    # dxids increase monotonically, so the largest dxid is the youngest txn
-    return max(component)
-
-
-VICTIM_POLICIES: dict[str, Callable[[list[int]], int]] = {
-    "youngest_dxid": _youngest,
-}
 
 
 def _weak_components(g: GlobalWaitForGraph) -> list[list[int]]:
@@ -216,25 +231,25 @@ def first_cycle(succ: Mapping[object, Iterable]) -> list:
     in sorted order, so the cycle found is deterministic; vertices must be
     orderable.  [] if acyclic.
     """
-    state: dict = {}  # 0 unvisited implicit, 1 on stack, 2 done
-
-    def dfs(v, path: list) -> list | None:
-        state[v] = 1
-        path.append(v)
-        for w in sorted(set(succ.get(v, ()))):
-            if state.get(w, 0) == 1:
-                return path[path.index(w):]
-            if state.get(w, 0) == 0:
-                found = dfs(w, path)
-                if found:
-                    return found
-        path.pop()
-        state[v] = 2
-        return None
-
-    for v in sorted(succ):
-        if state.get(v, 0) == 0:
-            cycle = dfs(v, [])
-            if cycle:
-                return cycle
+    state: dict = {}  # 0 unvisited implicit, 1 on the path, 2 done
+    for root in sorted(succ):
+        if state.get(root, 0):
+            continue
+        state[root] = 1
+        path = [root]
+        # one iterator per vertex on the path, over its successors still to try
+        pending = [iter(sorted(set(succ.get(root, ()))))]
+        while pending:
+            for w in pending[-1]:
+                seen = state.get(w, 0)
+                if seen == 1:
+                    return path[path.index(w):]
+                if seen == 0:
+                    state[w] = 1
+                    path.append(w)
+                    pending.append(iter(sorted(set(succ.get(w, ())))))
+                    break
+            else:
+                pending.pop()
+                state[path.pop()] = 2
     return []

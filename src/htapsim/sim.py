@@ -6,13 +6,12 @@ steps; statements dispatch per-segment work over simulated messages; blocking
 is explicit lock-table state with parked continuations resumed on grant.  The
 deadlock detector runs as a periodic background task (and synchronously for
 scripted `detect` steps); commit protocols are message exchanges with fsync
-accounting.  Identical (seed, config, scenario) produces an identical trace.
+accounting.  Identical (config, scenario) produces an identical trace.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -45,7 +44,7 @@ from .resgroup import (
 )
 from .scenario import Scenario, Step
 from .store import Predicate, SegmentStore, TableDef, route
-from .waitgraph import GlobalWaitForGraph, collect_global, snapshot_local
+from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_local
 
 COORD = -1
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
@@ -63,7 +62,7 @@ RELATION_LOCK_MODE = {
 @dataclass
 class SimConfig:
     n_segments: int = 3
-    seed: int = 0
+    seed: int = 0  # read by nothing: the simulator draws no random numbers
     message_delay: int = 1
     link_delays: dict = field(default_factory=dict)  # (src, dst) -> ticks
     gdd_enabled: bool = True
@@ -119,7 +118,8 @@ class Session:
         self.stmt: "Statement | None" = None
         self.queued = False  # waiting for an admission slot
         self.round: _Round | None = None  # commit/abort round in flight
-        self.skip_until_begin = False  # aborted txn: drop its remaining steps
+        # strict order, aborted txn: drop its global steps up to the next begin
+        self.skip_until_begin = False
         self.terminal = False
         self.outcomes: list[str] = []
         self.txn_latencies: list[int] = []
@@ -146,16 +146,14 @@ class Session:
         return step
 
     def skip_to_next_txn(self) -> None:
-        """After an abort, drop the remainder of the transaction's steps; a
-        session with no step left becomes terminal."""
-        self.skip_until_begin = True
+        """After an abort, drop the remainder of the transaction's own steps;
+        a session with no step left becomes terminal."""
         while True:
             step = self.peek_step()
             if step is None:
                 self.terminal = True
                 return
             if step.kind == "begin":
-                self.skip_until_begin = False
                 return
             self.pop_step()
 
@@ -311,7 +309,6 @@ class Cluster:
 
     def __init__(self, config: SimConfig, scenario: Scenario | None = None):
         self.config = config
-        self.rng = random.Random(config.seed)
         self.clock = 0
         self._heap: list = []
         self._seq = 0
@@ -356,7 +353,7 @@ class Cluster:
         self._gdd_scheduled = False
         self._progress = 0
         self._gdd_last_progress = -1
-        self._pending_local_graphs: dict[int, object] = {}
+        self._pending_edges: list[WaitEdge] = []  # staggered collection so far
 
         # bench counters
         self.inflight_updates = 0
@@ -931,7 +928,10 @@ class Cluster:
         session.round = None
         self._progress += 1
         if not committed and reason != "user":
-            session.skip_to_next_txn()
+            if self.config.eager:
+                session.skip_to_next_txn()
+            else:
+                session.skip_until_begin = True
         self._session_freed(session)
 
     # ------------------------------------------------------ deadlock breaking
@@ -963,7 +963,7 @@ class Cluster:
         if self.config.collection_skew > 0:
             self._collect_staggered()
             return
-        verdict = self.run_detector(forced=False)
+        verdict = self.run_detector()
         self._reschedule_after(verdict)
 
     def _reschedule_after(self, verdict: DetectionVerdict) -> None:
@@ -975,13 +975,13 @@ class Cluster:
 
     def _collect_staggered(self) -> None:
         """Spread per-segment snapshots over time (asynchronous collection)."""
-        self._pending_local_graphs = {}
+        self._pending_edges = []
         skew = self.config.collection_skew
         for i, site in enumerate(self.sites):
             self.schedule(
                 skew * i,
-                lambda s=site: self._pending_local_graphs.__setitem__(
-                    s, snapshot_local(self.lock_tables[s])
+                lambda s=site: self._pending_edges.extend(
+                    snapshot_local(self.lock_tables[s])
                 ),
                 background=True,
             )
@@ -990,19 +990,19 @@ class Cluster:
         )
 
     def _finish_staggered(self) -> None:
-        graph = GlobalWaitForGraph(dict(self._pending_local_graphs))
-        self._pending_local_graphs = {}
+        graph = GlobalWaitForGraph(self._pending_edges)
+        self._pending_edges = []
         verdict = self._detect_on(graph)
         self._reschedule_after(verdict)
 
     def collect_graph(self) -> GlobalWaitForGraph:
         return collect_global([self.lock_tables[s] for s in self.sites])
 
-    def run_detector(self, forced: bool = False) -> DetectionVerdict:
+    def run_detector(self) -> DetectionVerdict:
         return self._detect_on(self.collect_graph())
 
     def _detect_on(self, graph: GlobalWaitForGraph) -> DetectionVerdict:
-        verdict = detect(graph, self.txn_is_live, self.config.gdd.victim_policy)
+        verdict = detect(graph, self.txn_is_live)
         for step in verdict.steps:
             self._trace("gdd", "reduce", ReductionStep.describe, step)
         self._trace(

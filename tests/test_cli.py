@@ -97,7 +97,23 @@ def test_detect_trace_prints_each_removal(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("content", [None, "not json", '{"edges": [{"segment": 0}]}'])
+SELF_LOOP = '{"edges": [{"segment": 0, "from": 1, "to": 1, "kind": "solid"}]}'
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "not json",
+        '{"edges": [{"segment": 0}]}',
+        '[{"segment": 0, "from": 1, "to": 2, "kind": "solid"}]',
+        '{"edges": [5]}',
+        '{"edges": {"a": 1}}',
+        SELF_LOOP,
+    ],
+    ids=["missing", "not-json", "edge-missing-keys", "top-level-list", "edge-not-object",
+         "edges-not-list", "self-loop"],
+)
 def test_detect_unreadable_graph(content, tmp_path, capsys):
     path = tmp_path / "graph.json"
     if content is not None:
@@ -106,6 +122,13 @@ def test_detect_unreadable_graph(content, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cannot read graph: ")
+
+
+def test_detect_long_cycle(tmp_path, capsys):
+    n = 5000
+    cycle = [(v % 3, v, v % n + 1, "solid") for v in range(1, n + 1)]
+    assert main(["detect", "--graph", write_graph(tmp_path, cycle)]) == 2
+    assert capsys.readouterr().out == "DEADLOCK " + " ".join(map(str, range(1, n + 1))) + "\n"
 
 
 def test_netdeadlock_without_prefetch_stalls(capsys):

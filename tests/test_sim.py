@@ -69,6 +69,23 @@ class TestPaperScenarios:
         assert result.victims == ["B"]
         assert result.outcomes["A"] == "committed"
 
+    def test_victim_runs_its_next_transaction_in_strict_order(self):
+        """Strict global order skips the victim's steps up to its next begin,
+        then runs that transaction."""
+        text = (SCENARIOS / "deadlock_two_txn.yaml").read_text().replace(
+            "      - {seq: 9, sql: commit}\n",
+            "      - {seq: 9, sql: commit}\n"
+            "      - {seq: 10, sql: begin}\n"
+            "      - {seq: 11, sql: select t1}\n"
+            "      - {seq: 12, sql: commit}\n",
+        )
+        result = run_text(text)
+        assert result.outcomes == {"A": "committed", "B": "committed"}
+        assert result.victims == ["B"]
+        assert result.scans["B"] == [(11, [(1, 11), (3, 10)])]
+        skipped = [l.split("|", 3)[3] for l in result.trace if "|driver|step_skipped|" in l]
+        assert skipped == ["seq=9 session=B"]
+
     def test_coordinator_deadlock(self):
         scenario, result = run_file("deadlock_with_coordinator.yaml")
         ok, problems = result.expectations_met(scenario.expect)

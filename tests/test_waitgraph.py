@@ -1,8 +1,11 @@
+import re
+
+import pytest
+
 from htapsim.locks import LockMode, LockTable, LockTag, TagKind
 from htapsim.waitgraph import (
     EdgeKind,
     GlobalWaitForGraph,
-    LocalWaitGraph,
     WaitEdge,
     snapshot_local,
 )
@@ -15,7 +18,7 @@ def edge(seg, waiter, holder, kind=EdgeKind.SOLID):
 
 
 def graph(*edges):
-    return GlobalWaitForGraph.from_edges(list(edges))
+    return GlobalWaitForGraph(edges)
 
 
 class TestSnapshotLocal:
@@ -27,8 +30,7 @@ class TestSnapshotLocal:
         xact = LockTag(TagKind.TRANSACTION, 0, 11)
         table.acquire(A, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(B, xact, LockMode.SHARE, 1)
-        lg = snapshot_local(table)
-        assert lg.edges == {edge(0, B, A, EdgeKind.SOLID)}
+        assert snapshot_local(table) == {edge(0, B, A, EdgeKind.SOLID)}
 
     def test_tuple_lock_wait_is_dotted(self):
         # segment 1 of the dotted-edge case: B waits on C's txn lock while
@@ -42,15 +44,14 @@ class TestSnapshotLocal:
         table.acquire(B, tup, LockMode.EXCLUSIVE, 1)
         table.acquire(B, xact_c, LockMode.SHARE, 1)
         table.acquire(A, tup, LockMode.EXCLUSIVE, 2)
-        lg = snapshot_local(table)
-        assert lg.edges == {
+        assert snapshot_local(table) == {
             edge(1, B, C, EdgeKind.SOLID),
             edge(1, A, B, EdgeKind.DOTTED),
         }
 
     def test_idle_segment_has_no_edges(self):
         table = LockTable(2)
-        assert snapshot_local(table).edges == set()
+        assert snapshot_local(table) == set()
 
     def test_blocked_by_k_holders_yields_k_edges(self):
         table = LockTable(0)
@@ -60,8 +61,7 @@ class TestSnapshotLocal:
         table.acquire(A, tag, LockMode.ACCESS_SHARE, 0)
         table.acquire(B, tag, LockMode.ACCESS_SHARE, 1)
         table.acquire(C, tag, LockMode.ACCESS_EXCLUSIVE, 2)
-        lg = snapshot_local(table)
-        assert lg.edges == {edge(0, C, A), edge(0, C, B)}
+        assert snapshot_local(table) == {edge(0, C, A), edge(0, C, B)}
 
     def test_every_dotted_edge_comes_from_a_tuple_tag(self):
         # construction audit over a mixed table
@@ -72,40 +72,11 @@ class TestSnapshotLocal:
         table.acquire(B, LockTag(TagKind.RELATION, 1, "t"), LockMode.ACCESS_SHARE, 1)
         table.acquire(C, LockTag(TagKind.TUPLE, 1, ("t", 3)), LockMode.EXCLUSIVE, 2)
         table.acquire(D, LockTag(TagKind.TUPLE, 1, ("t", 3)), LockMode.EXCLUSIVE, 3)
-        for e in snapshot_local(table).edges:
+        for e in snapshot_local(table):
             if e.kind is EdgeKind.DOTTED:
                 assert e.waiter == D and e.holder == C
             else:
                 assert e.waiter == B and e.holder == A
-
-
-class TestGlobalDegrees:
-    def coordinator_cycle_graph(self):
-        # the four-transaction case: A->B on seg 1, B->D on seg 0, D->C on
-        # the coordinator, C->A on seg 0
-        return graph(
-            edge(1, A, B),
-            edge(0, B, D),
-            edge(-1, D, C),
-            edge(0, C, A),
-        )
-
-    def test_global_out_degree_of_c(self):
-        g = self.coordinator_cycle_graph()
-        assert g.global_out_degree(C) == 1
-
-    def test_local_degree_of_c_on_coordinator_is_zero(self):
-        g = self.coordinator_cycle_graph()
-        assert g.local_out_degree(C, -1) == 0
-
-    def test_absent_vertex_has_degree_zero(self):
-        g = self.coordinator_cycle_graph()
-        assert g.global_out_degree(99) == 0
-
-    def test_global_degree_is_sum_of_locals(self):
-        g = graph(edge(0, A, B), edge(1, A, C), edge(1, A, D))
-        assert g.global_out_degree(A) == g.local_out_degree(A, 0) + g.local_out_degree(A, 1)
-        assert g.global_out_degree(A) == 3
 
 
 class TestFileFormat:
@@ -133,3 +104,22 @@ class TestFileFormat:
     def test_vertices_cover_all_edges(self):
         g = graph(edge(0, A, B), edge(2, C, D))
         assert g.vertices == {A, B, C, D}
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (5, "bad edge 5"),
+            ({"segment": 0, "from": 1}, "bad edge {'segment': 0, 'from': 1}"),
+            ({"segment": 0, "from": 1, "to": 2, "kind": "wavy"}, "bad edge {"),
+            ({"segment": float("inf"), "from": 1, "to": 2, "kind": "solid"}, "bad edge {"),
+            (
+                {"segment": 0, "from": 1, "to": 1, "kind": "solid"},
+                "cannot wait for itself",
+            ),
+        ],
+    )
+    def test_bad_edge_is_named(self, record, message):
+        import json
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GlobalWaitForGraph.from_json(json.dumps({"edges": [record]}))
