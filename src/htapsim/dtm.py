@@ -51,9 +51,6 @@ class TransactionDescriptor:
     write_segments: set[int] = field(default_factory=set)
     command_id: int = 0  # bumped once per statement
 
-    def local_xid(self, segment: int) -> int | None:
-        return self.local_xids.get(segment)
-
     def is_finished(self) -> bool:
         return self.state is not TxnState.ACTIVE
 
@@ -226,36 +223,41 @@ def expected_accounting(protocol: Protocol, k: int) -> tuple[Counter, Counter]:
     )
 
 
+def _writer_visible(local_xid, command, my_local, cid, snapshot, mapping, states) -> bool:
+    if local_xid == my_local:
+        return command < cid  # own write from an earlier statement
+    d = mapping.lookup(local_xid)
+    committed = states.get(local_xid) == "committed"
+    if d is XidMapping.TRUNCATED:
+        # below every live snapshot's horizon: local state alone decides
+        return committed
+    return snapshot.dxid_visible(d, committed)
+
+
 def visible(
     version,
     snapshot: DistributedSnapshot,
     mapping: XidMapping,
     txn,
-    *,
-    local_committed,
-    dxid_committed,
+    states: dict[int, str],
 ) -> bool:
     """Decide tuple visibility for `txn` under `snapshot` on one segment.
 
     `version` carries xmin_local/cmin and optional xmax_local/cmax (0 = unset).
-    `txn` provides the reader's local xid on this segment (may be None) and
-    its current command_id.  `local_committed(local_xid)` and
-    `dxid_committed(dxid)` answer commit state on the segment and cluster-wide.
+    `txn` provides the reader's local xids (may lack this segment) and its
+    current command_id.  `states` is the segment's own commit log, local xid
+    to status: a dxid the snapshot sees as finished ended before the snapshot
+    was taken, and the segment recorded its outcome before the coordinator
+    finished it, so the segment never asks the coordinator.
     """
-    my_local = txn.local_xid(mapping.segment) if txn is not None else None
+    my_local = txn.local_xids.get(mapping.segment) if txn is not None else None
     cid = txn.command_id if txn is not None else 0
-
-    def writer_visible(local_xid: int, command: int) -> bool:
-        if my_local is not None and local_xid == my_local:
-            return command < cid  # own write from an earlier statement
-        d = mapping.lookup(local_xid)
-        if d is XidMapping.TRUNCATED:
-            # below every live snapshot's horizon: local state alone decides
-            return local_committed(local_xid)
-        return snapshot.dxid_visible(d, dxid_committed(d))
-
-    if not writer_visible(version.xmin_local, version.cmin):
+    if not _writer_visible(
+        version.xmin_local, version.cmin, my_local, cid, snapshot, mapping, states
+    ):
         return False
     if version.xmax_local == 0:
         return True
-    return not writer_visible(version.xmax_local, version.cmax)
+    return not _writer_visible(
+        version.xmax_local, version.cmax, my_local, cid, snapshot, mapping, states
+    )

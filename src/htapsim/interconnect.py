@@ -42,12 +42,8 @@ class Channel:
         self.queue: deque[int] = deque()
         self.closed = False
 
-    @property
-    def full(self) -> bool:
-        return len(self.queue) >= self.capacity
-
     def send(self, value: int) -> bool:
-        if self.full:
+        if len(self.queue) >= self.capacity:
             return False
         self.queue.append(value)
         return True
@@ -60,101 +56,53 @@ class Channel:
         return self.closed and not self.queue
 
 
-class Producer:
-    """One slice-1 or slice-2 process: scans its shard, redistributes tuples."""
-
-    def __init__(self, pid: ProcId, rows: list[int], out: dict[int, Channel]):
-        self.pid = pid
-        self.rows = rows
-        self.out = out
-        self.idx = 0
-        self.closed = False
-        self.blocked_on: Channel | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.closed
-
-    def step(self) -> bool:
-        self.blocked_on = None
-        if self.idx < len(self.rows):
-            key = self.rows[self.idx]
-            ch = self.out[route(key, len(self.out))]
-            if not ch.send(key):
-                self.blocked_on = ch
-                return False
-            self.idx += 1
-            return True
-        if not self.closed:
-            for seg in sorted(self.out):
-                self.out[seg].closed = True
-            self.closed = True
-            return True
-        return False
+def _produce(rows: list[int], out: list[Channel]):
+    """One slice-1 or slice-2 process: scans its shard, redistributes tuples,
+    then closes every outgoing channel."""
+    for key in rows:
+        ch = out[route(key, len(out))]
+        while not ch.send(key):
+            yield (ch.receiver,)
+        yield ()
+    for ch in out:
+        ch.closed = True
+    yield ()
 
 
-class JoinConsumer:
+def _read(channels: list[Channel], sink: list[int], limit: int = -1):
+    """Receive up to `limit` tuples (all if negative), one a step, each from
+    the first channel holding one.  The step that finds every channel drained
+    ends the read."""
+    while limit:
+        ready = next((ch for ch in channels if ch.queue), None)
+        if ready is not None:
+            sink.append(ready.recv())
+            limit -= 1
+        elif all(ch.drained() for ch in channels):
+            limit = 0
+        else:
+            yield tuple(ch.sender for ch in channels if not ch.drained())
+            continue
+        yield ()
+
+
+def _join(
+    outer_in: list[Channel],
+    inner_in: list[Channel],
+    prefetch: bool,
+    outer_seen: list[int],
+    inner_seen: list[int],
+):
     """One slice-3 process, fed by every outer and inner producer.
 
     Without prefetch it reads a single outer tuple, then drains the inner side
     completely, then reads the remaining outers.  With prefetch it drains and
     materializes the whole inner side before the first outer read.
     """
-
-    def __init__(
-        self,
-        pid: ProcId,
-        outer_in: list[Channel],
-        inner_in: list[Channel],
-        prefetch: bool,
-    ):
-        self.pid = pid
-        self.outer_in = outer_in
-        self.inner_in = inner_in
-        self.prefetch = prefetch
-        self.phase = "drain_inner" if prefetch else "first_outer"
-        self.outer_seen: list[int] = []
-        self.inner_seen: list[int] = []
-        self.done = False
-        self.blocked_channels: list[Channel] = []
-
-    def _read_any(self, channels: list[Channel], sink: list[int]) -> str:
-        for ch in channels:
-            if ch.queue:
-                sink.append(ch.recv())
-                return "read"
-        if all(ch.drained() for ch in channels):
-            return "exhausted"
-        self.blocked_channels = [ch for ch in channels if not ch.drained()]
-        return "blocked"
-
-    def step(self) -> bool:
-        self.blocked_channels = []
-        if self.done:
-            return False
-        if self.phase == "first_outer":
-            got = self._read_any(self.outer_in, self.outer_seen)
-            if got == "read" or got == "exhausted":
-                self.phase = "drain_inner"
-                return True
-            return False
-        if self.phase == "drain_inner":
-            got = self._read_any(self.inner_in, self.inner_seen)
-            if got == "read":
-                return True
-            if got == "exhausted":
-                self.phase = "rest_outer"
-                return True
-            return False
-        if self.phase == "rest_outer":
-            got = self._read_any(self.outer_in, self.outer_seen)
-            if got == "read":
-                return True
-            if got == "exhausted":
-                self.done = True
-                return True
-            return False
-        raise AssertionError(f"unknown phase {self.phase}")
+    if not prefetch:
+        yield from _read(outer_in, outer_seen, limit=1)
+    yield from _read(inner_in, inner_seen)
+    yield from _read(outer_in, outer_seen)
 
 
 class JoinOutcome(Enum):
@@ -209,58 +157,52 @@ def run_join_scenario(
             raise ValueError("the built-in adversarial routing needs 3 segments")
         outer_rows, inner_rows = adversarial_rows(n_segments, capacity)
 
-    channels: dict[tuple[ProcId, ProcId], Channel] = {}
-
-    def make_channels(slice_id: int) -> dict[int, dict[int, Channel]]:
-        per_sender = {}
-        for src in range(n_segments):
-            sender = ProcId(slice_id, src)
-            per_sender[src] = {}
-            for dst in range(n_segments):
-                receiver = ProcId(JOIN_SLICE, dst)
-                ch = Channel(sender, receiver, capacity)
-                channels[(sender, receiver)] = ch
-                per_sender[src][dst] = ch
-        return per_sender
+    def make_channels(slice_id: int) -> list[list[Channel]]:
+        return [
+            [
+                Channel(ProcId(slice_id, src), ProcId(JOIN_SLICE, dst), capacity)
+                for dst in range(n_segments)
+            ]
+            for src in range(n_segments)
+        ]
 
     outer_ch = make_channels(OUTER_SLICE)
     inner_ch = make_channels(INNER_SLICE)
+    outer_seen: list[int] = []
+    inner_seen: list[int] = []
 
-    procs: list = []
+    # each process is a generator yielding () after a step that made progress
+    # and the processes it waits for when blocked; an ended one is dropped
+    procs = {}
+    for slice_id, rows, out in (
+        (OUTER_SLICE, outer_rows, outer_ch),
+        (INNER_SLICE, inner_rows, inner_ch),
+    ):
+        for seg in range(n_segments):
+            procs[ProcId(slice_id, seg)] = _produce(rows.get(seg, []), out[seg])
     for seg in range(n_segments):
-        procs.append(Producer(ProcId(OUTER_SLICE, seg), outer_rows.get(seg, []), outer_ch[seg]))
-    for seg in range(n_segments):
-        procs.append(Producer(ProcId(INNER_SLICE, seg), inner_rows.get(seg, []), inner_ch[seg]))
-    consumers = []
-    for seg in range(n_segments):
-        outer_in = [outer_ch[src][seg] for src in range(n_segments)]
-        inner_in = [inner_ch[src][seg] for src in range(n_segments)]
-        c = JoinConsumer(ProcId(JOIN_SLICE, seg), outer_in, inner_in, prefetch)
-        consumers.append(c)
-        procs.append(c)
+        procs[ProcId(JOIN_SLICE, seg)] = _join(
+            [row[seg] for row in outer_ch],
+            [row[seg] for row in inner_ch],
+            prefetch,
+            outer_seen,
+            inner_seen,
+        )
 
     # cooperative round-robin until a full pass makes no progress
     while True:
-        progressed = False
-        for p in procs:
-            if p.step():
-                progressed = True
-        if not progressed:
+        waits = {}
+        for pid, proc in list(procs.items()):
+            wait = next(proc, None)
+            if wait is None:
+                del procs[pid]
+            elif wait:
+                waits[pid] = wait
+        if len(waits) == len(procs):
             break
 
-    outer_n = sum(len(c.outer_seen) for c in consumers)
-    inner_n = sum(len(c.inner_seen) for c in consumers)
-    if all(p.done for p in procs):
-        return JoinResult(JoinOutcome.COMPLETED, [], outer_n, inner_n)
-
-    edges: dict[ProcId, list[ProcId]] = {}
-    for p in procs:
-        if isinstance(p, Producer) and p.blocked_on is not None:
-            edges.setdefault(p.pid, []).append(p.blocked_on.receiver)
-        elif isinstance(p, JoinConsumer) and p.blocked_channels:
-            for ch in p.blocked_channels:
-                edges.setdefault(p.pid, []).append(ch.sender)
-    nodes = first_cycle(edges)
+    if not procs:
+        return JoinResult(JoinOutcome.COMPLETED, [], len(outer_seen), len(inner_seen))
+    nodes = first_cycle(waits)
     cycle = list(zip(nodes, nodes[1:] + nodes[:1]))
-    return JoinResult(JoinOutcome.STALLED, cycle, outer_n, inner_n)
-
+    return JoinResult(JoinOutcome.STALLED, cycle, len(outer_seen), len(inner_seen))

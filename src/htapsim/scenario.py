@@ -146,11 +146,32 @@ def _line(rec: dict) -> int:
     return rec.get("__line__", 0)
 
 
+def _records(value, what: str, line: int) -> list[dict]:
+    """A list of mappings, or [] for a missing section; `line` is the
+    enclosing record's, for a bad value that has no line of its own."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        line = _line(value) if isinstance(value, dict) else line
+        raise ScenarioError(f"line {line}: {what} must be a list")
+    for rec in value:
+        if not isinstance(rec, dict):
+            raise ScenarioError(f"line {line}: each of {what} must be a mapping, not {rec!r}")
+    return value
+
+
 def _number(convert, value, what: str, line: int):
     try:
         return convert(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"line {line}: {what} must be a number, not {value!r}") from None
+
+
+def _non_negative(convert, value, what: str, line: int):
+    number = _number(convert, value, what, line)
+    if number < 0:
+        raise ScenarioError(f"line {line}: {what} must not be negative, not {value!r}")
+    return number
 
 
 def parse_cpuset(text) -> frozenset[int]:
@@ -206,7 +227,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("line 1: scenario must be a mapping")
 
     scenario = Scenario()
-    for rec in doc.get("tables", []) or []:
+    doc_line = _line(doc)
+    for rec in _records(doc.get("tables"), "tables", doc_line):
         line = _line(rec)
         try:
             table = TableDef(
@@ -217,6 +239,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {line}: table missing {exc}") from None
         except StoreError as exc:
             raise ScenarioError(f"line {line}: {exc}") from None
+        if not isinstance(table.name, str):
+            raise ScenarioError(f"line {line}: table name must be a string, not {table.name!r}")
+        if any(spec.table.name == table.name for spec in scenario.tables):
+            raise ScenarioError(f"line {line}: duplicate table {table.name!r}")
         rows = rec.get("rows", []) or []
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == 2 for row in rows
@@ -225,20 +251,24 @@ def parse_scenario(text: str) -> Scenario:
         rows = [tuple(_number(int, v, "a row value", line) for v in row) for row in rows]
         scenario.tables.append(TableSpec(table, rows))
 
-    for rec in doc.get("groups", []) or []:
+    for rec in _records(doc.get("groups"), "groups", doc_line):
         scenario.groups.append(_parse_group(rec))
+    group_names = {g.name for g in scenario.groups}
 
     dist_keys = {spec.table.name: spec.table.dist_key for spec in scenario.tables}
     seen_seq: dict[int, int] = {}
-    for rec in doc.get("sessions", []) or []:
+    for rec in _records(doc.get("sessions"), "sessions", doc_line):
         line = _line(rec)
         sid = str(rec.get("id", ""))
         if not sid:
             raise ScenarioError(f"line {line}: session without id")
         if any(s.sid == sid for s in scenario.sessions):
             raise ScenarioError(f"line {line}: duplicate session id {sid!r}")
-        scenario.sessions.append(SessionDef(sid, rec.get("group")))
-        for step_rec in rec.get("steps", []) or []:
+        group = rec.get("group")
+        if group is not None and group not in group_names:
+            raise ScenarioError(f"line {line}: unknown resource group {group!r}")
+        scenario.sessions.append(SessionDef(sid, group))
+        for step_rec in _records(rec.get("steps"), "steps", line):
             sline = _line(step_rec)
             if "seq" not in step_rec or "sql" not in step_rec:
                 raise ScenarioError(f"line {sline}: step needs seq and sql")
@@ -257,18 +287,25 @@ def parse_scenario(text: str) -> Scenario:
                     f" ({step.table} is distributed by c2)"
                 )
             if "mem" in step_rec:
-                step.mem = _number(float, step_rec["mem"], "mem", sline)
+                step.mem = _non_negative(float, step_rec["mem"], "mem", sline)
             if "cpu" in step_rec:
-                step.cpu = _number(int, step_rec["cpu"], "cpu", sline)
+                step.cpu = _non_negative(int, step_rec["cpu"], "cpu", sline)
             scenario.steps.append(step)
 
     if "expect" in doc and doc["expect"]:
         rec = doc["expect"]
+        if not isinstance(rec, dict):
+            raise ScenarioError(f"line {doc_line}: expect must be a mapping")
+        victims = rec.get("victims") or []
+        outcomes = rec.get("outcomes") or {}
+        if not isinstance(victims, list) or not isinstance(outcomes, dict):
+            raise ScenarioError(
+                f"line {_line(rec)}: expect needs a list of victims and a mapping of outcomes"
+            )
         scenario.expect = Expectation(
             verdict=rec.get("verdict"),
-            victims=[str(v) for v in rec.get("victims", []) or []],
-            outcomes={str(k): str(v) for k, v in (rec.get("outcomes") or {}).items()
-                      if k != "__line__"},
+            victims=[str(v) for v in victims],
+            outcomes={str(k): str(v) for k, v in outcomes.items() if k != "__line__"},
         )
         if scenario.expect.verdict not in (None, "clean", "deadlock"):
             raise ScenarioError(

@@ -48,6 +48,9 @@ from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_lo
 
 COORD = -1
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
+MESSAGE_DELAY = 1  # ticks per message on a link without its own delay
+GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide
+N_CORES = 32  # cores that CPU rates and cpusets divide
 
 # the relation lock each statement kind takes, on the coordinator and on every
 # segment it reaches; legacy locking overrides "update" (see _Part._work)
@@ -63,7 +66,6 @@ RELATION_LOCK_MODE = {
 class SimConfig:
     n_segments: int = 3
     seed: int = 0  # read by nothing: the simulator draws no random numbers
-    message_delay: int = 1
     link_delays: dict = field(default_factory=dict)  # (src, dst) -> ticks
     gdd_enabled: bool = True
     gdd: GddConfig = field(default_factory=GddConfig)
@@ -72,8 +74,6 @@ class SimConfig:
     eager: bool = False  # sessions issue as soon as free, seq only breaks ties
     collection_skew: int = 0  # ticks between per-segment graph snapshots
     resource_groups: list[ResourceGroupConfig] = field(default_factory=list)
-    global_memory: float = 1000.0
-    n_cores: int = 32
     # record trace events; they are kept as tuples and only rendered to text
     # when `Cluster.trace` is read
     trace_enabled: bool = True
@@ -317,7 +317,6 @@ class Cluster:
         self._trace_lines: list[str] = []  # the rendered trace, see `trace`
 
         self.dtm = DistributedTxnManager()
-        self.dtm.committed.add(0)  # bootstrap writer of preloaded rows
         self.sites = [COORD] + list(range(config.n_segments))
         self.lock_tables = {s: LockTable(s) for s in self.sites}
         self.stores = {s: SegmentStore(s) for s in range(config.n_segments)}
@@ -325,6 +324,8 @@ class Cluster:
         self.local_states: dict[int, dict[int, str]] = {
             s: {BOOTSTRAP_LOCAL_XID: "committed"} for s in range(config.n_segments)
         }
+        for mapping in self.mappings.values():
+            mapping.record(BOOTSTRAP_LOCAL_XID, 0)
         self._next_local_xid = {s: 1 for s in range(config.n_segments)}
         self._parked: dict[int, dict[tuple, object]] = {s: {} for s in self.sites}
 
@@ -345,7 +346,7 @@ class Cluster:
         if scenario is not None:
             groups = groups + list(scenario.groups)
         if groups:
-            self.resources = ResourceGroups(groups, config.global_memory, config.n_cores)
+            self.resources = ResourceGroups(groups, GLOBAL_MEMORY, N_CORES)
             self.admission = AdmissionControl(self.resources)
             self.ledger = MemoryLedger(self.resources)
             self.cpu = CpuScheduler(self.resources)
@@ -386,8 +387,6 @@ class Cluster:
             self.stores[seg].insert_version(
                 table.name, tuple(values), BOOTSTRAP_LOCAL_XID, 0
             )
-        for seg in range(self.config.n_segments):
-            self.mappings[seg].record(BOOTSTRAP_LOCAL_XID, 0)
 
     def add_session(self, sid: str, group: str | None = None, step_iter=None) -> Session:
         if group is not None and self.resources is not None and group not in self.resources:
@@ -429,7 +428,7 @@ class Cluster:
         heapq.heappush(self._heap, (self.clock + delay, self._seq, background, fn))
 
     def send(self, src: int, dst: int, fn) -> None:
-        delay = self.config.link_delays.get((src, dst), self.config.message_delay)
+        delay = self.config.link_delays.get((src, dst), MESSAGE_DELAY)
         self.schedule(delay, fn)
 
     def _pop_and_run(self) -> None:
@@ -571,7 +570,6 @@ class Cluster:
         session.txn = txn
         self.txn_sessions[txn.dxid] = session
         self.accounting[txn.dxid] = CommitAccounting()
-        txn.local_xids[COORD] = txn.dxid  # the coordinator's local id is the dxid
         table = self.lock_tables[COORD]
         table.register_txn(txn.dxid)
         table.acquire(
@@ -641,14 +639,7 @@ class Cluster:
         )
         mapping = self.mappings[seg]
         states = self.local_states[seg]
-        return lambda version: dtm_mod.visible(
-            version,
-            snap,
-            mapping,
-            txn,
-            local_committed=lambda lx: states.get(lx) == "committed",
-            dxid_committed=self.dtm.is_committed,
-        )
+        return lambda version: dtm_mod.visible(version, snap, mapping, txn, states)
 
     def _acquire_or_park(self, site, txn, tag, mode, cont) -> bool:
         result, blockers = self.lock_tables[site].acquire(
@@ -739,7 +730,7 @@ class Cluster:
     # ------------------------------------------------ commit and abort rounds
 
     def _touched_segments(self, txn: TransactionDescriptor) -> list[int]:
-        touched = {s for s in txn.local_xids if s != COORD}
+        touched = set(txn.local_xids)
         for s in range(self.config.n_segments):
             if self.lock_tables[s].has_requests(txn.dxid):
                 touched.add(s)

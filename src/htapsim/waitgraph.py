@@ -72,7 +72,7 @@ class GlobalWaitForGraph:
     def from_json(cls, text: str) -> "GlobalWaitForGraph":
         """Parse `to_json`'s format; ValueError names what is malformed."""
         doc = json.loads(text)
-        records = doc.get("edges", []) if isinstance(doc, dict) else None
+        records = doc.get("edges") if isinstance(doc, dict) else None
         if not isinstance(records, list):
             raise ValueError("a graph is a JSON object whose 'edges' is a list")
         return cls(_edge_from_json(rec) for rec in records)

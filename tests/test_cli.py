@@ -98,6 +98,10 @@ def test_detect_trace_prints_each_removal(tmp_path, capsys):
 
 
 SELF_LOOP = '{"edges": [{"segment": 0, "from": 1, "to": 1, "kind": "solid"}]}'
+MISSPELLED_EDGES = (
+    '{"edgse": [{"segment": 0, "from": 1, "to": 2, "kind": "solid"},'
+    ' {"segment": 1, "from": 2, "to": 1, "kind": "solid"}]}'
+)
 
 
 @pytest.mark.parametrize(
@@ -110,9 +114,10 @@ SELF_LOOP = '{"edges": [{"segment": 0, "from": 1, "to": 1, "kind": "solid"}]}'
         '{"edges": [5]}',
         '{"edges": {"a": 1}}',
         SELF_LOOP,
+        MISSPELLED_EDGES,
     ],
     ids=["missing", "not-json", "edge-missing-keys", "top-level-list", "edge-not-object",
-         "edges-not-list", "self-loop"],
+         "edges-not-list", "self-loop", "edges-key-missing"],
 )
 def test_detect_unreadable_graph(content, tmp_path, capsys):
     path = tmp_path / "graph.json"

@@ -19,7 +19,8 @@ from htapsim.dtm import (
     expected_accounting,
     visible,
 )
-from htapsim.store import TupleVersion
+from htapsim.sim import Cluster, SimConfig
+from htapsim.store import Predicate, TableDef, TupleVersion
 
 
 class TestBegin:
@@ -58,11 +59,8 @@ class TestBegin:
 
 class FakeTxn:
     def __init__(self, local_by_seg=None, command_id=0):
-        self._locals = local_by_seg or {}
+        self.local_xids = local_by_seg or {}
         self.command_id = command_id
-
-    def local_xid(self, segment):
-        return self._locals.get(segment)
 
 
 def version(xmin, cmin=0, xmax=0, cmax=0):
@@ -77,14 +75,15 @@ class TestVisible:
         self.local_commits = set()
 
     def vis(self, v, snapshot, txn=None):
-        return visible(
-            v,
-            snapshot,
-            self.mapping,
-            txn,
-            local_committed=lambda lx: lx in self.local_commits,
-            dxid_committed=lambda d: d in self.committed_dxids,
-        )
+        # the segment's status dict: a case that marks a dxid committed marks
+        # the local xid mapped to it committed
+        states = {
+            lx: "committed"
+            for lx, d in self.mapping.entries.items()
+            if d in self.committed_dxids
+        }
+        states.update(dict.fromkeys(self.local_commits, "committed"))
+        return visible(v, snapshot, self.mapping, txn, states)
 
     def test_own_write_from_earlier_statement_is_visible(self):
         txn = FakeTxn({0: 5}, command_id=2)
@@ -279,3 +278,26 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
         ]
         for dxid in range(mgr.next_dxid + 1):
             assert mgr.is_live(dxid) == (dxid in unfinished())
+
+
+def test_segment_commit_log_decides_visibility():
+    """A segment reads writers' outcomes from its own commit log: a dxid the
+    coordinator has committed stays invisible there until the segment has
+    recorded its local commit."""
+    cluster = Cluster(SimConfig(n_segments=1))
+    table = TableDef("t")
+    cluster.create_table(table, [(1, 10)])
+    txn = cluster.dtm.begin(0)
+    cluster.lock_tables[0].register_txn(txn.dxid)
+    local = cluster._ensure_local_xid(0, txn)
+    cluster.stores[0].insert_version("t", (2, 20), local, 0)
+    cluster.dtm.mark_committed(txn.dxid)
+
+    def rows():
+        vis = cluster._visibility(0, None)
+        return sorted(v.values for _, v in cluster.stores[0].scan(table, Predicate(), vis))
+
+    assert cluster.local_states[0][local] == "in_progress"
+    assert rows() == [(1, 10)]
+    cluster.local_states[0][local] = "committed"
+    assert rows() == [(1, 10), (2, 20)]

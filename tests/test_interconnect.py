@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -126,3 +127,51 @@ def test_exhaustive_search_finds_the_four_process_cycle():
         3, capacity=1, prefetch=False, outer_rows=outer, inner_rows=inner
     )
     assert cycle_edges(result) == target
+
+
+def _pin_matrix():
+    """The default routing at 3 and 4 segments, then every outer and inner
+    routing string of length 1 to 3 over destinations {0, 1, 2}, placed once
+    as the plan's skew (outer rows on segment 1, inner rows on segment 2) and
+    once on every segment."""
+    for n in (3, 4):
+        for cap in (1, 2, 3, 5):
+            for prefetch in (False, True):
+                yield dict(n_segments=n, capacity=cap, prefetch=prefetch)
+    strings = [
+        list(s) for k in (1, 2, 3) for s in itertools.product((0, 1, 2), repeat=k)
+    ]
+    placements = (
+        lambda outer, inner: ({1: outer}, {2: inner}),
+        lambda outer, inner: ({s: outer for s in range(3)}, {s: inner for s in range(3)}),
+    )
+    for place in placements:
+        for outer in strings:
+            for inner in strings:
+                outer_rows, inner_rows = place(outer, inner)
+                for cap in (1, 2):
+                    for prefetch in (False, True):
+                        yield dict(
+                            n_segments=3,
+                            capacity=cap,
+                            prefetch=prefetch,
+                            outer_rows=outer_rows,
+                            inner_rows=inner_rows,
+                        )
+
+
+def test_results_pinned_over_routing_matrix():
+    """Outcome, wait cycle and delivered counts of every run in the matrix,
+    hashed; the digest was recorded from the process-class implementation."""
+    digest = hashlib.sha256()
+    runs = stalls = 0
+    for kwargs in _pin_matrix():
+        r = run_join_scenario(**kwargs)
+        runs += 1
+        stalls += r.outcome is JoinOutcome.STALLED
+        cycle = [(str(a), str(b)) for a, b in r.wait_cycle]
+        digest.update(
+            repr((r.outcome.value, cycle, r.outer_delivered, r.inner_delivered)).encode()
+        )
+    assert (runs, stalls) == (12184, 302)
+    assert digest.hexdigest() == "65006dfaf0f026162c0f15927a48b54f214c3f3c3e7ebb33c2df4c645040a1fd"

@@ -231,6 +231,82 @@ sessions:
         5,
         "seq must be a number",
     ),
+    "step not a mapping": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps: [begin]
+""",
+        5,
+        "each of steps must be a mapping",
+    ),
+    "table not a mapping": ("\ntables: [5]\n", 2, "each of tables must be a mapping"),
+    "session not a mapping": ("\nsessions: [5]\n", 2, "each of sessions must be a mapping"),
+    "group not a mapping": ("\ngroups: [5]\n", 2, "each of groups must be a mapping"),
+    "expect not a mapping": ("\nexpect: 5\n", 2, "expect must be a mapping"),
+    "tables not a list": ("\ntables: {name: t}\n", 2, "tables must be a list"),
+    "outcomes not a mapping": (
+        "\nexpect: {outcomes: [A]}\n", 2, "expect needs a list of victims and a mapping"
+    ),
+    "victims not a list": ("\nexpect: {victims: 5}\n", 2, "expect needs a list of victims"),
+    "table name not a string": ("\ntables: [{name: [1]}]\n", 2, "table name must be a string"),
+    "undeclared group": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+sessions:
+  - id: A
+    group: h
+""",
+        5,
+        "unknown resource group 'h'",
+    ),
+    "group with none declared": (
+        """
+sessions:
+  - id: A
+    group: h
+""",
+        3,
+        "unknown resource group 'h'",
+    ),
+    "negative cpu": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, cpu: -1}
+""",
+        8,
+        "cpu must not be negative",
+    ),
+    "negative mem": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, mem: -0.5}
+""",
+        8,
+        "mem must not be negative",
+    ),
+    "duplicate table": (
+        """
+tables:
+  - {name: t, rows: [[1, 1]]}
+  - {name: t, rows: [[2, 2]]}
+""",
+        4,
+        "duplicate table 't'",
+    ),
 }
 
 
