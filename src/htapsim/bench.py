@@ -165,11 +165,10 @@ def bench(
         raise ValueError(f"unknown workload {workload!r}; pick one of {WORKLOADS}")
     if clients < 1:
         raise ValueError("need at least one client")
-    config = dataclasses.replace(config or SimConfig(), eager=True, seed=seed)
+    config = dataclasses.replace(config or SimConfig(), eager=True)
     if workload == "mixed-htap" and not config.resource_groups:
         config.resource_groups = default_htap_groups()
     cluster = Cluster(config)
-    rng = random.Random(seed)
 
     if workload == "update-only":
         keys = max(64, clients * 8)
@@ -202,8 +201,6 @@ def bench(
                 sid, step_iter=tpcb_like_client(sid, i, clients, random.Random(seed + i), scale)
             )
     else:  # mixed-htap: OLAP scans and OLTP point updates in separate groups
-        if cluster.resources is None:
-            raise ValueError("mixed-htap needs resource groups in the config")
         group_names = sorted(cluster.resources.configs)
         olap_group = next((g for g in group_names if "olap" in g), group_names[0])
         oltp_group = next((g for g in group_names if "oltp" in g), group_names[-1])

@@ -65,7 +65,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = SimConfig(
-        seed=args.seed,
         n_segments=args.segments,
         legacy_locking=args.legacy_locking,
         gdd=GddConfig(period=args.gdd_period),

@@ -129,16 +129,15 @@ class DistributedTxnManager:
     """Coordinator-side dxid allocation, snapshot creation and commit planning.
 
     The only owner of distributed transaction state: each descriptor's
-    `state`, the committed set and the live set change only in `begin`,
-    `mark_committed` and `mark_aborted`.  Each segment's own commit log, the
-    simulator's `local_states`, is that segment's and is updated by it.
+    `state` and the live set change only in `begin`, `mark_committed` and
+    `mark_aborted`.  Each segment's own commit log, the simulator's
+    `local_states`, is that segment's and is updated by it.
     """
 
     def __init__(self):
         self.next_dxid = 1
         self.transactions: dict[int, TransactionDescriptor] = {}
         self.max_committed = 0
-        self.committed: set[int] = set()
         # dxids begun and not yet committed or aborted, as in ProcArray:
         # snapshots are built from this set, never from the whole history.
         # mark_committed and mark_aborted are the only places a transaction
@@ -170,7 +169,6 @@ class DistributedTxnManager:
     def mark_committed(self, dxid: int) -> None:
         txn = self.transactions[dxid]
         txn.state = TxnState.COMMITTED
-        self.committed.add(dxid)
         self.max_committed = max(self.max_committed, dxid)
         self._live.discard(dxid)
 
@@ -179,8 +177,14 @@ class DistributedTxnManager:
         txn.state = TxnState.ABORTED
         self._live.discard(dxid)
 
+    @property
+    def committed(self) -> set[int]:
+        """Every committed dxid, read from the descriptors."""
+        return {d for d, t in self.transactions.items() if t.state is TxnState.COMMITTED}
+
     def is_committed(self, dxid: int) -> bool:
-        return dxid in self.committed
+        txn = self.transactions.get(dxid)
+        return txn is not None and txn.state is TxnState.COMMITTED
 
     def is_live(self, dxid: int) -> bool:
         return dxid in self._live

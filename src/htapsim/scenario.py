@@ -8,9 +8,17 @@ YAML documents with a micro-grammar for the statements:
     select <table> [where <conjunction>]
 
 where a conjunction is column equalities joined by `and` (columns c1/c2 only).
-Steps carry a global sequence number; the simulator issues them in that order,
-treating a step that blocks as issued.  `detect` forces one detector run and
-belongs to no session's transaction.
+Every step carries a sequence number, unique in the file, and stays with its
+session; a session's steps run in `seq` order.  The simulator has two issue
+orders.  Strict order (the default) issues the lowest `seq` among all the
+sessions' next steps and waits while that step's session is busy; a step that
+blocks counts as issued, so other sessions' later steps may go.  Eager order
+(`SimConfig.eager`) issues each session's next step as soon as that session is
+free.  One abort-skip rule holds in both: once a transaction aborts for any
+reason but its own `abort` step, its remaining steps are dropped up to the
+session's next `begin`, which strict order traces as `step_skipped`.  `detect`
+forces one detector run and belongs to no session's transaction; strict order
+runs it in its turn even inside a dropped remainder, eager order drops it.
 """
 
 from __future__ import annotations
@@ -160,7 +168,20 @@ def _records(value, what: str, line: int) -> list[dict]:
     return value
 
 
+def _check_keys(rec: dict, known: set, what: str) -> None:
+    for key in rec:
+        if key != "__line__" and key not in known:
+            raise ScenarioError(f"line {_line(rec)}: unknown {what} {key!r}")
+
+
 def _number(convert, value, what: str, line: int):
+    """`convert(value)`; for `int`, a fraction or a boolean is an error rather
+    than truncated or read as 0/1, while an integral float such as 2.0 is
+    accepted."""
+    if convert is int and (
+        isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+    ):
+        raise ScenarioError(f"line {line}: {what} must be an integer, not {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError):
@@ -189,22 +210,22 @@ def parse_cpuset(text) -> frozenset[int]:
 
 def _parse_group(rec: dict) -> ResourceGroupConfig:
     line = _line(rec)
-    known = {
-        "name", "CONCURRENCY", "MEMORY_LIMIT", "MEMORY_SHARED_QUOTA",
-        "CPU_RATE_LIMIT", "CPUSET", "__line__",
-    }
-    for key in rec:
-        if key not in known:
-            raise ScenarioError(f"line {line}: unknown group parameter {key!r}")
+    _check_keys(
+        rec,
+        {"name", "CONCURRENCY", "MEMORY_LIMIT", "MEMORY_SHARED_QUOTA", "CPU_RATE_LIMIT", "CPUSET"},
+        "group parameter",
+    )
     try:
         cpuset = rec.get("CPUSET")
         return ResourceGroupConfig(
             name=rec["name"],
-            concurrency=int(rec["CONCURRENCY"]),
+            concurrency=_number(int, rec["CONCURRENCY"], "CONCURRENCY", line),
             memory_limit=float(rec["MEMORY_LIMIT"]),
             memory_shared_quota=float(rec.get("MEMORY_SHARED_QUOTA", 20)),
             cpu_rate_limit=(
-                int(rec["CPU_RATE_LIMIT"]) if "CPU_RATE_LIMIT" in rec else None
+                _number(int, rec["CPU_RATE_LIMIT"], "CPU_RATE_LIMIT", line)
+                if "CPU_RATE_LIMIT" in rec
+                else None
             ),
             cpuset=parse_cpuset(cpuset) if cpuset is not None else None,
         )
@@ -228,8 +249,10 @@ def parse_scenario(text: str) -> Scenario:
 
     scenario = Scenario()
     doc_line = _line(doc)
+    _check_keys(doc, {"tables", "groups", "sessions", "expect"}, "section")
     for rec in _records(doc.get("tables"), "tables", doc_line):
         line = _line(rec)
+        _check_keys(rec, {"name", "distributed_by", "rows"}, "table key")
         try:
             table = TableDef(
                 name=rec["name"],
@@ -259,6 +282,7 @@ def parse_scenario(text: str) -> Scenario:
     seen_seq: dict[int, int] = {}
     for rec in _records(doc.get("sessions"), "sessions", doc_line):
         line = _line(rec)
+        _check_keys(rec, {"id", "group", "steps"}, "session key")
         sid = str(rec.get("id", ""))
         if not sid:
             raise ScenarioError(f"line {line}: session without id")
@@ -270,6 +294,7 @@ def parse_scenario(text: str) -> Scenario:
         scenario.sessions.append(SessionDef(sid, group))
         for step_rec in _records(rec.get("steps"), "steps", line):
             sline = _line(step_rec)
+            _check_keys(step_rec, {"seq", "sql", "mem", "cpu"}, "step key")
             if "seq" not in step_rec or "sql" not in step_rec:
                 raise ScenarioError(f"line {sline}: step needs seq and sql")
             seq = _number(int, step_rec["seq"], "seq", sline)
@@ -296,6 +321,7 @@ def parse_scenario(text: str) -> Scenario:
         rec = doc["expect"]
         if not isinstance(rec, dict):
             raise ScenarioError(f"line {doc_line}: expect must be a mapping")
+        _check_keys(rec, {"verdict", "victims", "outcomes"}, "expect key")
         victims = rec.get("victims") or []
         outcomes = rec.get("outcomes") or {}
         if not isinstance(victims, list) or not isinstance(outcomes, dict):

@@ -71,7 +71,11 @@ class SimConfig:
     gdd: GddConfig = field(default_factory=GddConfig)
     legacy_locking: bool = False
     force_2pc: bool = False
-    eager: bool = False  # sessions issue as soon as free, seq only breaks ties
+    # issue order: strict (False) issues the lowest `seq` of all sessions'
+    # next steps and waits while its session is busy; eager (True) issues each
+    # session's next step as soon as that session is free.  In both, an
+    # aborted transaction's remaining steps are dropped up to the next begin.
+    eager: bool = False
     collection_skew: int = 0  # ticks between per-segment graph snapshots
     resource_groups: list[ResourceGroupConfig] = field(default_factory=list)
     # record trace events; they are kept as tuples and only rendered to text
@@ -111,28 +115,22 @@ class Session:
         self.sid = sid
         self.group = group
         # the session's own steps: a bench client's generator, or a scenario
-        # session's steps in eager mode; none in strict global-order mode
+        # session's steps in `seq` order
         self.step_iter = iter(()) if step_iter is None else step_iter
         self._next: Step | None = None  # one-step lookahead, see peek_step
         self.txn: TransactionDescriptor | None = None
         self.stmt: "Statement | None" = None
         self.queued = False  # waiting for an admission slot
         self.round: _Round | None = None  # commit/abort round in flight
-        # strict order, aborted txn: drop its global steps up to the next begin
+        # aborted txn: drop its remaining steps up to the next begin
         self.skip_until_begin = False
-        self.terminal = False
         self.outcomes: list[str] = []
         self.txn_latencies: list[int] = []
         self.scan_results: list[tuple[int, list]] = []
 
     @property
     def free(self) -> bool:
-        return (
-            not self.terminal
-            and self.stmt is None
-            and not self.queued
-            and self.round is None
-        )
+        return self.stmt is None and not self.queued and self.round is None
 
     def peek_step(self) -> Step | None:
         """The next step, or None once the session has none left."""
@@ -144,18 +142,6 @@ class Session:
         step = self.peek_step()
         self._next = None
         return step
-
-    def skip_to_next_txn(self) -> None:
-        """After an abort, drop the remainder of the transaction's own steps;
-        a session with no step left becomes terminal."""
-        while True:
-            step = self.peek_step()
-            if step is None:
-                self.terminal = True
-                return
-            if step.kind == "begin":
-                return
-            self.pop_step()
 
 
 class Statement:
@@ -331,8 +317,6 @@ class Cluster:
 
         self.catalog: dict[str, TableDef] = {}
         self.sessions: dict[str, Session] = {}
-        self._global_steps: list[Step] = []
-        self._cursor = 0
         self.verdicts: list[DetectionVerdict] = []
         self.accounting: dict[int, CommitAccounting] = {}
         self.txn_sessions: dict[int, Session] = {}
@@ -371,12 +355,10 @@ class Cluster:
         for spec in scenario.tables:
             self.create_table(spec.table, spec.rows)
         own: dict[str, list[Step]] = {sdef.sid: [] for sdef in scenario.sessions}
-        if self.config.eager:
-            for step in scenario.steps:
-                own[step.session].append(step)
+        for step in sorted(scenario.steps, key=lambda s: s.seq):
+            own[step.session].append(step)
         for sdef in scenario.sessions:
             self.add_session(sdef.sid, sdef.group, step_iter=iter(own[sdef.sid]))
-        self._global_steps = sorted(scenario.steps, key=lambda s: s.seq)
 
     def create_table(self, table: TableDef, rows=()) -> None:
         self.catalog[table.name] = table
@@ -465,60 +447,60 @@ class Cluster:
     # ------------------------------------------------------------- issuance
 
     def _try_issue(self) -> bool:
+        """Issue what the issue order lets go now; True if anything went.
+
+        Eager order issues each free session's next steps.  Strict order
+        takes the lowest `seq` among the sessions' next steps: a `detect` runs
+        at once, a step of a session skipping after an abort is traced as
+        `step_skipped` and dropped, and any other step waits until its session
+        is free.  `parse_scenario` rejects duplicate `seq`s, so only a
+        `Scenario` built in code can tie; a tie goes to the lower session id.
+        """
         if self.config.eager:
             issued = False
             for sid in sorted(self.sessions):
                 while self._issue_for_session(self.sessions[sid]):
                     issued = True
-                    if not self.sessions[sid].free:
-                        break
             return issued
-        # strict global order: only the lowest unissued seq may go
-        while self._cursor < len(self._global_steps):
-            step = self._global_steps[self._cursor]
-            session = self.sessions[step.session]
-            if step.kind == "detect":
-                self._cursor += 1
-                self.run_detector()
-                return True
-            if session.terminal or (
-                session.skip_until_begin and step.kind != "begin"
-            ):
-                self._trace(
-                    "driver", "step_skipped", "seq={} session={}", step.seq, step.session
-                )
-                self._cursor += 1
-                continue
-            if not session.free:
+        while True:
+            waiting = [s for s in self.sessions.values() if s.peek_step() is not None]
+            if not waiting:
                 return False
-            session.skip_until_begin = False
-            self._cursor += 1
-            self._issue_step(session, step)
+            session = min(waiting, key=lambda s: (s.peek_step().seq, s.sid))
+            step = session.peek_step()
+            if session.skip_until_begin and step.kind not in ("begin", "detect"):
+                self._trace(
+                    "driver", "step_skipped", "seq={} session={}", step.seq, session.sid
+                )
+                session.pop_step()
+                continue
+            if step.kind != "detect" and not session.free:
+                return False
+            self._issue_step(session, session.pop_step())
             return True
-        return False
 
     def _issue_for_session(self, session: Session) -> bool:
+        """Issue the session's next step if it is free, first dropping what
+        is left of an aborted transaction."""
         if not session.free:
             return False
         step = session.pop_step()
+        while session.skip_until_begin and step is not None and step.kind != "begin":
+            step = session.pop_step()
         if step is None:
             return False
-        if step.kind == "detect":
-            self.run_detector()
-            return True
         self._issue_step(session, step)
         return True
 
-    def _pending_steps_of(self, sid: str) -> bool:
-        if self.config.eager:
-            return self.sessions[sid].peek_step() is not None
-        return any(s.session == sid for s in self._global_steps[self._cursor:])
-
     def _issue_step(self, session: Session, step: Step) -> None:
+        if step.kind == "detect":
+            self.run_detector()
+            return
         self._trace(
             "driver", "issue", "seq={} session={} sql={}", step.seq, session.sid, step.raw
         )
         if step.kind == "begin":
+            session.skip_until_begin = False
             if session.txn is not None:
                 raise RuntimeError(
                     f"session {session.sid}: begin inside an open transaction"
@@ -724,7 +706,7 @@ class Cluster:
         self._session_freed(session)
 
     def _session_freed(self, session: Session) -> None:
-        if self.config.eager and not session.terminal:
+        if self.config.eager:
             self.schedule(0, lambda: self._issue_for_session(session))
 
     # ------------------------------------------------ commit and abort rounds
@@ -919,10 +901,7 @@ class Cluster:
         session.round = None
         self._progress += 1
         if not committed and reason != "user":
-            if self.config.eager:
-                session.skip_to_next_txn()
-            else:
-                session.skip_until_begin = True
+            session.skip_until_begin = True
         self._session_freed(session)
 
     # ------------------------------------------------------ deadlock breaking
@@ -1037,7 +1016,7 @@ class Cluster:
             return "stalled"
         if session.outcomes:
             return session.outcomes[-1]
-        if session.queued or self._pending_steps_of(sid):
+        if session.queued or session.peek_step() is not None:
             return "stalled"
         return "idle"
 

@@ -4,19 +4,24 @@ the simulator does shows up as a diff here.
 Each `bench` workload runs at seed 0 with 32 clients for a short tick budget;
 its counts, latencies, protocol mix, peak concurrent updates and the sha256 of
 its trace and of its per-transaction metrics CSV are pinned.  Every scenario
-file under `scenarios/` has its trace sha256 pinned too.  A change that means
-to alter behaviour updates these values and says why; a performance or
+file under `scenarios/` has its trace sha256 pinned too, and so do the traces
+and session outcomes of random scenarios in both issue orders.  A change that
+means to alter behaviour updates these values and says why; a performance or
 simplification change must leave them exactly as they are.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from htapsim import load_scenario, run_scenario
 from htapsim.bench import bench
-from htapsim.sim import SimConfig
+from htapsim.gdd import GddConfig
+from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_sql
+from htapsim.sim import Cluster, SimConfig
+from htapsim.store import TableDef
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -101,6 +106,9 @@ MODE_SCENARIO_TRACE_PINS = {
         "0d62560d1f0c7432a56f1e721a996752b9d0d40827fb92b8f1ec519ee1ecd601",
 }
 
+# sha256 of test_issue_order_pinned_over_random_scenarios's traces and outcomes
+ISSUE_ORDER_PIN = "35e3fbf191f2c510d9bbacbed0ec53861b930f43cb9a884c9a2cf4fe333db82c"
+
 
 def bench_outputs(r) -> list:
     return [
@@ -147,3 +155,61 @@ def test_scenario_trace_pinned_under_flag(name, flag):
     config = SimConfig(**{flag: True})
     result = run_scenario(load_scenario(str(SCENARIOS / name)), config)
     assert sha256("\n".join(result.trace)) == MODE_SCENARIO_TRACE_PINS[name, flag]
+
+
+def issue_order_scenario(rng: random.Random) -> Scenario:
+    """2 tables x 5 keys; 2-5 sessions of 1-3 transactions of 1-4 statements
+    (70% point update, 10% lock, 10% select, 10% detect), 15% of them ending
+    in `abort`; the sessions' steps interleaved at random into one `seq`
+    order."""
+    scenario = Scenario()
+    for t in ("t0", "t1"):
+        scenario.tables.append(TableSpec(TableDef(t), [(k, 0) for k in range(5)]))
+    own: dict[str, list[str]] = {}
+    for i in range(rng.randrange(2, 6)):
+        sid = f"s{i}"
+        scenario.sessions.append(SessionDef(sid))
+        texts = own[sid] = []
+        for _ in range(rng.randrange(1, 4)):
+            texts.append("begin")
+            for _ in range(rng.randrange(1, 5)):
+                roll = rng.random()
+                table = f"t{rng.randrange(2)}"
+                if roll < 0.7:
+                    texts.append(
+                        f"update {table} set c2={rng.randrange(100)} where c1={rng.randrange(5)}"
+                    )
+                elif roll < 0.8:
+                    texts.append(f"lock {table}")
+                elif roll < 0.9:
+                    texts.append(f"select {table}")
+                else:
+                    texts.append("detect")
+            texts.append("abort" if rng.random() < 0.15 else "commit")
+    order = [sid for sid, texts in own.items() for _ in texts]
+    rng.shuffle(order)
+    for seq, sid in enumerate(order, 1):
+        scenario.steps.append(parse_sql(own[sid].pop(0), seq, sid))
+    return scenario
+
+
+def test_issue_order_pinned_over_random_scenarios():
+    """Strict and eager issue order, aborted transactions' skipped remainders
+    (deadlock victims' later transactions, `detect` steps inside them) and
+    user aborts: one sha256 over the traces and session outcomes of 500
+    random scenarios run in both orders."""
+    digest = hashlib.sha256()
+    for seed in range(500):
+        rng = random.Random(seed)
+        scenario = issue_order_scenario(rng)
+        sites = [-1, 0, 1, 2]
+        delays = {(a, b): rng.randrange(1, 4) for a in sites for b in sites if a != b}
+        period = rng.choice((5, 17))
+        for eager in (False, True):
+            config = SimConfig(eager=eager, link_delays=delays, gdd=GddConfig(period=period))
+            cluster = Cluster(config, scenario)
+            cluster.run(until_tick=5000)
+            digest.update("\n".join(cluster.trace).encode())
+            for sid in sorted(cluster.sessions):
+                digest.update(f"\n{sid}={cluster.session_outcome(sid)}\n".encode())
+    assert digest.hexdigest() == ISSUE_ORDER_PIN

@@ -307,6 +307,75 @@ tables:
         4,
         "duplicate table 't'",
     ),
+    "unknown section": ("\nsteps: [begin]\n", 2, "unknown section 'steps'"),
+    "unknown table key": ("\ntables: [{name: t, row: [[1, 1]]}]\n", 2, "unknown table key 'row'"),
+    "unknown session key": (
+        """
+sessions:
+  - id: A
+    stepz:
+      - {seq: 1, sql: begin}
+""",
+        3,
+        "unknown session key 'stepz'",
+    ),
+    "unknown step key": (
+        """
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sqll: begin}
+""",
+        5,
+        "unknown step key 'sqll'",
+    ),
+    "unknown expect key": ("\nexpect: {verdit: clean}\n", 2, "unknown expect key 'verdit'"),
+    "fractional seq": (
+        """
+sessions:
+  - id: A
+    steps:
+      - {seq: 1.5, sql: begin}
+""",
+        5,
+        "seq must be an integer, not 1.5",
+    ),
+    "boolean seq": (
+        """
+sessions:
+  - id: A
+    steps:
+      - {seq: true, sql: begin}
+""",
+        5,
+        "seq must be an integer, not True",
+    ),
+    "fractional cpu": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, cpu: 2.9}
+""",
+        8,
+        "cpu must be an integer, not 2.9",
+    ),
+    "fractional row value": (
+        "\ntables: [{name: t, rows: [[1.7, 2]]}]\n", 2, "a row value must be an integer, not 1.7"
+    ),
+    "fractional concurrency": (
+        "\ngroups:\n  - {name: g, CONCURRENCY: 1.5, MEMORY_LIMIT: 10}\n",
+        3,
+        "CONCURRENCY must be an integer, not 1.5",
+    ),
+    "fractional cpu rate limit": (
+        "\ngroups:\n  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20.5}\n",
+        3,
+        "CPU_RATE_LIMIT must be an integer, not 20.5",
+    ),
 }
 
 
@@ -318,3 +387,24 @@ def test_malformed_scenario_names_its_line(case):
         parse_scenario(text)
     assert f"line {line}:" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_integral_floats_are_integers():
+    scenario = parse_scenario(
+        """
+tables:
+  - {name: t, rows: [[1.0, 2.0]]}
+groups:
+  - {name: g, CONCURRENCY: 2.0, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20.0}
+sessions:
+  - id: A
+    group: g
+    steps:
+      - {seq: 1.0, sql: begin}
+      - {seq: 2, sql: select t, cpu: 3.0}
+"""
+    )
+    assert scenario.tables[0].rows == [(1, 2)]
+    assert (scenario.groups[0].concurrency, scenario.groups[0].cpu_rate_limit) == (2, 20)
+    assert [(s.seq, s.cpu) for s in scenario.steps] == [(1, None), (2, 3)]
+    assert all(type(v) is int for v in (*scenario.tables[0].rows[0], scenario.steps[1].cpu))
