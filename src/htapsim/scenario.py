@@ -175,13 +175,14 @@ def _check_keys(rec: dict, known: set, what: str) -> None:
 
 
 def _number(convert, value, what: str, line: int):
-    """`convert(value)`; for `int`, a fraction or a boolean is an error rather
-    than truncated or read as 0/1, while an integral float such as 2.0 is
-    accepted."""
-    if convert is int and (
-        isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+    """`convert(value)`; a boolean is an error rather than read as 0/1, and
+    so, for `int`, is a fraction rather than truncated, while an integral
+    float such as 2.0 is accepted."""
+    if isinstance(value, bool) or (
+        convert is int and isinstance(value, float) and not value.is_integer()
     ):
-        raise ScenarioError(f"line {line}: {what} must be an integer, not {value!r}")
+        kind = "an integer" if convert is int else "a number"
+        raise ScenarioError(f"line {line}: {what} must be {kind}, not {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError):
@@ -220,8 +221,10 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
         return ResourceGroupConfig(
             name=rec["name"],
             concurrency=_number(int, rec["CONCURRENCY"], "CONCURRENCY", line),
-            memory_limit=float(rec["MEMORY_LIMIT"]),
-            memory_shared_quota=float(rec.get("MEMORY_SHARED_QUOTA", 20)),
+            memory_limit=_number(float, rec["MEMORY_LIMIT"], "MEMORY_LIMIT", line),
+            memory_shared_quota=_number(
+                float, rec.get("MEMORY_SHARED_QUOTA", 20), "MEMORY_SHARED_QUOTA", line
+            ),
             cpu_rate_limit=(
                 _number(int, rec["CPU_RATE_LIMIT"], "CPU_RATE_LIMIT", line)
                 if "CPU_RATE_LIMIT" in rec

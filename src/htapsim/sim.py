@@ -1,17 +1,19 @@
 """Deterministic discrete-event simulator of the cluster.
 
 One coordinator (site -1) plus N segments, a logical tick clock, and a single
-event loop ordered by (tick, sequence number).  Sessions execute scenario
-steps; statements dispatch per-segment work over simulated messages; blocking
-is explicit lock-table state with parked continuations resumed on grant.  The
-deadlock detector runs as a periodic background task (and synchronously for
-scripted `detect` steps); commit protocols are message exchanges with fsync
-accounting.  Identical (config, scenario) produces an identical trace.
+event loop that runs events in tick order and, within a tick, in the order
+they were scheduled.  Sessions execute scenario steps; statements dispatch
+per-segment work over simulated messages; blocking is explicit lock-table
+state with parked continuations resumed on grant.  The deadlock detector runs
+as a periodic background task (and synchronously for scripted `detect`
+steps); commit protocols are message exchanges with fsync accounting.
+Identical (config, scenario) produces an identical trace.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -78,18 +80,24 @@ class SimConfig:
     eager: bool = False
     collection_skew: int = 0  # ticks between per-segment graph snapshots
     resource_groups: list[ResourceGroupConfig] = field(default_factory=list)
-    # record trace events; they are kept as tuples and only rendered to text
-    # when `Cluster.trace` is read
+    # record trace events; their fields are kept in one flat log and only
+    # rendered to text when `Cluster.trace` is read
     trace_enabled: bool = True
 
 
-def _render_event(event: tuple) -> str:
-    """One `tick|site|kind|details` trace line from a `Cluster._trace` event."""
-    tick, site, kind, template, *args = event
-    if type(site) is not str:
-        site = "coord" if site == COORD else f"seg{site}"
-    details = template.format(*args) if type(template) is str else template(*args)
-    return f"{tick}|{site}|{kind}|{details}"
+def _render_events(log: list) -> list[str]:
+    """The `tick|site|kind|details` trace lines of a `Cluster._trace` log."""
+    lines = []
+    i, end = 0, len(log)
+    while i < end:
+        n, tick, site, kind, template = log[i : i + 5]
+        args = log[i + 5 : i + 5 + n]
+        i += 5 + n
+        if type(site) is not str:
+            site = "coord" if site == COORD else f"seg{site}"
+        details = template.format(*args) if type(template) is str else template(*args)
+        lines.append(f"{tick}|{site}|{kind}|{details}")
+    return lines
 
 
 def _begin_details(sid: str, dxid: int, snap) -> str:
@@ -296,10 +304,13 @@ class Cluster:
     def __init__(self, config: SimConfig, scenario: Scenario | None = None):
         self.config = config
         self.clock = 0
-        self._heap: list = []
-        self._seq = 0
+        # the event queue: one FIFO bucket of events per tick, and a heap of
+        # the ticks that have a bucket; a background event is stored after a
+        # None marker, because it does not count in `_fg_pending`
+        self._buckets: dict[int, deque] = {}
+        self._ticks: list[int] = []
         self._fg_pending = 0
-        self._events: list[tuple] = []  # trace events not yet rendered
+        self._events: list = []  # trace events not yet rendered, see `_trace`
         self._trace_lines: list[str] = []  # the rendered trace, see `trace`
 
         self.dtm = DistributedTxnManager()
@@ -338,7 +349,6 @@ class Cluster:
         self._gdd_scheduled = False
         self._progress = 0
         self._gdd_last_progress = -1
-        self._pending_edges: list[WaitEdge] = []  # staggered collection so far
 
         # bench counters
         self.inflight_updates = 0
@@ -380,8 +390,9 @@ class Cluster:
     # ------------------------------------------------------------ event loop
 
     def _trace(self, site, kind: str, template, *args) -> None:
-        """Record one trace event as the flat tuple (tick, site, kind,
-        template, *args), and nothing at all unless `trace_enabled` is set.
+        """Record one trace event as the fields (len(args), tick, site, kind,
+        template, *args) at the end of the flat log `_events`, and nothing at
+        all unless `trace_enabled` is set.
 
         Nothing is formatted here: reading `trace` renders the event.  The
         arguments must be values that no later step changes (ints, strings,
@@ -390,7 +401,7 @@ class Cluster:
         a function of the arguments that returns them.
         """
         if self.config.trace_enabled:
-            self._events.append((self.clock, site, kind, template, *args))
+            self._events += (len(args), self.clock, site, kind, template, *args)
 
     @property
     def trace(self) -> list[str]:
@@ -399,29 +410,36 @@ class Cluster:
         Events recorded since the last read are rendered into the cached list
         and then dropped, so the list returned grows as the run goes on."""
         if self._events:
-            self._trace_lines.extend(map(_render_event, self._events))
+            self._trace_lines.extend(_render_events(self._events))
             self._events.clear()
         return self._trace_lines
 
     def schedule(self, delay: int, fn, background: bool = False) -> None:
-        self._seq += 1
-        if not background:
+        """Run `fn` `delay` (>= 0) ticks from now, after every event already
+        scheduled for that tick.  The loop stops at fixpoint only once no
+        foreground event is pending; background events never hold it open."""
+        tick = self.clock + delay
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = deque()
+            heapq.heappush(self._ticks, tick)
+        if background:
+            bucket.append(None)
+        else:
             self._fg_pending += 1
-        heapq.heappush(self._heap, (self.clock + delay, self._seq, background, fn))
+        bucket.append(fn)
 
     def send(self, src: int, dst: int, fn) -> None:
         delay = self.config.link_delays.get((src, dst), MESSAGE_DELAY)
         self.schedule(delay, fn)
 
-    def _pop_and_run(self) -> None:
-        tick, _, background, fn = heapq.heappop(self._heap)
-        self.clock = max(self.clock, tick)
-        if not background:
-            self._fg_pending -= 1
-        fn()
-
     def run(self, until_tick: int | None = None, stop_when=None) -> None:
-        """Drive the loop to fixpoint, a tick bound, or a predicate."""
+        """Drive the loop to fixpoint, a tick bound, or a predicate.
+
+        With a tick bound it returns before any event past the bound and as
+        soon as the clock has reached the bound, so after at most one event
+        at the bound; the next call goes on from there."""
+        ticks, buckets = self._ticks, self._buckets
         while True:
             if stop_when is not None and stop_when(self):
                 return
@@ -430,11 +448,22 @@ class Cluster:
             if self._fg_pending == 0:
                 if self._try_issue():
                     continue
-                if not self._heap:
+                if not ticks:
                     return  # fixpoint: nothing pending, nothing issuable
-            if until_tick is not None and self._heap and self._heap[0][0] > until_tick:
+            tick = ticks[0]
+            if until_tick is not None and tick > until_tick:
                 return
-            self._pop_and_run()
+            bucket = buckets[tick]
+            fn = bucket.popleft()
+            if fn is None:
+                fn = bucket.popleft()  # a background event
+            else:
+                self._fg_pending -= 1
+            if not bucket:
+                heapq.heappop(ticks)
+                del buckets[tick]
+            self.clock = tick
+            fn()
 
     def blocked_sessions(self) -> list[str]:
         """Sessions stuck mid-statement (the stall oracle's blocked set)."""
@@ -944,25 +973,27 @@ class Cluster:
         # help, so stop re-arming (the run loop will surface the stall)
 
     def _collect_staggered(self) -> None:
-        """Spread per-segment snapshots over time (asynchronous collection)."""
-        self._pending_edges = []
+        """Spread per-segment snapshots over time (asynchronous collection).
+
+        Each collection gathers into its own edge list: a lock wait during a
+        collection can start the next one before this one finishes, and each
+        must still see a whole graph."""
+        edges: list[WaitEdge] = []
         skew = self.config.collection_skew
         for i, site in enumerate(self.sites):
             self.schedule(
                 skew * i,
-                lambda s=site: self._pending_edges.extend(
-                    snapshot_local(self.lock_tables[s])
-                ),
+                lambda s=site: edges.extend(snapshot_local(self.lock_tables[s])),
                 background=True,
             )
         self.schedule(
-            skew * len(self.sites), self._finish_staggered, background=True
+            skew * len(self.sites),
+            lambda: self._finish_staggered(edges),
+            background=True,
         )
 
-    def _finish_staggered(self) -> None:
-        graph = GlobalWaitForGraph(self._pending_edges)
-        self._pending_edges = []
-        verdict = self._detect_on(graph)
+    def _finish_staggered(self, edges: list[WaitEdge]) -> None:
+        verdict = self._detect_on(GlobalWaitForGraph(edges))
         self._reschedule_after(verdict)
 
     def collect_graph(self) -> GlobalWaitForGraph:
@@ -1011,13 +1042,14 @@ class Cluster:
     # --------------------------------------------------------------- results
 
     def session_outcome(self, sid: str) -> str:
+        """`stalled` while the session has a statement in flight, waits for
+        admission or has a step not yet issued; otherwise the outcome of its
+        last transaction, or `idle` if it finished none."""
         session = self.sessions[sid]
-        if session.stmt is not None:
+        if session.stmt is not None or session.queued or session.peek_step() is not None:
             return "stalled"
         if session.outcomes:
             return session.outcomes[-1]
-        if session.queued or session.peek_step() is not None:
-            return "stalled"
         return "idle"
 
     def final_verdict(self) -> str:

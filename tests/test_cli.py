@@ -57,6 +57,46 @@ def test_valid_counts_still_run(capsys):
     assert main(["run", SCENARIO, "--segments", "3"]) == 0
 
 
+# strict order: C holds row 1 and never commits, so B blocks at seq 7, its
+# commit at seq 8 waits, and A's second transaction (seq 9-11) never issues
+UNISSUED_STEPS = """
+tables:
+  - {name: t, rows: [[1, 0], [2, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=1 where c1=2}
+      - {seq: 3, sql: commit}
+      - {seq: 9, sql: begin}
+      - {seq: 10, sql: update t set c2=2 where c1=2}
+      - {seq: 11, sql: commit}
+  - id: B
+    steps:
+      - {seq: 5, sql: begin}
+      - {seq: 7, sql: update t set c2=3 where c1=1}
+      - {seq: 8, sql: commit}
+  - id: C
+    steps:
+      - {seq: 4, sql: begin}
+      - {seq: 6, sql: update t set c2=4 where c1=1}
+expect:
+  outcomes: {A: committed}
+"""
+
+
+def test_run_reports_a_session_with_unissued_steps_as_stalled(tmp_path, capsys):
+    scenario, trace = tmp_path / "unissued.yaml", tmp_path / "trace.txt"
+    scenario.write_text(UNISSUED_STEPS)
+    assert main(["run", str(scenario), "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "session A: stalled" in captured.out.splitlines()
+    assert "session B: stalled" in captured.out.splitlines()
+    assert "expectation failed: session A: outcome stalled, expected committed" in captured.err
+    assert "|issue|seq=8 " not in trace.read_text()
+    assert "|issue|seq=9 " not in trace.read_text()
+
+
 def write_graph(tmp_path, edges) -> str:
     path = tmp_path / "graph.json"
     path.write_text(

@@ -107,7 +107,7 @@ MODE_SCENARIO_TRACE_PINS = {
 }
 
 # sha256 of test_issue_order_pinned_over_random_scenarios's traces and outcomes
-ISSUE_ORDER_PIN = "35e3fbf191f2c510d9bbacbed0ec53861b930f43cb9a884c9a2cf4fe333db82c"
+ISSUE_ORDER_PIN = "be55a320759780108452bd4f822a57c6a55044f4766ca3178ba7e7feb371a2a4"
 
 
 def bench_outputs(r) -> list:

@@ -376,6 +376,24 @@ sessions:
         3,
         "CPU_RATE_LIMIT must be an integer, not 20.5",
     ),
+    "boolean mem": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, mem: true}
+""",
+        8,
+        "mem must be a number, not True",
+    ),
+    "boolean memory limit": (
+        "\ngroups:\n  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: true}\n",
+        3,
+        "MEMORY_LIMIT must be a number, not True",
+    ),
 }
 
 

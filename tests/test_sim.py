@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +23,7 @@ from htapsim.gdd import GddConfig
 from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_scenario, parse_sql
 from htapsim.sim import Cluster, SimConfig, run_scenario
 from htapsim.store import TableDef
+from test_oracle import random_delays, random_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -61,6 +63,23 @@ class TestPaperScenarios:
         result = run_scenario(scenario, SimConfig(collection_skew=skew))
         ok, problems = result.expectations_met(scenario.expect)
         assert ok, problems
+
+    def test_overlapping_staggered_collections_each_see_the_whole_graph(self):
+        """A collection over 4 sites 7 ticks apart outlasts the 17-tick
+        detector period, so a lock wait during it starts the next one.  Each
+        must gather its own edges: when they shared one list, each judged
+        part of the graph clean, and s0, s1 and s2 stayed deadlocked."""
+        seed = 1005
+        config = SimConfig(
+            eager=True,
+            gdd=GddConfig(period=17),
+            collection_skew=7,
+            link_delays=random_delays(random.Random(seed * 7919 + 13)),
+        )
+        cluster = Cluster(config, random_scenario(seed))
+        cluster.run()
+        assert cluster.blocked_sessions() == []
+        assert cluster.final_verdict() == "deadlock"
 
     def test_two_txn_deadlock(self):
         scenario, result = run_file("deadlock_two_txn.yaml")
