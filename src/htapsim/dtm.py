@@ -1,16 +1,23 @@
 """Distributed transaction management.
 
-The coordinator hands out distributed xids (dxids) and distributed snapshots;
-segments keep a local-xid -> dxid mapping that is truncated up to the oldest
-dxid any live snapshot can still see as running.  Tuple visibility combines
-the distributed snapshot with that mapping, falling back to local state for
-truncated entries.  Commit protocol choreography runs on the simulator's
-event loop; this module owns the state, the planning rule (read-only / one-
-phase / two-phase) and the message/fsync accounting.
+The coordinator hands out distributed xids (dxids) in increasing order and
+distributed snapshots.  A snapshot has the layout of Greenplum's
+`DistributedSnapshot` and PostgreSQL's `SnapshotData`: the dxids in progress
+when it was taken, as an ascending tuple whose first entry is the snapshot's
+xmin, and the largest dxid committed by then (`max_committed`).  A dxid is
+visible to it if it committed, is at most `max_committed`, and is below xmin
+or not found by a binary search of the in-progress dxids, tested in that
+order.  Segments keep a local-xid -> dxid mapping that is truncated up to the
+oldest dxid any live snapshot can still see as running.  Tuple visibility
+combines the distributed snapshot with that mapping, falling back to local
+state for truncated entries.  Commit protocol choreography runs on the
+simulator's event loop; this module owns the state, the planning rule
+(read-only / one-phase / two-phase) and the message/fsync accounting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,17 +35,25 @@ class TxnState(Enum):
 
 @dataclass(frozen=True)
 class DistributedSnapshot:
-    """In-progress dxid list plus the largest committed dxid at creation."""
+    """The dxids in progress at creation, ascending, so `in_progress[0]` is
+    the snapshot's xmin, plus the largest dxid committed by then.
 
-    in_progress: frozenset[int]
+    A dxid is visible if it committed, is at most `max_committed`, and is not
+    in progress, tested in that order.  The last test compares with xmin
+    first, which settles every dxid below it with no search, and otherwise
+    binary-searches `in_progress`.
+    """
+
+    in_progress: tuple[int, ...]
     max_committed: int
 
     def dxid_visible(self, dxid: int, committed: bool) -> bool:
-        return (
-            committed
-            and dxid not in self.in_progress
-            and dxid <= self.max_committed
-        )
+        if not committed or dxid > self.max_committed:
+            return False
+        xip = self.in_progress
+        if not xip or dxid < xip[0]:
+            return True
+        return xip[bisect_right(xip, dxid) - 1] != dxid  # largest entry <= dxid
 
 
 @dataclass
@@ -141,21 +156,23 @@ class DistributedTxnManager:
         # dxids begun and not yet committed or aborted, as in ProcArray:
         # snapshots are built from this set, never from the whole history.
         # mark_committed and mark_aborted are the only places a transaction
-        # finishes, so they alone remove from it.
-        self._live: set[int] = set()
+        # finishes, so they alone remove from it.  Keys go in as dxids are
+        # handed out, so the dict's order is ascending and `tuple(self._live)`
+        # is a snapshot's sorted in-progress array.
+        self._live: dict[int, None] = {}
 
     def begin(self, tick: int) -> TransactionDescriptor:
         dxid = self.next_dxid
         self.next_dxid += 1
-        self._live.add(dxid)
-        snap = DistributedSnapshot(frozenset(self._live), self.max_committed)
+        self._live[dxid] = None
+        snap = DistributedSnapshot(tuple(self._live), self.max_committed)
         txn = TransactionDescriptor(dxid=dxid, begin_tick=tick, snapshot=snap)
         self.transactions[dxid] = txn
         return txn
 
     def current_snapshot(self) -> DistributedSnapshot:
         """Snapshot as a fresh observer would see the cluster right now."""
-        return DistributedSnapshot(frozenset(self._live), self.max_committed)
+        return DistributedSnapshot(tuple(self._live), self.max_committed)
 
     def plan_commit(self, txn: TransactionDescriptor, force_2pc: bool = False) -> Protocol:
         """Pick the commit protocol from the observed write-set."""
@@ -170,17 +187,12 @@ class DistributedTxnManager:
         txn = self.transactions[dxid]
         txn.state = TxnState.COMMITTED
         self.max_committed = max(self.max_committed, dxid)
-        self._live.discard(dxid)
+        self._live.pop(dxid, None)
 
     def mark_aborted(self, dxid: int) -> None:
         txn = self.transactions[dxid]
         txn.state = TxnState.ABORTED
-        self._live.discard(dxid)
-
-    @property
-    def committed(self) -> set[int]:
-        """Every committed dxid, read from the descriptors."""
-        return {d for d, t in self.transactions.items() if t.state is TxnState.COMMITTED}
+        self._live.pop(dxid, None)
 
     def is_committed(self, dxid: int) -> bool:
         txn = self.transactions.get(dxid)
@@ -190,14 +202,14 @@ class DistributedTxnManager:
         return dxid in self._live
 
     def live_snapshots(self) -> list[DistributedSnapshot]:
-        return [self.transactions[d].snapshot for d in sorted(self._live)]
+        return [self.transactions[d].snapshot for d in self._live]
 
     def truncation_horizon(self) -> int:
         """Oldest dxid visible as running to any live snapshot."""
         horizon = self.next_dxid
         for snap in self.live_snapshots():
             if snap.in_progress:
-                horizon = min(horizon, min(snap.in_progress))
+                horizon = min(horizon, snap.in_progress[0])  # its xmin
         return horizon
 
     def truncate_mapping(self, mapping: XidMapping) -> int:

@@ -23,10 +23,9 @@ runs it in its turn even inside a dropped remainder, eager order drops it.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-
-import yaml
 
 from .resgroup import ConfigError, ResourceGroupConfig
 from .store import Predicate, StoreError, TableDef
@@ -135,19 +134,24 @@ def parse_sql(sql: str, seq: int, session: str, line: int = 0) -> Step:
     raise ScenarioError(f"line {line}: cannot parse statement {text!r}")
 
 
-class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that stamps every mapping with its source line."""
+@functools.cache
+def _line_loader():
+    """A SafeLoader that stamps every mapping with its source line.  Built on
+    the first scenario read, so that importing htapsim does not import PyYAML."""
+    import yaml
 
+    class LineLoader(yaml.SafeLoader):
+        pass
 
-def _mapping_with_line(loader, node, deep=False):
-    mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
-    mapping["__line__"] = node.start_mark.line + 1
-    return mapping
+    def mapping_with_line(loader, node, deep=False):
+        mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+        mapping["__line__"] = node.start_mark.line + 1
+        return mapping
 
-
-_LineLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _mapping_with_line
-)
+    LineLoader.add_constructor(
+        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, mapping_with_line
+    )
+    return LineLoader
 
 
 def _line(rec: dict) -> int:
@@ -239,8 +243,10 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
 
 
 def parse_scenario(text: str) -> Scenario:
+    import yaml  # here, not at the top: see _line_loader
+
     try:
-        doc = yaml.load(text, Loader=_LineLoader)
+        doc = yaml.load(text, Loader=_line_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else 0

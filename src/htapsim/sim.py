@@ -102,7 +102,7 @@ def _render_events(log: list) -> list[str]:
 
 def _begin_details(sid: str, dxid: int, snap) -> str:
     return (
-        f"session={sid} dxid={dxid} in_progress={sorted(snap.in_progress)} "
+        f"session={sid} dxid={dxid} in_progress={list(snap.in_progress)} "
         f"max_committed={snap.max_committed}"
     )
 
@@ -1043,11 +1043,14 @@ class Cluster:
 
     def session_outcome(self, sid: str) -> str:
         """`stalled` while the session has a statement in flight, waits for
-        admission or has a step not yet issued; otherwise the outcome of its
-        last transaction, or `idle` if it finished none."""
+        admission or has a step not yet issued; `open` while its transaction
+        has begun and not ended; otherwise the outcome of its last
+        transaction, or `idle` if it finished none."""
         session = self.sessions[sid]
         if session.stmt is not None or session.queued or session.peek_step() is not None:
             return "stalled"
+        if session.txn is not None:
+            return "open"
         if session.outcomes:
             return session.outcomes[-1]
         return "idle"

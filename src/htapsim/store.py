@@ -156,7 +156,10 @@ class SegmentStore:
         which the c1 index relies on.
         """
         chain = self.tables[table][slot]
-        pos = next((i for i, v in enumerate(chain) if v is victim), None)
+        # from the tail: at most the aborted stamper's versions follow victim
+        pos = next(
+            (i for i in range(len(chain) - 1, -1, -1) if chain[i] is victim), None
+        )
         if pos is None:
             raise StoreError(f"version {victim} is not in chain {table}:{slot}")
         if new_values[0] != victim.values[0]:

@@ -92,6 +92,7 @@ def test_run_reports_a_session_with_unissued_steps_as_stalled(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "session A: stalled" in captured.out.splitlines()
     assert "session B: stalled" in captured.out.splitlines()
+    assert "session C: open" in captured.out.splitlines()
     assert "expectation failed: session A: outcome stalled, expected committed" in captured.err
     assert "|issue|seq=8 " not in trace.read_text()
     assert "|issue|seq=9 " not in trace.read_text()

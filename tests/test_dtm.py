@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from htapsim.dtm import (
     MSG_COMMIT,
@@ -15,6 +15,7 @@ from htapsim.dtm import (
     DistributedTxnManager,
     IntegrityError,
     Protocol,
+    TxnState,
     XidMapping,
     expected_accounting,
     visible,
@@ -28,7 +29,7 @@ class TestBegin:
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
         assert txn.dxid == 1
-        assert txn.snapshot.in_progress == {1}
+        assert txn.snapshot.in_progress == (1,)
         assert txn.snapshot.max_committed == 0
 
     def test_snapshot_reflects_unfinished_and_max_committed(self):
@@ -40,7 +41,7 @@ class TestBegin:
         t4 = mgr.begin(3)
         mgr.mark_aborted(t1.dxid)
         t5 = mgr.begin(4)
-        assert t5.snapshot.in_progress == {3, 4, 5}
+        assert t5.snapshot.in_progress == (3, 4, 5)
         assert t5.snapshot.max_committed == 2
 
     def test_dxids_strictly_increase(self):
@@ -87,43 +88,43 @@ class TestVisible:
 
     def test_own_write_from_earlier_statement_is_visible(self):
         txn = FakeTxn({0: 5}, command_id=2)
-        snap = DistributedSnapshot(frozenset({9}), 8)
+        snap = DistributedSnapshot((9,), 8)
         assert self.vis(version(xmin=5, cmin=1), snap, txn)
 
     def test_own_write_from_current_statement_is_not_visible(self):
         txn = FakeTxn({0: 5}, command_id=2)
-        snap = DistributedSnapshot(frozenset(), 8)
+        snap = DistributedSnapshot((), 8)
         assert not self.vis(version(xmin=5, cmin=2), snap, txn)
 
     def test_in_progress_dxid_is_invisible(self):
         self.mapping.record(7, 7)
         self.committed_dxids.add(7)  # already durably committed on the segment
-        snap = DistributedSnapshot(frozenset({7}), 9)
+        snap = DistributedSnapshot((7,), 9)
         assert not self.vis(version(xmin=7), snap, FakeTxn())
 
     def test_committed_below_max_is_visible(self):
         self.mapping.record(3, 4)
         self.committed_dxids.add(4)
-        snap = DistributedSnapshot(frozenset(), 9)
+        snap = DistributedSnapshot((), 9)
         assert self.vis(version(xmin=3), snap, FakeTxn())
 
     def test_dxid_above_max_committed_is_invisible(self):
         self.mapping.record(3, 12)
         self.committed_dxids.add(12)
-        snap = DistributedSnapshot(frozenset(), 9)
+        snap = DistributedSnapshot((), 9)
         assert not self.vis(version(xmin=3), snap, FakeTxn())
 
     def test_truncated_mapping_falls_back_to_local_state(self):
         self.mapping.record(3, 2)
         self.mapping.truncate(5)
         self.local_commits.add(3)
-        snap = DistributedSnapshot(frozenset({7}), 9)
+        snap = DistributedSnapshot((7,), 9)
         assert self.vis(version(xmin=3), snap, FakeTxn())
         self.local_commits.discard(3)
         assert not self.vis(version(xmin=3), snap, FakeTxn())
 
     def test_unmapped_local_xid_is_integrity_error(self):
-        snap = DistributedSnapshot(frozenset(), 9)
+        snap = DistributedSnapshot((), 9)
         with pytest.raises(IntegrityError):
             self.vis(version(xmin=77), snap, FakeTxn())
 
@@ -131,21 +132,21 @@ class TestVisible:
         self.mapping.record(3, 2)
         self.mapping.record(4, 5)
         self.committed_dxids.update({2, 5})
-        snap = DistributedSnapshot(frozenset(), 9)
+        snap = DistributedSnapshot((), 9)
         assert not self.vis(version(xmin=3, xmax=4), snap, FakeTxn())
 
     def test_deleted_by_in_progress_txn_is_still_visible(self):
         self.mapping.record(3, 2)
         self.mapping.record(4, 7)
         self.committed_dxids.add(2)
-        snap = DistributedSnapshot(frozenset({7}), 9)
+        snap = DistributedSnapshot((7,), 9)
         assert self.vis(version(xmin=3, xmax=4), snap, FakeTxn())
 
     def test_own_delete_hides_version(self):
         self.mapping.record(3, 2)
         self.committed_dxids.add(2)
         txn = FakeTxn({0: 9}, command_id=3)
-        snap = DistributedSnapshot(frozenset(), 9)
+        snap = DistributedSnapshot((), 9)
         assert not self.vis(version(xmin=3, xmax=9, cmax=1), snap, txn)
         # a delete stamped by the current statement does not hide it yet
         assert self.vis(version(xmin=3, xmax=9, cmax=3), snap, txn)
@@ -226,7 +227,7 @@ class TestTruncation:
             mapping.record(t.dxid + 100, t.dxid)
             mgr.mark_committed(t.dxid)
         last = mgr.begin(9)  # dxid 9, live; its snapshot saw {5, 9} running
-        assert last.snapshot.in_progress == {5, 9}
+        assert last.snapshot.in_progress == (5, 9)
         horizon = mgr.truncate_mapping(mapping)
         assert horizon == 5
         assert all(d >= 5 for d in mapping.entries.values())
@@ -261,16 +262,19 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
             d for d, t in mgr.transactions.items() if not t.is_finished()
         )
 
+    def committed():
+        return [d for d, t in mgr.transactions.items() if t.state is TxnState.COMMITTED]
+
     for tick, (op, pick) in enumerate(ops):
         live = sorted(unfinished())
         if op == "begin":
             txn = mgr.begin(tick)
-            assert txn.snapshot.in_progress == unfinished()
-            assert txn.snapshot.max_committed == max(mgr.committed, default=0)
+            assert txn.snapshot.in_progress == tuple(sorted(unfinished()))
+            assert txn.snapshot.max_committed == max(committed(), default=0)
         elif live:
             dxid = live[pick % len(live)]
             (mgr.mark_committed if op == "commit" else mgr.mark_aborted)(dxid)
-        assert mgr.current_snapshot().in_progress == unfinished()
+        assert mgr.current_snapshot().in_progress == tuple(sorted(unfinished()))
         assert mgr.live_snapshots() == [
             t.snapshot
             for _, t in sorted(mgr.transactions.items())
@@ -278,6 +282,27 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
         ]
         for dxid in range(mgr.next_dxid + 1):
             assert mgr.is_live(dxid) == (dxid in unfinished())
+
+
+@example(live=[3], max_committed=5, extra=[])  # a committed dxid equal to xmin
+@given(
+    live=st.lists(st.integers(1, 60), unique=True, max_size=30),
+    max_committed=st.integers(0, 70),
+    extra=st.lists(st.integers(0, 80), max_size=5),
+)
+def test_dxid_visible_matches_a_frozenset_reference(live, max_committed, extra):
+    """The xmin test and the binary search over the sorted in-progress array
+    decide like a set lookup: for dxids below xmin, equal to a member, between
+    members and above max_committed, the empty snapshot included."""
+    reference = frozenset(live)
+    snap = DistributedSnapshot(tuple(sorted(live)), max_committed)
+    probes = {0, max_committed, max_committed + 1, *extra}
+    for d in live:
+        probes.update((d - 1, d, d + 1))
+    for dxid in sorted(probes):
+        for committed in (False, True):
+            expected = committed and dxid not in reference and dxid <= max_committed
+            assert snap.dxid_visible(dxid, committed) == expected, (dxid, committed)
 
 
 def test_segment_commit_log_decides_visibility():

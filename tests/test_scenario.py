@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import htapsim
 from htapsim.scenario import (
     ScenarioError,
     parse_cpuset,
@@ -426,3 +431,31 @@ sessions:
     assert (scenario.groups[0].concurrency, scenario.groups[0].cpu_rate_limit) == (2, 20)
     assert [(s.seq, s.cpu) for s in scenario.steps] == [(1, None), (2, 3)]
     assert all(type(v) is int for v in (*scenario.tables[0].rows[0], scenario.steps[1].cpu))
+
+
+YAML_ON_DEMAND = """
+import sys
+import htapsim, htapsim.bench
+print("yaml" in sys.modules)
+try:
+    htapsim.parse_scenario("sessions:\\n  - id: A\\n   bad indent: [")
+except htapsim.ScenarioError as exc:
+    print(str(exc).splitlines()[0])
+print("yaml" in sys.modules)
+"""
+
+
+def test_yaml_is_imported_only_to_read_a_scenario():
+    """Importing htapsim and its bench does not load PyYAML; the first
+    scenario read does, and still reports bad YAML with its line."""
+    src = os.path.dirname(os.path.dirname(htapsim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", YAML_ON_DEMAND],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "False"
+    assert out[1].startswith("line 3: invalid YAML: ")
+    assert out[2] == "True"
