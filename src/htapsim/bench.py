@@ -154,13 +154,15 @@ def oltp_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int)
         yield commit
 
 
-def bench(
-    workload: str,
-    clients: int,
-    duration_ticks: int,
-    config: SimConfig | None = None,
-    seed: int = 0,
-) -> BenchResult:
+def build(
+    workload: str, clients: int, config: SimConfig | None = None, seed: int = 0
+) -> Cluster:
+    """The cluster that `bench` runs: `workload`'s tables, and `clients`
+    closed-loop sessions whose generators draw from `seed`.
+
+    Steps issue in eager order whatever `config` says, and `mixed-htap` gets
+    `default_htap_groups()` when `config` names no resource groups.
+    """
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; pick one of {WORKLOADS}")
     if clients < 1:
@@ -222,6 +224,17 @@ def bench(
                 step_iter=oltp_client(sid, i, oltp_clients, random.Random(seed + 1000 + i), keys),
             )
 
+    return cluster
+
+
+def bench(
+    workload: str,
+    clients: int,
+    duration_ticks: int,
+    config: SimConfig | None = None,
+    seed: int = 0,
+) -> BenchResult:
+    cluster = build(workload, clients, config, seed)
     cluster.run(until_tick=duration_ticks)
 
     latencies = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from .bench import WORKLOADS, bench
 from .gdd import GddConfig, Outcome, detect, find_cycle
@@ -31,6 +32,24 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _open_outputs(stack: ExitStack, *paths: str | None) -> list | None:
+    """Open each output path given for writing, in `stack`, before any work
+    is done, so that an unwritable path fails at once.  Returns the files,
+    with None for a path not given, or prints `cannot write <path>: <reason>`
+    and returns None."""
+    files = []
+    for path in paths:
+        if not path:
+            files.append(None)
+            continue
+        try:
+            files.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+        except OSError as exc:
+            print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return None
+    return files
+
+
 def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -45,13 +64,16 @@ def _cmd_run(args) -> int:
         legacy_locking=args.legacy_locking,
         gdd=GddConfig(period=args.gdd_period),
     )
-    result = run_scenario(scenario, config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.metrics_csv)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.trace) + "\n")
+    with ExitStack() as stack:
+        files = _open_outputs(stack, args.out, args.trace)
+        if files is None:
+            return 2
+        out, trace = files
+        result = run_scenario(scenario, config)
+        if out is not None:
+            out.write(result.metrics_csv)
+        if trace is not None:
+            trace.write("\n".join(result.trace) + "\n")
     print(f"verdict: {result.verdict}")
     if result.victims:
         print(f"victims: {', '.join(result.victims)}")
@@ -69,11 +91,15 @@ def _cmd_bench(args) -> int:
         legacy_locking=args.legacy_locking,
         gdd=GddConfig(period=args.gdd_period),
     )
-    result = bench(args.workload, args.clients, args.ticks, config, seed=args.seed)
-    print(result.summary())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.metrics_csv)
+    with ExitStack() as stack:
+        files = _open_outputs(stack, args.out)
+        if files is None:
+            return 2
+        (out,) = files
+        result = bench(args.workload, args.clients, args.ticks, config, seed=args.seed)
+        print(result.summary())
+        if out is not None:
+            out.write(result.metrics_csv)
     return 0
 
 

@@ -81,24 +81,42 @@ MSG_PREPARE = "Prepare"
 MSG_PREPARE_OK = "PrepareOk"
 MSG_COMMIT = "Commit"
 MSG_COMMIT_OK = "CommitOk"
+MESSAGES = (MSG_PREPARE, MSG_PREPARE_OK, MSG_COMMIT, MSG_COMMIT_OK)
 # fsync sites
 FSYNC_SEGMENT_PREPARE = "SegmentPrepare"
 FSYNC_COORD_COMMIT = "CoordinatorCommit"
 FSYNC_SEGMENT_COMMIT = "SegmentCommit"
+FSYNCS = (FSYNC_SEGMENT_PREPARE, FSYNC_COORD_COMMIT, FSYNC_SEGMENT_COMMIT)
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitAccounting:
-    messages: Counter = field(default_factory=Counter)
-    fsyncs: Counter = field(default_factory=Counter)
+    """One transaction's commit protocol, latency, and the messages and
+    fsyncs its rounds counted.
+
+    Message types and fsync sites are distinct names, so both kinds of count
+    live in the one plain dict `counts`, which holds only the names counted
+    at least once.  `messages` and `fsyncs` are read-only `Counter` views of
+    each kind, built when read.
+    """
+
+    counts: dict[str, int] = field(default_factory=dict)
     protocol: Protocol | None = None
     latency_ticks: int = 0
 
     def count_message(self, kind: str) -> None:
-        self.messages[kind] += 1
+        self.counts[kind] = self.counts.get(kind, 0) + 1
 
     def count_fsync(self, site: str) -> None:
-        self.fsyncs[site] += 1
+        self.counts[site] = self.counts.get(site, 0) + 1
+
+    @property
+    def messages(self) -> Counter:
+        return Counter({k: n for k, n in self.counts.items() if k in MESSAGES})
+
+    @property
+    def fsyncs(self) -> Counter:
+        return Counter({k: n for k, n in self.counts.items() if k in FSYNCS})
 
 
 class XidMapping:

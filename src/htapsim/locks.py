@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -107,6 +108,9 @@ class AcquireResult(Enum):
     BLOCKED = "blocked"
 
 
+_born = attrgetter("born")
+
+
 class LockQueue:
     """One tag's requests, like PostgreSQL's LOCK.
 
@@ -182,9 +186,13 @@ class LockTable:
     Like PostgreSQL's per-backend lock list, the table also keeps, for each
     transaction, its own requests grouped by tag.  The duplicate check in
     `acquire` reads only those, and releasing a transaction removes exactly
-    those from their queues, re-evaluating a queue only if something waits
-    on it.  Tags are visited in queue creation order, the order of
-    `_queues`, which each queue's `born` reproduces.
+    those from their queues and drops each queue left empty.  As
+    PostgreSQL's UnGrantLock and CleanUpLock wake waiters only where the
+    lock's waitMask is set, release then re-evaluates only the queues that
+    still have waiters.  It wakes them in `born` order, the queues' creation
+    order and the order of `_queues`, whatever order the transaction made
+    its requests in; queues are independent, so only the order of the
+    promoted list depends on it.  `locks_of` lists tags in the same order.
     """
 
     segment: int
@@ -246,18 +254,29 @@ class LockTable:
     def release_all(self, txn: int, tick: int) -> list[LockRequest]:
         """Drop every grant and wait of `txn` on this segment (commit/abort path).
 
-        Returns the requests promoted to granted by queue re-evaluation.
-        Idempotent: releasing a txn that holds nothing returns [].
+        Returns the requests promoted to granted by queue re-evaluation, in
+        `born` order of their queues.  Idempotent: releasing a txn that holds
+        nothing returns [].
         """
-        promoted: list[LockRequest] = []
-        own = self._own.pop(txn, None)
-        if own is not None:
-            for tag in self._tags_in_queue_order(own):
-                queue = self._queues[tag]
-                for req in own[tag]:
-                    queue.remove(req)
-                promoted.extend(self._settle(tag, queue))
         self._active.discard(txn)
+        own = self._own.pop(txn, None)
+        if own is None:
+            return []
+        queues = self._queues
+        woken = []
+        for tag, mine in own.items():
+            queue = queues[tag]
+            for req in mine:
+                queue.remove(req)
+            if queue.waiting_mask:
+                woken.append(queue)
+            elif not queue.requests:
+                del queues[tag]
+        if len(woken) > 1:
+            woken.sort(key=_born)
+        promoted: list[LockRequest] = []
+        for queue in woken:
+            promoted += self._reevaluate(queue)
         return promoted
 
     def release_tuple_lock(self, txn: int, tag: LockTag) -> list[LockRequest]:
@@ -279,7 +298,10 @@ class LockTable:
             del own[tag]
             if not own:
                 del self._own[txn]
-        return self._settle(tag, queue)
+        promoted = self._reevaluate(queue) if queue.waiting_mask else []
+        if not queue.requests:
+            del self._queues[tag]
+        return promoted
 
     # -- queries used by the wait-graph and the simulator ---------------------
 
@@ -362,14 +384,6 @@ class LockTable:
     def _tags_in_queue_order(self, tags: Iterable[LockTag]) -> list[LockTag]:
         queues = self._queues
         return sorted(tags, key=lambda tag: queues[tag].born)
-
-    def _settle(self, tag: LockTag, queue: LockQueue) -> list[LockRequest]:
-        """After requests left `queue`: re-evaluate it only if anything waits
-        on it, and drop it once empty.  Returns the requests promoted."""
-        promoted = self._reevaluate(queue) if queue.waiting_mask else []
-        if not queue.requests:
-            del self._queues[tag]
-        return promoted
 
     @staticmethod
     def _check_counts(tag: LockTag, queue: LockQueue) -> None:

@@ -186,13 +186,21 @@ class _Part:
     The coordinator's share takes the statement's relation lock there and
     then fans the statement out to the segments; a segment's share takes the
     relation lock there and then inserts, scans, locks or updates.  An update
-    stamps its target slots one at a time, and each slot is one loop, as in
-    PostgreSQL's `heap_update`: read the row's version visible to the
-    snapshot; if an in-progress transaction stamped it, queue on the tuple
-    lock and then on the stamper's transaction lock, and read the row again
+    stamps the versions its scan returned, one slot at a time, and each slot
+    is one loop, as in PostgreSQL's `heap_update`: if an in-progress
+    transaction stamped the version, queue on the tuple lock and then on the
+    stamper's transaction lock, and look at the version's stamper again
     after each wait.  A tuple lock granted by a wake counts as held, and is
-    released once the slot is stamped, only after that re-read finds the
+    released once the slot is stamped, only if that second look finds the
     stamper still running.
+
+    The scan's version is not read again after a wait, because under
+    snapshot isolation it stays the newest version of its chain that the
+    statement sees: the snapshot and command id are fixed for the
+    statement, a version appended later is written by a transaction the
+    snapshot does not see, and `stamp_and_append` writes `xmax` into the
+    very version object the scan returned.  A READ COMMITTED re-check would
+    follow the chain here instead.
 
     `work` yields where it waits for a lock.  The wait parks the part in
     `Cluster._parked`; the grant schedules `run`, which resumes `work` after
@@ -251,14 +259,10 @@ class _Part:
         store = cl.stores[seg]
         vis = cl._visibility(seg, txn)
         pred = step.pred or Predicate()
-        targets = [slot for slot, _ in store.scan(cl.catalog[step.table], pred, vis)]
         stamped = 0
-        for slot in targets:
+        for slot, version in store.scan(cl.catalog[step.table], pred, vis):
             tuple_granted = tuple_held = False
             while True:
-                version = store.visible_version(step.table, slot, vis)
-                if version is None:
-                    break  # nothing visible to stamp under our snapshot
                 local = cl._ensure_local_xid(seg, txn)
                 stamper = version.xmax_local
                 if stamper == local:
@@ -287,14 +291,14 @@ class _Part:
                         yield
                         if not self._live():
                             return
-                        continue  # re-read: a woken grant is held only if a stamper runs
+                        continue  # a woken grant is held only if a stamper runs
                 tuple_held = True
                 xact_tag = LockTag(TagKind.TRANSACTION, seg, stamper)
                 if not cl._acquire_or_park(seg, txn, xact_tag, LockMode.SHARE, self):
                     yield
                     if not self._live():
                         return
-                # granted: the stamper has finished, so read the row again
+                # granted: the stamper has finished, so look at its outcome
         cl._segment_part_done(seg, stmt, stamped, wrote=stamped > 0)
 
 
@@ -581,14 +585,9 @@ class Cluster:
         session.txn = txn
         self.txn_sessions[txn.dxid] = session
         self.accounting[txn.dxid] = CommitAccounting()
-        table = self.lock_tables[COORD]
-        table.register_txn(txn.dxid)
-        table.acquire(
-            txn.dxid,
-            LockTag(TagKind.TRANSACTION, COORD, txn.dxid),
-            LockMode.EXCLUSIVE,
-            self.clock,
-        )
+        # no transaction lock on the coordinator: only a segment's local xid
+        # is ever waited on (see `_Part._update`)
+        self.lock_tables[COORD].register_txn(txn.dxid)
         self._trace("coord", "begin", _begin_details, session.sid, txn.dxid, txn.snapshot)
         self._session_freed(session)
 

@@ -12,8 +12,11 @@ time another checkout, run from inside that checkout; the header line
 Each case times one round on a tag that already has N compatible
 ROW_EXCLUSIVE holders, the queue shape concurrent updaters make on a
 relation.  With the cost of a grant and a release bound to the requesting
-transaction's own requests, the time per round stays flat in N.
+transaction's own requests, the time per round stays flat in N.  One more
+case times the lock every writer takes on its own local xid.
 """
+
+import itertools
 
 import pytest
 
@@ -65,3 +68,21 @@ def test_blocked_then_promoted(benchmark, holders):
         return blocked, [r.txn for r in promoted]
 
     assert benchmark(one_round) == (AcquireResult.BLOCKED, [second])
+
+
+def test_own_xid_lock(benchmark):
+    """A writer takes the transaction lock on its own new local xid, a tag
+    nobody has used, and then ends: the queue is made and dropped again
+    with nobody waiting."""
+    table = LockTable(0)
+    xids = itertools.count(1)
+
+    def one_round():
+        xid = next(xids)
+        table.register_txn(xid)
+        tag = LockTag(TagKind.TRANSACTION, 0, xid)
+        result, _ = table.acquire(xid, tag, LockMode.EXCLUSIVE, 1)
+        table.release_all(xid, 2)
+        return result
+
+    assert benchmark(one_round) is AcquireResult.GRANTED

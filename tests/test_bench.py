@@ -16,6 +16,7 @@ import pytest
 import htapsim.bench as bench_mod
 from htapsim.bench import (
     bench,
+    build,
     insert_only_client,
     olap_client,
     oltp_client,
@@ -23,7 +24,7 @@ from htapsim.bench import (
     update_only_client,
 )
 from htapsim.scenario import parse_sql
-from htapsim.sim import Cluster, SimConfig
+from htapsim.sim import SimConfig
 
 CLIENTS = {
     "update-only": (lambda: update_only_client("c001", 1, 32, random.Random(5), 256), {}),
@@ -51,52 +52,37 @@ def test_typed_steps_equal_their_parsed_text(name):
         assert step == want
 
 
-class WindowedCluster(Cluster):
-    """Runs in windows of 37 ticks and copies the trace after each one."""
-
-    made: list = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.readings: list[list[str]] = []
-        self.recorded = None
-        WindowedCluster.made.append(self)
-
-    def run(self, until_tick=None, stop_when=None):
-        for end in range(37, until_tick, 37):
-            super().run(until_tick=end)
-            self.readings.append(list(self.trace))
-        super().run(until_tick=until_tick)
-        self.recorded = len(self._events)  # before bench() reads the trace
-
-
-def windowed_runs(monkeypatch) -> list:
-    WindowedCluster.made = []
-    monkeypatch.setattr(bench_mod, "Cluster", WindowedCluster)
-    return WindowedCluster.made
+def run_in_windows(workload, clients, ticks, config=None, seed=0):
+    """Run `build`'s cluster in windows of 37 ticks, copying the trace after
+    each; returns the cluster and the copies."""
+    cluster = build(workload, clients, config, seed)
+    readings = []
+    for end in range(37, ticks, 37):
+        cluster.run(until_tick=end)
+        readings.append(list(cluster.trace))
+    cluster.run(until_tick=ticks)
+    return cluster, readings
 
 
 @pytest.mark.parametrize("workload, ticks", [("tpcb-like", 500), ("mixed-htap", 600)])
-def test_trace_read_in_windows_equals_trace_read_once(workload, ticks, monkeypatch):
+def test_trace_read_in_windows_equals_trace_read_once(workload, ticks):
     once = bench(workload, 32, ticks, seed=3).trace
-    made = windowed_runs(monkeypatch)
-    result = bench(workload, 32, ticks, seed=3)
-    readings = made[-1].readings
+    cluster, readings = run_in_windows(workload, 32, ticks, seed=3)
     assert len(readings) >= 10
     for earlier in readings:
-        assert result.trace[: len(earlier)] == earlier
+        assert once[: len(earlier)] == earlier
     assert len(readings[0]) < len(once)
-    assert result.trace == once
+    assert cluster.trace == once
 
 
-def test_no_event_recorded_with_tracing_off(monkeypatch):
-    windowed = windowed_runs(monkeypatch)
-    assert bench("tpcb-like", 8, 100).trace
-    assert windowed[-1].recorded > 0
-    result = bench("tpcb-like", 8, 100, SimConfig(trace_enabled=False))
-    assert windowed[-1].recorded == 0
-    assert result.trace == []
-    assert result.committed > 0
+def test_no_event_recorded_with_tracing_off():
+    traced, _ = run_in_windows("tpcb-like", 8, 100)
+    assert traced._events  # recorded, not yet rendered
+    assert traced.trace
+    untraced, _ = run_in_windows("tpcb-like", 8, 100, SimConfig(trace_enabled=False))
+    assert untraced._events == []
+    assert untraced.trace == []
+    assert untraced.committed_txns > 0
 
 
 def test_bench_leaves_the_callers_config_unchanged():

@@ -187,3 +187,19 @@ def test_netdeadlock_without_prefetch_stalls(capsys):
 def test_netdeadlock_with_prefetch_completes(capsys):
     assert main(["netdeadlock", "--prefetch", "on", "--segments", "4"]) == 0
     assert capsys.readouterr().out.startswith("COMPLETED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["run", SCENARIO, "--out"], id="run-out"),
+        pytest.param(["run", SCENARIO, "--trace"], id="run-trace"),
+        pytest.param(BENCH + ["--out"], id="bench-out"),
+    ],
+)
+def test_unwritable_output_fails_before_the_run(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran: no verdict, no summary
+    assert captured.err == f"cannot write {path}: No such file or directory\n"

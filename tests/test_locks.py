@@ -144,6 +144,21 @@ class TestReleaseAll:
         assert sorted(r.txn for r in promoted) == [2, 3]
         table.check_invariants()
 
+    def test_promotions_come_in_queue_creation_order(self):
+        """Txn 1 requests b before a, the reverse of their queues' creation
+        order, and leaves a waiter on each; its release wakes a's first."""
+        table = make_table(1, 2, 3, 4, 5)
+        a, b = rel(0, "a"), rel(0, "b")
+        table.acquire(2, a, LockMode.ACCESS_SHARE, 0)  # creates queue a
+        table.acquire(3, b, LockMode.ACCESS_SHARE, 0)  # then queue b
+        table.acquire(1, b, LockMode.ROW_EXCLUSIVE, 1)
+        table.acquire(1, a, LockMode.ROW_EXCLUSIVE, 1)
+        table.acquire(4, b, LockMode.SHARE, 2)  # waits on txn 1
+        table.acquire(5, a, LockMode.SHARE, 2)  # waits on txn 1
+        promoted = table.release_all(1, 3)
+        assert [(r.txn, r.tag) for r in promoted] == [(5, a), (4, b)]
+        table.check_invariants()
+
     def test_compatible_waiter_promoted_past_blocked_waiter(self):
         table = make_table(1, 2, 3, 4)
         table.acquire(1, rel(0), LockMode.SHARE, 0)

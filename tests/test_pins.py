@@ -193,6 +193,20 @@ def issue_order_scenario(rng: random.Random) -> Scenario:
     return scenario
 
 
+def issue_order_runs(seed: int) -> tuple[Scenario, list[SimConfig]]:
+    """`issue_order_scenario` drawn from `seed`, and its configs in strict
+    and then eager order, with random link delays and detector period."""
+    rng = random.Random(seed)
+    scenario = issue_order_scenario(rng)
+    sites = [-1, 0, 1, 2]
+    delays = {(a, b): rng.randrange(1, 4) for a in sites for b in sites if a != b}
+    period = rng.choice((5, 17))
+    return scenario, [
+        SimConfig(eager=eager, link_delays=delays, gdd=GddConfig(period=period))
+        for eager in (False, True)
+    ]
+
+
 def test_issue_order_pinned_over_random_scenarios():
     """Strict and eager issue order, aborted transactions' skipped remainders
     (deadlock victims' later transactions, `detect` steps inside them) and
@@ -200,13 +214,8 @@ def test_issue_order_pinned_over_random_scenarios():
     random scenarios run in both orders."""
     digest = hashlib.sha256()
     for seed in range(500):
-        rng = random.Random(seed)
-        scenario = issue_order_scenario(rng)
-        sites = [-1, 0, 1, 2]
-        delays = {(a, b): rng.randrange(1, 4) for a in sites for b in sites if a != b}
-        period = rng.choice((5, 17))
-        for eager in (False, True):
-            config = SimConfig(eager=eager, link_delays=delays, gdd=GddConfig(period=period))
+        scenario, configs = issue_order_runs(seed)
+        for config in configs:
             cluster = Cluster(config, scenario)
             cluster.run(until_tick=5000)
             digest.update("\n".join(cluster.trace).encode())
