@@ -163,8 +163,8 @@ class DistributedTxnManager:
 
     The only owner of distributed transaction state: each descriptor's
     `state` and the live set change only in `begin`, `mark_committed` and
-    `mark_aborted`.  Each segment's own commit log, the simulator's
-    `local_states`, is that segment's and is updated by it.
+    `mark_aborted`.  Each segment's own commit log, `sim.Segment.states`,
+    is that segment's and is updated by it.
     """
 
     def __init__(self):

@@ -4,7 +4,9 @@ One coordinator (site -1) plus N segments, a logical tick clock, and a single
 event loop that runs events in tick order and, within a tick, in the order
 they were scheduled.  Sessions execute scenario steps; statements dispatch
 per-segment work over simulated messages; blocking is explicit lock-table
-state with parked continuations resumed on grant.  The deadlock detector runs
+state with parked statement parts resumed on grant.  Each site's own state is
+one object, a `Site` (the coordinator) or a `Segment`; `Cluster` keeps the
+event loop and the message rounds.  The deadlock detector runs
 as a periodic background task (and synchronously for scripted `detect`
 steps); commit protocols are message exchanges with fsync accounting.
 Identical (config, scenario) produces an identical trace.
@@ -14,8 +16,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import dtm as dtm_mod
 from .dtm import (
@@ -55,7 +58,7 @@ GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide
 N_CORES = 32  # cores that CPU rates and cpusets divide
 
 # the relation lock each statement kind takes, on the coordinator and on every
-# segment it reaches; legacy locking overrides "update" (see _Part._work)
+# segment it reaches; legacy locking overrides "update" (see Site.work)
 RELATION_LOCK_MODE = {
     "update": LockMode.ROW_EXCLUSIVE,
     "insert": LockMode.ROW_EXCLUSIVE,
@@ -163,6 +166,9 @@ class Statement:
         self.count = 0
         self.dead = False
 
+    def live(self) -> bool:
+        return not (self.dead or self.txn.is_finished())
+
 
 @dataclass(eq=False)
 class _Round:
@@ -180,97 +186,163 @@ class _Round:
     abort: bool = False
 
 
-class _Part:
-    """One site's share of a statement, run as a generator.
+class Site:
+    """One site's lock table and the statement parts parked on it; the
+    coordinator is a `Site` and each segment a `Segment`.
 
-    The coordinator's share takes the statement's relation lock there and
-    then fans the statement out to the segments; a segment's share takes the
-    relation lock there and then inserts, scans, locks or updates.  An update
-    stamps the versions its scan returned, one slot at a time, and each slot
-    is one loop, as in PostgreSQL's `heap_update`: if an in-progress
-    transaction stamped the version, queue on the tuple lock and then on the
-    stamper's transaction lock, and look at the version's stamper again
-    after each wait.  A tuple lock granted by a wake counts as held, and is
-    released once the slot is stamped, only if that second look finds the
-    stamper still running.
-
-    The scan's version is not read again after a wait, because under
-    snapshot isolation it stays the newest version of its chain that the
-    statement sees: the snapshot and command id are fixed for the
-    statement, a version appended later is written by a transaction the
-    snapshot does not see, and `stamp_and_append` writes `xmax` into the
-    very version object the scan returned.  A READ COMMITTED re-check would
-    follow the chain here instead.
-
-    `work` yields where it waits for a lock.  The wait parks the part in
-    `Cluster._parked`; the grant schedules `run`, which resumes `work` after
-    its `yield` with the lock already granted.  After every wait the part
-    stops if its statement has died meanwhile.
+    A part (`work`) is a generator that yields the `(tag, dxid)` of each lock
+    grant it waits for.  `resume` parks it under that key, and `wake` resumes
+    it, with the lock granted, once the grant comes.
     """
 
-    def __init__(self, cluster: Cluster, site: int, stmt: Statement, rows=None):
+    def __init__(self, cluster: Cluster, id: int):
         self.cluster = cluster
-        self.site = site
-        self.stmt = stmt
-        self.rows = rows  # an insert's rows routed to this site
-        self.work = self._work()
+        self.id = id
+        self.locks = LockTable(id)
+        self.parked: dict[tuple, Generator] = {}
 
-    def run(self) -> None:
-        next(self.work, None)
+    def acquire_or_park(self, txn: TransactionDescriptor, tag: LockTag, mode) -> bool:
+        """Request `tag` in `mode` for `txn`; True if granted.  Otherwise
+        trace the wait and arm the detector: the part then yields
+        `(tag, txn.dxid)` and `resume` parks it."""
+        cl = self.cluster
+        result, blockers = self.locks.acquire(txn.dxid, tag, mode, cl.clock)
+        if result is AcquireResult.GRANTED:
+            return True
+        blocked_by = frozenset([b.txn for b in blockers])
+        cl._trace(self.id, "lock_wait", _lock_wait_details, txn.dxid, tag, mode.name, blocked_by)
+        cl._ensure_gdd_scheduled()
+        return False
 
-    def _live(self) -> bool:
-        return not (self.stmt.dead or self.stmt.txn.is_finished())
+    def resume(self, part: Generator) -> None:
+        """Run `part` to its next wait, parked under the key it yields, or to its end."""
+        key = next(part, None)
+        if key is not None:
+            self.parked[key] = part
 
-    def _work(self):
-        cl, site, stmt = self.cluster, self.site, self.stmt
+    def wake(self, promoted) -> None:
+        """Trace each grant in `promoted` and schedule the part parked on it."""
+        cl = self.cluster
+        for req in promoted:
+            cl._trace(
+                self.id, "lock_grant", "dxid={} tag={} mode={}", req.txn, req.tag, req.mode.name
+            )
+            part = self.parked.pop((req.tag, req.txn), None)
+            if part is not None:
+                cl.schedule(0, partial(self.resume, part))
+
+    def work(self, stmt: Statement, rows=None):
+        """This site's share of `stmt`, run as a generator.
+
+        The coordinator's share takes the statement's relation lock there and
+        then fans the statement out to the segments; a segment's share takes
+        the relation lock there and then inserts `rows` (an insert's rows
+        routed to this segment), scans, locks or updates (`Segment.update`).
+        After every wait the part stops if its statement has died meanwhile.
+        """
+        cl = self.cluster
         txn, step = stmt.txn, stmt.step
-        if not self._live():
+        if not stmt.live():
             return
         mode = RELATION_LOCK_MODE[step.kind]
         if step.kind == "update" and cl.config.legacy_locking:
             mode = LockMode.EXCLUSIVE  # legacy locking: one writer per table
-        tag = LockTag(TagKind.RELATION, site, step.table)
-        if not cl._acquire_or_park(site, txn, tag, mode, self):
-            yield
-            if not self._live():
+        tag = LockTag(TagKind.RELATION, self.id, step.table)
+        if not self.acquire_or_park(txn, tag, mode):
+            yield tag, txn.dxid
+            if not stmt.live():
                 return
-        if site == COORD:
+        if self.id == COORD:
             cl._dispatch_parts(stmt)
         elif step.kind == "update":
-            yield from self._update()
+            yield from self.update(stmt)
         elif step.kind == "insert":
-            local = cl._ensure_local_xid(site, txn)
-            for values in self.rows:
-                cl.stores[site].insert_version(step.table, values, local, txn.command_id)
-            cl._trace(site, "insert", "dxid={} rows={}", txn.dxid, len(self.rows))
-            cl._segment_part_done(site, stmt, len(self.rows), wrote=bool(self.rows))
+            local = self.local_xid(txn)
+            for values in rows:
+                self.store.insert_version(step.table, values, local, txn.command_id)
+            cl._trace(self.id, "insert", "dxid={} rows={}", txn.dxid, len(rows))
+            cl._segment_part_done(self, stmt, len(rows), wrote=bool(rows))
         elif step.kind == "select":
-            vis = cl._visibility(site, txn)
-            found = cl.stores[site].scan(cl.catalog[step.table], step.pred or Predicate(), vis)
-            rows = [v.values for _, v in found]
-            cl._segment_part_done(site, stmt, len(rows), rows=rows)
+            vis = self.visibility(txn.snapshot, txn)
+            found = self.store.scan(cl.catalog[step.table], step.pred or Predicate(), vis)
+            found_rows = [v.values for _, v in found]
+            cl._segment_part_done(self, stmt, len(found_rows), rows=found_rows)
         else:  # lock
-            cl._trace(site, "relation_locked", "dxid={} {}", txn.dxid, step.table)
-            cl._segment_part_done(site, stmt, 0)
+            cl._trace(self.id, "relation_locked", "dxid={} {}", txn.dxid, step.table)
+            cl._segment_part_done(self, stmt, 0)
 
-    def _update(self):
-        cl, seg, stmt = self.cluster, self.site, self.stmt
+
+class Segment(Site):
+    """A segment: a site that also holds its heap (`store`), its commit log
+    (`states`, local xid -> "in_progress", "committed" or "aborted"), its
+    local-to-distributed xid `mapping` and the next local xid to hand out."""
+
+    def __init__(self, cluster: Cluster, id: int):
+        super().__init__(cluster, id)
+        self.store = SegmentStore(id)
+        self.states: dict[int, str] = {BOOTSTRAP_LOCAL_XID: "committed"}
+        self.mapping = XidMapping(id)
+        self.mapping.record(BOOTSTRAP_LOCAL_XID, 0)
+        self.next_local_xid = 1
+
+    def local_xid(self, txn: TransactionDescriptor) -> int:
+        """Assign a local xid (and the transaction self-lock) on first write."""
+        local = txn.local_xids.get(self.id)
+        if local is not None:
+            return local
+        local = self.next_local_xid
+        self.next_local_xid = local + 1
+        txn.local_xids[self.id] = local
+        self.states[local] = "in_progress"
+        self.mapping.record(local, txn.dxid)
+        cl = self.cluster
+        tag = LockTag(TagKind.TRANSACTION, self.id, local)
+        self.locks.acquire(txn.dxid, tag, LockMode.EXCLUSIVE, cl.clock)
+        cl._trace(self.id, "assign_local_xid", "dxid={} local={}", txn.dxid, local)
+        return local
+
+    def visibility(self, snapshot, txn: TransactionDescriptor | None = None):
+        """The visibility test of `snapshot` on this segment, as read by
+        `txn` (None: an observer outside any transaction)."""
+        mapping, states = self.mapping, self.states
+        # `dtm_mod.visible` is looked up at each call, so tracers can wrap it
+        return lambda version: dtm_mod.visible(version, snapshot, mapping, txn, states)
+
+    def update(self, stmt: Statement):
+        """An update's share here: stamp the versions its scan returned.
+
+        Each slot is one loop, as in PostgreSQL's `heap_update`: if an
+        in-progress transaction stamped the version, queue on the tuple lock
+        and then on the stamper's transaction lock, and look at the version's
+        stamper again after each wait.  A tuple lock granted by a wake counts
+        as held, and is released once the slot is stamped, only if that
+        second look finds the stamper still running.
+
+        The scan's version is not read again after a wait, because under
+        snapshot isolation it stays the newest version of its chain that the
+        statement sees: the snapshot and command id are fixed for the
+        statement, a version appended later is written by a transaction the
+        snapshot does not see, and `stamp_and_append` writes `xmax` into the
+        very version object the scan returned.  A READ COMMITTED re-check
+        would follow the chain here instead.
+        """
+        cl = self.cluster
         txn, step = stmt.txn, stmt.step
-        store = cl.stores[seg]
-        vis = cl._visibility(seg, txn)
+        store = self.store
+        vis = self.visibility(txn.snapshot, txn)
         pred = step.pred or Predicate()
         stamped = 0
         for slot, version in store.scan(cl.catalog[step.table], pred, vis):
             tuple_granted = tuple_held = False
             while True:
-                local = cl._ensure_local_xid(seg, txn)
+                local = self.local_xid(txn)
                 stamper = version.xmax_local
                 if stamper == local:
                     break  # stamped by an earlier command of this transaction
-                state = cl.local_states[seg].get(stamper, "aborted") if stamper else "unstamped"
+                state = self.states.get(stamper, "aborted") if stamper else "unstamped"
                 if state == "committed":
                     # first updater won and committed; we lose
-                    cl._segment_stmt_failed(seg, stmt, "serialization")
+                    cl._segment_stmt_failed(self, stmt, "serialization")
                     return
                 if state != "in_progress":
                     new_values = (version.values[0], step.set_c2)
@@ -278,28 +350,27 @@ class _Part:
                         step.table, slot, version, new_values, local, txn.command_id
                     )
                     stamped += 1
-                    cl._trace(seg, "stamp", "dxid={} {}:{}", txn.dxid, step.table, slot)
+                    cl._trace(self.id, "stamp", "dxid={} {}:{}", txn.dxid, step.table, slot)
                     if tuple_held:
-                        promoted = cl.lock_tables[seg].release_tuple_lock(txn.dxid, tuple_tag)
-                        cl._schedule_promotions(seg, promoted)
+                        self.wake(self.locks.release_tuple_lock(txn.dxid, tuple_tag))
                     break
                 # stamper still in progress: queue on the tuple, then on its txn lock
-                tuple_tag = LockTag(TagKind.TUPLE, seg, (step.table, slot))
+                tuple_tag = LockTag(TagKind.TUPLE, self.id, (step.table, slot))
                 if not tuple_granted:
                     tuple_granted = True
-                    if not cl._acquire_or_park(seg, txn, tuple_tag, LockMode.EXCLUSIVE, self):
-                        yield
-                        if not self._live():
+                    if not self.acquire_or_park(txn, tuple_tag, LockMode.EXCLUSIVE):
+                        yield tuple_tag, txn.dxid
+                        if not stmt.live():
                             return
                         continue  # a woken grant is held only if a stamper runs
                 tuple_held = True
-                xact_tag = LockTag(TagKind.TRANSACTION, seg, stamper)
-                if not cl._acquire_or_park(seg, txn, xact_tag, LockMode.SHARE, self):
-                    yield
-                    if not self._live():
+                xact_tag = LockTag(TagKind.TRANSACTION, self.id, stamper)
+                if not self.acquire_or_park(txn, xact_tag, LockMode.SHARE):
+                    yield xact_tag, txn.dxid
+                    if not stmt.live():
                         return
                 # granted: the stamper has finished, so look at its outcome
-        cl._segment_part_done(seg, stmt, stamped, wrote=stamped > 0)
+        cl._segment_part_done(self, stmt, stamped, wrote=stamped > 0)
 
 
 class Cluster:
@@ -318,17 +389,13 @@ class Cluster:
         self._trace_lines: list[str] = []  # the rendered trace, see `trace`
 
         self.dtm = DistributedTxnManager()
-        self.sites = [COORD] + list(range(config.n_segments))
-        self.lock_tables = {s: LockTable(s) for s in self.sites}
-        self.stores = {s: SegmentStore(s) for s in range(config.n_segments)}
-        self.mappings = {s: XidMapping(s) for s in range(config.n_segments)}
-        self.local_states: dict[int, dict[int, str]] = {
-            s: {BOOTSTRAP_LOCAL_XID: "committed"} for s in range(config.n_segments)
-        }
-        for mapping in self.mappings.values():
-            mapping.record(BOOTSTRAP_LOCAL_XID, 0)
-        self._next_local_xid = {s: 1 for s in range(config.n_segments)}
-        self._parked: dict[int, dict[tuple, object]] = {s: {} for s in self.sites}
+        self.coord = Site(self, COORD)
+        self.segments = [Segment(self, s) for s in range(config.n_segments)]
+        self.sites: list[Site] = [self.coord, *self.segments]
+        # by-id views that `perfbench` reads until it reads results instead
+        self.lock_tables = {site.id: site.locks for site in self.sites}
+        self.stores = {seg.id: seg.store for seg in self.segments}
+        self.local_states = {seg.id: seg.states for seg in self.segments}
 
         self.catalog: dict[str, TableDef] = {}
         self.sessions: dict[str, Session] = {}
@@ -376,13 +443,11 @@ class Cluster:
 
     def create_table(self, table: TableDef, rows=()) -> None:
         self.catalog[table.name] = table
-        for store in self.stores.values():
-            store.create_table(table)
+        for seg in self.segments:
+            seg.store.create_table(table)
         for values in rows:
-            seg = route(table.dist_value(values), self.config.n_segments)
-            self.stores[seg].insert_version(
-                table.name, tuple(values), BOOTSTRAP_LOCAL_XID, 0
-            )
+            seg = self.segments[route(table.dist_value(values), self.config.n_segments)]
+            seg.store.insert_version(table.name, tuple(values), BOOTSTRAP_LOCAL_XID, 0)
 
     def add_session(self, sid: str, group: str | None = None, step_iter=None) -> Session:
         if group is not None and self.resources is not None and group not in self.resources:
@@ -569,7 +634,7 @@ class Cluster:
             stmt.cpu_left = self.config.n_segments
             self._ensure_cpu_tick()
             return
-        _Part(self, COORD, stmt).run()
+        self.coord.resume(self.coord.work(stmt))
 
     def _do_begin(self, session: Session) -> None:
         if self.admission is not None and session.group:
@@ -586,8 +651,8 @@ class Cluster:
         self.txn_sessions[txn.dxid] = session
         self.accounting[txn.dxid] = CommitAccounting()
         # no transaction lock on the coordinator: only a segment's local xid
-        # is ever waited on (see `_Part._update`)
-        self.lock_tables[COORD].register_txn(txn.dxid)
+        # is ever waited on (see `Segment.update`)
+        self.coord.locks.register_txn(txn.dxid)
         self._trace("coord", "begin", _begin_details, session.sid, txn.dxid, txn.snapshot)
         self._session_freed(session)
 
@@ -616,91 +681,30 @@ class Cluster:
                 self.max_inflight_updates, self.inflight_updates
             )
         stmt.outstanding = len(rows_at)
-        for seg, rows in rows_at.items():
-            self.lock_tables[seg].register_txn(stmt.txn.dxid)
-            self.send(COORD, seg, _Part(self, seg, stmt, rows).run)
+        for s, rows in rows_at.items():
+            seg = self.segments[s]
+            seg.locks.register_txn(stmt.txn.dxid)
+            self.send(COORD, s, partial(seg.resume, seg.work(stmt, rows)))
 
-    # -------------------------------------------------- segment-side helpers
+    # ------------------------------------------------ segment-side replies
 
-    def _ensure_local_xid(self, seg: int, txn: TransactionDescriptor) -> int:
-        """Assign a local xid (and the transaction self-lock) on first write."""
-        local = txn.local_xids.get(seg)
-        if local is not None:
-            return local
-        local = self._next_local_xid[seg]
-        self._next_local_xid[seg] = local + 1
-        txn.local_xids[seg] = local
-        self.local_states[seg][local] = "in_progress"
-        self.mappings[seg].record(local, txn.dxid)
-        self.lock_tables[seg].acquire(
-            txn.dxid,
-            LockTag(TagKind.TRANSACTION, seg, local),
-            LockMode.EXCLUSIVE,
-            self.clock,
-        )
-        self._trace(seg, "assign_local_xid", "dxid={} local={}", txn.dxid, local)
-        return local
-
-    def _visibility(self, seg: int, txn: TransactionDescriptor | None, snapshot=None):
-        snap = (
-            snapshot
-            if snapshot is not None
-            else (txn.snapshot if txn is not None else self.dtm.current_snapshot())
-        )
-        mapping = self.mappings[seg]
-        states = self.local_states[seg]
-        return lambda version: dtm_mod.visible(version, snap, mapping, txn, states)
-
-    def _acquire_or_park(self, site, txn, tag, mode, cont) -> bool:
-        result, blockers = self.lock_tables[site].acquire(
-            txn.dxid, tag, mode, self.clock
-        )
-        if result is AcquireResult.GRANTED:
-            return True
-        self._parked[site][(tag, txn.dxid)] = cont
-        self._trace(
-            site,
-            "lock_wait",
-            _lock_wait_details,
-            txn.dxid,
-            tag,
-            mode.name,
-            frozenset([b.txn for b in blockers]),
-        )
-        self._ensure_gdd_scheduled()
-        return False
-
-    def _schedule_promotions(self, site, promoted) -> None:
-        for req in promoted:
-            self._trace(
-                site, "lock_grant", "dxid={} tag={} mode={}", req.txn, req.tag, req.mode.name
-            )
-            cont = self._parked[site].pop((req.tag, req.txn), None)
-            if cont is not None:
-                self.schedule(0, cont.run)
-
-    def _drop_parked(self, txn: TransactionDescriptor) -> None:
-        for site in self.sites:
-            for key in [k for k in self._parked[site] if k[1] == txn.dxid]:
-                del self._parked[site][key]
-
-    def _segment_part_done(self, seg, stmt, count, rows=None, wrote=False) -> None:
+    def _segment_part_done(self, seg: Segment, stmt, count, rows=None, wrote=False) -> None:
         if stmt.dead:
             return
-        self.send(seg, COORD, lambda: self._part_reply(stmt, seg, count, rows, wrote))
+        self.send(seg.id, COORD, lambda: self._part_reply(stmt, seg.id, count, rows, wrote))
 
-    def _segment_stmt_failed(self, seg, stmt, reason: str) -> None:
+    def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
         if stmt.dead:
             return
         txn = stmt.txn
-        self._trace(seg, "stmt_conflict", "dxid={} reason={}", txn.dxid, reason)
+        self._trace(seg.id, "stmt_conflict", "dxid={} reason={}", txn.dxid, reason)
 
         def deliver():
             if stmt.dead or txn.is_finished():
                 return
             self._start_abort(stmt.session, reason)
 
-        self.send(seg, COORD, deliver)
+        self.send(seg.id, COORD, deliver)
 
     def _part_reply(self, stmt, seg, count, rows, wrote) -> None:
         if stmt.dead:
@@ -739,12 +743,13 @@ class Cluster:
 
     # ------------------------------------------------ commit and abort rounds
 
-    def _touched_segments(self, txn: TransactionDescriptor) -> list[int]:
-        touched = set(txn.local_xids)
-        for s in range(self.config.n_segments):
-            if self.lock_tables[s].has_requests(txn.dxid):
-                touched.add(s)
-        return sorted(touched)
+    def _touched_segments(self, txn: TransactionDescriptor) -> list[Segment]:
+        """The segments where `txn` has a local xid or a lock request."""
+        return [
+            seg
+            for seg in self.segments
+            if seg.id in txn.local_xids or seg.locks.has_requests(txn.dxid)
+        ]
 
     def _start_commit(self, session: Session) -> None:
         """Commit in rounds: under 2PC a prepare round, then the commit round.
@@ -758,7 +763,7 @@ class Cluster:
         protocol = self.dtm.plan_commit(txn, self.config.force_2pc)
         self.accounting[txn.dxid].protocol = protocol
         touched = self._touched_segments(txn)
-        writers = sorted(txn.write_segments)
+        writers = [self.segments[s] for s in sorted(txn.write_segments)]
         self._trace(
             "coord",
             "commit_start",
@@ -766,13 +771,13 @@ class Cluster:
             session.sid,
             txn.dxid,
             protocol.value,
-            writers,  # nothing changes this list: the rounds below only read it
+            [seg.id for seg in writers],
         )
 
         def commit() -> None:
             for seg in touched:
-                if seg not in txn.write_segments:
-                    self.send(COORD, seg, lambda s=seg: self._segment_end(s, txn))
+                if seg.id not in txn.write_segments:
+                    self.send(COORD, seg.id, lambda s=seg: self._segment_end(s, txn))
             self._send_round(
                 session,
                 writers,
@@ -782,7 +787,7 @@ class Cluster:
             )
 
         def prepared() -> None:
-            self._fsync(COORD, txn, dtm_mod.FSYNC_COORD_COMMIT)
+            self._fsync(self.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
             commit()
 
         if protocol is Protocol.TWO_PHASE:
@@ -804,7 +809,9 @@ class Cluster:
                 self.inflight_updates -= 1  # undo the dispatch's increment
             stmt.dead = True
             session.stmt = None
-        self._drop_parked(txn)
+        for site in self.sites:
+            for key in [k for k in site.parked if k[1] == txn.dxid]:
+                del site.parked[key]
         touched = self._touched_segments(txn)
         self._trace(
             "coord", "abort_start", "session={} dxid={} reason={}", session.sid, txn.dxid, reason
@@ -818,19 +825,19 @@ class Cluster:
             abort=True,
         )
 
-    def _send_round(self, session, sites, msg, at_site, then, abort=False) -> None:
-        """Start a round: send `msg` to each site in order, where
-        `at_site(site, txn, round)` runs; `then` runs once every site has
-        replied, at once if there is none.  Abort messages are not counted
+    def _send_round(self, session, segments, msg, at_site, then, abort=False) -> None:
+        """Start a round: send `msg` to each segment in order, where
+        `at_site(segment, txn, round)` runs; `then` runs once every segment
+        has replied, at once if there is none.  Abort messages are not counted
         (`msg` is None).  The round replaces the session's round in flight."""
         txn = session.txn
-        rnd = _Round(session, set(sites), then, abort)
+        rnd = _Round(session, {seg.id for seg in segments}, then, abort)
         session.round = rnd
-        for site in sites:
+        for seg in segments:
             if msg is not None:
                 self.accounting[txn.dxid].count_message(msg)
-            self.send(COORD, site, lambda s=site: at_site(s, txn, rnd))
-        if not sites:
+            self.send(COORD, seg.id, lambda s=seg: at_site(s, txn, rnd))
+        if not segments:
             then()
 
     def _reply(self, rnd: _Round, site: int, msg: str | None, ok: bool = True) -> None:
@@ -850,20 +857,20 @@ class Cluster:
         if not rnd.awaiting:
             rnd.then()
 
-    def _segment_prepare(self, seg: int, txn: TransactionDescriptor, rnd: _Round) -> None:
-        if self._prepare_veto(seg, txn):
-            self._trace(seg, "prepare_fail", "dxid={}", txn.dxid)
-            self.send(seg, COORD, lambda: self._reply(rnd, seg, None, ok=False))
+    def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, rnd: _Round) -> None:
+        if self._prepare_veto(seg.id, txn):
+            self._trace(seg.id, "prepare_fail", "dxid={}", txn.dxid)
+            self.send(seg.id, COORD, lambda: self._reply(rnd, seg.id, None, ok=False))
             return
         self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-        self._trace(seg, "prepared", "dxid={}", txn.dxid)
-        self.send(seg, COORD, lambda: self._reply(rnd, seg, dtm_mod.MSG_PREPARE_OK))
+        self._trace(seg.id, "prepared", "dxid={}", txn.dxid)
+        self.send(seg.id, COORD, lambda: self._reply(rnd, seg.id, dtm_mod.MSG_PREPARE_OK))
 
     def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
-        return False  # test hook: patched to inject prepare failures
+        return False  # test hook, given a segment id: patched to inject prepare failures
 
     def _segment_end(
-        self, seg: int, txn: TransactionDescriptor, rnd: _Round | None = None
+        self, seg: Segment, txn: TransactionDescriptor, rnd: _Round | None = None
     ) -> None:
         """End `txn` on one segment: record its local outcome, release its
         locks and wake their waiters.
@@ -875,25 +882,26 @@ class Cluster:
         committed = rnd is None or not rnd.abort
         if rnd is not None and committed:
             self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
-        local = txn.local_xids.get(seg)
+        s = seg.id
+        local = txn.local_xids.get(s)
         if local is not None:
-            self.local_states[seg][local] = "committed" if committed else "aborted"
-        promoted = self.lock_tables[seg].release_all(txn.dxid, self.clock)
+            seg.states[local] = "committed" if committed else "aborted"
+        promoted = seg.locks.release_all(txn.dxid, self.clock)
         if rnd is None:
-            self._trace(seg, "end_local", "dxid={}", txn.dxid)
+            self._trace(s, "end_local", "dxid={}", txn.dxid)
         elif committed:
             onephase = self.accounting[txn.dxid].protocol is Protocol.ONE_PHASE
-            self._trace(seg, "commit_local", "dxid={} onephase={}", txn.dxid, onephase)
+            self._trace(s, "commit_local", "dxid={} onephase={}", txn.dxid, onephase)
         else:
-            self._trace(seg, "abort_local", "dxid={}", txn.dxid)
-        self._schedule_promotions(seg, promoted)
+            self._trace(s, "abort_local", "dxid={}", txn.dxid)
+        seg.wake(promoted)
         if rnd is not None:
             reply = dtm_mod.MSG_COMMIT_OK if committed else None
-            self.send(seg, COORD, lambda: self._reply(rnd, seg, reply))
+            self.send(s, COORD, lambda: self._reply(rnd, s, reply))
 
-    def _fsync(self, site, txn, kind: str) -> None:
+    def _fsync(self, site: Site, txn, kind: str) -> None:
         self.accounting[txn.dxid].count_fsync(kind)
-        self._trace(site, "fsync", "dxid={} kind={}", txn.dxid, kind)
+        self._trace(site.id, "fsync", "dxid={} kind={}", txn.dxid, kind)
 
     def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
         txn = session.txn
@@ -908,8 +916,7 @@ class Cluster:
         acc = self.accounting[txn.dxid]
         acc.latency_ticks = self.clock - txn.begin_tick
         session.txn_latencies.append(acc.latency_ticks)
-        promoted = self.lock_tables[COORD].release_all(txn.dxid, self.clock)
-        self._schedule_promotions(COORD, promoted)
+        self.coord.wake(self.coord.locks.release_all(txn.dxid, self.clock))
         self._trace(
             "coord",
             "txn_end",
@@ -953,10 +960,7 @@ class Cluster:
 
     def _gdd_run(self) -> None:
         self._gdd_scheduled = False
-        blocked = any(
-            self.sessions[sid].stmt is not None for sid in sorted(self.sessions)
-        )
-        if not blocked:
+        if not self.blocked_sessions():
             return  # re-armed by the next lock wait
         if self.config.collection_skew > 0:
             self._collect_staggered()
@@ -982,7 +986,7 @@ class Cluster:
         for i, site in enumerate(self.sites):
             self.schedule(
                 skew * i,
-                lambda s=site: edges.extend(snapshot_local(self.lock_tables[s])),
+                lambda s=site: edges.extend(snapshot_local(s.locks)),
                 background=True,
             )
         self.schedule(
@@ -996,7 +1000,7 @@ class Cluster:
         self._reschedule_after(verdict)
 
     def collect_graph(self) -> GlobalWaitForGraph:
-        return collect_global([self.lock_tables[s] for s in self.sites])
+        return collect_global([site.locks for site in self.sites])
 
     def run_detector(self) -> DetectionVerdict:
         return self._detect_on(self.collect_graph())
@@ -1034,7 +1038,7 @@ class Cluster:
         for stmt, _ in self.cpu.tick():
             stmt.cpu_left -= 1
             if stmt.cpu_left == 0 and not stmt.dead:
-                self.schedule(0, _Part(self, COORD, stmt).run)
+                self.schedule(0, partial(self.coord.resume, self.coord.work(stmt)))
         if self.cpu.has_work():
             self._ensure_cpu_tick()
 
@@ -1066,10 +1070,9 @@ class Cluster:
         for name in sorted(self.catalog):
             table = self.catalog[name]
             rows = []
-            for seg in range(self.config.n_segments):
-                vis = self._visibility(seg, None, snap)
+            for seg in self.segments:
                 rows.extend(
-                    v.values for _, v in self.stores[seg].scan(table, Predicate(), vis)
+                    v.values for _, v in seg.store.scan(table, Predicate(), seg.visibility(snap))
                 )
             rows.sort()
             parts.append(f"{name}:{rows}")

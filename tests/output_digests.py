@@ -11,10 +11,14 @@ summary.  The matrix:
   config, `legacy_locking` and `force_2pc`;
 - every scenario file under `scenarios/` under the default config, `eager`,
   `legacy_locking`, both of those, and `force_2pc`.  A scenario's summary is
-  its verdict, victims, outcomes, stalled sessions and scan results.
+  its verdict, victims, outcomes, stalled sessions and scan results;
+- `tests/test_pins.py`'s `issue_order_runs` for seeds 100,000-100,499, one
+  line for strict and one for eager order, each one sha256 over every run's
+  trace, session outcomes, metrics CSV and `state_digest()`.
 
 The script imports `htapsim` from the `src` directory of its own checkout,
-ahead of any installed copy.  Pytest does not collect it.
+ahead of any installed copy, and `test_pins` from its own `tests` directory.
+Pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 
 from htapsim import load_scenario, run_scenario  # noqa: E402
 from htapsim.bench import WORKLOADS, bench  # noqa: E402
-from htapsim.sim import SimConfig  # noqa: E402
+from htapsim.sim import Cluster, SimConfig  # noqa: E402
+from test_pins import issue_order_runs  # noqa: E402
 
 BENCH_TICKS = 600
 BENCH_SEEDS = (0, 7)
@@ -40,6 +46,7 @@ SCENARIO_MODES = {
     "eager+legacy": {"eager": True, "legacy_locking": True},
     "2pc": {"force_2pc": True},
 }
+ISSUE_ORDER_SEEDS = range(100_000, 100_500)
 
 
 def sha256(text: str) -> str:
@@ -70,6 +77,22 @@ def main() -> int:
                 f"scenario {path.name} mode={mode} "
                 + digests(r.trace, r.metrics_csv, summary)
             )
+    orders = {"strict": hashlib.sha256(), "eager": hashlib.sha256()}
+    for seed in ISSUE_ORDER_SEEDS:
+        scenario, configs = issue_order_runs(seed)
+        for digest, config in zip(orders.values(), configs):
+            cluster = Cluster(config, scenario)
+            cluster.run(until_tick=5000)
+            digest.update("\n".join(cluster.trace).encode())
+            for sid in sorted(cluster.sessions):
+                digest.update(f"\n{sid}={cluster.session_outcome(sid)}\n".encode())
+            digest.update(cluster.metrics_csv().encode())
+            digest.update(cluster.state_digest().encode())
+    for order, digest in orders.items():
+        print(
+            f"issue-order {order} seeds={ISSUE_ORDER_SEEDS[0]}-{ISSUE_ORDER_SEEDS[-1]} "
+            f"sha256={digest.hexdigest()}"
+        )
     return 0
 
 

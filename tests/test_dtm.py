@@ -314,12 +314,12 @@ def test_segment_commit_log_decides_visibility():
     cluster.create_table(table, [(1, 10)])
     txn = cluster.dtm.begin(0)
     cluster.lock_tables[0].register_txn(txn.dxid)
-    local = cluster._ensure_local_xid(0, txn)
+    local = cluster.segments[0].local_xid(txn)
     cluster.stores[0].insert_version("t", (2, 20), local, 0)
     cluster.dtm.mark_committed(txn.dxid)
 
     def rows():
-        vis = cluster._visibility(0, None)
+        vis = cluster.segments[0].visibility(cluster.dtm.current_snapshot())
         return sorted(v.values for _, v in cluster.stores[0].scan(table, Predicate(), vis))
 
     assert cluster.local_states[0][local] == "in_progress"

@@ -390,6 +390,19 @@ lock_ops = st.lists(
 
 
 @given(lock_ops)
+# txn 1 takes t1 and then t0, against their queues' creation order, and txns
+# 4 and 5 wait on it on both: its release must wake t0's waiter first
+@example(
+    ops=[
+        ("acquire", 2, 0, 1),
+        ("acquire", 3, 1, 1),
+        ("acquire", 1, 1, 3),
+        ("acquire", 1, 0, 3),
+        ("acquire", 4, 1, 5),
+        ("acquire", 5, 0, 5),
+        ("release_all", 1, 0, 1),
+    ]
+)
 def test_per_transaction_index_matches_walk_over_every_queue(ops):
     """release_all promotes the same requests in the same order as a walk
     over every queue, and locks_of lists the same requests, while queues are

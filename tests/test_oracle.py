@@ -79,7 +79,18 @@ def random_delays(rng):
     }
 
 
-def run_to_fixpoint(scenario, seed, gdd_enabled):
+# the SimConfig flags that each oracle also runs under, beside the default
+# config; strict issue order is left out, since `random_scenario` does not
+# deadlock there
+ORACLE_MODES = {
+    "force_2pc": {"force_2pc": True},
+    "legacy_locking": {"legacy_locking": True},
+    "skew3": {"collection_skew": 3},
+    "skew7": {"collection_skew": 7},
+}
+
+
+def run_to_fixpoint(scenario, seed, gdd_enabled, **mode):
     rng = random.Random(seed * 7919 + 13)
     config = SimConfig(
         seed=seed,
@@ -87,6 +98,7 @@ def run_to_fixpoint(scenario, seed, gdd_enabled):
         gdd_enabled=gdd_enabled,
         gdd=GddConfig(period=17),
         link_delays=random_delays(rng),
+        **mode,
     )
     cluster = Cluster(config, scenario)
     cluster.run()
@@ -138,20 +150,38 @@ def test_detector_agrees_with_stall_oracle_on_1000_scenarios():
     assert deadlocks < N_SCENARIOS - 50
 
 
-def test_gdd_restores_liveness_on_deadlocking_scenarios():
-    """With detection enabled every scenario drains: no session stays blocked,
-    each terminal outcome is a commit or an abort."""
-    checked = 0
-    for i in range(150):
-        seed = 5000 + i
+def liveness_stats(n_scenarios=150, base_seed=5000, **mode):
+    """Run scenarios with detection enabled; each must drain, with no session
+    left blocked and each terminal outcome a commit or an abort.  Returns the
+    number of scenarios checked and of those with a deadlock verdict."""
+    checked = deadlocked = 0
+    for i in range(n_scenarios):
+        seed = base_seed + i
         scenario = random_scenario(seed)
-        cluster = run_to_fixpoint(scenario, seed, gdd_enabled=True)
+        cluster = run_to_fixpoint(scenario, seed, gdd_enabled=True, **mode)
         assert cluster.blocked_sessions() == [], f"seed {seed}"
         for sid in sorted(cluster.sessions):
             outcome = cluster.session_outcome(sid)
             assert outcome.split(":")[0] in ("committed", "aborted"), (seed, sid, outcome)
         checked += 1
+        deadlocked += cluster.final_verdict() == "deadlock"
+    return checked, deadlocked
+
+
+def test_gdd_restores_liveness_on_deadlocking_scenarios():
+    """With detection enabled every scenario drains: no session stays blocked,
+    each terminal outcome is a commit or an abort."""
+    checked, _ = liveness_stats()
     assert checked == 150
+
+
+@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+def test_gdd_restores_liveness_in_mode(mode):
+    """The liveness check under each flag of ORACLE_MODES, on scenarios that
+    deadlock often enough for the detector to matter."""
+    checked, deadlocked = liveness_stats(**ORACLE_MODES[mode])
+    assert checked == 150
+    assert deadlocked > 10
 
 
 def test_victims_commit_or_abort_exactly_once_per_cycle():
@@ -229,7 +259,7 @@ def scan_all_segments(cluster, snapshot):
     rows = []
     table = cluster.catalog["t"]
     for seg in range(cluster.config.n_segments):
-        vis = cluster._visibility(seg, None, snapshot)
+        vis = cluster.segments[seg].visibility(snapshot)
         rows.extend(v.values for _, v in cluster.stores[seg].scan(table, Predicate(), vis))
     return sorted(rows)
 
@@ -241,7 +271,7 @@ def check_truncation_invariance(cluster):
     ]
     before = {t.dxid: scan_all_segments(cluster, t.snapshot) for t in live}
     for seg in range(cluster.config.n_segments):
-        cluster.dtm.truncate_mapping(cluster.mappings[seg])
+        cluster.dtm.truncate_mapping(cluster.segments[seg].mapping)
     for t in live:
         assert scan_all_segments(cluster, t.snapshot) == before[t.dxid]
 
@@ -249,7 +279,7 @@ def check_truncation_invariance(cluster):
 N_HISTORIES = 500
 
 
-def history_stats(n_histories=N_HISTORIES, base_seed=20_000):
+def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
     torn_violations = 0
     replay_mismatches = 0
     commits = 0
@@ -263,6 +293,7 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000):
             gdd_enabled=True,
             gdd=GddConfig(period=13),
             link_delays=random_delays(rng),
+            **mode,
         )
         cluster = Cluster(config, scenario)
         probe_at = rng.randrange(3, 12)
@@ -327,6 +358,16 @@ def test_snapshot_isolation_over_500_histories():
     assert commits > 200  # the generator commits plenty of multi-segment writers
 
 
+@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+def test_snapshot_isolation_in_mode(mode):
+    """The snapshot-isolation replay, with its truncation-invariance and
+    chain checks, over 150 histories under each flag of ORACLE_MODES."""
+    torn, mismatches, commits = history_stats(150, **ORACLE_MODES[mode])
+    assert torn == 0
+    assert mismatches == 0
+    assert commits > 60
+
+
 def check_each_stamp(cluster) -> list:
     """Make every `stamp_and_append` of `cluster` first check that its victim
     is the newest version of its chain that the stamping statement's
@@ -337,7 +378,7 @@ def check_each_stamp(cluster) -> list:
 
         def checked(table, slot, victim, new_values, local_xid, cid, seg=seg,
                     store=store, original=original):
-            mapping, states = cluster.mappings[seg], cluster.local_states[seg]
+            mapping, states = cluster.segments[seg].mapping, cluster.local_states[seg]
             txn = cluster.dtm.transactions[mapping.lookup(local_xid)]
             assert txn.command_id == cid
             newest = store.visible_version(

@@ -439,14 +439,14 @@ sessions:
         window_snapshot = cluster.dtm.current_snapshot()
         assert 1 in window_snapshot.in_progress
         table = cluster.catalog["t"]
-        vis = cluster._visibility(seg, None, window_snapshot)
+        vis = cluster.segments[seg].visibility(window_snapshot)
         from htapsim.store import Predicate
 
         assert cluster.stores[seg].scan(table, Predicate(), vis) == []
         cluster.run()
         after = cluster.dtm.current_snapshot()
         assert 1 not in after.in_progress
-        vis = cluster._visibility(seg, None, after)
+        vis = cluster.segments[seg].visibility(after)
         assert len(cluster.stores[seg].scan(table, Predicate(), vis)) == 10
 
 
