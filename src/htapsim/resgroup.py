@@ -3,9 +3,11 @@
 CPU is a tick-sliced core pool, not OS cgroups.  A group is either pinned to a
 cpuset (hard cap: its queries only ever run on those cores) or weighted by
 cpu-rate-limit shares over the remaining cores (soft: idle share capacity is
-redistributed to whoever is runnable).  Memory charges walk slot quota, then
-group shared quota, then global shared; a query is cancelled only when all
-three layers are exhausted.
+redistributed to whoever is runnable).  A started burst runs to completion,
+so the scheduler files each running task under the tick its burst ends (see
+`CpuScheduler`).  Memory charges walk slot quota, then group shared quota,
+then global shared; a query is cancelled only when all three layers are
+exhausted.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+
+N_CORES = 32  # cores that CPU rates and cpusets divide
 
 
 class ConfigError(Exception):
@@ -45,6 +49,40 @@ class ResourceGroupConfig:
             raise ConfigError(f"group {self.name}: empty cpuset")
 
 
+def group_set_fault(
+    configs: list[ResourceGroupConfig], n_cores: int = N_CORES
+) -> tuple[int, str] | None:
+    """The first fault of `configs` taken as a set, as (index of the group at
+    fault, message), or None.  The checks: duplicate names, memory limits
+    above 100% in all, a cpuset that overlaps an earlier one or leaves
+    0..n_cores-1, and share groups when the cpusets take every core, since a
+    share-group task could then never start."""
+    names: set[str] = set()
+    for i, g in enumerate(configs):
+        if g.name in names:
+            return i, f"duplicate group name {g.name!r}"
+        names.add(g.name)
+    memory = 0.0
+    for i, g in enumerate(configs):
+        memory += g.memory_limit
+        if memory > 100 + 1e-9:
+            return i, "group memory limits exceed 100% of global memory"
+    used_cores: set[int] = set()
+    for i, g in enumerate(configs):
+        if g.cpuset is None:
+            continue
+        if g.cpuset & used_cores:
+            return i, f"group {g.name}: cpuset overlaps another group"
+        if any(c < 0 or c >= n_cores for c in g.cpuset):
+            return i, f"group {g.name}: cpuset outside 0..{n_cores - 1}"
+        used_cores |= g.cpuset
+    if len(used_cores) == n_cores:
+        for i, g in enumerate(configs):
+            if g.cpu_rate_limit is not None:
+                return i, f"group {g.name}: cpusets leave no core for CPU_RATE_LIMIT"
+    return None
+
+
 @dataclass
 class GroupMemory:
     total: float
@@ -59,22 +97,11 @@ class ResourceGroups:
         self,
         configs: list[ResourceGroupConfig],
         global_memory: float,
-        n_cores: int = 32,
+        n_cores: int = N_CORES,
     ):
-        names = [g.name for g in configs]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate group names")
-        if sum(g.memory_limit for g in configs) > 100 + 1e-9:
-            raise ConfigError("group memory limits exceed 100% of global memory")
-        used_cores: set[int] = set()
-        for g in configs:
-            if g.cpuset is None:
-                continue
-            if g.cpuset & used_cores:
-                raise ConfigError(f"group {g.name}: cpuset overlaps another group")
-            if any(c < 0 or c >= n_cores for c in g.cpuset):
-                raise ConfigError(f"group {g.name}: cpuset outside 0..{n_cores - 1}")
-            used_cores |= g.cpuset
+        fault = group_set_fault(configs, n_cores)
+        if fault is not None:
+            raise ConfigError(fault[1])
         self.configs = {g.name: g for g in configs}
         self.global_memory = global_memory
         self.n_cores = n_cores
@@ -207,11 +234,11 @@ class MemoryLedger:
             raise AssertionError("negative slot usage")
 
 
-@dataclass
+@dataclass(eq=False)
 class _Task:
     query: object
     group: str
-    remaining: int
+    burst: int
 
 
 class CpuScheduler:
@@ -222,6 +249,12 @@ class CpuScheduler:
     groups first on their own cores, then share groups on the shared cores by
     smallest virtual time (vtime grows by burst/weight, so long-run core-ticks
     converge to the share ratio).
+
+    Because a started burst runs to completion, the `tick()` call that ends
+    it is known when it starts: each running task is filed under that call's
+    number, in start order, and `tick()` pops the current call's list, as the
+    cluster's event queue files events by tick (R. Brown's calendar queue).
+    Preempting a running task would have to take it out of its list again.
     """
 
     def __init__(self, groups: ResourceGroups):
@@ -243,9 +276,12 @@ class CpuScheduler:
         self.waiting: dict[str, deque[_Task]] = {
             name: deque() for name in sorted(groups.configs)
         }
-        self.running: list[_Task] = []  # in start order
-        # tasks in `running` per group, kept as tasks start and finish
+        self.running: dict[_Task, None] = {}  # in start order
+        self._ticks = 0  # `tick()` calls so far
+        self._ends: dict[int, list[_Task]] = {}  # ending call -> tasks, in start order
+        # tasks in `running` per group, and of all share groups together
         self.group_running: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
+        self.share_running = 0
         self.vtime: dict[str, float] = {name: 0.0 for name in self.share_groups}
         self.group_core_ticks: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
 
@@ -259,25 +295,26 @@ class CpuScheduler:
     def has_work(self) -> bool:
         return bool(self.running) or any(self.waiting.values())
 
-    def _running_count(self, names) -> int:
-        return sum(self.group_running[n] for n in names)
-
     def _start(self, task: _Task) -> None:
-        self.running.append(task)
+        self.running[task] = None
         self.group_running[task.group] += 1
+        end = self._ticks + task.burst
+        ending = self._ends.get(end)
+        if ending is None:
+            self._ends[end] = [task]
+        else:
+            ending.append(task)
 
     def tick(self) -> list[object]:
         """Advance one tick; returns queries whose bursts completed."""
+        self._ticks += 1
         finished = []
-        still = []
-        for task in self.running:
-            task.remaining -= 1
-            if task.remaining <= 0:
-                finished.append(task.query)
-                self.group_running[task.group] -= 1
-            else:
-                still.append(task)
-        self.running = still
+        for task in self._ends.pop(self._ticks, ()):
+            del self.running[task]
+            self.group_running[task.group] -= 1
+            if task.group in self.share_groups:
+                self.share_running -= 1
+            finished.append(task.query)
 
         # hard partitions: each cpuset group fills only its own cores
         for name, cores in self.cpuset_groups.items():
@@ -286,24 +323,25 @@ class CpuScheduler:
                 self._start(waiting.popleft())
 
         # shared cores: smallest virtual time first among runnable share groups
-        active_vtimes = [
-            self.vtime[n]
-            for n in self.share_groups
-            if self.waiting[n] or self.group_running[n]
-        ]
-        floor = min(active_vtimes) if active_vtimes else 0.0
-        free = self.shared_cores - self._running_count(self.share_groups)
-        while free > 0:
-            candidates = [n for n in self.share_groups if self.waiting[n]]
-            if not candidates:
-                break
-            name = min(candidates, key=lambda n: (self.vtime[n], n))
-            task = self.waiting[name].popleft()
-            # returning groups must not replay accumulated idle credit
-            self.vtime[name] = max(self.vtime[name], floor)
-            self.vtime[name] += task.remaining / self.share_groups[name]
-            self._start(task)
-            free -= 1
+        free = self.shared_cores - self.share_running
+        if free > 0 and any(self.waiting[n] for n in self.share_groups):
+            floor = min(
+                self.vtime[n]
+                for n in self.share_groups
+                if self.waiting[n] or self.group_running[n]
+            )
+            while free > 0:
+                candidates = [n for n in self.share_groups if self.waiting[n]]
+                if not candidates:
+                    break
+                name = min(candidates, key=lambda n: (self.vtime[n], n))
+                task = self.waiting[name].popleft()
+                # returning groups must not replay accumulated idle credit
+                self.vtime[name] = max(self.vtime[name], floor)
+                self.vtime[name] += task.burst / self.share_groups[name]
+                self._start(task)
+                self.share_running += 1
+                free -= 1
 
         for name, n in self.group_running.items():
             self.group_core_ticks[name] += n
@@ -315,7 +353,7 @@ class CpuScheduler:
         for name, cores in self.cpuset_groups.items():
             room = len(cores) - self.group_running[name]
             n += min(room, len(self.waiting[name]))
-        shared_room = self.shared_cores - self._running_count(self.share_groups)
+        shared_room = self.shared_cores - self.share_running
         share_waiting = sum(len(self.waiting[n]) for n in self.share_groups)
         n += min(shared_room, share_waiting)
         return n

@@ -27,7 +27,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .resgroup import ConfigError, ResourceGroupConfig
+from .resgroup import ConfigError, ResourceGroupConfig, group_set_fault
 from .store import Predicate, StoreError, TableDef
 
 
@@ -283,8 +283,13 @@ def parse_scenario(text: str) -> Scenario:
         rows = [tuple(_number(int, v, "a row value", line) for v in row) for row in rows]
         scenario.tables.append(TableSpec(table, rows))
 
-    for rec in _records(doc.get("groups"), "groups", doc_line):
+    group_recs = _records(doc.get("groups"), "groups", doc_line)
+    for rec in group_recs:
         scenario.groups.append(_parse_group(rec))
+    fault = group_set_fault(scenario.groups)
+    if fault is not None:
+        index, message = fault
+        raise ScenarioError(f"line {_line(group_recs[index])}: {message}")
     group_names = {g.name for g in scenario.groups}
 
     dist_keys = {spec.table.name: spec.table.dist_key for spec in scenario.tables}

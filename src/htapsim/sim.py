@@ -39,6 +39,7 @@ from .gdd import (
 )
 from .locks import AcquireResult, LockMode, LockTable, LockTag, TagKind
 from .resgroup import (
+    N_CORES,
     Admission,
     AdmissionControl,
     ChargeResult,
@@ -55,7 +56,6 @@ COORD = -1
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
 MESSAGE_DELAY = 1  # ticks per message on a link without its own delay
 GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide
-N_CORES = 32  # cores that CPU rates and cpusets divide
 
 # the relation lock each statement kind takes, on the coordinator and on every
 # segment it reaches; legacy locking overrides "update" (see Site.work)
@@ -447,7 +447,7 @@ class Cluster:
             seg.store.create_table(table)
         for values in rows:
             seg = self.segments[route(table.dist_value(values), self.config.n_segments)]
-            seg.store.insert_version(table.name, tuple(values), BOOTSTRAP_LOCAL_XID, 0)
+            seg.store.insert_frozen(table.name, tuple(values), BOOTSTRAP_LOCAL_XID)
 
     def add_session(self, sid: str, group: str | None = None, step_iter=None) -> Session:
         if group is not None and self.resources is not None and group not in self.resources:

@@ -7,6 +7,14 @@ the second column, so the first (c1) is fixed for the life of a chain, and a
 per-table index from c1 value to slots serves every scan whose predicate fixes
 c1.  All blocking behavior (tuple locks, transaction-lock waits) lives in the
 simulator; the store itself is passive data plus pure scan/stamp operations.
+
+A row loaded by an always-committed writer (`insert_frozen`, PostgreSQL's
+`COPY FREEZE`) is all-visible: its chain is that one unstamped version, which
+every snapshot sees, so `scan` returns it without calling the visibility test,
+as PostgreSQL's `heapgetpage` skips the per-tuple test on a page whose
+`PD_ALL_VISIBLE` bit is set.  The first stamp of the row clears the mark, as
+`heap_update` clears the bit, and the row then goes through the test for good,
+whether or not its stamper commits.
 """
 
 from __future__ import annotations
@@ -87,11 +95,14 @@ class SegmentStore:
         self._next_slot: dict[str, int] = {}
         # table -> c1 value -> slots, in increasing slot order
         self._by_c1: dict[str, dict[int, list[int]]] = {}
+        # table -> slots whose chain is one version every snapshot sees
+        self.all_visible: dict[str, set[int]] = {}
 
     def create_table(self, table: TableDef) -> None:
         self.tables.setdefault(table.name, {})
         self._next_slot.setdefault(table.name, 0)
         self._by_c1.setdefault(table.name, {})
+        self.all_visible.setdefault(table.name, set())
 
     def insert_version(
         self, table: str, values: tuple[int, int], local_xid: int, cid: int
@@ -103,6 +114,15 @@ class SegmentStore:
             TupleVersion(values=values, xmin_local=local_xid, cmin=cid, ctid=ctid)
         ]
         self._by_c1[table].setdefault(values[0], []).append(slot)
+        return ctid
+
+    def insert_frozen(
+        self, table: str, values: tuple[int, int], local_xid: int
+    ) -> tuple[str, int]:
+        """Insert a row whose writer `local_xid` the caller vouches is
+        committed before any snapshot, and mark it all-visible."""
+        ctid = self.insert_version(table, values, local_xid, 0)
+        self.all_visible[table].add(ctid[1])
         return ctid
 
     def chain(self, table: str, slot: int) -> list[TupleVersion]:
@@ -119,17 +139,23 @@ class SegmentStore:
         """(slot, version) for visible rows matching the predicate, by slot.
 
         A predicate that fixes c1 visits only the slots the c1 index lists
-        for that value; any other predicate examines every slot.
+        for that value; any other predicate examines every slot.  An
+        all-visible slot's one version is taken without `is_visible`.
         """
         out = []
         table = table_def.name
+        chains = self.tables.get(table, {})
+        all_visible = self.all_visible.get(table, ())
         c1 = pred.eqs.get(table_def.columns[0])
         if c1 is None:
-            slots = self.tables.get(table, {})  # slots are inserted in order
+            slots = chains  # slots are inserted in order
         else:
             slots = self._by_c1.get(table, {}).get(c1, ())
         for slot in slots:
-            version = self.visible_version(table, slot, is_visible)
+            if slot in all_visible:
+                version = chains[slot][0]
+            else:
+                version = self.visible_version(table, slot, is_visible)
             if version is not None and pred.matches(version.values, table_def.columns):
                 out.append((slot, version))
         return out
@@ -165,6 +191,7 @@ class SegmentStore:
         if new_values[0] != victim.values[0]:
             raise StoreError(f"an update may not change c1 of {table}:{slot}")
         del chain[pos + 1 :]
+        self.all_visible[table].discard(slot)
         victim.xmax_local = local_xid
         victim.cmax = cid
         successor = TupleVersion(
@@ -177,8 +204,17 @@ class SegmentStore:
         return successor
 
     def check_chain_invariants(self, local_state) -> None:
-        """At most one in-progress successor per chain; stamps form a chain."""
+        """At most one in-progress successor per chain; stamps form a chain;
+        an all-visible slot holds one unstamped version by a committed writer."""
         for table in sorted(self.tables):
+            for slot in sorted(self.all_visible[table]):
+                chain = self.tables[table][slot]
+                if not (
+                    len(chain) == 1
+                    and chain[0].xmax_local == 0
+                    and local_state(chain[0].xmin_local) == "committed"
+                ):
+                    raise AssertionError(f"all-visible slot {table}:{slot} is not all-visible")
             for slot in sorted(self.tables[table]):
                 chain = self.tables[table][slot]
                 uncommitted = [

@@ -8,7 +8,10 @@ sha256 of its text trace, of its per-transaction metrics CSV and of its
 summary.  The matrix:
 
 - every `bench` workload at 32 clients, seeds 0 and 7, under the default
-  config, `legacy_locking` and `force_2pc`;
+  config, `legacy_locking` and `force_2pc`.  A bench line also gives one
+  sha256 over every session's scan results and the final `state_digest()`
+  of a `htapsim.bench.build` cluster run to the same tick, so that the rows
+  each scan returned are pinned too;
 - every scenario file under `scenarios/` under the default config, `eager`,
   `legacy_locking`, both of those, and `force_2pc`.  A scenario's summary is
   its verdict, victims, outcomes, stalled sessions and scan results;
@@ -32,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
 from htapsim import load_scenario, run_scenario  # noqa: E402
-from htapsim.bench import WORKLOADS, bench  # noqa: E402
+from htapsim.bench import WORKLOADS, bench, build  # noqa: E402
 from htapsim.sim import Cluster, SimConfig  # noqa: E402
 from test_pins import issue_order_runs  # noqa: E402
 
@@ -60,14 +63,24 @@ def digests(trace: list[str], metrics_csv: str, summary: str) -> str:
     )
 
 
+def scans_digest(cluster: Cluster) -> str:
+    """sha256 over each session's scan results, by session id, and the
+    final `state_digest()`."""
+    scans = [(sid, cluster.sessions[sid].scan_results) for sid in sorted(cluster.sessions)]
+    return sha256(f"{scans!r}\n{cluster.state_digest()}")
+
+
 def main() -> int:
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             for mode, fields in BENCH_MODES.items():
                 r = bench(workload, 32, BENCH_TICKS, SimConfig(**fields), seed=seed)
+                cluster = build(workload, 32, SimConfig(**fields), seed=seed)
+                cluster.run(until_tick=BENCH_TICKS)
                 print(
                     f"bench {workload} seed={seed} mode={mode} "
                     + digests(r.trace, r.metrics_csv, r.summary())
+                    + f" scans={scans_digest(cluster)}"
                 )
     for path in sorted((ROOT / "scenarios").glob("*.yaml")):
         for mode, fields in SCENARIO_MODES.items():

@@ -98,6 +98,45 @@ def test_run_reports_a_session_with_unissued_steps_as_stalled(tmp_path, capsys):
     assert "|issue|seq=9 " not in trace.read_text()
 
 
+GROUPS_RUN = """
+groups:
+  - {name: oltp, CONCURRENCY: 1, MEMORY_LIMIT: 10, %s}
+  - {name: olap, CONCURRENCY: 1, MEMORY_LIMIT: 10, %s}
+tables:
+  - {name: t, rows: [[1, 0]]}
+sessions:
+  - id: A
+    group: olap
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, cpu: 3}
+      - {seq: 3, sql: commit}
+"""
+
+
+@pytest.mark.parametrize(
+    "oltp_cpu, olap_cpu, message",
+    [
+        pytest.param(
+            'CPUSET: "0-15"', 'CPUSET: "8-31"', "group olap: cpuset overlaps another group",
+            id="overlap",
+        ),
+        # with every core in a cpuset, the select's CPU burst could never start
+        pytest.param(
+            'CPUSET: "0-31"', "CPU_RATE_LIMIT: 20",
+            "group olap: cpusets leave no core for CPU_RATE_LIMIT", id="no-core",
+        ),
+    ],
+)
+def test_run_rejects_a_bad_group_set_with_its_line(oltp_cpu, olap_cpu, message, tmp_path, capsys):
+    path = tmp_path / "groups.yaml"
+    path.write_text(GROUPS_RUN % (oltp_cpu, olap_cpu))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: line 4: {message}\n"
+
+
 def write_graph(tmp_path, edges) -> str:
     path = tmp_path / "graph.json"
     path.write_text(

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from htapsim.resgroup import (
     MemoryLedger,
     ResourceGroupConfig,
     ResourceGroups,
+    group_set_fault,
 )
 
 
@@ -57,6 +59,21 @@ class TestConfigValidation:
             ResourceGroups(
                 [pinned("a", range(0, 4)), pinned("b", range(3, 8))], 1000.0
             )
+
+    def test_share_group_needs_a_core_the_cpusets_leave(self):
+        """With every core in a cpuset, a share group's tasks could never
+        start, and a run with such a task in it would never end."""
+        with pytest.raises(ConfigError, match="no core for CPU_RATE_LIMIT"):
+            ResourceGroups(
+                [pinned("p", range(0, 16)), shares("s"), pinned("q", range(16, 32))],
+                1000.0,
+            )
+        assert group_set_fault(
+            [pinned("p", range(0, 4)), shares("s")], n_cores=4
+        ) == (1, "group s: cpusets leave no core for CPU_RATE_LIMIT")
+        # one core left is enough, and cpusets alone may take every core
+        ResourceGroups([pinned("p", range(0, 31)), shares("s")], 1000.0)
+        ResourceGroups([pinned("p", range(0, 32))], 1000.0)
 
     def test_global_shared_is_the_unassigned_remainder(self):
         groups = ResourceGroups([shares("a", mem=35), shares("b", mem=15)], 1000.0)
@@ -275,3 +292,122 @@ class TestCpuScheduler:
             for name in core_ticks:
                 core_ticks[name] += recount[name]
             assert sched.group_core_ticks == core_ticks
+
+
+class ReferenceScheduler:
+    """`CpuScheduler` as it was before running tasks were filed by the tick
+    their burst ends: every tick decrements every running task, and the
+    shared cores' candidates and vtime floor are built on every tick."""
+
+    class Task:
+        def __init__(self, query, group, remaining):
+            self.query, self.group, self.remaining = query, group, remaining
+
+    def __init__(self, groups):
+        self.cpuset_groups = {
+            name: cfg.cpuset
+            for name, cfg in sorted(groups.configs.items())
+            if cfg.cpuset is not None
+        }
+        self.share_groups = {
+            name: cfg.cpu_rate_limit
+            for name, cfg in sorted(groups.configs.items())
+            if cfg.cpu_rate_limit is not None
+        }
+        self.shared_cores = groups.n_cores - sum(
+            len(cores) for cores in self.cpuset_groups.values()
+        )
+        self.waiting = {name: deque() for name in sorted(groups.configs)}
+        self.running = []
+        self.group_running = {n: 0 for n in sorted(groups.configs)}
+        self.vtime = {name: 0.0 for name in self.share_groups}
+        self.group_core_ticks = {n: 0 for n in sorted(groups.configs)}
+
+    def submit(self, query, group, burst):
+        self.waiting[group].append(self.Task(query, group, burst))
+
+    def _start(self, task):
+        self.running.append(task)
+        self.group_running[task.group] += 1
+
+    def tick(self):
+        finished = []
+        still = []
+        for task in self.running:
+            task.remaining -= 1
+            if task.remaining <= 0:
+                finished.append(task.query)
+                self.group_running[task.group] -= 1
+            else:
+                still.append(task)
+        self.running = still
+        for name, cores in self.cpuset_groups.items():
+            waiting = self.waiting[name]
+            while waiting and self.group_running[name] < len(cores):
+                self._start(waiting.popleft())
+        active_vtimes = [
+            self.vtime[n]
+            for n in self.share_groups
+            if self.waiting[n] or self.group_running[n]
+        ]
+        floor = min(active_vtimes) if active_vtimes else 0.0
+        free = self.shared_cores - sum(self.group_running[n] for n in self.share_groups)
+        while free > 0:
+            candidates = [n for n in self.share_groups if self.waiting[n]]
+            if not candidates:
+                break
+            name = min(candidates, key=lambda n: (self.vtime[n], n))
+            task = self.waiting[name].popleft()
+            self.vtime[name] = max(self.vtime[name], floor)
+            self.vtime[name] += task.remaining / self.share_groups[name]
+            self._start(task)
+            free -= 1
+        for name, n in self.group_running.items():
+            self.group_core_ticks[name] += n
+        return finished
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from("abp"), st.integers(1, 12), st.integers(1, 4)),
+            st.integers(1, 6),
+        ),
+        max_size=60,
+    )
+)
+def test_end_tick_lists_match_per_task_decrement(ops):
+    """Side by side with `ReferenceScheduler`: after every tick, the same
+    finished queries in the same order, the same running tasks in the same
+    order, and the same per-group counts, core-ticks and vtimes.  An op is
+    a submit of `count` bursts of one length to a group, or some ticks."""
+    groups = ResourceGroups(
+        [shares("a", mem=10, cpu=30), shares("b", mem=10, cpu=10),
+         pinned("p", range(0, 3), mem=10)],
+        1000.0,
+        n_cores=8,
+    )
+    sched, ref = CpuScheduler(groups), ReferenceScheduler(groups)
+
+    def tick():
+        assert sched.tick() == ref.tick()
+        assert [t.query for t in sched.running] == [t.query for t in ref.running]
+        assert sched.group_running == ref.group_running
+        assert sched.group_core_ticks == ref.group_core_ticks
+        assert sched.vtime == ref.vtime
+        assert sched.has_work() == bool(ref.running or any(ref.waiting.values()))
+
+    n = 0
+    for op in ops:
+        if isinstance(op, int):
+            for _ in range(op):
+                tick()
+            continue
+        group, burst, count = op
+        for _ in range(count):
+            n += 1
+            sched.submit(f"q{n}", group, burst)
+            ref.submit(f"q{n}", group, burst)
+    while sched.has_work():  # drain: every burst ends after its length
+        tick()

@@ -399,6 +399,53 @@ sessions:
         3,
         "MEMORY_LIMIT must be a number, not True",
     ),
+    # checks over the whole group set name the later group at fault
+    "duplicate group name": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+  - {name: h, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+""",
+        5,
+        "duplicate group name 'g'",
+    ),
+    "memory limits above 100%": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 60, CPU_RATE_LIMIT: 20}
+  - {name: h, CONCURRENCY: 1, MEMORY_LIMIT: 50, CPU_RATE_LIMIT: 20}
+""",
+        4,
+        "group memory limits exceed 100% of global memory",
+    ),
+    "overlapping cpusets": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "0-3"}
+  - {name: h, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "3-7"}
+""",
+        4,
+        "group h: cpuset overlaps another group",
+    ),
+    "cpuset outside the cores": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "30-32"}
+""",
+        3,
+        "group g: cpuset outside 0..31",
+    ),
+    "no core left for a share group": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "0-15"}
+  - {name: s, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+  - {name: h, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "16-31"}
+""",
+        4,
+        "group s: cpusets leave no core for CPU_RATE_LIMIT",
+    ),
 }
 
 

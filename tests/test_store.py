@@ -2,7 +2,7 @@ import collections
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from htapsim.store import Predicate, SegmentStore, StoreError, TableDef, route
 
@@ -193,3 +193,102 @@ def test_update_may_not_change_c1():
     slot = store.insert_version("t", (1, 10), 1, 1)[1]
     with pytest.raises(StoreError):
         store.stamp_and_append("t", slot, store.chain("t", slot)[0], (2, 10), 2, 1)
+
+
+class TestAllVisible:
+    """Rows loaded by an always-committed writer skip the visibility test
+    until their first stamp."""
+
+    def loaded(self, rows):
+        store = SegmentStore(0)
+        store.create_table(TableDef("t"))
+        for values in rows:
+            store.insert_frozen("t", values, 0)
+        return store
+
+    def test_scan_skips_the_test_on_loaded_rows_only(self):
+        store = self.loaded([(1, 10), (2, 20)])
+        store.insert_version("t", (3, 30), 1, 0)
+        seen = []
+
+        def is_visible(version):
+            seen.append(version.values)
+            return True
+
+        rows = store.scan(TableDef("t"), Predicate(), is_visible)
+        assert [v.values for _, v in rows] == [(1, 10), (2, 20), (3, 30)]
+        assert seen == [(3, 30)]
+
+    @pytest.mark.parametrize("fault", ["stamped", "two versions", "uncommitted writer"])
+    def test_chain_invariants_check_every_all_visible_slot(self, fault):
+        store = self.loaded([(1, 10)])
+        states = {0: "committed", 1: "in_progress"}
+        if fault == "stamped":
+            store.chain("t", 0)[0].xmax_local = 1
+        elif fault == "two versions":
+            store.chain("t", 0).append(dataclasses.replace(store.chain("t", 0)[0]))
+        else:
+            store.all_visible["t"].add(store.insert_version("t", (2, 20), 1, 0)[1])
+        with pytest.raises(AssertionError, match="all-visible"):
+            store.check_chain_invariants(states.get)
+
+
+all_visible_ops = st.lists(
+    st.one_of(
+        # stamp a slot's current version by a new xid that commits or aborts
+        st.tuples(st.just("stamp"), st.integers(0, 50), st.integers(0, 9), st.booleans()),
+        # read with the snapshot taken `age` ops ago, pinned to c1
+        st.tuples(st.just("read"), st.integers(0, 50), st.integers(0, 3), st.just(None)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), min_size=1, max_size=8),
+    all_visible_ops,
+)
+# the only stamper aborts: the slot stays off, and scans return the loaded version
+@example(loaded=[(1, 5)], ops=[("stamp", 0, 6, False), ("read", 0, 1, None)])
+def test_all_visible_scans_match_testing_every_version(loaded, ops):
+    """Full and c1-pinned scans of loaded rows, after random stamps whose
+    stampers commit or abort, equal a reference that tests every version of
+    every chain, for readers whose snapshots were taken at random earlier
+    points.  A slot is all-visible exactly until its first stamp, even when
+    its stamper aborts."""
+    t = TableDef("t")
+    store = SegmentStore(0)
+    store.create_table(t)
+    for values in loaded:
+        store.insert_frozen("t", values, 0)
+    committed = {0}  # the loading xid commits before every snapshot
+    snapshots = [frozenset(committed)]  # the committed xids after each op
+    stamped: set[int] = set()
+
+    def visible_to(snap):
+        return lambda v: v.xmin_local in snap and not (v.xmax_local and v.xmax_local in snap)
+
+    def reference(pred, is_visible):
+        out = []
+        for slot, chain in sorted(store.tables["t"].items()):
+            seen = [v for v in chain if is_visible(v)]
+            if seen and pred.matches(seen[-1].values, t.columns):
+                out.append((slot, seen[-1]))
+        return out
+
+    for xid, (op, a, b, commits) in enumerate(ops, start=1):
+        if op == "stamp":
+            slot = a % len(loaded)
+            victim = store.visible_version("t", slot, visible_to(committed))
+            store.stamp_and_append("t", slot, victim, (victim.values[0], b), xid, 0)
+            stamped.add(slot)
+            if commits:
+                committed.add(xid)
+        else:
+            is_visible = visible_to(snapshots[-1 - a % len(snapshots)])
+            for pred in (Predicate(), Predicate({"c1": b})):
+                assert store.scan(t, pred, is_visible) == reference(pred, is_visible)
+        snapshots.append(frozenset(committed))
+        assert store.all_visible["t"] == set(range(len(loaded))) - stamped
+        store.check_chain_invariants(lambda lx: "committed" if lx in committed else "aborted")
