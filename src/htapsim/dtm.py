@@ -7,12 +7,14 @@ when it was taken, as an ascending tuple whose first entry is the snapshot's
 xmin, and the largest dxid committed by then (`max_committed`).  A dxid is
 visible to it if it committed, is at most `max_committed`, and is below xmin
 or not found by a binary search of the in-progress dxids, tested in that
-order.  Segments keep a local-xid -> dxid mapping that is truncated up to the
-oldest dxid any live snapshot can still see as running.  Tuple visibility
-combines the distributed snapshot with that mapping, falling back to local
-state for truncated entries.  Commit protocol choreography runs on the
-simulator's event loop; this module owns the state, the planning rule
-(read-only / one-phase / two-phase) and the message/fsync accounting.
+order.  Segments keep a local-xid -> dxid mapping.  `truncate_mapping` can
+truncate it up to the oldest dxid any live snapshot can still see as
+running, but no simulator run calls it, only tests do, so a segment's
+mapping grows with the run.  Tuple visibility combines the distributed
+snapshot with that mapping, falling back to local state for truncated
+entries.  Commit protocol choreography runs on the simulator's event loop;
+this module owns the state, the planning rule (read-only / one-phase /
+two-phase) and the message/fsync accounting.
 """
 
 from __future__ import annotations

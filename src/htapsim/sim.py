@@ -6,9 +6,10 @@ they were scheduled.  Sessions execute scenario steps; statements dispatch
 per-segment work over simulated messages; blocking is explicit lock-table
 state with parked statement parts resumed on grant.  Each site's own state is
 one object, a `Site` (the coordinator) or a `Segment`; `Cluster` keeps the
-event loop and the message rounds.  The deadlock detector runs
-as a periodic background task (and synchronously for scripted `detect`
-steps); commit protocols are message exchanges with fsync accounting.
+event loop.  The deadlock detector runs as a periodic background task (and
+synchronously for scripted `detect` steps).  The end of a transaction, a
+commit under its protocol or an abort, is one coordinator generator that
+waits on each message round it sends, with fsync accounting.
 Identical (config, scenario) produces an identical trace.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -132,7 +133,10 @@ class Session:
         self.txn: TransactionDescriptor | None = None
         self.stmt: "Statement | None" = None
         self.queued = False  # waiting for an admission slot
-        self.round: _Round | None = None  # commit/abort round in flight
+        # the transaction's end in flight: the `_commit` or `_abort`
+        # generator, suspended in a round until its last reply.  An abort
+        # closes and replaces a commit; a reply to any other end is dropped
+        self.end: Generator | None = None
         # aborted txn: drop its remaining steps up to the next begin
         self.skip_until_begin = False
         self.outcomes: list[str] = []
@@ -141,7 +145,7 @@ class Session:
 
     @property
     def free(self) -> bool:
-        return self.stmt is None and not self.queued and self.round is None
+        return self.stmt is None and not self.queued and self.end is None
 
     def peek_step(self) -> Step | None:
         """The next step, or None once the session has none left."""
@@ -168,22 +172,6 @@ class Statement:
 
     def live(self) -> bool:
         return not (self.dead or self.txn.is_finished())
-
-
-@dataclass(eq=False)
-class _Round:
-    """One exchange that ends a transaction: a prepare, commit or abort round.
-
-    `awaiting` holds the sites still to reply, and `then` runs once all have.
-    The round in flight is `session.round`; a reply to any other round (one
-    that was replaced, as a prepare round by its abort, or one that finished)
-    is dropped.
-    """
-
-    session: Session
-    awaiting: set[int]
-    then: Callable[[], None]
-    abort: bool = False
 
 
 class Site:
@@ -610,7 +598,7 @@ class Cluster:
                 f"session {session.sid}: statement {step.raw!r} outside a transaction"
             )
         if step.kind == "commit":
-            self._start_commit(session)
+            self._start_end(session, self._commit(session))
             return
         if step.kind == "abort":
             self._start_abort(session, "user")
@@ -696,15 +684,9 @@ class Cluster:
     def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
         if stmt.dead:
             return
-        txn = stmt.txn
-        self._trace(seg.id, "stmt_conflict", "dxid={} reason={}", txn.dxid, reason)
-
-        def deliver():
-            if stmt.dead or txn.is_finished():
-                return
-            self._start_abort(stmt.session, reason)
-
-        self.send(seg.id, COORD, deliver)
+        dxid = stmt.txn.dxid
+        self._trace(seg.id, "stmt_conflict", "dxid={} reason={}", dxid, reason)
+        self.send(seg.id, COORD, partial(self.abort_transaction, dxid, reason))
 
     def _part_reply(self, stmt, seg, count, rows, wrote) -> None:
         if stmt.dead:
@@ -741,7 +723,7 @@ class Cluster:
         if self.config.eager:
             self.schedule(0, lambda: self._issue_for_session(session))
 
-    # ------------------------------------------------ commit and abort rounds
+    # ------------------------------------------------------- transaction end
 
     def _touched_segments(self, txn: TransactionDescriptor) -> list[Segment]:
         """The segments where `txn` has a local xid or a lock request."""
@@ -751,13 +733,15 @@ class Cluster:
             if seg.id in txn.local_xids or seg.locks.has_requests(txn.dxid)
         ]
 
-    def _start_commit(self, session: Session) -> None:
-        """Commit in rounds: under 2PC a prepare round, then the commit round.
+    def _commit(self, session: Session):
+        """Commit `session.txn` under the protocol `plan_commit` picks.
 
-        One-phase commit is the commit round alone, over its one write
-        segment; a read-only commit is a commit round with no site to wait
-        for, so it finishes at once.  Touched segments that wrote nothing end
-        the transaction locally first; those messages are not counted.
+        Under 2PC the writers prepare, and once all have, the coordinator
+        makes its commit record durable.  Then touched segments that wrote
+        nothing end the transaction locally, uncounted, and the commit round
+        goes to the writers: one-phase commit is that round alone, over its
+        one writer, and a read-only commit has no site to wait for, so it
+        finishes at once.
         """
         txn = session.txn
         protocol = self.dtm.plan_commit(txn, self.config.force_2pc)
@@ -773,36 +757,20 @@ class Cluster:
             protocol.value,
             [seg.id for seg in writers],
         )
-
-        def commit() -> None:
-            for seg in touched:
-                if seg.id not in txn.write_segments:
-                    self.send(COORD, seg.id, lambda s=seg: self._segment_end(s, txn))
-            self._send_round(
-                session,
-                writers,
-                dtm_mod.MSG_COMMIT,
-                self._segment_end,
-                lambda: self._finish_txn(session, committed=True),
-            )
-
-        def prepared() -> None:
-            self._fsync(self.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
-            commit()
-
         if protocol is Protocol.TWO_PHASE:
-            self._send_round(
-                session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare, prepared
-            )
-        else:
-            commit()
+            yield from self._round(session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare)
+            self._fsync(self.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
+        for seg in touched:
+            if seg.id not in txn.write_segments:
+                self.send(COORD, seg.id, partial(self._segment_end, seg, txn, True))
+        commit_at = partial(self._segment_end, committed=True)
+        yield from self._round(session, writers, dtm_mod.MSG_COMMIT, commit_at)
+        self._finish_txn(session, committed=True)
 
-    def _start_abort(self, session: Session, reason: str) -> None:
+    def _abort(self, session: Session, reason: str):
+        """Abort `session.txn`: kill its statement and parked parts, then an
+        abort round over every touched segment."""
         txn = session.txn
-        if txn is None or txn.is_finished():
-            return
-        if session.round is not None and session.round.abort:
-            return
         stmt = session.stmt
         if stmt is not None:
             if stmt.step.kind == "update" and stmt.outstanding:
@@ -816,35 +784,46 @@ class Cluster:
         self._trace(
             "coord", "abort_start", "session={} dxid={} reason={}", session.sid, txn.dxid, reason
         )
-        self._send_round(
-            session,
-            touched,
-            None,
-            self._segment_end,
-            lambda: self._finish_txn(session, committed=False, reason=reason),
-            abort=True,
-        )
+        abort_at = partial(self._segment_end, committed=False)
+        yield from self._round(session, touched, None, abort_at)
+        self._finish_txn(session, committed=False, reason=reason)
 
-    def _send_round(self, session, segments, msg, at_site, then, abort=False) -> None:
-        """Start a round: send `msg` to each segment in order, where
-        `at_site(segment, txn, round)` runs; `then` runs once every segment
-        has replied, at once if there is none.  Abort messages are not counted
-        (`msg` is None).  The round replaces the session's round in flight."""
+    def _start_end(self, session: Session, end: Generator) -> None:
+        """Make `end` the session's end in flight and run it to its first wait."""
+        session.end = end
+        next(end, None)
+
+    def _start_abort(self, session: Session, reason: str) -> None:
+        """Abort the session's open transaction, closing a commit in flight;
+        nothing if the transaction has ended or an abort is under way."""
         txn = session.txn
-        rnd = _Round(session, {seg.id for seg in segments}, then, abort)
-        session.round = rnd
+        if txn is None or txn.is_finished():
+            return
+        if session.end is not None:
+            if session.end.__name__ == "_abort":
+                return  # already aborting
+            session.end.close()
+        self._start_end(session, self._abort(session, reason))
+
+    def _round(self, session: Session, segments: list[Segment], msg: str | None, at_site):
+        """Send `msg` to each segment in order, where `at_site(segment, txn,
+        reply=...)` runs and answers through `reply(site, msg)`; return once
+        every segment has answered, at once if there is none.  Abort messages
+        are not counted (`msg` is None)."""
+        txn = session.txn
+        reply = partial(self._reply, session, session.end)
         for seg in segments:
             if msg is not None:
                 self.accounting[txn.dxid].count_message(msg)
-            self.send(COORD, seg.id, lambda s=seg: at_site(s, txn, rnd))
-        if not segments:
-            then()
+            self.send(COORD, seg.id, partial(at_site, seg, txn, reply=reply))
+        for _ in segments:
+            yield
 
-    def _reply(self, rnd: _Round, site: int, msg: str | None, ok: bool = True) -> None:
-        """A site's reply to `rnd`, counted as `msg`; dropped unless `rnd` is
-        the round in flight.  A vetoed prepare (`ok` False) aborts instead."""
-        session = rnd.session
-        if session.round is not rnd:
+    def _reply(self, session: Session, end: Generator, site: int, msg, ok=True) -> None:
+        """A site's reply to the session's end `end`, counted as `msg`; dropped
+        unless `end` is still the end in flight.  A vetoed prepare (`ok`
+        False) aborts instead."""
+        if session.end is not end:
             return
         dxid = session.txn.dxid
         if not ok:
@@ -853,41 +832,38 @@ class Cluster:
             return
         if msg is not None:
             self.accounting[dxid].count_message(msg)
-        rnd.awaiting.discard(site)
-        if not rnd.awaiting:
-            rnd.then()
+        next(end, None)
 
-    def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, rnd: _Round) -> None:
+    def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, reply) -> None:
         if self._prepare_veto(seg.id, txn):
             self._trace(seg.id, "prepare_fail", "dxid={}", txn.dxid)
-            self.send(seg.id, COORD, lambda: self._reply(rnd, seg.id, None, ok=False))
+            self.send(seg.id, COORD, partial(reply, seg.id, None, ok=False))
             return
         self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
         self._trace(seg.id, "prepared", "dxid={}", txn.dxid)
-        self.send(seg.id, COORD, lambda: self._reply(rnd, seg.id, dtm_mod.MSG_PREPARE_OK))
+        self.send(seg.id, COORD, partial(reply, seg.id, dtm_mod.MSG_PREPARE_OK))
 
     def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
         return False  # test hook, given a segment id: patched to inject prepare failures
 
     def _segment_end(
-        self, seg: Segment, txn: TransactionDescriptor, rnd: _Round | None = None
+        self, seg: Segment, txn: TransactionDescriptor, committed: bool, reply=None
     ) -> None:
-        """End `txn` on one segment: record its local outcome, release its
-        locks and wake their waiters.
+        """End `txn` on one segment as `committed` says: record its local
+        outcome, release its locks and wake their waiters.
 
-        With no round this is the local end of a segment that the commit
+        With no `reply` this is the local end of a segment that the commit
         round does not visit.  In a commit round the segment first makes its
         commit durable; in a commit or abort round it then replies.
         """
-        committed = rnd is None or not rnd.abort
-        if rnd is not None and committed:
+        if reply is not None and committed:
             self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
         s = seg.id
         local = txn.local_xids.get(s)
         if local is not None:
             seg.states[local] = "committed" if committed else "aborted"
         promoted = seg.locks.release_all(txn.dxid, self.clock)
-        if rnd is None:
+        if reply is None:
             self._trace(s, "end_local", "dxid={}", txn.dxid)
         elif committed:
             onephase = self.accounting[txn.dxid].protocol is Protocol.ONE_PHASE
@@ -895,9 +871,8 @@ class Cluster:
         else:
             self._trace(s, "abort_local", "dxid={}", txn.dxid)
         seg.wake(promoted)
-        if rnd is not None:
-            reply = dtm_mod.MSG_COMMIT_OK if committed else None
-            self.send(s, COORD, lambda: self._reply(rnd, s, reply))
+        if reply is not None:
+            self.send(s, COORD, partial(reply, s, dtm_mod.MSG_COMMIT_OK if committed else None))
 
     def _fsync(self, site: Site, txn, kind: str) -> None:
         self.accounting[txn.dxid].count_fsync(kind)
@@ -933,7 +908,7 @@ class Cluster:
                 waiter = self.sessions[freed]
                 self.schedule(0, lambda: self._begin_admitted(waiter))
         session.txn = None
-        session.round = None
+        session.end = None
         self._progress += 1
         if not committed and reason != "user":
             session.skip_until_begin = True

@@ -204,8 +204,12 @@ class SegmentStore:
         return successor
 
     def check_chain_invariants(self, local_state) -> None:
-        """At most one in-progress successor per chain; stamps form a chain;
-        an all-visible slot holds one unstamped version by a committed writer."""
+        """A chain's in-progress versions have one writer and form its tail;
+        stamps form a chain; an all-visible slot holds one unstamped version
+        by a committed writer.
+
+        A writer that updates its own row again appends a second in-progress
+        version after its first, so more than one is legal mid-run."""
         for table in sorted(self.tables):
             for slot in sorted(self.all_visible[table]):
                 chain = self.tables[table][slot]
@@ -217,13 +221,15 @@ class SegmentStore:
                     raise AssertionError(f"all-visible slot {table}:{slot} is not all-visible")
             for slot in sorted(self.tables[table]):
                 chain = self.tables[table][slot]
-                uncommitted = [
-                    v for v in chain if local_state(v.xmin_local) == "in_progress"
+                running = [
+                    i for i, v in enumerate(chain) if local_state(v.xmin_local) == "in_progress"
                 ]
-                if len(uncommitted) > 1:
+                if running and running[0] + len(running) != len(chain):
                     raise AssertionError(
-                        f"chain {table}:{slot} has {len(uncommitted)} in-progress versions"
+                        f"chain {table}:{slot}: in-progress versions not at its tail"
                     )
+                if len({chain[i].xmin_local for i in running}) > 1:
+                    raise AssertionError(f"chain {table}:{slot} has two in-progress writers")
                 for prev, nxt in zip(chain, chain[1:]):
                     if prev.xmax_local == 0:
                         raise AssertionError(

@@ -150,11 +150,29 @@ def test_detector_agrees_with_stall_oracle_on_1000_scenarios():
     assert deadlocks < N_SCENARIOS - 50
 
 
+def check_atomicity(cluster, seed) -> int:
+    """At fixpoint, each local xid of each transaction holds the dtm's
+    outcome in its segment's commit log, and each committed transaction has a
+    local xid on every segment it wrote.  Returns the local outcomes checked."""
+    checked = 0
+    for txn in cluster.dtm.transactions.values():
+        for seg, local in txn.local_xids.items():
+            state = cluster.local_states[seg][local]
+            assert state == txn.state.value, (seed, txn.dxid, seg, state)
+            checked += 1
+        if cluster.dtm.is_committed(txn.dxid):
+            missing = txn.write_segments - txn.local_xids.keys()
+            assert not missing, (seed, txn.dxid, missing)
+    return checked
+
+
 def liveness_stats(n_scenarios=150, base_seed=5000, **mode):
     """Run scenarios with detection enabled; each must drain, with no session
-    left blocked and each terminal outcome a commit or an abort.  Returns the
-    number of scenarios checked and of those with a deadlock verdict."""
-    checked = deadlocked = 0
+    left blocked, each terminal outcome a commit or an abort, and every local
+    outcome agreeing with its transaction's (`check_atomicity`).  Returns the
+    number of scenarios checked, of those with a deadlock verdict, and of
+    local outcomes checked."""
+    checked = deadlocked = local_outcomes = 0
     for i in range(n_scenarios):
         seed = base_seed + i
         scenario = random_scenario(seed)
@@ -163,25 +181,28 @@ def liveness_stats(n_scenarios=150, base_seed=5000, **mode):
         for sid in sorted(cluster.sessions):
             outcome = cluster.session_outcome(sid)
             assert outcome.split(":")[0] in ("committed", "aborted"), (seed, sid, outcome)
+        local_outcomes += check_atomicity(cluster, seed)
         checked += 1
         deadlocked += cluster.final_verdict() == "deadlock"
-    return checked, deadlocked
+    return checked, deadlocked, local_outcomes
 
 
 def test_gdd_restores_liveness_on_deadlocking_scenarios():
     """With detection enabled every scenario drains: no session stays blocked,
     each terminal outcome is a commit or an abort."""
-    checked, _ = liveness_stats()
+    checked, _, local_outcomes = liveness_stats()
     assert checked == 150
+    assert local_outcomes > 500
 
 
 @pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
 def test_gdd_restores_liveness_in_mode(mode):
     """The liveness check under each flag of ORACLE_MODES, on scenarios that
     deadlock often enough for the detector to matter."""
-    checked, deadlocked = liveness_stats(**ORACLE_MODES[mode])
+    checked, deadlocked, local_outcomes = liveness_stats(**ORACLE_MODES[mode])
     assert checked == 150
     assert deadlocked > 10
+    assert local_outcomes > 500
 
 
 def test_victims_commit_or_abort_exactly_once_per_cycle():
@@ -302,6 +323,7 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
         cluster.run()
         check_truncation_invariance(cluster)
         assert cluster.blocked_sessions() == []
+        check_atomicity(cluster, seed)
 
         committed_writers = {
             sid

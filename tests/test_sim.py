@@ -300,6 +300,31 @@ sessions:
         with pytest.raises(RuntimeError, match="begin inside an open transaction"):
             run_scenario(scenario, SimConfig())
 
+    def test_chain_check_accepts_a_self_update_mid_transaction(self):
+        """A writer that updates its own row twice leaves two in-progress
+        versions of one writer at the chain's tail, a legal state."""
+        cluster = run_cluster(
+            """
+tables:
+  - {name: t, rows: [[0, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=1}
+      - {seq: 3, sql: update t set c2=2}
+"""
+        )
+        assert cluster.session_outcome("A") == "open"
+        seg = cluster.segments[0]
+        chain = seg.store.chain("t", 0)
+        assert [seg.states[v.xmin_local] for v in chain] == [
+            "committed",
+            "in_progress",
+            "in_progress",
+        ]
+        seg.store.check_chain_invariants(seg.states.get)
+
 
 def run_cluster(text, **cfg):
     scenario = parse_scenario(text)
@@ -389,15 +414,15 @@ sessions:
     def test_duplicate_commit_reply_is_idempotent(self):
         cluster = Cluster(SimConfig(), parse_scenario(INSERT_ONE_SEGMENT))
         session = cluster.sessions["A"]
-        cluster.run(stop_when=lambda c: session.round is not None)
-        commit_round = session.round
-        (seg,) = commit_round.awaiting
+        cluster.run(stop_when=lambda c: session.end is not None)
+        commit_end = session.end
+        (seg,) = session.txn.write_segments  # the one site the commit round awaits
         cluster.run()
-        assert session.outcomes == ["committed"] and session.round is None
+        assert session.outcomes == ["committed"] and session.end is None
         before = cluster.committed_txns
         acc = cluster.accounting[1]
         messages, fsyncs = Counter(acc.messages), Counter(acc.fsyncs)
-        cluster._reply(commit_round, seg, MSG_COMMIT_OK)  # straggler ack after completion
+        cluster._reply(session, commit_end, seg, MSG_COMMIT_OK)  # straggler ack after completion
         assert cluster.committed_txns == before
         assert acc.messages == messages and acc.fsyncs == fsyncs
         assert session.outcomes == ["committed"]

@@ -107,6 +107,24 @@ class TestVersionChains:
         states = {1: "committed", 2: "aborted", 3: "in_progress"}
         store.check_chain_invariants(lambda lx: states.get(lx, "aborted"))
 
+    @pytest.mark.parametrize(
+        "states, fault",
+        [
+            ({1: "committed", 2: "in_progress", 3: "in_progress"}, "two in-progress writers"),
+            ({1: "committed", 2: "in_progress", 3: "committed"}, "not at its tail"),
+        ],
+        ids=["two writers", "not the tail"],
+    )
+    def test_chain_invariants_reject_in_progress_versions_of_two_writers(self, states, fault):
+        """xid 3 stamps xid 2's version: legal only once xid 2 has committed."""
+        store = SegmentStore(0)
+        store.create_table(TableDef("t"))
+        slot = store.insert_version("t", (1, 10), 1, 1)[1]
+        mine = store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
+        store.stamp_and_append("t", slot, mine, (1, 12), 3, 1)
+        with pytest.raises(AssertionError, match=fault):
+            store.check_chain_invariants(states.get)
+
     def test_stamp_finds_victim_by_identity(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
