@@ -3,6 +3,13 @@
 Each segment (the coordinator counts as segment -1) runs one LockTable.
 Wait-for edges are derived from the tables by the wait-graph module, so the
 lock table records, for every waiting request, which holders block it.
+
+Most requests meet no conflict: concurrent updaters all take ROW_EXCLUSIVE
+on a relation, and a writer's lock on its own xid is seldom waited on.  As
+in PostgreSQL's lock.c (FastPathGrantRelationLock, VirtualXactLock), such a
+tag keeps its requests in a small uncontended record, granted without a
+queue; the first request that could conflict moves them into a queue
+(FastPathTransferRelationLocks) and the blocking rule decides it there.
 """
 
 from __future__ import annotations
@@ -94,18 +101,50 @@ class LockRequest:
     mode: LockMode
     status: RequestStatus
     enqueue_tick: int
-    seq: int = 0  # arrival number within the owning LockTable
-
-    def sort_key(self) -> int:
-        # Queue order is arrival order.  Ticks cannot stand in for it: many
-        # requests arrive in one tick, and ordering those by dxid would let a
-        # later arrival overtake an earlier one.
-        return self.seq
+    # Arrival number within the owning LockTable.  Queue order is arrival
+    # order.  Ticks cannot stand in for it: many requests arrive in one tick,
+    # and ordering those by dxid would let a later arrival overtake an
+    # earlier one.
+    seq: int = 0
 
 
 class AcquireResult(Enum):
     GRANTED = "granted"
     BLOCKED = "blocked"
+
+
+# The hot paths read members as module constants: reading one off its Enum
+# class costs several times as much as reading a global.
+_GRANTED, _WAITING = RequestStatus.GRANTED, RequestStatus.WAITING
+_ACQUIRED, _BLOCKED = AcquireResult.GRANTED, AcquireResult.BLOCKED
+
+# Modes ACCESS_SHARE..ROW_EXCLUSIVE never conflict with one another, so any
+# number of transactions can hold them on one tag without a queue.
+_WEAK = LockMode.ROW_EXCLUSIVE
+
+
+class UncontendedTag:
+    """One uncontended tag's requests, like a PostgreSQL backend's fast-path
+    relation lock slots.
+
+    `requests` maps arrival number to request, all granted: one request in
+    any mode, or any number in modes up to ROW_EXCLUSIVE.  `born` is the
+    arrival number of the request that made the record, and the tag's queue
+    keeps it if the tag is ever contended.
+    """
+
+    __slots__ = ("born", "requests")
+
+    def __init__(self, req: LockRequest):
+        self.born = req.seq
+        self.requests = {req.seq: req}
+
+    def admits(self, mode: LockMode) -> bool:
+        """True iff a request in `mode` leaves the tag uncontended."""
+        if mode > _WEAK:
+            return False
+        requests = self.requests
+        return len(requests) > 1 or next(iter(requests.values())).mode <= _WEAK
 
 
 _born = attrgetter("born")
@@ -118,23 +157,29 @@ class LockQueue:
     order and drops any request in O(1).  `granted` and `waiting` count the
     requests in each mode (indexed by level), and `granted_mask` and
     `waiting_mask` have bit m set iff that count for mode m is non-zero.
-    `born` is the arrival number of the request that created the queue.
+    `born` is the arrival number of the tag's first request since the tag
+    was last empty.  A queue is made from an uncontended record, whose
+    `born` and requests, all granted, it takes over.
     """
 
     __slots__ = ("born", "requests", "granted", "waiting", "granted_mask", "waiting_mask")
 
-    def __init__(self, born: int):
+    def __init__(self, born: int, granted: dict[int, LockRequest]):
         self.born = born
-        self.requests: dict[int, LockRequest] = {}
-        self.granted = [0] * 9
+        self.requests = granted
+        self.granted = counts = [0] * 9
         self.waiting = [0] * 9
-        self.granted_mask = 0
+        mask = 0
+        for req in granted.values():
+            counts[req.mode] += 1
+            mask |= 1 << req.mode
+        self.granted_mask = mask
         self.waiting_mask = 0
 
     def add(self, req: LockRequest) -> None:
         self.requests[req.seq] = req
         mode = req.mode
-        if req.status is RequestStatus.GRANTED:
+        if req.status is _GRANTED:
             self.granted[mode] += 1
             self.granted_mask |= 1 << mode
         else:
@@ -144,7 +189,7 @@ class LockQueue:
     def remove(self, req: LockRequest) -> None:
         del self.requests[req.seq]
         mode = req.mode
-        if req.status is RequestStatus.GRANTED:
+        if req.status is _GRANTED:
             self.granted[mode] -= 1
             if not self.granted[mode]:
                 self.granted_mask &= ~(1 << mode)
@@ -154,7 +199,7 @@ class LockQueue:
     def grant(self, req: LockRequest) -> None:
         """Turn a waiting request into a granted one."""
         self._unwait(req.mode)
-        req.status = RequestStatus.GRANTED
+        req.status = _GRANTED
         self.granted[req.mode] += 1
         self.granted_mask |= 1 << req.mode
 
@@ -168,35 +213,51 @@ class LockQueue:
 class LockTable:
     """Serialized lock state machine for a single segment.
 
-    Each tag's queue (a LockQueue) holds its requests in arrival order,
-    numbered by the table's arrival sequence.  One rule decides every grant,
-    as in PostgreSQL's ProcLockWakeup: a request is blocked iff it conflicts
-    with a granted request of another transaction, or with an earlier request
-    of another transaction that is still waiting (no lock jumping).  A waiter
-    compatible with both is granted even when a blocked waiter sits ahead of
-    it.
+    One rule decides every grant, as in PostgreSQL's ProcLockWakeup: a
+    request is blocked iff it conflicts with a granted request of another
+    transaction, or with an earlier request of another transaction that is
+    still waiting (no lock jumping).  A waiter compatible with both is granted
+    even when a blocked waiter sits ahead of it.  Requests are numbered by the
+    table's arrival sequence.
+
+    A tag nobody contends for keeps its requests in an UncontendedTag in
+    `_fast`: one request in any mode, or any number in modes up to
+    ROW_EXCLUSIVE, which never conflict with one another.  This is
+    PostgreSQL's fast path (FastPathGrantRelationLock in lock.c) for weak
+    relation locks, and also covers a writer's lock on its own xid, which
+    PostgreSQL keeps local until someone waits on it (VirtualXactLock).  The
+    rule can block no request there, so `acquire` grants it at once.  The
+    first request that could conflict (a mode above ROW_EXCLUSIVE beside
+    another request, or a second request beside one above it) moves the
+    tag's requests into a LockQueue in `_queues`, with the same `born` and
+    arrival numbers, as FastPathTransferRelationLocks moves fast-path locks
+    into the shared table; the rule then decides it.  The transfer reads only
+    that tag's requests.  The tag keeps its queue until the queue is empty.
+    The fast path is a shortcut in front of the rule, not a second rule.
 
     As PostgreSQL keeps a grantMask and a waitMask on each LOCK, each queue
     keeps per-mode counts of its granted and waiting requests and a bitmask
     of the modes present in each.  A request whose mode conflicts with no
     granted and no waiting mode cannot meet the rule, so `acquire` grants it
     without walking the queue; any other request is decided by the walk.
-    The mask is a pre-check in front of the rule, not a second rule.
+    The mask is a pre-check in front of the rule too.
 
     Like PostgreSQL's per-backend lock list, the table also keeps, for each
     transaction, its own requests grouped by tag.  The duplicate check in
     `acquire` reads only those, and releasing a transaction removes exactly
-    those from their queues and drops each queue left empty.  As
+    those from their records and drops each record left empty.  As
     PostgreSQL's UnGrantLock and CleanUpLock wake waiters only where the
     lock's waitMask is set, release then re-evaluates only the queues that
-    still have waiters.  It wakes them in `born` order, the queues' creation
-    order and the order of `_queues`, whatever order the transaction made
-    its requests in; queues are independent, so only the order of the
-    promoted list depends on it.  `locks_of` lists tags in the same order.
+    still have waiters; nothing waits on an uncontended tag.  It wakes them
+    in `born` order, the order in which the tags got their first request
+    since they were last empty, whatever order the transaction made its
+    requests in; queues are independent, so only the order of the promoted
+    list depends on it.  `locks_of` lists tags in the same order.
     """
 
     segment: int
     _queues: dict[LockTag, LockQueue] = field(default_factory=dict)
+    _fast: dict[LockTag, UncontendedTag] = field(default_factory=dict)
     _own: dict[int, dict[LockTag, list[LockRequest]]] = field(default_factory=dict)
     _active: set[int] = field(default_factory=set)
     _next_seq: int = 0
@@ -213,8 +274,9 @@ class LockTable:
     ) -> tuple[AcquireResult, list[LockRequest]]:
         """Request `tag` in `mode` for `txn`.
 
-        The request joins the tail of the tag's queue and is granted at once
-        unless the blocking rule (see the class docstring) holds for it.
+        The request joins the tail of the tag's requests, in its uncontended
+        record or its queue, and is granted at once unless the blocking rule
+        (see the class docstring) holds for it.
         Returns (GRANTED, []) or (BLOCKED, blockers) where blockers are as in
         `blockers_of`.
         """
@@ -227,29 +289,39 @@ class LockTable:
         if mine is not None:
             for req in mine:
                 if req.mode == mode:
-                    if req.status is RequestStatus.GRANTED:
-                        return AcquireResult.GRANTED, []  # idempotent re-grant
+                    if req.status is _GRANTED:
+                        return _ACQUIRED, []  # idempotent re-grant
                     raise ProtocolError(
                         f"txn {txn} already waiting for {tag} mode {mode.name}"
                     )
-        queue = self._queues.get(tag)
-        if queue is None:
-            queue = self._queues[tag] = LockQueue(self._next_seq)
-        req = LockRequest(txn, tag, mode, RequestStatus.GRANTED, tick, self._next_seq)
-        self._next_seq += 1
-        blockers = []
+        else:
+            mine = []
+            if own is None:
+                own = self._own[txn] = {}
+            own[tag] = mine
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        req = LockRequest(txn, tag, mode, _GRANTED, tick, seq)
+        mine.append(req)
+        fast = self._fast.get(tag)
+        if fast is None:
+            queue = self._queues.get(tag)
+            if queue is None:
+                self._fast[tag] = UncontendedTag(req)
+                return _ACQUIRED, []
+        elif fast.admits(mode):
+            fast.requests[seq] = req
+            return _ACQUIRED, []
+        else:
+            queue = self._transfer(tag, fast)
         if CONFLICT_MASK[mode] & (queue.granted_mask | queue.waiting_mask):
             blockers = self._blockers_for(queue.requests.values(), req)
             if blockers:
-                req.status = RequestStatus.WAITING
+                req.status = _WAITING
+                queue.add(req)
+                return _BLOCKED, blockers
         queue.add(req)
-        if mine is None:
-            mine = []
-            self._own.setdefault(txn, {})[tag] = mine
-        mine.append(req)
-        if blockers:
-            return AcquireResult.BLOCKED, blockers
-        return AcquireResult.GRANTED, []
+        return _ACQUIRED, []
 
     def release_all(self, txn: int, tick: int) -> list[LockRequest]:
         """Drop every grant and wait of `txn` on this segment (commit/abort path).
@@ -262,9 +334,17 @@ class LockTable:
         own = self._own.pop(txn, None)
         if own is None:
             return []
-        queues = self._queues
+        fasts, queues = self._fast, self._queues
         woken = []
         for tag, mine in own.items():
+            fast = fasts.get(tag)
+            if fast is not None:
+                requests = fast.requests
+                for req in mine:
+                    del requests[req.seq]
+                if not requests:
+                    del fasts[tag]
+                continue
             queue = queues[tag]
             for req in mine:
                 queue.remove(req)
@@ -272,6 +352,8 @@ class LockTable:
                 woken.append(queue)
             elif not queue.requests:
                 del queues[tag]
+        if not woken:
+            return []
         if len(woken) > 1:
             woken.sort(key=_born)
         promoted: list[LockRequest] = []
@@ -285,19 +367,26 @@ class LockTable:
             raise ProtocolError(f"{tag} is not a tuple lock")
         own = self._own.get(txn, {})
         mine = own.get(tag, [])
-        held = [r for r in mine if r.status is RequestStatus.GRANTED]
+        held = [r for r in mine if r.status is _GRANTED]
         if not held:
             raise ProtocolError(f"txn {txn} does not hold tuple lock {tag}")
-        queue = self._queues[tag]
-        for req in held:
-            queue.remove(req)
-        kept = [r for r in mine if r.status is RequestStatus.WAITING]
+        kept = [r for r in mine if r.status is _WAITING]
         if kept:
             own[tag] = kept
         else:
             del own[tag]
             if not own:
                 del self._own[txn]
+        fast = self._fast.get(tag)
+        if fast is not None:
+            for req in held:
+                del fast.requests[req.seq]
+            if not fast.requests:
+                del self._fast[tag]
+            return []
+        queue = self._queues[tag]
+        for req in held:
+            queue.remove(req)
         promoted = self._reevaluate(queue) if queue.waiting_mask else []
         if not queue.requests:
             del self._queues[tag]
@@ -312,7 +401,7 @@ class LockTable:
                 out.extend(
                     r
                     for r in queue.requests.values()
-                    if r.status is RequestStatus.WAITING
+                    if r.status is _WAITING
                 )
         return out
 
@@ -325,12 +414,13 @@ class LockTable:
         return self._blockers_for(queue.requests.values() if queue else (), req)
 
     def locks_of(self, txn: int) -> list[LockRequest]:
-        """Every request of `txn`, by queue creation order, then arrival."""
+        """Every request of `txn`, by `born` of their tags, then arrival."""
         own = self._own.get(txn)
         if own is None:
             return []
+        queues, fasts = self._queues, self._fast
         out = []
-        for tag in self._tags_in_queue_order(own):
+        for tag in sorted(own, key=lambda tag: (queues.get(tag) or fasts[tag]).born):
             out.extend(own[tag])
         return out
 
@@ -339,33 +429,47 @@ class LockTable:
         return txn in self._own
 
     def check_invariants(self) -> None:
-        """Each queue is in arrival order, no two granted requests on one tag
-        conflict (distinct txns), and every waiter has at least one blocker.
-        Each queue's per-mode counts and masks match its requests, the
-        per-transaction index holds exactly each transaction's requests in
-        arrival order, and the queues' `born` follows their creation order."""
-        born = [queue.born for queue in self._queues.values()]
-        if born != sorted(born):
-            raise AssertionError(f"queue birth order {born} is not creation order")
+        """Each tag's requests are filed under their arrival numbers in
+        arrival order, no two granted requests on one tag conflict (distinct
+        txns), and every waiter has at least one blocker.  No tag is both
+        uncontended and queued, and an uncontended tag holds one request, or
+        only granted requests in modes up to ROW_EXCLUSIVE.  Each queue's
+        per-mode counts and masks match its requests, and the per-transaction
+        index holds exactly each transaction's requests in arrival order.
+        The `born` of every tag is distinct and at most the arrival number of
+        its first request."""
+        both = self._fast.keys() & self._queues.keys()
+        if both:
+            raise AssertionError(f"tags both uncontended and queued: {both}")
+        records = {**self._fast, **self._queues}
+        born = [record.born for record in records.values()]
+        if len(set(born)) != len(born):
+            raise AssertionError(f"tags share a birth number: {sorted(born)}")
         own: dict[int, dict[LockTag, list[LockRequest]]] = {}
-        for tag, queue in self._queues.items():
-            if not queue.requests:
-                raise AssertionError(f"empty queue kept for {tag}")
-            if queue.born > min(queue.requests):
-                raise AssertionError(f"queue on {tag} born after its requests")
-            for seq, r in queue.requests.items():
+        for tag, record in records.items():
+            if not record.requests:
+                raise AssertionError(f"empty record kept for {tag}")
+            if record.born > min(record.requests):
+                raise AssertionError(f"record of {tag} born after its requests")
+            for seq, r in record.requests.items():
                 if r.seq != seq or r.tag != tag:
                     raise AssertionError(f"request {r} filed under {tag} as {seq}")
                 own.setdefault(r.txn, {}).setdefault(tag, []).append(r)
-            self._check_counts(tag, queue)
+            seqs = list(record.requests)
+            if seqs != sorted(seqs):
+                raise AssertionError(f"{tag} is not in arrival order: {seqs}")
         if _identities(own) != _identities(self._own):
             raise AssertionError(
-                f"per-transaction index {self._own} != queues {own}"
+                f"per-transaction index {self._own} != records {own}"
             )
+        for tag, fast in self._fast.items():
+            requests = list(fast.requests.values())
+            weak = all(r.mode <= _WEAK for r in requests)
+            granted = all(r.status is RequestStatus.GRANTED for r in requests)
+            if not (granted and (weak or len(requests) == 1)):
+                raise AssertionError(f"uncontended {tag} holds {requests}")
         for tag, queue in self._queues.items():
-            seqs = [r.sort_key() for r in queue.requests.values()]
-            if seqs != sorted(set(seqs)):
-                raise AssertionError(f"queue on {tag} is not in arrival order: {seqs}")
+            self._check_counts(tag, queue)
             granted = [
                 r for r in queue.requests.values() if r.status is RequestStatus.GRANTED
             ]
@@ -381,9 +485,11 @@ class LockTable:
 
     # -- internals ------------------------------------------------------------
 
-    def _tags_in_queue_order(self, tags: Iterable[LockTag]) -> list[LockTag]:
-        queues = self._queues
-        return sorted(tags, key=lambda tag: queues[tag].born)
+    def _transfer(self, tag: LockTag, fast: UncontendedTag) -> LockQueue:
+        """Move an uncontended tag's requests into a new queue."""
+        del self._fast[tag]
+        queue = self._queues[tag] = LockQueue(fast.born, fast.requests)
+        return queue
 
     @staticmethod
     def _check_counts(tag: LockTag, queue: LockQueue) -> None:
@@ -418,7 +524,7 @@ class LockTable:
         for r in queue:
             if r.txn == req.txn or not mask >> r.mode & 1:
                 continue
-            if r.status is RequestStatus.GRANTED:
+            if r.status is _GRANTED:
                 blockers.append(r)
             elif first_waiter is None and r.seq < req.seq:
                 first_waiter = r
@@ -434,9 +540,7 @@ class LockTable:
         requests = queue.requests.values()
         promoted = []
         for req in requests:
-            if req.status is RequestStatus.WAITING and not self._blockers_for(
-                requests, req
-            ):
+            if req.status is _WAITING and not self._blockers_for(requests, req):
                 queue.grant(req)
                 promoted.append(req)
         return promoted

@@ -188,6 +188,7 @@ class Site:
         self.id = id
         self.locks = LockTable(id)
         self.parked: dict[tuple, Generator] = {}
+        self.relation_tags: dict[str, LockTag] = {}  # table name -> its tag here
 
     def acquire_or_park(self, txn: TransactionDescriptor, tag: LockTag, mode) -> bool:
         """Request `tag` in `mode` for `txn`; True if granted.  Otherwise
@@ -235,7 +236,9 @@ class Site:
         mode = RELATION_LOCK_MODE[step.kind]
         if step.kind == "update" and cl.config.legacy_locking:
             mode = LockMode.EXCLUSIVE  # legacy locking: one writer per table
-        tag = LockTag(TagKind.RELATION, self.id, step.table)
+        tag = self.relation_tags.get(step.table)
+        if tag is None:
+            tag = self.relation_tags[step.table] = LockTag(TagKind.RELATION, self.id, step.table)
         if not self.acquire_or_park(txn, tag, mode):
             yield tag, txn.dxid
             if not stmt.live():

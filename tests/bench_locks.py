@@ -10,10 +10,13 @@ time another checkout, run from inside that checkout; the header line
 "htapsim under test" names the copy being measured.
 
 Each case times one round on a tag that already has N compatible
-ROW_EXCLUSIVE holders, the queue shape concurrent updaters make on a
-relation.  With the cost of a grant and a release bound to the requesting
-transaction's own requests, the time per round stays flat in N.  One more
-case times the lock every writer takes on its own local xid.
+ROW_EXCLUSIVE holders, the shape concurrent updaters make on a relation;
+nobody contends for the tag, so the holders sit on the fast path, with no
+queue.  With the cost of a grant and a release bound to the requesting
+transaction's own requests, the time per round stays flat in N.  One case
+times the transfer, the first conflicting request moving the N holders into
+a queue, which costs O(N).  One more case times the lock every writer takes
+on its own local xid.
 """
 
 import itertools
@@ -70,10 +73,29 @@ def test_blocked_then_promoted(benchmark, holders):
     assert benchmark(one_round) == (AcquireResult.BLOCKED, [second])
 
 
+@pytest.mark.parametrize("holders", HOLDERS)
+def test_strong_request_transfers(benchmark, holders):
+    """An ACCESS_EXCLUSIVE request meets the N uncontended holders: it moves
+    them into a queue and waits on every one of them."""
+    strong = holders + 1
+
+    def setup():
+        table = table_with_holders(holders)
+        table.register_txn(strong)
+        return (table,), {}
+
+    def one_round(table):
+        result, blockers = table.acquire(strong, REL, LockMode.ACCESS_EXCLUSIVE, 1)
+        return result, len(blockers)
+
+    outcome = benchmark.pedantic(one_round, setup=setup, rounds=1000)
+    assert outcome == (AcquireResult.BLOCKED, holders)
+
+
 def test_own_xid_lock(benchmark):
     """A writer takes the transaction lock on its own new local xid, a tag
-    nobody has used, and then ends: the queue is made and dropped again
-    with nobody waiting."""
+    nobody has used, and then ends: the lock stays on the fast path, and its
+    record is made and dropped again with no queue."""
     table = LockTable(0)
     xids = itertools.count(1)
 

@@ -262,6 +262,103 @@ class TestModeMasks:
         table.check_invariants()
 
 
+class TestFastPath:
+    """Uncontended tags are granted without a queue; the first request that
+    could conflict moves the tag's requests into one."""
+
+    def test_weak_holders_and_own_xid_stay_uncontended(self):
+        table = make_table(1, 2, 3)
+        xact = LockTag(TagKind.TRANSACTION, 0, 7)
+        for txn in (1, 2, 3):
+            table.acquire(txn, rel(0), LockMode(txn), 0)
+        table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
+        assert table._queues == {}
+        assert [r.seq for r in table.locks_of(1)] == [0, 3]
+        table.check_invariants()
+
+    def test_transfer_keeps_born_and_arrival_numbers(self):
+        table = make_table(1, 2, 3)
+        table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
+        table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
+        table.release_all(1, 1)
+        result, blockers = table.acquire(3, rel(0), LockMode.SHARE, 2)
+        assert result is AcquireResult.BLOCKED
+        assert [(b.txn, b.seq) for b in blockers] == [(2, 1)]
+        (queue,) = table._queues.values()
+        assert queue.born == 0
+        assert list(queue.requests) == [1, 2]
+        assert table._fast == {}
+        table.check_invariants()
+
+    def test_a_queue_lasts_until_its_tag_is_empty(self):
+        table = make_table(1, 2)
+        xact = LockTag(TagKind.TRANSACTION, 0, 7)
+        table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
+        table.acquire(2, xact, LockMode.SHARE, 1)
+        assert [r.txn for r in table.release_all(1, 2)] == [2]
+        assert list(table._queues) == [xact]
+        table.release_all(2, 3)
+        table.register_txn(2)
+        table.acquire(2, xact, LockMode.SHARE, 4)
+        assert (table._queues, list(table._fast)) == ({}, [xact])
+        table.check_invariants()
+
+
+def fast_table():
+    """Txns 1 and 2 hold t1 in ROW_EXCLUSIVE, txn 1 holds t2 alone; all
+    uncontended."""
+    table = make_table(1, 2)
+    table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
+    table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
+    table.acquire(1, rel(0, "t2"), LockMode.ROW_EXCLUSIVE, 0)
+    return table
+
+
+def queued_and_uncontended(table):
+    fast = table._fast[rel(0)]
+    table._transfer(rel(0), fast)
+    table._fast[rel(0)] = fast
+
+
+def strong_beside_another(table):
+    table._fast[rel(0)].requests[0].mode = LockMode.SHARE
+
+
+def waiting_alone(table):
+    table._fast[rel(0, "t2")].requests[2].status = RequestStatus.WAITING
+
+
+def missing_from_index(table):
+    del table._fast[rel(0)].requests[1]
+
+
+def shared_birth(table):
+    table._fast[rel(0, "t2")].born = 0
+
+
+def born_late(table):
+    table._fast[rel(0, "t2")].born = 3
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (queued_and_uncontended, "both uncontended and queued"),
+        (strong_beside_another, "uncontended relation:t1@seg0 holds"),
+        (waiting_alone, "uncontended relation:t2@seg0 holds"),
+        (missing_from_index, "per-transaction index"),
+        (shared_birth, "share a birth number"),
+        (born_late, "born after its requests"),
+    ],
+)
+def test_check_invariants_rejects_bad_fast_path_state(corrupt, message):
+    table = fast_table()
+    table.check_invariants()
+    corrupt(table)
+    with pytest.raises(AssertionError, match=message):
+        table.check_invariants()
+
+
 def blocked_by(queue, i, txn, mode):
     """Reference blocking rule over (txn, mode, status) entries in arrival
     order: entry i conflicts with a granted entry of another txn, or with an
@@ -352,26 +449,54 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
         table.check_invariants()
 
 
-def reference_release_all(table, txn):
-    """release_all as a walk over every queue on the segment, in dict order,
-    re-evaluating every queue the transaction left."""
+def records(table):
+    """Every tag's requests, queued or uncontended, as tag -> {seq: request}."""
+    return {
+        tag: record.requests
+        for tag, record in [*table._queues.items(), *table._fast.items()]
+    }
+
+
+def reference_release_all(table, txn, born):
+    """release_all as a walk over every tag on the segment, queued or
+    uncontended, in the order of `born` (when each tag got its first request
+    since it was last empty), re-evaluating every queue the transaction
+    left."""
     promoted = []
-    for queue in table._queues.values():
-        mine = [r for r in queue.requests.values() if r.txn == txn]
-        if mine:
-            for r in mine:
+    for tag, requests in sorted(records(table).items(), key=lambda item: born[item[0]]):
+        mine = [r for r in requests.values() if r.txn == txn]
+        queue = table._queues.get(tag)
+        for r in mine:
+            if queue is None:
+                del requests[r.seq]
+            else:
                 queue.remove(r)
+        if mine and queue is not None:
             promoted.extend(table._reevaluate(queue))
     return promoted
 
 
-def reference_locks_of(table, txn):
+def reference_locks_of(table, txn, born):
     return [
         r
-        for queue in table._queues.values()
-        for r in queue.requests.values()
+        for tag, requests in sorted(records(table).items(), key=lambda item: born[item[0]])
+        for r in requests.values()
         if r.txn == txn
     ]
+
+
+def reference_blockers(table, txn, tag, mode):
+    """The blocking rule over the tag's requests in arrival order, for a new
+    request of `txn` in `mode`: conflicting grants of other transactions,
+    then the first conflicting waiter of another transaction."""
+    others = [
+        r
+        for r in records(table).get(tag, {}).values()
+        if r.txn != txn and conflicts(r.mode, mode)
+    ]
+    granted = [r for r in others if r.status is RequestStatus.GRANTED]
+    waiting = [r for r in others if r.status is RequestStatus.WAITING]
+    return granted + waiting[:1]
 
 
 def as_keys(requests):
@@ -403,10 +528,37 @@ lock_ops = st.lists(
         ("release_all", 1, 0, 1),
     ]
 )
+# txn 4's ACCESS_EXCLUSIVE moves t0's three uncontended ROW_EXCLUSIVE holders
+# into a queue, and waits on all three
+@example(
+    ops=[
+        ("acquire", 1, 0, 3),
+        ("acquire", 2, 0, 3),
+        ("acquire", 3, 0, 3),
+        ("acquire", 4, 0, 8),
+        ("release_all", 1, 0, 1),
+        ("release_all", 3, 0, 1),
+        ("release_all", 2, 0, 1),
+    ]
+)
+# txn 1 holds t0 and then a tuple; the tuple's queue is made first (txn 2
+# waits there), then t0's (txn 3 waits there).  t0 was born first, so txn 1's
+# release must promote txn 3 before txn 2
+@example(
+    ops=[
+        ("acquire", 1, 0, 3),
+        ("acquire", 1, 2, 7),
+        ("acquire", 2, 2, 7),
+        ("acquire", 3, 0, 8),
+        ("release_all", 1, 0, 1),
+    ]
+)
 def test_per_transaction_index_matches_walk_over_every_queue(ops):
     """release_all promotes the same requests in the same order as a walk
-    over every queue, and locks_of lists the same requests, while queues are
-    created, emptied and created again in a new order."""
+    over every tag, and locks_of lists the same requests, while tags get
+    requests, move into queues, are emptied and get requests again in a new
+    order.  Each acquire's blockers are those of the blocking rule over the
+    tag's requests."""
     table = LockTable(0)
     for t in range(1, 6):
         table.register_txn(t)
@@ -416,24 +568,34 @@ def test_per_transaction_index_matches_walk_over_every_queue(ops):
         LockTag(TagKind.TUPLE, 0, ("t0", 0)),
         LockTag(TagKind.TUPLE, 0, ("t0", 1)),
     ]
+    born = {}  # tag -> arrival number of its first request since it was empty
     for tick, (op, txn, tag_index, mode) in enumerate(ops):
         tag = tags[tag_index]
         mine = table.locks_of(txn)
-        assert as_keys(mine) == as_keys(reference_locks_of(table, txn))
+        assert as_keys(mine) == as_keys(reference_locks_of(table, txn, born))
         assert table.has_requests(txn) == bool(mine)
         if op == "acquire":
             if any(r.status is RequestStatus.WAITING for r in mine):
                 continue  # a blocked transaction issues nothing more
-            table.acquire(txn, tag, LockMode(mode), tick)
+            mode = LockMode(mode)
+            if any(r.tag == tag and r.mode == mode for r in mine):
+                expected = []  # an idempotent re-grant
+            else:
+                expected = reference_blockers(table, txn, tag, mode)
+            born.setdefault(tag, table._next_seq)
+            _, blockers = table.acquire(txn, tag, mode, tick)
+            assert as_keys(blockers) == as_keys(expected)
         elif op == "release_all":
             reference = copy.deepcopy(table)
-            expected = reference_release_all(reference, txn)
+            expected = reference_release_all(reference, txn, born)
             assert as_keys(table.release_all(txn, tick)) == as_keys(expected)
             table.register_txn(txn)
         elif tag.kind is TagKind.TUPLE and any(
             r.tag == tag and r.status is RequestStatus.GRANTED for r in mine
         ):
             table.release_tuple_lock(txn, tag)
+        for emptied in born.keys() - records(table).keys():
+            del born[emptied]
         table.check_invariants()
 
 

@@ -108,13 +108,13 @@ def run_to_fixpoint(scenario, seed, gdd_enabled, **mode):
 N_SCENARIOS = 1000
 
 
-def oracle_agreement_stats(n_scenarios=N_SCENARIOS, base_seed=1000):
+def oracle_agreement_stats(n_scenarios=N_SCENARIOS, base_seed=1000, **mode):
     agree = 0
     deadlocks = 0
     confluent = 0
     for i in range(n_scenarios):
         seed = base_seed + i
-        cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_enabled=False)
+        cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_enabled=False, **mode)
         stalled = bool(cluster.blocked_sessions())
         graph = cluster.collect_graph()
         verdict = detect(graph, cluster.txn_is_live)
@@ -148,6 +148,14 @@ def test_detector_agrees_with_stall_oracle_on_1000_scenarios():
     # the generator must actually exercise both outcomes heavily
     assert deadlocks > 50
     assert deadlocks < N_SCENARIOS - 50
+
+
+@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+def test_detector_agrees_with_stall_oracle_in_mode(mode):
+    """The stall oracle under each flag of ORACLE_MODES, on 150 scenarios."""
+    agree, deadlocks, confluent = oracle_agreement_stats(150, **ORACLE_MODES[mode])
+    assert agree == confluent == 150
+    assert 20 < deadlocks < 130
 
 
 def check_atomicity(cluster, seed) -> int:
