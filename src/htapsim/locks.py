@@ -4,12 +4,13 @@ Each segment (the coordinator counts as segment -1) runs one LockTable.
 Wait-for edges are derived from the tables by the wait-graph module, so the
 lock table records, for every waiting request, which holders block it.
 
-Most requests meet no conflict: concurrent updaters all take ROW_EXCLUSIVE
-on a relation, and a writer's lock on its own xid is seldom waited on.  As
-in PostgreSQL's lock.c (FastPathGrantRelationLock, VirtualXactLock), such a
-tag keeps its requests in a small uncontended record, granted without a
-queue; the first request that could conflict moves them into a queue
-(FastPathTransferRelationLocks) and the blocking rule decides it there.
+Every tag with requests has one record, a LockQueue.  Most requests meet no
+conflict: concurrent updaters all take ROW_EXCLUSIVE on a relation.  As in
+PostgreSQL's lock.c (FastPathStrongRelationLocks,
+ConflictsWithRelationFastPath), each queue counts its strong requests, those
+in modes above ROW_EXCLUSIVE; while that count is 0 a weak request is granted
+without the blocking rule's walk.  The count is a pre-check in front of the
+rule, not a second rule.
 """
 
 from __future__ import annotations
@@ -118,95 +119,31 @@ class AcquireResult(Enum):
 _GRANTED, _WAITING = RequestStatus.GRANTED, RequestStatus.WAITING
 _ACQUIRED, _BLOCKED = AcquireResult.GRANTED, AcquireResult.BLOCKED
 
-# Modes ACCESS_SHARE..ROW_EXCLUSIVE never conflict with one another, so any
-# number of transactions can hold them on one tag without a queue.
+# Modes ACCESS_SHARE..ROW_EXCLUSIVE never conflict with one another; a mode
+# above it is strong, as in lock.c's ConflictsWithRelationFastPath.
 _WEAK = LockMode.ROW_EXCLUSIVE
-
-
-class UncontendedTag:
-    """One uncontended tag's requests, like a PostgreSQL backend's fast-path
-    relation lock slots.
-
-    `requests` maps arrival number to request, all granted: one request in
-    any mode, or any number in modes up to ROW_EXCLUSIVE.  `born` is the
-    arrival number of the request that made the record, and the tag's queue
-    keeps it if the tag is ever contended.
-    """
-
-    __slots__ = ("born", "requests")
-
-    def __init__(self, req: LockRequest):
-        self.born = req.seq
-        self.requests = {req.seq: req}
-
-    def admits(self, mode: LockMode) -> bool:
-        """True iff a request in `mode` leaves the tag uncontended."""
-        if mode > _WEAK:
-            return False
-        requests = self.requests
-        return len(requests) > 1 or next(iter(requests.values())).mode <= _WEAK
-
-
-_born = attrgetter("born")
 
 
 class LockQueue:
     """One tag's requests, like PostgreSQL's LOCK.
 
     `requests` maps arrival number to request, so it iterates in arrival
-    order and drops any request in O(1).  `granted` and `waiting` count the
-    requests in each mode (indexed by level), and `granted_mask` and
-    `waiting_mask` have bit m set iff that count for mode m is non-zero.
-    `born` is the arrival number of the tag's first request since the tag
-    was last empty.  A queue is made from an uncontended record, whose
-    `born` and requests, all granted, it takes over.
+    order and drops any request in O(1).  `strong` counts the requests,
+    granted or waiting, in modes above ROW_EXCLUSIVE, and `waiting` the
+    waiting requests.  `born` is the arrival number of the tag's first
+    request since the tag was last empty.
     """
 
-    __slots__ = ("born", "requests", "granted", "waiting", "granted_mask", "waiting_mask")
+    __slots__ = ("born", "requests", "strong", "waiting")
 
-    def __init__(self, born: int, granted: dict[int, LockRequest]):
-        self.born = born
-        self.requests = granted
-        self.granted = counts = [0] * 9
-        self.waiting = [0] * 9
-        mask = 0
-        for req in granted.values():
-            counts[req.mode] += 1
-            mask |= 1 << req.mode
-        self.granted_mask = mask
-        self.waiting_mask = 0
+    def __init__(self, req: LockRequest):
+        self.born = req.seq
+        self.requests = {req.seq: req}
+        self.strong = 1 if req.mode > _WEAK else 0
+        self.waiting = 0
 
-    def add(self, req: LockRequest) -> None:
-        self.requests[req.seq] = req
-        mode = req.mode
-        if req.status is _GRANTED:
-            self.granted[mode] += 1
-            self.granted_mask |= 1 << mode
-        else:
-            self.waiting[mode] += 1
-            self.waiting_mask |= 1 << mode
 
-    def remove(self, req: LockRequest) -> None:
-        del self.requests[req.seq]
-        mode = req.mode
-        if req.status is _GRANTED:
-            self.granted[mode] -= 1
-            if not self.granted[mode]:
-                self.granted_mask &= ~(1 << mode)
-        else:
-            self._unwait(mode)
-
-    def grant(self, req: LockRequest) -> None:
-        """Turn a waiting request into a granted one."""
-        self._unwait(req.mode)
-        req.status = _GRANTED
-        self.granted[req.mode] += 1
-        self.granted_mask |= 1 << req.mode
-
-    def _unwait(self, mode: LockMode) -> None:
-        self.waiting[mode] -= 1
-        if not self.waiting[mode]:
-            self.waiting_mask &= ~(1 << mode)
+_born = attrgetter("born")
 
 
 @dataclass
@@ -220,44 +157,36 @@ class LockTable:
     even when a blocked waiter sits ahead of it.  Requests are numbered by the
     table's arrival sequence.
 
-    A tag nobody contends for keeps its requests in an UncontendedTag in
-    `_fast`: one request in any mode, or any number in modes up to
-    ROW_EXCLUSIVE, which never conflict with one another.  This is
-    PostgreSQL's fast path (FastPathGrantRelationLock in lock.c) for weak
-    relation locks, and also covers a writer's lock on its own xid, which
-    PostgreSQL keeps local until someone waits on it (VirtualXactLock).  The
-    rule can block no request there, so `acquire` grants it at once.  The
-    first request that could conflict (a mode above ROW_EXCLUSIVE beside
-    another request, or a second request beside one above it) moves the
-    tag's requests into a LockQueue in `_queues`, with the same `born` and
-    arrival numbers, as FastPathTransferRelationLocks moves fast-path locks
-    into the shared table; the rule then decides it.  The transfer reads only
-    that tag's requests.  The tag keeps its queue until the queue is empty.
-    The fast path is a shortcut in front of the rule, not a second rule.
-
-    As PostgreSQL keeps a grantMask and a waitMask on each LOCK, each queue
-    keeps per-mode counts of its granted and waiting requests and a bitmask
-    of the modes present in each.  A request whose mode conflicts with no
-    granted and no waiting mode cannot meet the rule, so `acquire` grants it
-    without walking the queue; any other request is decided by the walk.
-    The mask is a pre-check in front of the rule too.
+    Every tag with requests has one LockQueue in `_queues`, made by its first
+    request since it was last empty and dropped when it is empty again.  Most
+    requests meet no conflict: concurrent updaters all take ROW_EXCLUSIVE on
+    a relation, and a writer's lock on its own xid is seldom waited on.  As
+    PostgreSQL lets a weak relation lock skip the shared lock table while no
+    strong lock is counted on the relation (FastPathStrongRelationLocks and
+    ConflictsWithRelationFastPath in lock.c), each queue counts its requests
+    in modes above ROW_EXCLUSIVE, granted or waiting.  Modes up to
+    ROW_EXCLUSIVE never conflict with one another, so while that count is 0
+    no request can block a weak request and none can be waiting, and
+    `acquire` grants a weak request without walking the queue.  Any other
+    request is decided by the walk.  The count is a pre-check in front of the
+    rule, not a second rule.
 
     Like PostgreSQL's per-backend lock list, the table also keeps, for each
     transaction, its own requests grouped by tag.  The duplicate check in
     `acquire` reads only those, and releasing a transaction removes exactly
-    those from their records and drops each record left empty.  As
-    PostgreSQL's UnGrantLock and CleanUpLock wake waiters only where the
-    lock's waitMask is set, release then re-evaluates only the queues that
-    still have waiters; nothing waits on an uncontended tag.  It wakes them
-    in `born` order, the order in which the tags got their first request
-    since they were last empty, whatever order the transaction made its
-    requests in; queues are independent, so only the order of the promoted
-    list depends on it.  `locks_of` lists tags in the same order.
+    those from their queues and drops each queue left empty.  Only queues
+    with a strong request can have waiters, so release updates the counts
+    only there.  As PostgreSQL's UnGrantLock and CleanUpLock wake waiters
+    only where the lock's waitMask is set, release then re-evaluates only
+    the queues that still have waiters.  It wakes them in `born` order, the
+    order in which the tags got their first request since they were last
+    empty, whatever order the transaction made its requests in; queues are
+    independent, so only the order of the promoted list depends on it.
+    `locks_of` lists tags in the same order.
     """
 
     segment: int
     _queues: dict[LockTag, LockQueue] = field(default_factory=dict)
-    _fast: dict[LockTag, UncontendedTag] = field(default_factory=dict)
     _own: dict[int, dict[LockTag, list[LockRequest]]] = field(default_factory=dict)
     _active: set[int] = field(default_factory=set)
     _next_seq: int = 0
@@ -274,9 +203,8 @@ class LockTable:
     ) -> tuple[AcquireResult, list[LockRequest]]:
         """Request `tag` in `mode` for `txn`.
 
-        The request joins the tail of the tag's requests, in its uncontended
-        record or its queue, and is granted at once unless the blocking rule
-        (see the class docstring) holds for it.
+        The request joins the tail of the tag's queue and is granted at once
+        unless the blocking rule (see the class docstring) holds for it.
         Returns (GRANTED, []) or (BLOCKED, blockers) where blockers are as in
         `blockers_of`.
         """
@@ -303,24 +231,20 @@ class LockTable:
         self._next_seq = seq + 1
         req = LockRequest(txn, tag, mode, _GRANTED, tick, seq)
         mine.append(req)
-        fast = self._fast.get(tag)
-        if fast is None:
-            queue = self._queues.get(tag)
-            if queue is None:
-                self._fast[tag] = UncontendedTag(req)
-                return _ACQUIRED, []
-        elif fast.admits(mode):
-            fast.requests[seq] = req
+        queue = self._queues.get(tag)
+        if queue is None:
+            self._queues[tag] = LockQueue(req)
             return _ACQUIRED, []
-        else:
-            queue = self._transfer(tag, fast)
-        if CONFLICT_MASK[mode] & (queue.granted_mask | queue.waiting_mask):
-            blockers = self._blockers_for(queue.requests.values(), req)
-            if blockers:
-                req.status = _WAITING
-                queue.add(req)
-                return _BLOCKED, blockers
-        queue.add(req)
+        queue.requests[seq] = req
+        if mode > _WEAK:
+            queue.strong += 1
+        elif not queue.strong:
+            return _ACQUIRED, []  # nothing on the tag can block a weak request
+        blockers = self._blockers_for(queue.requests.values(), req)
+        if blockers:
+            req.status = _WAITING
+            queue.waiting += 1
+            return _BLOCKED, blockers
         return _ACQUIRED, []
 
     def release_all(self, txn: int, tick: int) -> list[LockRequest]:
@@ -334,24 +258,24 @@ class LockTable:
         own = self._own.pop(txn, None)
         if own is None:
             return []
-        fasts, queues = self._fast, self._queues
+        queues = self._queues
         woken = []
         for tag, mine in own.items():
-            fast = fasts.get(tag)
-            if fast is not None:
-                requests = fast.requests
-                for req in mine:
-                    del requests[req.seq]
-                if not requests:
-                    del fasts[tag]
-                continue
             queue = queues[tag]
+            requests = queue.requests
             for req in mine:
-                queue.remove(req)
-            if queue.waiting_mask:
-                woken.append(queue)
-            elif not queue.requests:
+                del requests[req.seq]
+            if not requests:
+                # the common own-xid case: an emptied queue needs no counts
                 del queues[tag]
+            elif queue.strong:  # else only weak grants, which nothing waits on
+                for req in mine:
+                    if req.mode > _WEAK:
+                        queue.strong -= 1
+                    if req.status is _WAITING:
+                        queue.waiting -= 1
+                if queue.waiting:
+                    woken.append(queue)
         if not woken:
             return []
         if len(woken) > 1:
@@ -377,27 +301,21 @@ class LockTable:
             del own[tag]
             if not own:
                 del self._own[txn]
-        fast = self._fast.get(tag)
-        if fast is not None:
-            for req in held:
-                del fast.requests[req.seq]
-            if not fast.requests:
-                del self._fast[tag]
-            return []
         queue = self._queues[tag]
         for req in held:
-            queue.remove(req)
-        promoted = self._reevaluate(queue) if queue.waiting_mask else []
+            del queue.requests[req.seq]
         if not queue.requests:
             del self._queues[tag]
-        return promoted
+            return []
+        queue.strong -= sum(req.mode > _WEAK for req in held)  # none was waiting
+        return self._reevaluate(queue) if queue.waiting else []
 
     # -- queries used by the wait-graph and the simulator ---------------------
 
     def waiting_requests(self) -> list[LockRequest]:
         out = []
         for queue in self._queues.values():
-            if queue.waiting_mask:
+            if queue.waiting:
                 out.extend(
                     r
                     for r in queue.requests.values()
@@ -418,9 +336,9 @@ class LockTable:
         own = self._own.get(txn)
         if own is None:
             return []
-        queues, fasts = self._queues, self._fast
+        queues = self._queues
         out = []
-        for tag in sorted(own, key=lambda tag: (queues.get(tag) or fasts[tag]).born):
+        for tag in sorted(own, key=lambda tag: queues[tag].born):
             out.extend(own[tag])
         return out
 
@@ -430,87 +348,55 @@ class LockTable:
 
     def check_invariants(self) -> None:
         """Each tag's requests are filed under their arrival numbers in
-        arrival order, no two granted requests on one tag conflict (distinct
-        txns), and every waiter has at least one blocker.  No tag is both
-        uncontended and queued, and an uncontended tag holds one request, or
-        only granted requests in modes up to ROW_EXCLUSIVE.  Each queue's
-        per-mode counts and masks match its requests, and the per-transaction
-        index holds exactly each transaction's requests in arrival order.
-        The `born` of every tag is distinct and at most the arrival number of
-        its first request."""
-        both = self._fast.keys() & self._queues.keys()
-        if both:
-            raise AssertionError(f"tags both uncontended and queued: {both}")
-        records = {**self._fast, **self._queues}
-        born = [record.born for record in records.values()]
+        arrival order, no empty queue is kept, no two granted requests on one
+        tag conflict (distinct txns), and every waiter has at least one
+        blocker.  Each queue's strong and waiting counts match its requests,
+        and the per-transaction index holds exactly each transaction's
+        requests in arrival order.  The `born` of every queue is distinct and
+        at most the arrival number of its first request."""
+        queues = self._queues
+        born = [queue.born for queue in queues.values()]
         if len(set(born)) != len(born):
             raise AssertionError(f"tags share a birth number: {sorted(born)}")
         own: dict[int, dict[LockTag, list[LockRequest]]] = {}
-        for tag, record in records.items():
-            if not record.requests:
-                raise AssertionError(f"empty record kept for {tag}")
-            if record.born > min(record.requests):
-                raise AssertionError(f"record of {tag} born after its requests")
-            for seq, r in record.requests.items():
+        for tag, queue in queues.items():
+            if not queue.requests:
+                raise AssertionError(f"empty queue kept for {tag}")
+            if queue.born > min(queue.requests):
+                raise AssertionError(f"queue of {tag} born after its requests")
+            for seq, r in queue.requests.items():
                 if r.seq != seq or r.tag != tag:
                     raise AssertionError(f"request {r} filed under {tag} as {seq}")
                 own.setdefault(r.txn, {}).setdefault(tag, []).append(r)
-            seqs = list(record.requests)
+            seqs = list(queue.requests)
             if seqs != sorted(seqs):
                 raise AssertionError(f"{tag} is not in arrival order: {seqs}")
         if _identities(own) != _identities(self._own):
             raise AssertionError(
-                f"per-transaction index {self._own} != records {own}"
+                f"per-transaction index {self._own} != queues {own}"
             )
-        for tag, fast in self._fast.items():
-            requests = list(fast.requests.values())
-            weak = all(r.mode <= _WEAK for r in requests)
-            granted = all(r.status is RequestStatus.GRANTED for r in requests)
-            if not (granted and (weak or len(requests) == 1)):
-                raise AssertionError(f"uncontended {tag} holds {requests}")
-        for tag, queue in self._queues.items():
-            self._check_counts(tag, queue)
-            granted = [
-                r for r in queue.requests.values() if r.status is RequestStatus.GRANTED
-            ]
+        for tag, queue in queues.items():
+            requests = list(queue.requests.values())
+            strong = sum(r.mode > _WEAK for r in requests)
+            waiting = sum(r.status is RequestStatus.WAITING for r in requests)
+            if (queue.strong, queue.waiting) != (strong, waiting):
+                raise AssertionError(
+                    f"counts on {tag} are strong={queue.strong}"
+                    f" waiting={queue.waiting}, the requests give"
+                    f" strong={strong} waiting={waiting}"
+                )
+            granted = [r for r in requests if r.status is RequestStatus.GRANTED]
             for i, a in enumerate(granted):
                 for b in granted[i + 1 :]:
                     if a.txn != b.txn and conflicts(a.mode, b.mode):
                         raise AssertionError(
                             f"conflicting grants on {tag}: {a} vs {b}"
                         )
-            for r in queue.requests.values():
+            for r in requests:
                 if r.status is RequestStatus.WAITING and not self.blockers_of(r):
                     raise AssertionError(f"waiter without blocker on {tag}: {r}")
 
     # -- internals ------------------------------------------------------------
-
-    def _transfer(self, tag: LockTag, fast: UncontendedTag) -> LockQueue:
-        """Move an uncontended tag's requests into a new queue."""
-        del self._fast[tag]
-        queue = self._queues[tag] = LockQueue(fast.born, fast.requests)
-        return queue
-
-    @staticmethod
-    def _check_counts(tag: LockTag, queue: LockQueue) -> None:
-        granted, waiting = [0] * 9, [0] * 9
-        for r in queue.requests.values():
-            counts = granted if r.status is RequestStatus.GRANTED else waiting
-            counts[r.mode] += 1
-        granted_mask = sum(1 << m for m in range(9) if granted[m])
-        waiting_mask = sum(1 << m for m in range(9) if waiting[m])
-        if (granted, waiting, granted_mask, waiting_mask) != (
-            queue.granted,
-            queue.waiting,
-            queue.granted_mask,
-            queue.waiting_mask,
-        ):
-            raise AssertionError(
-                f"mode counts on {tag} are granted={queue.granted}"
-                f" waiting={queue.waiting} masks={queue.granted_mask:#x}/"
-                f"{queue.waiting_mask:#x}, the requests give granted={granted}"
-                f" waiting={waiting} masks={granted_mask:#x}/{waiting_mask:#x}"
-            )
 
     def _blockers_for(
         self, queue: Iterable[LockRequest], req: LockRequest
@@ -541,8 +427,9 @@ class LockTable:
         promoted = []
         for req in requests:
             if req.status is _WAITING and not self._blockers_for(requests, req):
-                queue.grant(req)
+                req.status = _GRANTED
                 promoted.append(req)
+        queue.waiting -= len(promoted)
         return promoted
 
 

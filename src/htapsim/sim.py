@@ -67,6 +67,12 @@ RELATION_LOCK_MODE = {
     "lock": LockMode.ACCESS_EXCLUSIVE,
 }
 
+# Per-transaction paths read these members as module constants: reading one
+# off its Enum class costs several times as much as reading a global.
+_LOCK_GRANTED = AcquireResult.GRANTED
+_TUPLE, _TRANSACTION = TagKind.TUPLE, TagKind.TRANSACTION
+_SHARE, _EXCLUSIVE = LockMode.SHARE, LockMode.EXCLUSIVE
+
 
 @dataclass
 class SimConfig:
@@ -196,7 +202,7 @@ class Site:
         `(tag, txn.dxid)` and `resume` parks it."""
         cl = self.cluster
         result, blockers = self.locks.acquire(txn.dxid, tag, mode, cl.clock)
-        if result is AcquireResult.GRANTED:
+        if result is _LOCK_GRANTED:
             return True
         blocked_by = frozenset([b.txn for b in blockers])
         cl._trace(self.id, "lock_wait", _lock_wait_details, txn.dxid, tag, mode.name, blocked_by)
@@ -235,7 +241,7 @@ class Site:
             return
         mode = RELATION_LOCK_MODE[step.kind]
         if step.kind == "update" and cl.config.legacy_locking:
-            mode = LockMode.EXCLUSIVE  # legacy locking: one writer per table
+            mode = _EXCLUSIVE  # legacy locking: one writer per table
         tag = self.relation_tags.get(step.table)
         if tag is None:
             tag = self.relation_tags[step.table] = LockTag(TagKind.RELATION, self.id, step.table)
@@ -287,8 +293,8 @@ class Segment(Site):
         self.states[local] = "in_progress"
         self.mapping.record(local, txn.dxid)
         cl = self.cluster
-        tag = LockTag(TagKind.TRANSACTION, self.id, local)
-        self.locks.acquire(txn.dxid, tag, LockMode.EXCLUSIVE, cl.clock)
+        tag = LockTag(_TRANSACTION, self.id, local)
+        self.locks.acquire(txn.dxid, tag, _EXCLUSIVE, cl.clock)
         cl._trace(self.id, "assign_local_xid", "dxid={} local={}", txn.dxid, local)
         return local
 
@@ -346,17 +352,17 @@ class Segment(Site):
                         self.wake(self.locks.release_tuple_lock(txn.dxid, tuple_tag))
                     break
                 # stamper still in progress: queue on the tuple, then on its txn lock
-                tuple_tag = LockTag(TagKind.TUPLE, self.id, (step.table, slot))
+                tuple_tag = LockTag(_TUPLE, self.id, (step.table, slot))
                 if not tuple_granted:
                     tuple_granted = True
-                    if not self.acquire_or_park(txn, tuple_tag, LockMode.EXCLUSIVE):
+                    if not self.acquire_or_park(txn, tuple_tag, _EXCLUSIVE):
                         yield tuple_tag, txn.dxid
                         if not stmt.live():
                             return
                         continue  # a woken grant is held only if a stamper runs
                 tuple_held = True
-                xact_tag = LockTag(TagKind.TRANSACTION, self.id, stamper)
-                if not self.acquire_or_park(txn, xact_tag, LockMode.SHARE):
+                xact_tag = LockTag(_TRANSACTION, self.id, stamper)
+                if not self.acquire_or_park(txn, xact_tag, _SHARE):
                     yield xact_tag, txn.dxid
                     if not stmt.live():
                         return

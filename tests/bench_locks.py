@@ -10,13 +10,13 @@ time another checkout, run from inside that checkout; the header line
 "htapsim under test" names the copy being measured.
 
 Each case times one round on a tag that already has N compatible
-ROW_EXCLUSIVE holders, the shape concurrent updaters make on a relation;
-nobody contends for the tag, so the holders sit on the fast path, with no
-queue.  With the cost of a grant and a release bound to the requesting
-transaction's own requests, the time per round stays flat in N.  One case
-times the transfer, the first conflicting request moving the N holders into
-a queue, which costs O(N).  One more case times the lock every writer takes
-on its own local xid.
+ROW_EXCLUSIVE holders, the shape concurrent updaters make on a relation.
+No strong lock is counted on the tag, so a weak request is granted without
+walking the holders, and a release touches only the releasing
+transaction's own requests: the time per round stays flat in N.  One case
+times a strong request meeting the N holders, which the blocking rule
+decides by walking them, in O(N).  One more case times the lock every
+writer takes on its own local xid.
 """
 
 import itertools
@@ -74,9 +74,9 @@ def test_blocked_then_promoted(benchmark, holders):
 
 
 @pytest.mark.parametrize("holders", HOLDERS)
-def test_strong_request_transfers(benchmark, holders):
-    """An ACCESS_EXCLUSIVE request meets the N uncontended holders: it moves
-    them into a queue and waits on every one of them."""
+def test_strong_request_meets_weak_holders(benchmark, holders):
+    """An ACCESS_EXCLUSIVE request meets the N ROW_EXCLUSIVE holders and
+    waits on every one of them."""
     strong = holders + 1
 
     def setup():
@@ -94,8 +94,8 @@ def test_strong_request_transfers(benchmark, holders):
 
 def test_own_xid_lock(benchmark):
     """A writer takes the transaction lock on its own new local xid, a tag
-    nobody has used, and then ends: the lock stays on the fast path, and its
-    record is made and dropped again with no queue."""
+    nobody has used, and then ends: the tag's queue is made for the one
+    request and dropped again, emptied, before its counts are touched."""
     table = LockTable(0)
     xids = itertools.count(1)
 

@@ -1,4 +1,4 @@
-import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,6 +7,8 @@ from htapsim.locks import (
     CONFLICT_MASK,
     AcquireResult,
     LockMode,
+    LockQueue,
+    LockRequest,
     LockTable,
     LockTag,
     ProtocolError,
@@ -226,9 +228,9 @@ def counting(monkeypatch, name):
     return calls
 
 
-class TestModeMasks:
-    """With many compatible holders on one tag, the per-tag mode masks let a
-    compatible request and a release skip the walk over the holders."""
+class TestStrongCount:
+    """With many weak holders on one tag and no strong request counted, a
+    weak request and a release skip the walk over the holders."""
 
     HOLDERS = 256
 
@@ -262,21 +264,11 @@ class TestModeMasks:
         table.check_invariants()
 
 
-class TestFastPath:
-    """Uncontended tags are granted without a queue; the first request that
-    could conflict moves the tag's requests into one."""
+class TestOneRecord:
+    """Every tag with requests has one queue, which keeps its `born` while
+    it has requests and is dropped when it has none."""
 
-    def test_weak_holders_and_own_xid_stay_uncontended(self):
-        table = make_table(1, 2, 3)
-        xact = LockTag(TagKind.TRANSACTION, 0, 7)
-        for txn in (1, 2, 3):
-            table.acquire(txn, rel(0), LockMode(txn), 0)
-        table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
-        assert table._queues == {}
-        assert [r.seq for r in table.locks_of(1)] == [0, 3]
-        table.check_invariants()
-
-    def test_transfer_keeps_born_and_arrival_numbers(self):
+    def test_born_survives_its_creators_release(self):
         table = make_table(1, 2, 3)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
@@ -287,7 +279,7 @@ class TestFastPath:
         (queue,) = table._queues.values()
         assert queue.born == 0
         assert list(queue.requests) == [1, 2]
-        assert table._fast == {}
+        assert (queue.strong, queue.waiting) == (1, 1)
         table.check_invariants()
 
     def test_a_queue_lasts_until_its_tag_is_empty(self):
@@ -296,63 +288,80 @@ class TestFastPath:
         table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(2, xact, LockMode.SHARE, 1)
         assert [r.txn for r in table.release_all(1, 2)] == [2]
-        assert list(table._queues) == [xact]
+        (queue,) = table._queues.values()
+        assert (queue.born, queue.strong, queue.waiting) == (0, 1, 0)
         table.release_all(2, 3)
+        assert table._queues == {}
         table.register_txn(2)
         table.acquire(2, xact, LockMode.SHARE, 4)
-        assert (table._queues, list(table._fast)) == ({}, [xact])
+        assert table._queues[xact].born == 2
+        table.check_invariants()
+
+    def test_locks_of_lists_tags_by_born(self):
+        table = make_table(1, 2, 3)
+        xact = LockTag(TagKind.TRANSACTION, 0, 7)
+        for txn in (1, 2, 3):
+            table.acquire(txn, rel(0), LockMode(txn), 0)
+        table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
+        assert [r.seq for r in table.locks_of(1)] == [0, 3]
+        assert [(q.strong, q.waiting) for q in table._queues.values()] == [
+            (0, 0),
+            (1, 0),
+        ]
         table.check_invariants()
 
 
-def fast_table():
-    """Txns 1 and 2 hold t1 in ROW_EXCLUSIVE, txn 1 holds t2 alone; all
-    uncontended."""
+def strong_table():
+    """Txns 1 and 2 hold t1 in ROW_EXCLUSIVE, txn 1 holds t2 in SHARE and
+    txn 2 waits for t2 in EXCLUSIVE."""
     table = make_table(1, 2)
     table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
     table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
-    table.acquire(1, rel(0, "t2"), LockMode.ROW_EXCLUSIVE, 0)
+    table.acquire(1, rel(0, "t2"), LockMode.SHARE, 0)
+    table.acquire(2, rel(0, "t2"), LockMode.EXCLUSIVE, 0)
     return table
 
 
-def queued_and_uncontended(table):
-    fast = table._fast[rel(0)]
-    table._transfer(rel(0), fast)
-    table._fast[rel(0)] = fast
+def wrong_strong(table):
+    table._queues[rel(0)].strong = 1
 
 
-def strong_beside_another(table):
-    table._fast[rel(0)].requests[0].mode = LockMode.SHARE
+def wrong_waiting(table):
+    table._queues[rel(0, "t2")].waiting = 0
 
 
-def waiting_alone(table):
-    table._fast[rel(0, "t2")].requests[2].status = RequestStatus.WAITING
+def empty_kept(table):
+    tag = rel(0, "t3")
+    req = LockRequest(1, tag, LockMode.ACCESS_SHARE, RequestStatus.GRANTED, 0, 4)
+    table._queues[tag] = LockQueue(req)
+    del table._queues[tag].requests[4]
 
 
 def missing_from_index(table):
-    del table._fast[rel(0)].requests[1]
+    del table._own[2][rel(0)]
 
 
 def shared_birth(table):
-    table._fast[rel(0, "t2")].born = 0
+    table._queues[rel(0, "t2")].born = 0
 
 
 def born_late(table):
-    table._fast[rel(0, "t2")].born = 3
+    table._queues[rel(0, "t2")].born = 3
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (queued_and_uncontended, "both uncontended and queued"),
-        (strong_beside_another, "uncontended relation:t1@seg0 holds"),
-        (waiting_alone, "uncontended relation:t2@seg0 holds"),
+        (wrong_strong, "counts on relation:t1@seg0 are strong=1"),
+        (wrong_waiting, "counts on relation:t2@seg0 are strong=2 waiting=0"),
+        (empty_kept, "empty queue kept for relation:t3@seg0"),
         (missing_from_index, "per-transaction index"),
         (shared_birth, "share a birth number"),
         (born_late, "born after its requests"),
     ],
 )
-def test_check_invariants_rejects_bad_fast_path_state(corrupt, message):
-    table = fast_table()
+def test_check_invariants_rejects_bad_record_state(corrupt, message):
+    table = strong_table()
     table.check_invariants()
     corrupt(table)
     with pytest.raises(AssertionError, match=message):
@@ -450,29 +459,26 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
 
 
 def records(table):
-    """Every tag's requests, queued or uncontended, as tag -> {seq: request}."""
-    return {
-        tag: record.requests
-        for tag, record in [*table._queues.items(), *table._fast.items()]
-    }
+    """Every tag's requests, as tag -> {seq: request}."""
+    return {tag: queue.requests for tag, queue in table._queues.items()}
 
 
 def reference_release_all(table, txn, born):
-    """release_all as a walk over every tag on the segment, queued or
-    uncontended, in the order of `born` (when each tag got its first request
-    since it was last empty), re-evaluating every queue the transaction
-    left."""
+    """release_all as a walk over every tag on the segment in the order of
+    `born` (when each tag got its first request since it was last empty).
+    On each tag the transaction had requests on, its requests are dropped
+    and the rest re-evaluated by `promotion_oracle`.  Reads the table and
+    changes nothing; returns the promoted requests as granted copies."""
     promoted = []
     for tag, requests in sorted(records(table).items(), key=lambda item: born[item[0]]):
-        mine = [r for r in requests.values() if r.txn == txn]
-        queue = table._queues.get(tag)
-        for r in mine:
-            if queue is None:
-                del requests[r.seq]
-            else:
-                queue.remove(r)
-        if mine and queue is not None:
-            promoted.extend(table._reevaluate(queue))
+        rest = [r for r in requests.values() if r.txn != txn]
+        if len(rest) == len(requests):
+            continue
+        residual = [(r.txn, r.mode, r.status.value) for r in rest]
+        for woken in promotion_oracle(residual):
+            # a blocked transaction issues nothing more: one waiter per txn
+            (r,) = [r for r in rest if r.txn == woken and r.status is RequestStatus.WAITING]
+            promoted.append(replace(r, status=RequestStatus.GRANTED))
     return promoted
 
 
@@ -528,8 +534,8 @@ lock_ops = st.lists(
         ("release_all", 1, 0, 1),
     ]
 )
-# txn 4's ACCESS_EXCLUSIVE moves t0's three uncontended ROW_EXCLUSIVE holders
-# into a queue, and waits on all three
+# txn 4's ACCESS_EXCLUSIVE is the first strong request on t0, beside three
+# ROW_EXCLUSIVE holders, and waits on all three
 @example(
     ops=[
         ("acquire", 1, 0, 3),
@@ -553,11 +559,21 @@ lock_ops = st.lists(
         ("release_all", 1, 0, 1),
     ]
 )
+# txns 2 and 3 both wait on txn 1's ACCESS_EXCLUSIVE on t0 and not on each
+# other: txn 1's release must promote both
+@example(
+    ops=[
+        ("acquire", 1, 0, 8),
+        ("acquire", 2, 0, 1),
+        ("acquire", 3, 0, 1),
+        ("release_all", 1, 0, 1),
+    ]
+)
 def test_per_transaction_index_matches_walk_over_every_queue(ops):
     """release_all promotes the same requests in the same order as a walk
     over every tag, and locks_of lists the same requests, while tags get
-    requests, move into queues, are emptied and get requests again in a new
-    order.  Each acquire's blockers are those of the blocking rule over the
+    weak and strong requests and waiters, are emptied and get requests again
+    in a new order.  Each acquire's blockers are those of the blocking rule over the
     tag's requests."""
     table = LockTable(0)
     for t in range(1, 6):
@@ -586,8 +602,7 @@ def test_per_transaction_index_matches_walk_over_every_queue(ops):
             _, blockers = table.acquire(txn, tag, mode, tick)
             assert as_keys(blockers) == as_keys(expected)
         elif op == "release_all":
-            reference = copy.deepcopy(table)
-            expected = reference_release_all(reference, txn, born)
+            expected = reference_release_all(table, txn, born)
             assert as_keys(table.release_all(txn, tick)) == as_keys(expected)
             table.register_txn(txn)
         elif tag.kind is TagKind.TUPLE and any(
