@@ -8,7 +8,6 @@ channels.
 """
 
 from .dtm import (
-    CommitAccounting,
     DistributedSnapshot,
     DistributedTxnManager,
     Protocol,

@@ -250,10 +250,10 @@ def bench(
         if session.group:
             group_lat.setdefault(session.group, []).extend(commits)
     protocol_counts: dict[str, int] = {}
-    for dxid in sorted(cluster.accounting):
-        acc = cluster.accounting[dxid]
-        if acc.protocol is not None and cluster.dtm.is_committed(dxid):
-            name = acc.protocol.value
+    for dxid in sorted(cluster.dtm.transactions):
+        txn = cluster.dtm.transactions[dxid]
+        if txn.protocol is not None and cluster.dtm.is_committed(dxid):
+            name = txn.protocol.value
             protocol_counts[name] = protocol_counts.get(name, 0) + 1
     return BenchResult(
         workload=workload,

@@ -14,7 +14,8 @@ mapping grows with the run.  Tuple visibility combines the distributed
 snapshot with that mapping, falling back to local state for truncated
 entries.  Commit protocol choreography runs on the simulator's event loop;
 this module owns the state, the planning rule (read-only / one-phase /
-two-phase) and the message/fsync accounting.
+two-phase) and one descriptor per transaction, which holds the message and
+fsync accounting.
 """
 
 from __future__ import annotations
@@ -63,27 +64,52 @@ class DistributedSnapshot:
         return xip[bisect_right(xip, dxid) - 1] != dxid  # largest entry <= dxid
 
 
-@dataclass
-class TransactionDescriptor:
-    dxid: int
-    begin_tick: int
-    snapshot: DistributedSnapshot
-    state: TxnState = TxnState.ACTIVE
-    local_xids: dict[int, int] = field(default_factory=dict)  # segment -> local xid
-    write_segments: set[int] = field(default_factory=set)
-    command_id: int = 0  # bumped once per statement
-
-    def is_finished(self) -> bool:
-        return self.state is not _ACTIVE
-
-
 class Protocol(Enum):
     READ_ONLY = "ro"
     ONE_PHASE = "1pc"
     TWO_PHASE = "2pc"
 
 
-# message types counted by CommitAccounting
+@dataclass(slots=True)
+class TransactionDescriptor:
+    """One distributed transaction, as Greenplum's `TMGXACT` entry: its dxid,
+    snapshot and state, the session that runs it, and its commit protocol,
+    latency, and the messages and fsyncs its rounds counted.
+
+    Message types and fsync sites are distinct names, so both kinds of count
+    live in the one plain dict `counts`, which holds only the names counted
+    at least once.  `messages` and `fsyncs` are read-only `Counter` views of
+    each kind, built when read.
+    """
+
+    dxid: int
+    begin_tick: int
+    snapshot: DistributedSnapshot
+    sid: str | None = None  # the session that runs it
+    state: TxnState = TxnState.ACTIVE
+    local_xids: dict[int, int] = field(default_factory=dict)  # segment -> local xid
+    write_segments: set[int] = field(default_factory=set)
+    command_id: int = 0  # bumped once per statement
+    counts: dict[str, int] = field(default_factory=dict)
+    protocol: Protocol | None = None
+    latency_ticks: int = 0
+
+    def is_finished(self) -> bool:
+        return self.state is not _ACTIVE
+
+    def count(self, kind: str) -> None:
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+
+    @property
+    def messages(self) -> Counter:
+        return Counter({k: n for k, n in self.counts.items() if k in MESSAGES})
+
+    @property
+    def fsyncs(self) -> Counter:
+        return Counter({k: n for k, n in self.counts.items() if k in FSYNCS})
+
+
+# message types counted on the descriptor
 MSG_PREPARE = "Prepare"
 MSG_PREPARE_OK = "PrepareOk"
 MSG_COMMIT = "Commit"
@@ -94,36 +120,6 @@ FSYNC_SEGMENT_PREPARE = "SegmentPrepare"
 FSYNC_COORD_COMMIT = "CoordinatorCommit"
 FSYNC_SEGMENT_COMMIT = "SegmentCommit"
 FSYNCS = (FSYNC_SEGMENT_PREPARE, FSYNC_COORD_COMMIT, FSYNC_SEGMENT_COMMIT)
-
-
-@dataclass(slots=True)
-class CommitAccounting:
-    """One transaction's commit protocol, latency, and the messages and
-    fsyncs its rounds counted.
-
-    Message types and fsync sites are distinct names, so both kinds of count
-    live in the one plain dict `counts`, which holds only the names counted
-    at least once.  `messages` and `fsyncs` are read-only `Counter` views of
-    each kind, built when read.
-    """
-
-    counts: dict[str, int] = field(default_factory=dict)
-    protocol: Protocol | None = None
-    latency_ticks: int = 0
-
-    def count_message(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    def count_fsync(self, site: str) -> None:
-        self.counts[site] = self.counts.get(site, 0) + 1
-
-    @property
-    def messages(self) -> Counter:
-        return Counter({k: n for k, n in self.counts.items() if k in MESSAGES})
-
-    @property
-    def fsyncs(self) -> Counter:
-        return Counter({k: n for k, n in self.counts.items() if k in FSYNCS})
 
 
 class XidMapping:
@@ -186,12 +182,12 @@ class DistributedTxnManager:
         # is a snapshot's sorted in-progress array.
         self._live: dict[int, None] = {}
 
-    def begin(self, tick: int) -> TransactionDescriptor:
+    def begin(self, tick: int, sid: str | None = None) -> TransactionDescriptor:
         dxid = self.next_dxid
         self.next_dxid += 1
         self._live[dxid] = None
         snap = DistributedSnapshot(tuple(self._live), self.max_committed)
-        txn = TransactionDescriptor(dxid=dxid, begin_tick=tick, snapshot=snap)
+        txn = TransactionDescriptor(dxid=dxid, begin_tick=tick, snapshot=snap, sid=sid)
         self.transactions[dxid] = txn
         return txn
 

@@ -23,7 +23,6 @@ from functools import partial
 
 from . import dtm as dtm_mod
 from .dtm import (
-    CommitAccounting,
     DistributedTxnManager,
     Protocol,
     TransactionDescriptor,
@@ -389,16 +388,16 @@ class Cluster:
         self.coord = Site(self, COORD)
         self.segments = [Segment(self, s) for s in range(config.n_segments)]
         self.sites: list[Site] = [self.coord, *self.segments]
-        # by-id views that `perfbench` reads until it reads results instead
+        # by-id views that `perfbench` reads until it reads results instead;
+        # `accounting` is `dtm.transactions` itself, not a copy
         self.lock_tables = {site.id: site.locks for site in self.sites}
         self.stores = {seg.id: seg.store for seg in self.segments}
         self.local_states = {seg.id: seg.states for seg in self.segments}
+        self.accounting = self.dtm.transactions
 
         self.catalog: dict[str, TableDef] = {}
         self.sessions: dict[str, Session] = {}
         self.verdicts: list[DetectionVerdict] = []
-        self.accounting: dict[int, CommitAccounting] = {}
-        self.txn_sessions: dict[int, Session] = {}
 
         self.resources: ResourceGroups | None = None
         self.admission: AdmissionControl | None = None
@@ -643,10 +642,8 @@ class Cluster:
 
     def _begin_admitted(self, session: Session) -> None:
         session.queued = False
-        txn = self.dtm.begin(self.clock)
+        txn = self.dtm.begin(self.clock, session.sid)
         session.txn = txn
-        self.txn_sessions[txn.dxid] = session
-        self.accounting[txn.dxid] = CommitAccounting()
         # no transaction lock on the coordinator: only a segment's local xid
         # is ever waited on (see `Segment.update`)
         self.coord.locks.register_txn(txn.dxid)
@@ -754,7 +751,7 @@ class Cluster:
         """
         txn = session.txn
         protocol = self.dtm.plan_commit(txn, self.config.force_2pc)
-        self.accounting[txn.dxid].protocol = protocol
+        txn.protocol = protocol
         touched = self._touched_segments(txn)
         writers = [self.segments[s] for s in sorted(txn.write_segments)]
         self._trace(
@@ -823,7 +820,7 @@ class Cluster:
         reply = partial(self._reply, session, session.end)
         for seg in segments:
             if msg is not None:
-                self.accounting[txn.dxid].count_message(msg)
+                txn.count(msg)
             self.send(COORD, seg.id, partial(at_site, seg, txn, reply=reply))
         for _ in segments:
             yield
@@ -834,13 +831,13 @@ class Cluster:
         False) aborts instead."""
         if session.end is not end:
             return
-        dxid = session.txn.dxid
+        txn = session.txn
         if not ok:
-            self._trace("coord", "prepare_failed", "dxid={} seg={}", dxid, site)
+            self._trace("coord", "prepare_failed", "dxid={} seg={}", txn.dxid, site)
             self._start_abort(session, "prepare_failed")
             return
         if msg is not None:
-            self.accounting[dxid].count_message(msg)
+            txn.count(msg)
         next(end, None)
 
     def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, reply) -> None:
@@ -875,7 +872,7 @@ class Cluster:
         if reply is None:
             self._trace(s, "end_local", "dxid={}", txn.dxid)
         elif committed:
-            onephase = self.accounting[txn.dxid].protocol is Protocol.ONE_PHASE
+            onephase = txn.protocol is Protocol.ONE_PHASE
             self._trace(s, "commit_local", "dxid={} onephase={}", txn.dxid, onephase)
         else:
             self._trace(s, "abort_local", "dxid={}", txn.dxid)
@@ -884,7 +881,7 @@ class Cluster:
             self.send(s, COORD, partial(reply, s, dtm_mod.MSG_COMMIT_OK if committed else None))
 
     def _fsync(self, site: Site, txn, kind: str) -> None:
-        self.accounting[txn.dxid].count_fsync(kind)
+        txn.count(kind)
         self._trace(site.id, "fsync", "dxid={} kind={}", txn.dxid, kind)
 
     def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
@@ -897,9 +894,8 @@ class Cluster:
             self.dtm.mark_aborted(txn.dxid)
             self.aborted_txns += 1
             session.outcomes.append(f"aborted:{reason}" if reason else "aborted")
-        acc = self.accounting[txn.dxid]
-        acc.latency_ticks = self.clock - txn.begin_tick
-        session.txn_latencies.append(acc.latency_ticks)
+        txn.latency_ticks = self.clock - txn.begin_tick
+        session.txn_latencies.append(txn.latency_ticks)
         self.coord.wake(self.coord.locks.release_all(txn.dxid, self.clock))
         self._trace(
             "coord",
@@ -929,8 +925,9 @@ class Cluster:
         return self.dtm.is_live(dxid)
 
     def abort_transaction(self, dxid: int, reason: str = "deadlock_victim") -> None:
-        session = self.txn_sessions.get(dxid)
-        if session is None or session.txn is None or session.txn.dxid != dxid:
+        txn = self.dtm.transactions.get(dxid)
+        session = self.sessions.get(txn.sid) if txn is not None else None
+        if session is None or session.txn is not txn:
             return
         self._start_abort(session, reason)
 
@@ -1064,17 +1061,15 @@ class Cluster:
 
     def metrics_csv(self) -> str:
         lines = ["dxid,protocol,msg_prepare,msg_commit,fsyncs,latency_ticks"]
-        for dxid in sorted(self.accounting):
-            acc = self.accounting[dxid]
-            protocol = acc.protocol.value if acc.protocol else (
-                "aborted"
-                if self.dtm.transactions[dxid].state is TxnState.ABORTED
-                else "open"
+        for dxid in sorted(self.dtm.transactions):
+            txn = self.dtm.transactions[dxid]
+            protocol = txn.protocol.value if txn.protocol else (
+                "aborted" if txn.state is TxnState.ABORTED else "open"
             )
             lines.append(
-                f"{dxid},{protocol},{acc.messages[dtm_mod.MSG_PREPARE]},"
-                f"{acc.messages[dtm_mod.MSG_COMMIT]},{sum(acc.fsyncs.values())},"
-                f"{acc.latency_ticks}"
+                f"{dxid},{protocol},{txn.messages[dtm_mod.MSG_PREPARE]},"
+                f"{txn.messages[dtm_mod.MSG_COMMIT]},{sum(txn.fsyncs.values())},"
+                f"{txn.latency_ticks}"
             )
         return "\n".join(lines) + "\n"
 
@@ -1112,9 +1107,9 @@ def run_scenario(scenario: Scenario, config: SimConfig | None = None) -> Scenari
     victims = []
     for verdict in cluster.verdicts:
         for dxid in verdict.victims:
-            session = cluster.txn_sessions.get(dxid)
-            if session is not None and session.sid not in victims:
-                victims.append(session.sid)
+            sid = cluster.dtm.transactions[dxid].sid
+            if sid not in victims:
+                victims.append(sid)
     outcomes = {sid: cluster.session_outcome(sid) for sid in sorted(cluster.sessions)}
     return ScenarioResult(
         outcomes=outcomes,

@@ -52,7 +52,7 @@ def run_steps(cluster: Cluster, todo) -> None:
 def last_protocol(cluster: Cluster) -> Protocol:
     session = cluster.sessions[SID]
     assert session.outcomes[-1] == "committed" and session.txn is None
-    return cluster.accounting[max(cluster.accounting)].protocol
+    return cluster.dtm.transactions[max(cluster.dtm.transactions)].protocol
 
 
 def test_update_only_transaction(benchmark):
@@ -74,4 +74,4 @@ def test_two_phase_commit(benchmark):
         rounds=2000,
     )
     assert last_protocol(cluster) is Protocol.TWO_PHASE
-    assert sorted(cluster.dtm.transactions[max(cluster.accounting)].write_segments) == [0, 1, 2]
+    assert sorted(cluster.dtm.transactions[max(cluster.dtm.transactions)].write_segments) == [0, 1, 2]

@@ -313,16 +313,16 @@ def test_segment_commit_log_decides_visibility():
     table = TableDef("t")
     cluster.create_table(table, [(1, 10)])
     txn = cluster.dtm.begin(0)
-    cluster.lock_tables[0].register_txn(txn.dxid)
+    cluster.segments[0].locks.register_txn(txn.dxid)
     local = cluster.segments[0].local_xid(txn)
-    cluster.stores[0].insert_version("t", (2, 20), local, 0)
+    cluster.segments[0].store.insert_version("t", (2, 20), local, 0)
     cluster.dtm.mark_committed(txn.dxid)
 
     def rows():
         vis = cluster.segments[0].visibility(cluster.dtm.current_snapshot())
-        return sorted(v.values for _, v in cluster.stores[0].scan(table, Predicate(), vis))
+        return sorted(v.values for _, v in cluster.segments[0].store.scan(table, Predicate(), vis))
 
-    assert cluster.local_states[0][local] == "in_progress"
+    assert cluster.segments[0].states[local] == "in_progress"
     assert rows() == [(1, 10)]
-    cluster.local_states[0][local] = "committed"
+    cluster.segments[0].states[local] = "committed"
     assert rows() == [(1, 10), (2, 20)]

@@ -509,15 +509,34 @@ def as_keys(requests):
     return [(r.txn, r.tag, r.mode, r.seq, r.status) for r in requests]
 
 
-lock_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["acquire", "acquire", "release_all", "release_tuple"]),
-        st.integers(1, 5),  # txn
-        st.integers(0, 3),  # tag: relations t0, t1 or tuples (t0, 0), (t0, 1)
-        st.integers(1, 8),  # mode
-    ),
-    max_size=50,
+lock_op = st.tuples(
+    st.sampled_from(["acquire", "acquire", "release_all", "release_tuple"]),
+    st.integers(1, 5),  # txn
+    st.integers(0, 3),  # tag: relations t0, t1 or tuples (t0, 0), (t0, 1)
+    st.integers(1, 8),  # mode
 )
+
+
+@st.composite
+def weak_waiters_behind_strong(draw):
+    """One transaction takes a tag in ACCESS_EXCLUSIVE, two or three others
+    queue behind it in modes 1-3, compatible with each other, and the holder
+    releases: the traffic in which one release promotes several waiters,
+    which uniform draws of `lock_op` rarely make."""
+    holder, *others = draw(st.permutations(range(1, 6)))
+    tag = draw(st.integers(0, 3))
+    waiters = others[: draw(st.integers(2, 3))]
+    modes = [draw(st.integers(1, 3)) for _ in waiters]
+    return (
+        [("acquire", holder, tag, 8)]
+        + [("acquire", txn, tag, mode) for txn, mode in zip(waiters, modes)]
+        + [("release_all", holder, tag, 8)]
+    )
+
+
+lock_ops = st.lists(
+    st.one_of(lock_op.map(lambda op: [op]), weak_waiters_behind_strong()), max_size=25
+).map(lambda groups: [op for group in groups for op in group])
 
 
 @given(lock_ops)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from htapsim.dtm import visible
+from htapsim.dtm import expected_accounting, visible
 from htapsim.gdd import GddConfig, Outcome, detect, reduce
 from htapsim.scenario import Scenario, SessionDef, Step, TableSpec, parse_sql
 from htapsim.sim import Cluster, SimConfig
@@ -90,7 +90,7 @@ ORACLE_MODES = {
 }
 
 
-def run_to_fixpoint(scenario, seed, gdd_enabled, **mode):
+def run_to_fixpoint(scenario, seed, gdd_enabled, stop_when=None, **mode):
     rng = random.Random(seed * 7919 + 13)
     config = SimConfig(
         seed=seed,
@@ -101,7 +101,7 @@ def run_to_fixpoint(scenario, seed, gdd_enabled, **mode):
         **mode,
     )
     cluster = Cluster(config, scenario)
-    cluster.run()
+    cluster.run(stop_when=stop_when)
     return cluster
 
 
@@ -165,7 +165,7 @@ def check_atomicity(cluster, seed) -> int:
     checked = 0
     for txn in cluster.dtm.transactions.values():
         for seg, local in txn.local_xids.items():
-            state = cluster.local_states[seg][local]
+            state = cluster.segments[seg].states[local]
             assert state == txn.state.value, (seed, txn.dxid, seg, state)
             checked += 1
         if cluster.dtm.is_committed(txn.dxid):
@@ -174,22 +174,58 @@ def check_atomicity(cluster, seed) -> int:
     return checked
 
 
+def check_accounting(cluster, seed) -> int:
+    """At fixpoint, each committed transaction's descriptor counted the
+    messages and fsyncs of `expected_accounting` for its protocol over its
+    write segments.  Returns the commits checked."""
+    checked = 0
+    for txn in cluster.dtm.transactions.values():
+        if cluster.dtm.is_committed(txn.dxid):
+            k = len(txn.write_segments)
+            messages, fsyncs = expected_accounting(txn.protocol, k)
+            assert txn.messages == messages, (seed, txn.dxid, txn.protocol, k)
+            assert txn.fsyncs == fsyncs, (seed, txn.dxid, txn.protocol, k)
+            checked += 1
+    return checked
+
+
+def check_records(cluster) -> bool:
+    """The live descriptors and the sessions' open transactions match one to
+    one, and each live descriptor's `sid` names the session holding it.
+    Returns False, so that `run(stop_when=check_records)` checks after every
+    event and runs to fixpoint."""
+    live = {t.dxid: t for t in cluster.dtm.transactions.values() if not t.is_finished()}
+    open_txns = {}
+    for sid, session in cluster.sessions.items():
+        if session.txn is not None:
+            assert session.txn.sid == sid, (cluster.clock, sid, session.txn.sid)
+            open_txns[session.txn.dxid] = session.txn
+    assert open_txns.keys() == live.keys(), (cluster.clock, sorted(open_txns), sorted(live))
+    assert all(open_txns[d] is live[d] for d in live), cluster.clock
+    return False
+
+
 def liveness_stats(n_scenarios=150, base_seed=5000, **mode):
     """Run scenarios with detection enabled; each must drain, with no session
     left blocked, each terminal outcome a commit or an abort, and every local
     outcome agreeing with its transaction's (`check_atomicity`).  Returns the
     number of scenarios checked, of those with a deadlock verdict, and of
-    local outcomes checked."""
+    local outcomes checked.  Transaction records are checked after every
+    event (`check_records`) and commit accounting at fixpoint
+    (`check_accounting`)."""
     checked = deadlocked = local_outcomes = 0
     for i in range(n_scenarios):
         seed = base_seed + i
         scenario = random_scenario(seed)
-        cluster = run_to_fixpoint(scenario, seed, gdd_enabled=True, **mode)
+        cluster = run_to_fixpoint(
+            scenario, seed, gdd_enabled=True, stop_when=check_records, **mode
+        )
         assert cluster.blocked_sessions() == [], f"seed {seed}"
         for sid in sorted(cluster.sessions):
             outcome = cluster.session_outcome(sid)
             assert outcome.split(":")[0] in ("committed", "aborted"), (seed, sid, outcome)
         local_outcomes += check_atomicity(cluster, seed)
+        check_accounting(cluster, seed)
         checked += 1
         deadlocked += cluster.final_verdict() == "deadlock"
     return checked, deadlocked, local_outcomes
@@ -273,7 +309,7 @@ def replay_reference(snapshot, cluster, plan, keys):
     writers = []
     for sid, (mine, marker) in plan.items():
         session = cluster.sessions[sid]
-        dxids = [d for d, s in cluster.txn_sessions.items() if s is session]
+        dxids = [d for d, t in cluster.dtm.transactions.items() if t.sid == session.sid]
         if not dxids:
             continue
         writers.append((dxids[0], mine, marker))
@@ -289,7 +325,7 @@ def scan_all_segments(cluster, snapshot):
     table = cluster.catalog["t"]
     for seg in range(cluster.config.n_segments):
         vis = cluster.segments[seg].visibility(snapshot)
-        rows.extend(v.values for _, v in cluster.stores[seg].scan(table, Predicate(), vis))
+        rows.extend(v.values for _, v in cluster.segments[seg].store.scan(table, Predicate(), vis))
     return sorted(rows)
 
 
@@ -326,12 +362,13 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
         )
         cluster = Cluster(config, scenario)
         probe_at = rng.randrange(3, 12)
-        cluster.run(stop_when=lambda cl: cl.clock >= probe_at)
+        cluster.run(stop_when=lambda cl: check_records(cl) or cl.clock >= probe_at)
         check_truncation_invariance(cluster)
-        cluster.run()
+        cluster.run(stop_when=check_records)
         check_truncation_invariance(cluster)
         assert cluster.blocked_sessions() == []
         check_atomicity(cluster, seed)
+        check_accounting(cluster, seed)
 
         committed_writers = {
             sid
@@ -345,7 +382,7 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
             if not sid.startswith("r"):
                 continue
             session = cluster.sessions[sid]
-            dxids = [d for d, s in cluster.txn_sessions.items() if s is session]
+            dxids = [d for d, t in cluster.dtm.transactions.items() if t.sid == session.sid]
             if not dxids:
                 continue
             snapshot = cluster.dtm.transactions[dxids[0]].snapshot
@@ -374,8 +411,8 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
         expected = [tuple(kv) for kv in replay_reference(final_snapshot, cluster, plan, keys)]
         assert scan_all_segments(cluster, final_snapshot) == expected, f"seed {seed}"
         for seg in range(cluster.config.n_segments):
-            states = cluster.local_states[seg]
-            cluster.stores[seg].check_chain_invariants(
+            states = cluster.segments[seg].states
+            cluster.segments[seg].store.check_chain_invariants(
                 lambda lx: states.get(lx, "aborted")
             )
     return torn_violations, replay_mismatches, commits
@@ -403,12 +440,13 @@ def check_each_stamp(cluster) -> list:
     is the newest version of its chain that the stamping statement's
     snapshot sees; returns the list that each checked stamp is added to."""
     stamps = []
-    for seg, store in cluster.stores.items():
+    for segment in cluster.segments:
+        seg, store = segment.id, segment.store
         original = store.stamp_and_append
 
         def checked(table, slot, victim, new_values, local_xid, cid, seg=seg,
                     store=store, original=original):
-            mapping, states = cluster.segments[seg].mapping, cluster.local_states[seg]
+            mapping, states = cluster.segments[seg].mapping, cluster.segments[seg].states
             txn = cluster.dtm.transactions[mapping.lookup(local_xid)]
             assert txn.command_id == cid
             newest = store.visible_version(

@@ -359,7 +359,7 @@ sessions:
 class TestCommitProtocols:
     def test_single_segment_insert_takes_one_phase(self):
         cluster = run_cluster(INSERT_ONE_SEGMENT)
-        acc = cluster.accounting[1]
+        acc = cluster.dtm.transactions[1]
         assert acc.protocol is Protocol.ONE_PHASE
         msgs, fsyncs = expected_accounting(Protocol.ONE_PHASE, 1)
         assert acc.messages == msgs
@@ -367,7 +367,7 @@ class TestCommitProtocols:
 
     def test_three_segment_write_counts(self):
         cluster = run_cluster(WRITE_THREE_SEGMENTS)
-        acc = cluster.accounting[1]
+        acc = cluster.dtm.transactions[1]
         assert acc.protocol is Protocol.TWO_PHASE
         msgs, fsyncs = expected_accounting(Protocol.TWO_PHASE, 3)
         assert acc.messages == msgs
@@ -389,7 +389,7 @@ sessions:
       - {seq: 3, sql: commit}
 """
         )
-        acc = cluster.accounting[1]
+        acc = cluster.dtm.transactions[1]
         msgs, fsyncs = expected_accounting(Protocol.TWO_PHASE, 2)
         assert acc.messages == msgs and acc.fsyncs == fsyncs
 
@@ -406,7 +406,7 @@ sessions:
       - {seq: 3, sql: commit}
 """
         )
-        acc = cluster.accounting[1]
+        acc = cluster.dtm.transactions[1]
         assert acc.protocol is Protocol.READ_ONLY
         assert sum(acc.messages.values()) == 0
         assert sum(acc.fsyncs.values()) == 0
@@ -420,7 +420,7 @@ sessions:
         cluster.run()
         assert session.outcomes == ["committed"] and session.end is None
         before = cluster.committed_txns
-        acc = cluster.accounting[1]
+        acc = cluster.dtm.transactions[1]
         messages, fsyncs = Counter(acc.messages), Counter(acc.fsyncs)
         cluster._reply(session, commit_end, seg, MSG_COMMIT_OK)  # straggler ack after completion
         assert cluster.committed_txns == before
@@ -438,7 +438,7 @@ sessions:
         assert cluster.state_digest() == "t:[(0, 0), (1, 0), (2, 0)]"
         # the segments before the veto answered in time; the later PrepareOk
         # replies reach an aborted round and are dropped, and no Commit goes out
-        acc = cluster.accounting[1]
+        acc = cluster.dtm.transactions[1]
         assert acc.messages == Counter({MSG_PREPARE: 3, MSG_PREPARE_OK: veto})
         assert acc.fsyncs == Counter({FSYNC_SEGMENT_PREPARE: 2})
 
@@ -446,8 +446,8 @@ sessions:
         one = run_cluster(INSERT_ONE_SEGMENT)
         two = run_cluster(INSERT_ONE_SEGMENT, force_2pc=True)
         assert one.state_digest() == two.state_digest()
-        assert one.accounting[1].protocol is Protocol.ONE_PHASE
-        assert two.accounting[1].protocol is Protocol.TWO_PHASE
+        assert one.dtm.transactions[1].protocol is Protocol.ONE_PHASE
+        assert two.dtm.transactions[1].protocol is Protocol.TWO_PHASE
 
     def test_one_phase_commit_window_snapshot_sees_txn_in_progress(self):
         scenario = parse_scenario(INSERT_ONE_SEGMENT)
@@ -467,12 +467,12 @@ sessions:
         vis = cluster.segments[seg].visibility(window_snapshot)
         from htapsim.store import Predicate
 
-        assert cluster.stores[seg].scan(table, Predicate(), vis) == []
+        assert cluster.segments[seg].store.scan(table, Predicate(), vis) == []
         cluster.run()
         after = cluster.dtm.current_snapshot()
         assert 1 not in after.in_progress
         vis = cluster.segments[seg].visibility(after)
-        assert len(cluster.stores[seg].scan(table, Predicate(), vis)) == 10
+        assert len(cluster.segments[seg].store.scan(table, Predicate(), vis)) == 10
 
 
 LEGACY_PAIR = """
@@ -533,6 +533,42 @@ sessions:
         assert cluster.session_outcome("A") == "committed"
         assert cluster.session_outcome("B") == "aborted:deadlock_victim"
         assert cluster.inflight_updates == 0
+
+
+class TestAbortTransaction:
+    def test_stale_or_unknown_dxid_aborts_nothing(self):
+        """A's first transaction, dxid 1, has committed, and its record still
+        names A, which is now inside dxid 2.  Aborting dxid 1, as a verdict
+        taken before that commit would, must leave dxid 2 alone, and so must
+        aborting a dxid that was never handed out."""
+        cluster = Cluster(
+            SimConfig(),
+            parse_scenario(
+                """
+tables:
+  - {name: t, rows: [[0, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=1 where c1=0}
+      - {seq: 3, sql: commit}
+      - {seq: 4, sql: begin}
+      - {seq: 5, sql: update t set c2=2 where c1=0}
+      - {seq: 6, sql: commit}
+"""
+            ),
+        )
+        session = cluster.sessions["A"]
+        cluster.run(stop_when=lambda c: session.txn is not None and session.txn.dxid == 2)
+        assert session.outcomes == ["committed"]
+        assert cluster.dtm.transactions[1].sid == "A"
+        cluster.abort_transaction(1)
+        cluster.abort_transaction(99)
+        assert cluster.dtm.is_live(2) and session.end is None
+        cluster.run()
+        assert session.outcomes == ["committed", "committed"]
+        assert cluster.state_digest() == "t:[(0, 2)]"
 
 
 class TestDeterminism:
