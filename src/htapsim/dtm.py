@@ -70,6 +70,9 @@ class Protocol(Enum):
     TWO_PHASE = "2pc"
 
 
+_READ_ONLY, _ONE_PHASE, _TWO_PHASE = Protocol.READ_ONLY, Protocol.ONE_PHASE, Protocol.TWO_PHASE
+
+
 @dataclass(slots=True)
 class TransactionDescriptor:
     """One distributed transaction, as Greenplum's `TMGXACT` entry: its dxid,
@@ -199,10 +202,10 @@ class DistributedTxnManager:
         """Pick the commit protocol from the observed write-set."""
         k = len(txn.write_segments)
         if k == 0:
-            return Protocol.READ_ONLY
+            return _READ_ONLY
         if k == 1 and not force_2pc:
-            return Protocol.ONE_PHASE
-        return Protocol.TWO_PHASE
+            return _ONE_PHASE
+        return _TWO_PHASE
 
     def mark_committed(self, dxid: int) -> None:
         txn = self.transactions[dxid]

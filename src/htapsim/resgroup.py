@@ -128,6 +128,11 @@ class Admission(Enum):
     QUEUE = "queue"
 
 
+# Per-transaction paths read these members as module constants: reading one
+# off its Enum class costs several times as much as reading a global.
+_RUN, _QUEUE = Admission.RUN, Admission.QUEUE
+
+
 class AdmissionControl:
     """Per-group concurrency slots with a FIFO wait queue."""
 
@@ -142,9 +147,9 @@ class AdmissionControl:
         cfg = self.groups.configs[group]
         if len(self.active[group]) < cfg.concurrency:
             self.active[group].append(query)
-            return Admission.RUN
+            return _RUN
         self.queued[group].append(query)
-        return Admission.QUEUE
+        return _QUEUE
 
     def complete(self, query, group: str):
         """Release a slot; returns the dequeued query now admitted, if any."""
@@ -163,6 +168,9 @@ class AdmissionControl:
 class ChargeResult(Enum):
     OK = "ok"
     CANCELLED = "cancelled"
+
+
+_OK, _CANCELLED = ChargeResult.OK, ChargeResult.CANCELLED
 
 
 @dataclass
@@ -199,13 +207,13 @@ class MemoryLedger:
         if rest > 1e-9:
             # all three layers exhausted: cancel and release everything
             self.release(query)
-            return ChargeResult.CANCELLED
+            return _CANCELLED
         rec.slot += take_slot
         rec.group_shared += take_group
         self.group_shared_used[group] += take_group
         self.global_shared_used += take_global
         rec.global_shared += take_global
-        return ChargeResult.OK
+        return _OK
 
     def release(self, query) -> None:
         rec = self.charges.pop(query, None)
@@ -234,7 +242,7 @@ class MemoryLedger:
             raise AssertionError("negative slot usage")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Task:
     query: object
     group: str
@@ -246,9 +254,16 @@ class CpuScheduler:
 
     Queries submit bursts (whole ticks of CPU demand).  A started burst keeps
     its core until it finishes; free cores are handed out each tick, cpuset
-    groups first on their own cores, then share groups on the shared cores by
-    smallest virtual time (vtime grows by burst/weight, so long-run core-ticks
-    converge to the share ratio).
+    groups first on their own cores, then share groups on the shared cores.
+
+    The shared-core pick, per worker: the runnable share group (one with a
+    waiting task) of smallest virtual time, ties going to the lowest group
+    name.  The group's vtime is first raised to the floor, the smallest
+    vtime among share groups that wait or run, taken once per tick before
+    any start, so a group returning from idle replays no credit; it then
+    grows by burst/weight, so long-run core-ticks converge to the share
+    ratio.  The runnable groups are listed once per tick, in name order,
+    and a group leaves the list when its queue empties.
 
     Because a started burst runs to completion, the `tick()` call that ends
     it is known when it starts: each running task is filed under that call's
@@ -324,27 +339,36 @@ class CpuScheduler:
 
         # shared cores: smallest virtual time first among runnable share groups
         free = self.shared_cores - self.share_running
-        if free > 0 and any(self.waiting[n] for n in self.share_groups):
-            floor = min(
-                self.vtime[n]
-                for n in self.share_groups
-                if self.waiting[n] or self.group_running[n]
-            )
-            while free > 0:
-                candidates = [n for n in self.share_groups if self.waiting[n]]
-                if not candidates:
-                    break
-                name = min(candidates, key=lambda n: (self.vtime[n], n))
-                task = self.waiting[name].popleft()
+        if free > 0:
+            queues, vtime, group_running = self.waiting, self.vtime, self.group_running
+            runnable = []  # in name order, so `min` gives a tie to the lowest name
+            floor = None  # smallest vtime of the groups that wait or run
+            for name in self.share_groups:
+                if queues[name]:
+                    runnable.append(name)
+                elif not group_running[name]:
+                    continue
+                if floor is None or vtime[name] < floor:
+                    floor = vtime[name]
+            while runnable:
+                name = min(runnable, key=vtime.__getitem__)
+                queue = queues[name]
+                task = queue.popleft()
+                if not queue:
+                    runnable.remove(name)
                 # returning groups must not replay accumulated idle credit
-                self.vtime[name] = max(self.vtime[name], floor)
-                self.vtime[name] += task.burst / self.share_groups[name]
+                vtime[name] = max(vtime[name], floor)
+                vtime[name] += task.burst / self.share_groups[name]
                 self._start(task)
                 self.share_running += 1
                 free -= 1
+                if free == 0:
+                    break
 
+        core_ticks = self.group_core_ticks
         for name, n in self.group_running.items():
-            self.group_core_ticks[name] += n
+            if n:
+                core_ticks[name] += n
         return finished
 
     def grantable_waiting(self) -> int:

@@ -71,6 +71,10 @@ RELATION_LOCK_MODE = {
 _LOCK_GRANTED = AcquireResult.GRANTED
 _TUPLE, _TRANSACTION = TagKind.TUPLE, TagKind.TRANSACTION
 _SHARE, _EXCLUSIVE = LockMode.SHARE, LockMode.EXCLUSIVE
+_ONE_PHASE, _TWO_PHASE = Protocol.ONE_PHASE, Protocol.TWO_PHASE
+_ABORTED = TxnState.ABORTED
+_ADMISSION_QUEUE = Admission.QUEUE
+_CHARGE_CANCELLED = ChargeResult.CANCELLED
 
 
 @dataclass
@@ -159,7 +163,10 @@ class Session:
         return self._next
 
     def pop_step(self) -> Step | None:
-        step = self.peek_step()
+        """The next step, taken off the session; None once it has none left."""
+        step = self._next
+        if step is None:
+            return next(self.step_iter, None)
         self._next = None
         return step
 
@@ -495,8 +502,8 @@ class Cluster:
         bucket.append(fn)
 
     def send(self, src: int, dst: int, fn) -> None:
-        delay = self.config.link_delays.get((src, dst), MESSAGE_DELAY)
-        self.schedule(delay, fn)
+        delays = self.config.link_delays
+        self.schedule(delays.get((src, dst), MESSAGE_DELAY) if delays else MESSAGE_DELAY, fn)
 
     def run(self, until_tick: int | None = None, stop_when=None) -> None:
         """Drive the loop to fixpoint, a tick bound, or a predicate.
@@ -616,7 +623,7 @@ class Cluster:
         session.stmt = stmt
         if step.mem is not None and self.ledger is not None and session.group:
             result = self.ledger.charge(session.sid, session.group, step.mem)
-            if result is ChargeResult.CANCELLED:
+            if result is _CHARGE_CANCELLED:
                 self._trace(
                     "coord", "mem_cancel", "session={} bytes={}", session.sid, step.mem
                 )
@@ -634,7 +641,7 @@ class Cluster:
 
     def _do_begin(self, session: Session) -> None:
         if self.admission is not None and session.group:
-            if self.admission.admit(session.sid, session.group) is Admission.QUEUE:
+            if self.admission.admit(session.sid, session.group) is _ADMISSION_QUEUE:
                 session.queued = True
                 self._trace("coord", "admission_queue", "session={}", session.sid)
                 return
@@ -685,7 +692,7 @@ class Cluster:
     def _segment_part_done(self, seg: Segment, stmt, count, rows=None, wrote=False) -> None:
         if stmt.dead:
             return
-        self.send(seg.id, COORD, lambda: self._part_reply(stmt, seg.id, count, rows, wrote))
+        self.send(seg.id, COORD, partial(self._part_reply, stmt, seg.id, count, rows, wrote))
 
     def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
         if stmt.dead:
@@ -727,7 +734,7 @@ class Cluster:
 
     def _session_freed(self, session: Session) -> None:
         if self.config.eager:
-            self.schedule(0, lambda: self._issue_for_session(session))
+            self.schedule(0, partial(self._issue_for_session, session))
 
     # ------------------------------------------------------- transaction end
 
@@ -763,7 +770,7 @@ class Cluster:
             protocol.value,
             [seg.id for seg in writers],
         )
-        if protocol is Protocol.TWO_PHASE:
+        if protocol is _TWO_PHASE:
             yield from self._round(session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare)
             self._fsync(self.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
         for seg in touched:
@@ -872,7 +879,7 @@ class Cluster:
         if reply is None:
             self._trace(s, "end_local", "dxid={}", txn.dxid)
         elif committed:
-            onephase = txn.protocol is Protocol.ONE_PHASE
+            onephase = txn.protocol is _ONE_PHASE
             self._trace(s, "commit_local", "dxid={} onephase={}", txn.dxid, onephase)
         else:
             self._trace(s, "abort_local", "dxid={}", txn.dxid)
@@ -1061,15 +1068,16 @@ class Cluster:
 
     def metrics_csv(self) -> str:
         lines = ["dxid,protocol,msg_prepare,msg_commit,fsyncs,latency_ticks"]
+        prepare, commit, fsyncs = dtm_mod.MSG_PREPARE, dtm_mod.MSG_COMMIT, dtm_mod.FSYNCS
         for dxid in sorted(self.dtm.transactions):
             txn = self.dtm.transactions[dxid]
             protocol = txn.protocol.value if txn.protocol else (
-                "aborted" if txn.state is TxnState.ABORTED else "open"
+                "aborted" if txn.state is _ABORTED else "open"
             )
+            counts = txn.counts
             lines.append(
-                f"{dxid},{protocol},{txn.messages[dtm_mod.MSG_PREPARE]},"
-                f"{txn.messages[dtm_mod.MSG_COMMIT]},{sum(txn.fsyncs.values())},"
-                f"{txn.latency_ticks}"
+                f"{dxid},{protocol},{counts.get(prepare, 0)},{counts.get(commit, 0)},"
+                f"{sum([counts.get(kind, 0) for kind in fsyncs])},{txn.latency_ticks}"
             )
         return "\n".join(lines) + "\n"
 

@@ -140,7 +140,9 @@ class SegmentStore:
 
         A predicate that fixes c1 visits only the slots the c1 index lists
         for that value; any other predicate examines every slot.  An
-        all-visible slot's one version is taken without `is_visible`.
+        all-visible slot's one version is taken without `is_visible`.  The
+        predicate is not tested when it is empty, or when its one term is
+        the c1 the index served: every version of a chain has its c1.
         """
         out = []
         table = table_def.name
@@ -151,12 +153,15 @@ class SegmentStore:
             slots = chains  # slots are inserted in order
         else:
             slots = self._by_c1.get(table, {}).get(c1, ())
+        must_match = len(pred.eqs) > (c1 is not None)  # a term the index did not serve
         for slot in slots:
             if slot in all_visible:
                 version = chains[slot][0]
             else:
                 version = self.visible_version(table, slot, is_visible)
-            if version is not None and pred.matches(version.values, table_def.columns):
+            if version is not None and (
+                not must_match or pred.matches(version.values, table_def.columns)
+            ):
                 out.append((slot, version))
         return out
 
@@ -182,10 +187,10 @@ class SegmentStore:
         which the c1 index relies on.
         """
         chain = self.tables[table][slot]
-        # from the tail: at most the aborted stamper's versions follow victim
-        pos = next(
-            (i for i in range(len(chain) - 1, -1, -1) if chain[i] is victim), None
-        )
+        pos = len(chain) - 1
+        if chain[pos] is not victim:
+            # from the tail: at most the aborted stamper's versions follow victim
+            pos = next((i for i in range(pos - 1, -1, -1) if chain[i] is victim), None)
         if pos is None:
             raise StoreError(f"version {victim} is not in chain {table}:{slot}")
         if new_values[0] != victim.values[0]:

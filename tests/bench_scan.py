@@ -18,7 +18,11 @@ real visibility test, so it times any store layout:
   a snapshot taken before its L - 1 committed updates, so the scan walks
   the whole chain back to the loaded version;
 - `CpuScheduler.tick` with N running 40-tick bursts, each finished burst
-  replaced by a new one, so N stay running.
+  replaced by a new one, so N stay running;
+- `CpuScheduler.tick` on N cores shared by two equal-weight share groups,
+  as in `mixed-htap`: one group's bursts last 1 tick and the other's 40,
+  each finished burst is resubmitted to its group, and each group keeps
+  2N tasks, so demand stays above the cores and every tick picks.
 """
 
 import pytest
@@ -99,3 +103,28 @@ def test_cpu_tick(benchmark, running):
 
     benchmark(one_tick)
     assert len(sched.running) + len(sched.waiting["g"]) == running
+
+
+@pytest.mark.parametrize("cores", RUNNING)
+def test_cpu_tick_two_share_groups(benchmark, cores):
+    groups = ResourceGroups(
+        [
+            ResourceGroupConfig("olap", 10, 10, 20, cpu_rate_limit=20),
+            ResourceGroupConfig("oltp", 50, 10, 20, cpu_rate_limit=20),
+        ],
+        1000.0,
+        n_cores=cores,
+    )
+    bursts = {"olap": 40, "oltp": 1}
+    sched = CpuScheduler(groups)
+    for group in bursts:
+        for i in range(2 * cores):
+            sched.submit((group, i), group, bursts[group])
+
+    def one_tick():
+        for query in sched.tick():
+            sched.submit(query, query[0], bursts[query[0]])
+        return len(sched.running)
+
+    assert benchmark(one_tick) == cores
+    assert len(sched.running) + sum(map(len, sched.waiting.values())) == 4 * cores

@@ -367,27 +367,23 @@ class ReferenceScheduler:
         return finished
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
+def scheduler_ops(names: str, max_burst: int):
+    """Ops for `run_side_by_side`: a submit of `count` bursts of one length
+    to a group, as (group, burst, count), or a number of ticks."""
+    return st.lists(
         st.one_of(
-            st.tuples(st.sampled_from("abp"), st.integers(1, 12), st.integers(1, 4)),
+            st.tuples(st.sampled_from(names), st.integers(1, max_burst), st.integers(1, 4)),
             st.integers(1, 6),
         ),
         max_size=60,
     )
-)
-def test_end_tick_lists_match_per_task_decrement(ops):
-    """Side by side with `ReferenceScheduler`: after every tick, the same
-    finished queries in the same order, the same running tasks in the same
-    order, and the same per-group counts, core-ticks and vtimes.  An op is
-    a submit of `count` bursts of one length to a group, or some ticks."""
-    groups = ResourceGroups(
-        [shares("a", mem=10, cpu=30), shares("b", mem=10, cpu=10),
-         pinned("p", range(0, 3), mem=10)],
-        1000.0,
-        n_cores=8,
-    )
+
+
+def run_side_by_side(groups, ops):
+    """Run `ops` on `CpuScheduler` and `ReferenceScheduler` side by side:
+    after every tick, the same finished queries in the same order, the same
+    running tasks in the same order, and the same per-group counts,
+    core-ticks and vtimes."""
     sched, ref = CpuScheduler(groups), ReferenceScheduler(groups)
 
     def tick():
@@ -411,3 +407,30 @@ def test_end_tick_lists_match_per_task_decrement(ops):
             ref.submit(f"q{n}", group, burst)
     while sched.has_work():  # drain: every burst ends after its length
         tick()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduler_ops("abp", 12))
+def test_end_tick_lists_match_per_task_decrement(ops):
+    """Side by side with `ReferenceScheduler`, with share groups of unequal
+    weight and a cpuset group."""
+    groups = ResourceGroups(
+        [shares("a", mem=10, cpu=30), shares("b", mem=10, cpu=10),
+         pinned("p", range(0, 3), mem=10)],
+        1000.0,
+        n_cores=8,
+    )
+    run_side_by_side(groups, ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduler_ops("abc", 2))
+def test_equal_weights_tie_to_the_lowest_name(ops):
+    """Side by side with `ReferenceScheduler`, with three share groups of
+    equal weight on two cores: short bursts keep their vtimes level, and a
+    group back from idle is raised to the floor, another group's vtime, so
+    about a third of the picks with more than one runnable group are ties."""
+    groups = ResourceGroups(
+        [shares(name, mem=10, cpu=20) for name in "abc"], 1000.0, n_cores=2
+    )
+    run_side_by_side(groups, ops)
