@@ -258,12 +258,13 @@ class CpuScheduler:
 
     The shared-core pick, per worker: the runnable share group (one with a
     waiting task) of smallest virtual time, ties going to the lowest group
-    name.  The group's vtime is first raised to the floor, the smallest
-    vtime among share groups that wait or run, taken once per tick before
-    any start, so a group returning from idle replays no credit; it then
-    grows by burst/weight, so long-run core-ticks converge to the share
-    ratio.  The runnable groups are listed once per tick, in name order,
-    and a group leaves the list when its queue empties.
+    name.  The group's vtime then grows by burst/weight, so long-run
+    core-ticks converge to the share ratio.  The runnable groups are listed
+    once per tick, in name order, and a group leaves the list when its
+    queue empties.  A share group that submits with no task waiting or
+    running is first raised to the smallest vtime of the share groups that
+    have one, as CFS's `place_entity` places a waking entity against
+    `min_vruntime`, so a group returning from idle replays no credit.
 
     Because a started burst runs to completion, the `tick()` call that ends
     it is known when it starts: each running task is filed under that call's
@@ -303,9 +304,20 @@ class CpuScheduler:
     def submit(self, query, group: str, burst: int) -> None:
         if burst < 1:
             raise ValueError("burst must be at least one tick")
-        if group not in self.waiting:
+        queue = self.waiting.get(group)
+        if queue is None:
             raise ConfigError(f"unknown resource group {group!r}")
-        self.waiting[group].append(_Task(query, group, burst))
+        if group in self.vtime and not queue and not self.group_running[group]:
+            # an idle share group returns at the smallest vtime of the busy ones
+            vtime = self.vtime
+            busy = [
+                vtime[name]
+                for name in self.share_groups
+                if self.waiting[name] or self.group_running[name]
+            ]
+            if busy:
+                vtime[group] = max(vtime[group], min(busy))
+        queue.append(_Task(query, group, burst))
 
     def has_work(self) -> bool:
         return bool(self.running) or any(self.waiting.values())
@@ -340,24 +352,15 @@ class CpuScheduler:
         # shared cores: smallest virtual time first among runnable share groups
         free = self.shared_cores - self.share_running
         if free > 0:
-            queues, vtime, group_running = self.waiting, self.vtime, self.group_running
-            runnable = []  # in name order, so `min` gives a tie to the lowest name
-            floor = None  # smallest vtime of the groups that wait or run
-            for name in self.share_groups:
-                if queues[name]:
-                    runnable.append(name)
-                elif not group_running[name]:
-                    continue
-                if floor is None or vtime[name] < floor:
-                    floor = vtime[name]
+            queues, vtime = self.waiting, self.vtime
+            # in name order, so `min` gives a tie to the lowest name
+            runnable = [name for name in self.share_groups if queues[name]]
             while runnable:
                 name = min(runnable, key=vtime.__getitem__)
                 queue = queues[name]
                 task = queue.popleft()
                 if not queue:
                     runnable.remove(name)
-                # returning groups must not replay accumulated idle credit
-                vtime[name] = max(vtime[name], floor)
                 vtime[name] += task.burst / self.share_groups[name]
                 self._start(task)
                 self.share_running += 1

@@ -180,32 +180,31 @@ class Statement:
         self.outstanding = 0  # segment parts dispatched and not yet replied
         self.rows: list[tuple[int, int]] = []
         self.count = 0
-        self.dead = False
-
-    def live(self) -> bool:
-        return not (self.dead or self.txn.is_finished())
+        self.dead = False  # set by `Cluster._abort`, the only end of a running statement
 
 
 class Site:
     """One site's lock table and the statement parts parked on it; the
     coordinator is a `Site` and each segment a `Segment`.
 
-    A part (`work`) is a generator that yields the `(tag, dxid)` of each lock
-    grant it waits for.  `resume` parks it under that key, and `wake` resumes
-    it, with the lock granted, once the grant comes.
+    A part (`work`) is a generator that yields its transaction's dxid at each
+    lock grant it waits for.  A transaction runs one statement at a time and
+    a statement one part per site, so it waits for at most one grant here:
+    `resume` parks the part under the dxid, and `wake` resumes it, with the
+    lock granted, once the grant comes.
     """
 
     def __init__(self, cluster: Cluster, id: int):
         self.cluster = cluster
         self.id = id
         self.locks = LockTable(id)
-        self.parked: dict[tuple, Generator] = {}
+        self.parked: dict[int, Generator] = {}  # dxid -> its waiting part
         self.relation_tags: dict[str, LockTag] = {}  # table name -> its tag here
 
     def acquire_or_park(self, txn: TransactionDescriptor, tag: LockTag, mode) -> bool:
         """Request `tag` in `mode` for `txn`; True if granted.  Otherwise
         trace the wait and arm the detector: the part then yields
-        `(tag, txn.dxid)` and `resume` parks it."""
+        `txn.dxid` and `resume` parks it."""
         cl = self.cluster
         result, blockers = self.locks.acquire(txn.dxid, tag, mode, cl.clock)
         if result is _LOCK_GRANTED:
@@ -216,10 +215,10 @@ class Site:
         return False
 
     def resume(self, part: Generator) -> None:
-        """Run `part` to its next wait, parked under the key it yields, or to its end."""
-        key = next(part, None)
-        if key is not None:
-            self.parked[key] = part
+        """Run `part` to its next wait, parked under the dxid it yields, or to its end."""
+        dxid = next(part, None)
+        if dxid is not None:
+            self.parked[dxid] = part
 
     def wake(self, promoted) -> None:
         """Trace each grant in `promoted` and schedule the part parked on it."""
@@ -228,7 +227,7 @@ class Site:
             cl._trace(
                 self.id, "lock_grant", "dxid={} tag={} mode={}", req.txn, req.tag, req.mode.name
             )
-            part = self.parked.pop((req.tag, req.txn), None)
+            part = self.parked.pop(req.txn, None)
             if part is not None:
                 cl.schedule(0, partial(self.resume, part))
 
@@ -243,7 +242,7 @@ class Site:
         """
         cl = self.cluster
         txn, step = stmt.txn, stmt.step
-        if not stmt.live():
+        if stmt.dead:
             return
         mode = RELATION_LOCK_MODE[step.kind]
         if step.kind == "update" and cl.config.legacy_locking:
@@ -252,8 +251,8 @@ class Site:
         if tag is None:
             tag = self.relation_tags[step.table] = LockTag(TagKind.RELATION, self.id, step.table)
         if not self.acquire_or_park(txn, tag, mode):
-            yield tag, txn.dxid
-            if not stmt.live():
+            yield txn.dxid
+            if stmt.dead:
                 return
         if self.id == COORD:
             cl._dispatch_parts(stmt)
@@ -317,9 +316,10 @@ class Segment(Site):
         Each slot is one loop, as in PostgreSQL's `heap_update`: if an
         in-progress transaction stamped the version, queue on the tuple lock
         and then on the stamper's transaction lock, and look at the version's
-        stamper again after each wait.  A tuple lock granted by a wake counts
-        as held, and is released once the slot is stamped, only if that
-        second look finds the stamper still running.
+        stamper again after each wait.  The tuple lock is held from its
+        request on, and released once the slot is stamped, as `heap_update`
+        releases `have_tuple_lock`, whether or not a stamper still ran when
+        its grant came.
 
         The scan's version is not read again after a wait, because under
         snapshot isolation it stays the newest version of its chain that the
@@ -336,7 +336,7 @@ class Segment(Site):
         pred = step.pred or Predicate()
         stamped = 0
         for slot, version in store.scan(cl.catalog[step.table], pred, vis):
-            tuple_granted = tuple_held = False
+            tuple_held = False
             while True:
                 local = self.local_xid(txn)
                 stamper = version.xmax_local
@@ -359,18 +359,17 @@ class Segment(Site):
                     break
                 # stamper still in progress: queue on the tuple, then on its txn lock
                 tuple_tag = LockTag(_TUPLE, self.id, (step.table, slot))
-                if not tuple_granted:
-                    tuple_granted = True
+                if not tuple_held:
+                    tuple_held = True
                     if not self.acquire_or_park(txn, tuple_tag, _EXCLUSIVE):
-                        yield tuple_tag, txn.dxid
-                        if not stmt.live():
+                        yield txn.dxid
+                        if stmt.dead:
                             return
-                        continue  # a woken grant is held only if a stamper runs
-                tuple_held = True
+                        continue  # look at the stamper again
                 xact_tag = LockTag(_TRANSACTION, self.id, stamper)
                 if not self.acquire_or_park(txn, xact_tag, _SHARE):
-                    yield xact_tag, txn.dxid
-                    if not stmt.live():
+                    yield txn.dxid
+                    if stmt.dead:
                         return
                 # granted: the stamper has finished, so look at its outcome
         cl._segment_part_done(self, stmt, stamped, wrote=stamped > 0)
@@ -690,13 +689,9 @@ class Cluster:
     # ------------------------------------------------ segment-side replies
 
     def _segment_part_done(self, seg: Segment, stmt, count, rows=None, wrote=False) -> None:
-        if stmt.dead:
-            return
         self.send(seg.id, COORD, partial(self._part_reply, stmt, seg.id, count, rows, wrote))
 
     def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
-        if stmt.dead:
-            return
         dxid = stmt.txn.dxid
         self._trace(seg.id, "stmt_conflict", "dxid={} reason={}", dxid, reason)
         self.send(seg.id, COORD, partial(self.abort_transaction, dxid, reason))
@@ -791,8 +786,7 @@ class Cluster:
             stmt.dead = True
             session.stmt = None
         for site in self.sites:
-            for key in [k for k in site.parked if k[1] == txn.dxid]:
-                del site.parked[key]
+            site.parked.pop(txn.dxid, None)
         touched = self._touched_segments(txn)
         self._trace(
             "coord", "abort_start", "session={} dxid={} reason={}", session.sid, txn.dxid, reason
@@ -808,10 +802,8 @@ class Cluster:
 
     def _start_abort(self, session: Session, reason: str) -> None:
         """Abort the session's open transaction, closing a commit in flight;
-        nothing if the transaction has ended or an abort is under way."""
-        txn = session.txn
-        if txn is None or txn.is_finished():
-            return
+        nothing if an abort is under way.  Every caller has checked that the
+        session's transaction is open."""
         if session.end is not None:
             if session.end.__name__ == "_abort":
                 return  # already aborting

@@ -113,8 +113,6 @@ def snapshot_local(table: LockTable) -> set[WaitEdge]:
     for req in table.waiting_requests():
         kind = edge_kind_for(req.tag.kind)
         for blocker in table.blockers_of(req):
-            if blocker.txn == req.txn:
-                continue
             edges.add(WaitEdge(table.segment, req.txn, blocker.txn, kind))
     return edges
 

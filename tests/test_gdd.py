@@ -10,6 +10,7 @@ from htapsim.gdd import (
     break_deadlock,
     detect,
     find_cycle,
+    first_cycle,
     reduce,
 )
 from htapsim.waitgraph import EdgeKind, GlobalWaitForGraph, WaitEdge, edge_key
@@ -228,6 +229,12 @@ def test_find_cycle_walks_a_real_cycle():
     succ = {(e.waiter, e.holder) for e in coordinator_cycle().edges()}
     for w, h in zip(cycle, cycle[1:] + cycle[:1]):
         assert (w, h) in succ
+
+
+def test_first_cycle_backtracks_out_of_a_dead_end():
+    """From 1 the walk tries 2 first, finds no way on, goes back to 1 and
+    then finds the cycle through 3."""
+    assert first_cycle({1: [2, 3], 2: [], 3: [1]}) == [1, 3]
 
 
 def reference_reduce(edges, rng=None):

@@ -9,6 +9,7 @@ predicates pin rows by key.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -205,20 +206,50 @@ def check_records(cluster) -> bool:
     return False
 
 
+def check_parked(cluster) -> bool:
+    """A transaction runs one statement at a time, and a statement one part
+    per site, so a part waits for at most one grant on its site and parks
+    under its dxid.  Checks that fact: every dxid parked on a site is live,
+    its statement is not dead, and it has exactly one waiting request in
+    that site's lock table; and every waiting request of a transaction whose
+    statement runs has its part parked on that site.  Returns False, as
+    `check_records` does, to run through `run(stop_when=...)`."""
+    for site in cluster.sites:
+        waiting = Counter(r.txn for r in site.locks.waiting_requests())
+        for dxid in site.parked:
+            txn = cluster.dtm.transactions[dxid]
+            stmt = cluster.sessions[txn.sid].stmt
+            where = (cluster.clock, site.id, dxid)
+            assert not txn.is_finished(), where
+            assert stmt is not None and stmt.txn is txn and not stmt.dead, where
+            assert waiting[dxid] == 1, (where, waiting[dxid])
+        for dxid in waiting:
+            txn = cluster.dtm.transactions[dxid]
+            stmt = cluster.sessions[txn.sid].stmt
+            if stmt is not None and stmt.txn is txn:
+                assert dxid in site.parked, (cluster.clock, site.id, dxid)
+    return False
+
+
+def check_each_event(cluster) -> bool:
+    """`check_records` and `check_parked`, for `run(stop_when=...)`."""
+    return check_records(cluster) or check_parked(cluster)
+
+
 def liveness_stats(n_scenarios=150, base_seed=5000, **mode):
     """Run scenarios with detection enabled; each must drain, with no session
     left blocked, each terminal outcome a commit or an abort, and every local
     outcome agreeing with its transaction's (`check_atomicity`).  Returns the
     number of scenarios checked, of those with a deadlock verdict, and of
-    local outcomes checked.  Transaction records are checked after every
-    event (`check_records`) and commit accounting at fixpoint
-    (`check_accounting`)."""
+    local outcomes checked.  Transaction records and parked parts are
+    checked after every event (`check_each_event`) and commit accounting at
+    fixpoint (`check_accounting`)."""
     checked = deadlocked = local_outcomes = 0
     for i in range(n_scenarios):
         seed = base_seed + i
         scenario = random_scenario(seed)
         cluster = run_to_fixpoint(
-            scenario, seed, gdd_enabled=True, stop_when=check_records, **mode
+            scenario, seed, gdd_enabled=True, stop_when=check_each_event, **mode
         )
         assert cluster.blocked_sessions() == [], f"seed {seed}"
         for sid in sorted(cluster.sessions):
@@ -362,9 +393,9 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
         )
         cluster = Cluster(config, scenario)
         probe_at = rng.randrange(3, 12)
-        cluster.run(stop_when=lambda cl: check_records(cl) or cl.clock >= probe_at)
+        cluster.run(stop_when=lambda cl: check_each_event(cl) or cl.clock >= probe_at)
         check_truncation_invariance(cluster)
-        cluster.run(stop_when=check_records)
+        cluster.run(stop_when=check_each_event)
         check_truncation_invariance(cluster)
         assert cluster.blocked_sessions() == []
         check_atomicity(cluster, seed)

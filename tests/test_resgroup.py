@@ -261,6 +261,25 @@ class TestCpuScheduler:
         running = [t for t in sched.running if t.group == "a"]
         assert len(running) == 16  # only the shared half of the machine
 
+    def test_returning_group_replays_no_idle_credit(self):
+        """One core, equal shares: `b` runs alone for 100 ticks, then `a`
+        returns.  Over the next 100 ticks each gets about half the core,
+        rather than `a` taking all of it to spend the credit it banked."""
+        groups = ResourceGroups(
+            [shares("a", mem=10, cpu=20), shares("b", mem=10, cpu=20)], 1000.0, n_cores=1
+        )
+        sched = CpuScheduler(groups)
+        for tick in range(200):
+            names = ("b",) if tick < 100 else ("a", "b")
+            for name in names:
+                if not sched.waiting[name]:
+                    sched.submit(f"{name}{tick}", name, 1)
+            sched.tick()
+            if tick == 99:
+                assert sched.group_core_ticks == {"a": 0, "b": 100}
+        assert 45 <= sched.group_core_ticks["a"] <= 55
+        assert 145 <= sched.group_core_ticks["b"] <= 155
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -297,7 +316,8 @@ class TestCpuScheduler:
 class ReferenceScheduler:
     """`CpuScheduler` as it was before running tasks were filed by the tick
     their burst ends: every tick decrements every running task, and the
-    shared cores' candidates and vtime floor are built on every tick."""
+    shared cores' candidates are built for every pick.  A share group that
+    submits while idle is raised to the smallest vtime of the busy ones."""
 
     class Task:
         def __init__(self, query, group, remaining):
@@ -324,6 +344,16 @@ class ReferenceScheduler:
         self.group_core_ticks = {n: 0 for n in sorted(groups.configs)}
 
     def submit(self, query, group, burst):
+        if group in self.share_groups and not (
+            self.waiting[group] or self.group_running[group]
+        ):
+            busy = [
+                self.vtime[n]
+                for n in self.share_groups
+                if self.waiting[n] or self.group_running[n]
+            ]
+            if busy:
+                self.vtime[group] = max(self.vtime[group], min(busy))
         self.waiting[group].append(self.Task(query, group, burst))
 
     def _start(self, task):
@@ -345,12 +375,6 @@ class ReferenceScheduler:
             waiting = self.waiting[name]
             while waiting and self.group_running[name] < len(cores):
                 self._start(waiting.popleft())
-        active_vtimes = [
-            self.vtime[n]
-            for n in self.share_groups
-            if self.waiting[n] or self.group_running[n]
-        ]
-        floor = min(active_vtimes) if active_vtimes else 0.0
         free = self.shared_cores - sum(self.group_running[n] for n in self.share_groups)
         while free > 0:
             candidates = [n for n in self.share_groups if self.waiting[n]]
@@ -358,7 +382,6 @@ class ReferenceScheduler:
                 break
             name = min(candidates, key=lambda n: (self.vtime[n], n))
             task = self.waiting[name].popleft()
-            self.vtime[name] = max(self.vtime[name], floor)
             self.vtime[name] += task.remaining / self.share_groups[name]
             self._start(task)
             free -= 1
@@ -428,7 +451,7 @@ def test_end_tick_lists_match_per_task_decrement(ops):
 def test_equal_weights_tie_to_the_lowest_name(ops):
     """Side by side with `ReferenceScheduler`, with three share groups of
     equal weight on two cores: short bursts keep their vtimes level, and a
-    group back from idle is raised to the floor, another group's vtime, so
+    group back from idle is raised on submit to a busy group's vtime, so
     about a third of the picks with more than one runnable group are ties."""
     groups = ResourceGroups(
         [shares(name, mem=10, cpu=20) for name in "abc"], 1000.0, n_cores=2

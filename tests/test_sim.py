@@ -20,6 +20,7 @@ from htapsim.dtm import (
     expected_accounting,
 )
 from htapsim.gdd import GddConfig
+from htapsim.locks import TagKind
 from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_scenario, parse_sql
 from htapsim.sim import Cluster, SimConfig, run_scenario
 from htapsim.store import TableDef
@@ -278,6 +279,50 @@ sessions:
 """
         )
         assert result.outcomes == {"A": "aborted:user", "B": "committed"}
+
+    def test_tuple_lock_granted_by_a_wake_is_released_after_the_stamp(self):
+        """T3 holds the row's tuple lock and waits for T1's transaction lock;
+        T2 queues on the tuple lock.  T3 and T1 abort in one tick, so T2's
+        grant comes by a wake and, when T2 looks again, the stamper T1 has
+        already ended.  T2 stamps the row and gives the tuple lock back, as
+        `heap_update` releases `have_tuple_lock`."""
+        cluster = Cluster(
+            SimConfig(),
+            parse_scenario(
+                """
+tables:
+  - {name: t, rows: [[0, 0]]}
+sessions:
+  - id: T1
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 4, sql: update t set c2=1 where c1=0}
+  - id: T3
+    steps:
+      - {seq: 2, sql: begin}
+      - {seq: 5, sql: update t set c2=3 where c1=0}
+  - id: T2
+    steps:
+      - {seq: 3, sql: begin}
+      - {seq: 6, sql: update t set c2=2 where c1=0}
+"""
+            ),
+        )
+        cluster.run()
+        t1, t3, t2 = (cluster.sessions[sid].txn.dxid for sid in ("T1", "T3", "T2"))
+        locks = cluster.segments[0].locks
+        tuple_tag = next(r.tag for r in locks.locks_of(t3) if r.tag.kind is TagKind.TUPLE)
+        waits = {r.txn: r.tag for r in locks.waiting_requests()}
+        assert waits[t3].kind is TagKind.TRANSACTION
+        assert waits[t3].obj == cluster.dtm.transactions[t1].local_xids[0]
+        assert waits[t2] == tuple_tag
+
+        cluster.abort_transaction(t3)
+        cluster.abort_transaction(t1)
+        cluster.run()
+        assert f"|seg0|stamp|dxid={t2} t:0" in "\n".join(cluster.trace)
+        assert cluster.sessions["T2"].stmt is None
+        assert [r.tag for r in locks.locks_of(t2) if r.tag.kind is TagKind.TUPLE] == []
 
     def test_statement_outside_txn_is_an_error(self):
         # built without the parser, which rejects such a script itself
@@ -569,6 +614,34 @@ sessions:
         cluster.run()
         assert session.outcomes == ["committed", "committed"]
         assert cluster.state_digest() == "t:[(0, 2)]"
+
+    def test_second_abort_while_aborting_is_dropped(self):
+        """Two aborts of one writer in one tick: the first starts the abort
+        round, which waits on the segment it wrote; the second finds that
+        abort under way and does nothing, so the transaction aborts once,
+        with the first reason."""
+        cluster = run_cluster(
+            """
+tables:
+  - {name: t, rows: [[0, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=1 where c1=0}
+"""
+        )
+        session = cluster.sessions["A"]
+        dxid = session.txn.dxid
+        assert session.txn.local_xids
+        cluster.abort_transaction(dxid, "first")
+        end = session.end
+        cluster.abort_transaction(dxid, "second")
+        assert session.end is end
+        cluster.run()
+        assert session.outcomes == ["aborted:first"]
+        kinds = [line.split("|")[2] for line in cluster.trace]
+        assert kinds.count("abort_start") == kinds.count("abort_local") == 1
 
 
 class TestDeterminism:
