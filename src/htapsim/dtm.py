@@ -7,9 +7,12 @@ when it was taken, as an ascending tuple whose first entry is the snapshot's
 xmin, and the largest dxid committed by then (`max_committed`).  A dxid is
 visible to it if it committed, is at most `max_committed`, and is below xmin
 or not found by a binary search of the in-progress dxids, tested in that
-order.  Segments keep a local-xid -> dxid mapping.  `truncate_mapping` can
-truncate it up to the oldest dxid any live snapshot can still see as
-running, but no simulator run calls it, only tests do, so a segment's
+order.  Each snapshot also carries the horizon it was taken under, as
+Greenplum's carries `xminAllDistributedSnapshots`: the smallest xmin of any
+live snapshot, below which every dxid has finished for every snapshot then or
+later.  Segments prune versions below it (`sim.Segment.update`) and keep a
+local-xid -> dxid mapping.  `truncate_mapping` can truncate that mapping up to
+the horizon, but no simulator run calls it, only tests do, so a segment's
 mapping grows with the run.  Tuple visibility combines the distributed
 snapshot with that mapping, falling back to local state for truncated
 entries.  Commit protocol choreography runs on the simulator's event loop;
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -41,19 +44,30 @@ class TxnState(Enum):
 _ACTIVE, _COMMITTED, _ABORTED = TxnState.ACTIVE, TxnState.COMMITTED, TxnState.ABORTED
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DistributedSnapshot:
     """The dxids in progress at creation, ascending, so `in_progress[0]` is
-    the snapshot's xmin, plus the largest dxid committed by then.
+    the snapshot's xmin, plus the largest dxid committed by then, and the
+    horizon: the smallest xmin of the snapshots live at creation.
 
     A dxid is visible if it committed, is at most `max_committed`, and is not
     in progress, tested in that order.  The last test compares with xmin
     first, which settles every dxid below it with no search, and otherwise
     binary-searches `in_progress`.
+
+    Every dxid below the horizon had finished when each live snapshot was
+    taken, and so for every snapshot taken later: one that committed is
+    visible to them all.  The horizon never falls from one snapshot to the
+    next.
+
+    Nothing changes a snapshot once taken, but the class is not frozen: a
+    frozen dataclass's `__init__` costs three times as much, once per
+    transaction.
     """
 
     in_progress: tuple[int, ...]
     max_committed: int
+    horizon: int = 0  # no dxid is below 0: such a snapshot lets nothing go
 
     def dxid_visible(self, dxid: int, committed: bool) -> bool:
         if not committed or dxid > self.max_committed:
@@ -73,45 +87,6 @@ class Protocol(Enum):
 _READ_ONLY, _ONE_PHASE, _TWO_PHASE = Protocol.READ_ONLY, Protocol.ONE_PHASE, Protocol.TWO_PHASE
 
 
-@dataclass(slots=True)
-class TransactionDescriptor:
-    """One distributed transaction, as Greenplum's `TMGXACT` entry: its dxid,
-    snapshot and state, the session that runs it, and its commit protocol,
-    latency, and the messages and fsyncs its rounds counted.
-
-    Message types and fsync sites are distinct names, so both kinds of count
-    live in the one plain dict `counts`, which holds only the names counted
-    at least once.  `messages` and `fsyncs` are read-only `Counter` views of
-    each kind, built when read.
-    """
-
-    dxid: int
-    begin_tick: int
-    snapshot: DistributedSnapshot
-    sid: str | None = None  # the session that runs it
-    state: TxnState = TxnState.ACTIVE
-    local_xids: dict[int, int] = field(default_factory=dict)  # segment -> local xid
-    write_segments: set[int] = field(default_factory=set)
-    command_id: int = 0  # bumped once per statement
-    counts: dict[str, int] = field(default_factory=dict)
-    protocol: Protocol | None = None
-    latency_ticks: int = 0
-
-    def is_finished(self) -> bool:
-        return self.state is not _ACTIVE
-
-    def count(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    @property
-    def messages(self) -> Counter:
-        return Counter({k: n for k, n in self.counts.items() if k in MESSAGES})
-
-    @property
-    def fsyncs(self) -> Counter:
-        return Counter({k: n for k, n in self.counts.items() if k in FSYNCS})
-
-
 # message types counted on the descriptor
 MSG_PREPARE = "Prepare"
 MSG_PREPARE_OK = "PrepareOk"
@@ -123,6 +98,57 @@ FSYNC_SEGMENT_PREPARE = "SegmentPrepare"
 FSYNC_COORD_COMMIT = "CoordinatorCommit"
 FSYNC_SEGMENT_COMMIT = "SegmentCommit"
 FSYNCS = (FSYNC_SEGMENT_PREPARE, FSYNC_COORD_COMMIT, FSYNC_SEGMENT_COMMIT)
+# One 32-bit field of a descriptor's `counts` per counted name: a count stays
+# far below 2**32, since a transaction sends each message at most once per
+# segment and round.  The value is a count of 1 in that name's field.
+_UNIT = {kind: 1 << 32 * i for i, kind in enumerate(MESSAGES + FSYNCS)}
+_FIELD_MASK = (1 << 32) - 1
+
+
+@dataclass(slots=True)
+class TransactionDescriptor:
+    """One distributed transaction, as Greenplum's `TMGXACT` entry: its dxid,
+    snapshot and state, the session that runs it, and its commit protocol,
+    latency, and the messages and fsyncs its rounds counted.
+
+    Every transaction that finishes keeps its descriptor, so its fields are
+    the smallest forms that serve: `write_segments` is an ascending tuple,
+    and `local_xids` a tuple indexed by segment, with None where the
+    transaction has no local xid, empty until it has one.  Message types and
+    fsync sites are distinct names, and `counts` is one int holding a 32-bit
+    field per name, so that it is neither a container nor tracked by the
+    cyclic GC.  `counted` reads one name, and `messages` and `fsyncs` are
+    read-only `Counter` views of each kind, built when read.
+    """
+
+    dxid: int
+    begin_tick: int
+    snapshot: DistributedSnapshot
+    sid: str | None = None  # the session that runs it
+    state: TxnState = TxnState.ACTIVE
+    local_xids: tuple[int | None, ...] = ()
+    write_segments: tuple[int, ...] = ()
+    command_id: int = 0  # bumped once per statement
+    counts: int = 0  # see `_UNIT`
+    protocol: Protocol | None = None
+    latency_ticks: int = 0
+
+    def is_finished(self) -> bool:
+        return self.state is not _ACTIVE
+
+    def count(self, kind: str) -> None:
+        self.counts += _UNIT[kind]
+
+    def counted(self, kind: str) -> int:
+        return self.counts // _UNIT[kind] & _FIELD_MASK
+
+    @property
+    def messages(self) -> Counter:
+        return Counter({k: self.counted(k) for k in MESSAGES if self.counted(k)})
+
+    @property
+    def fsyncs(self) -> Counter:
+        return Counter({k: self.counted(k) for k in FSYNCS if self.counted(k)})
 
 
 class XidMapping:
@@ -177,26 +203,30 @@ class DistributedTxnManager:
         self.next_dxid = 1
         self.transactions: dict[int, TransactionDescriptor] = {}
         self.max_committed = 0
-        # dxids begun and not yet committed or aborted, as in ProcArray:
-        # snapshots are built from this set, never from the whole history.
-        # mark_committed and mark_aborted are the only places a transaction
-        # finishes, so they alone remove from it.  Keys go in as dxids are
-        # handed out, so the dict's order is ascending and `tuple(self._live)`
-        # is a snapshot's sorted in-progress array.
-        self._live: dict[int, None] = {}
+        # dxids begun and not yet committed or aborted, as in ProcArray,
+        # each mapped to its snapshot's xmin: snapshots are built from this
+        # set, never from the whole history.  mark_committed and mark_aborted
+        # are the only places a transaction finishes, so they alone remove
+        # from it.  Keys go in as dxids are handed out, so the dict's order is
+        # ascending and `tuple(self._live)` is a snapshot's sorted in-progress
+        # array.  The oldest live transaction's xmin is the smallest, since
+        # every later one began while it ran, so the first value is the
+        # horizon.
+        self._live: dict[int, int] = {}
 
     def begin(self, tick: int, sid: str | None = None) -> TransactionDescriptor:
         dxid = self.next_dxid
         self.next_dxid += 1
-        self._live[dxid] = None
-        snap = DistributedSnapshot(tuple(self._live), self.max_committed)
+        live = self._live
+        live[dxid] = next(iter(live), dxid)  # its xmin
+        snap = DistributedSnapshot(tuple(live), self.max_committed, self.horizon())
         txn = TransactionDescriptor(dxid=dxid, begin_tick=tick, snapshot=snap, sid=sid)
         self.transactions[dxid] = txn
         return txn
 
     def current_snapshot(self) -> DistributedSnapshot:
         """Snapshot as a fresh observer would see the cluster right now."""
-        return DistributedSnapshot(tuple(self._live), self.max_committed)
+        return DistributedSnapshot(tuple(self._live), self.max_committed, self.horizon())
 
     def plan_commit(self, txn: TransactionDescriptor, force_2pc: bool = False) -> Protocol:
         """Pick the commit protocol from the observed write-set."""
@@ -228,16 +258,13 @@ class DistributedTxnManager:
     def live_snapshots(self) -> list[DistributedSnapshot]:
         return [self.transactions[d].snapshot for d in self._live]
 
-    def truncation_horizon(self) -> int:
-        """Oldest dxid visible as running to any live snapshot."""
-        horizon = self.next_dxid
-        for snap in self.live_snapshots():
-            if snap.in_progress:
-                horizon = min(horizon, snap.in_progress[0])  # its xmin
-        return horizon
+    def horizon(self) -> int:
+        """Oldest dxid visible as running to any live snapshot: the smallest
+        live xmin, or the next dxid if none is live."""
+        return next(iter(self._live.values()), self.next_dxid)
 
     def truncate_mapping(self, mapping: XidMapping) -> int:
-        return mapping.truncate(self.truncation_horizon())
+        return mapping.truncate(self.horizon())
 
 
 def expected_accounting(protocol: Protocol, k: int) -> tuple[Counter, Counter]:
@@ -284,13 +311,15 @@ def visible(
     """Decide tuple visibility for `txn` under `snapshot` on one segment.
 
     `version` carries xmin_local/cmin and optional xmax_local/cmax (0 = unset).
-    `txn` provides the reader's local xids (may lack this segment) and its
-    current command_id.  `states` is the segment's own commit log, local xid
-    to status: a dxid the snapshot sees as finished ended before the snapshot
-    was taken, and the segment recorded its outcome before the coordinator
-    finished it, so the segment never asks the coordinator.
+    `txn` provides the reader's local xids by segment (empty, or None on a
+    segment where it has none) and its current command_id.  `states` is the
+    segment's own commit log, local xid to status: a dxid the snapshot sees
+    as finished ended before the snapshot was taken, and the segment recorded
+    its outcome before the coordinator finished it, so the segment never asks
+    the coordinator.
     """
-    my_local = txn.local_xids.get(mapping.segment) if txn is not None else None
+    xids = txn.local_xids if txn is not None else None
+    my_local = xids[mapping.segment] if xids else None
     cid = txn.command_id if txn is not None else 0
     if not _writer_visible(
         version.xmin_local, version.cmin, my_local, cid, snapshot, mapping, states

@@ -286,7 +286,12 @@ class LockTable:
         return promoted
 
     def release_tuple_lock(self, txn: int, tag: LockTag) -> list[LockRequest]:
-        """Release one tuple-lock grant mid-transaction (the dotted-edge case)."""
+        """Release one tuple-lock grant mid-transaction (the dotted-edge case).
+
+        A transaction never holds and waits on one tuple tag at once: a part
+        waits for one grant per site (`sim.Site`), and it releases the tuple
+        lock only after that grant came.  A request still waiting on the tag
+        is a protocol error."""
         if tag.kind is not TagKind.TUPLE:
             raise ProtocolError(f"{tag} is not a tuple lock")
         own = self._own.get(txn, {})
@@ -294,13 +299,11 @@ class LockTable:
         held = [r for r in mine if r.status is _GRANTED]
         if not held:
             raise ProtocolError(f"txn {txn} does not hold tuple lock {tag}")
-        kept = [r for r in mine if r.status is _WAITING]
-        if kept:
-            own[tag] = kept
-        else:
-            del own[tag]
-            if not own:
-                del self._own[txn]
+        if len(held) != len(mine):
+            raise ProtocolError(f"txn {txn} releases tuple lock {tag} while waiting on it")
+        del own[tag]
+        if not own:
+            del self._own[txn]
         queue = self._queues[tag]
         for req in held:
             del queue.requests[req.seq]

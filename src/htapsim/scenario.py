@@ -35,7 +35,7 @@ class ScenarioError(Exception):
     """Malformed scenario; message carries the offending line when known."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Step:
     seq: int
     session: str

@@ -33,7 +33,6 @@ from .gdd import (
     DetectionVerdict,
     GddConfig,
     Outcome,
-    ReductionStep,
     break_deadlock,
     detect,
 )
@@ -50,9 +49,40 @@ from .resgroup import (
 )
 from .scenario import Scenario, Step
 from .store import Predicate, SegmentStore, TableDef, route
+from .trace import (
+    ABORT_LOCAL,
+    ABORT_START,
+    ADMISSION_QUEUE,
+    ASSIGN_LOCAL_XID,
+    BEGIN,
+    COMMIT_LOCAL,
+    COMMIT_START,
+    COORD,
+    DISCARD,
+    END_LOCAL,
+    FSYNC,
+    INSERT,
+    ISSUE,
+    LOCK_GRANT,
+    LOCK_WAIT,
+    MEM_CANCEL,
+    PREPARE_FAIL,
+    PREPARE_FAILED,
+    PREPARED,
+    REDUCE,
+    RELATION_LOCKED,
+    STAMP,
+    STEP_SKIPPED,
+    STMT_CONFLICT,
+    STMT_DONE,
+    TXN_END,
+    VALIDATE,
+    VERDICT,
+    Kind,
+    render,
+)
 from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_local
 
-COORD = -1
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
 MESSAGE_DELAY = 1  # ticks per message on a link without its own delay
 GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide
@@ -98,39 +128,6 @@ class SimConfig:
     trace_enabled: bool = True
 
 
-def _render_events(log: list) -> list[str]:
-    """The `tick|site|kind|details` trace lines of a `Cluster._trace` log."""
-    lines = []
-    i, end = 0, len(log)
-    while i < end:
-        n, tick, site, kind, template = log[i : i + 5]
-        args = log[i + 5 : i + 5 + n]
-        i += 5 + n
-        if type(site) is not str:
-            site = "coord" if site == COORD else f"seg{site}"
-        details = template.format(*args) if type(template) is str else template(*args)
-        lines.append(f"{tick}|{site}|{kind}|{details}")
-    return lines
-
-
-def _begin_details(sid: str, dxid: int, snap) -> str:
-    return (
-        f"session={sid} dxid={dxid} in_progress={list(snap.in_progress)} "
-        f"max_committed={snap.max_committed}"
-    )
-
-
-def _lock_wait_details(dxid: int, tag: LockTag, mode: str, blockers: frozenset) -> str:
-    return f"dxid={dxid} tag={tag} mode={mode} blockers={sorted(blockers)}"
-
-
-def _verdict_details(outcome: str, residual: tuple, victims: tuple) -> str:
-    return (
-        f"outcome={outcome} residual={[str(e) for e in residual]} "
-        f"victims={list(victims)}"
-    )
-
-
 class Session:
     def __init__(self, sid: str, group: str | None = None, step_iter=None):
         self.sid = sid
@@ -172,6 +169,8 @@ class Session:
 
 
 class Statement:
+    __slots__ = ("session", "step", "txn", "cpu_left", "outstanding", "rows", "count", "dead")
+
     def __init__(self, session: Session, step: Step):
         self.session = session
         self.step = step
@@ -210,7 +209,7 @@ class Site:
         if result is _LOCK_GRANTED:
             return True
         blocked_by = frozenset([b.txn for b in blockers])
-        cl._trace(self.id, "lock_wait", _lock_wait_details, txn.dxid, tag, mode.name, blocked_by)
+        cl._trace(self.id, LOCK_WAIT, txn.dxid, tag, mode.name, blocked_by)
         cl._ensure_gdd_scheduled()
         return False
 
@@ -224,9 +223,7 @@ class Site:
         """Trace each grant in `promoted` and schedule the part parked on it."""
         cl = self.cluster
         for req in promoted:
-            cl._trace(
-                self.id, "lock_grant", "dxid={} tag={} mode={}", req.txn, req.tag, req.mode.name
-            )
+            cl._trace(self.id, LOCK_GRANT, req.txn, req.tag, req.mode.name)
             part = self.parked.pop(req.txn, None)
             if part is not None:
                 cl.schedule(0, partial(self.resume, part))
@@ -262,7 +259,7 @@ class Site:
             local = self.local_xid(txn)
             for values in rows:
                 self.store.insert_version(step.table, values, local, txn.command_id)
-            cl._trace(self.id, "insert", "dxid={} rows={}", txn.dxid, len(rows))
+            cl._trace(self.id, INSERT, txn.dxid, len(rows))
             cl._segment_part_done(self, stmt, len(rows), wrote=bool(rows))
         elif step.kind == "select":
             vis = self.visibility(txn.snapshot, txn)
@@ -270,7 +267,7 @@ class Site:
             found_rows = [v.values for _, v in found]
             cl._segment_part_done(self, stmt, len(found_rows), rows=found_rows)
         else:  # lock
-            cl._trace(self.id, "relation_locked", "dxid={} {}", txn.dxid, step.table)
+            cl._trace(self.id, RELATION_LOCKED, txn.dxid, step.table)
             cl._segment_part_done(self, stmt, 0)
 
 
@@ -289,18 +286,20 @@ class Segment(Site):
 
     def local_xid(self, txn: TransactionDescriptor) -> int:
         """Assign a local xid (and the transaction self-lock) on first write."""
-        local = txn.local_xids.get(self.id)
-        if local is not None:
-            return local
+        xids = txn.local_xids
+        if xids and xids[self.id] is not None:
+            return xids[self.id]
         local = self.next_local_xid
         self.next_local_xid = local + 1
-        txn.local_xids[self.id] = local
+        xids = list(xids or [None] * len(self.cluster.segments))
+        xids[self.id] = local
+        txn.local_xids = tuple(xids)
         self.states[local] = "in_progress"
         self.mapping.record(local, txn.dxid)
         cl = self.cluster
         tag = LockTag(_TRANSACTION, self.id, local)
         self.locks.acquire(txn.dxid, tag, _EXCLUSIVE, cl.clock)
-        cl._trace(self.id, "assign_local_xid", "dxid={} local={}", txn.dxid, local)
+        cl._trace(self.id, ASSIGN_LOCAL_XID, txn.dxid, local)
         return local
 
     def visibility(self, snapshot, txn: TransactionDescriptor | None = None):
@@ -309,6 +308,14 @@ class Segment(Site):
         mapping, states = self.mapping, self.states
         # `dtm_mod.visible` is looked up at each call, so tracers can wrap it
         return lambda version: dtm_mod.visible(version, snapshot, mapping, txn, states)
+
+    def settled_below(self, horizon: int):
+        """The test `SegmentStore.prune` takes at `horizon`: whether a local
+        xid committed here with a dxid below `horizon`, so that every snapshot
+        taken under `horizon` or later sees it committed.  A truncated
+        mapping entry was below an earlier horizon."""
+        states, entries = self.states, self.mapping.entries
+        return lambda xid: states.get(xid) == "committed" and entries.get(xid, -1) < horizon
 
     def update(self, stmt: Statement):
         """An update's share here: stamp the versions its scan returned.
@@ -328,20 +335,29 @@ class Segment(Site):
         snapshot does not see, and `stamp_and_append` writes `xmax` into the
         very version object the scan returned.  A READ COMMITTED re-check
         would follow the chain here instead.
+
+        Each stamp first prunes its chain (`SegmentStore.prune`) at the
+        horizon of the statement's snapshot.  That horizon is no later than
+        the one of any snapshot live now, so no live snapshot loses a version
+        it can see, the scan's version included.  Pruning keeps every
+        `states` and `mapping` entry, and emits no trace line.
         """
         cl = self.cluster
         txn, step = stmt.txn, stmt.step
         store = self.store
         vis = self.visibility(txn.snapshot, txn)
+        settled = self.settled_below(txn.snapshot.horizon)
         pred = step.pred or Predicate()
         stamped = 0
         for slot, version in store.scan(cl.catalog[step.table], pred, vis):
             tuple_held = False
+            local = self.local_xid(txn)
             while True:
-                local = self.local_xid(txn)
                 stamper = version.xmax_local
-                if stamper == local:
-                    break  # stamped by an earlier command of this transaction
+                # a version this transaction stamped is invisible to its later
+                # commands, and a statement stamps a slot once, so no scan
+                # returns one
+                assert stamper != local, f"dxid {txn.dxid} restamps {step.table}:{slot}"
                 state = self.states.get(stamper, "aborted") if stamper else "unstamped"
                 if state == "committed":
                     # first updater won and committed; we lose
@@ -349,11 +365,12 @@ class Segment(Site):
                     return
                 if state != "in_progress":
                     new_values = (version.values[0], step.set_c2)
+                    store.prune(step.table, slot, settled)
                     store.stamp_and_append(
                         step.table, slot, version, new_values, local, txn.command_id
                     )
                     stamped += 1
-                    cl._trace(self.id, "stamp", "dxid={} {}:{}", txn.dxid, step.table, slot)
+                    cl._trace(self.id, STAMP, txn.dxid, step.table, slot)
                     if tuple_held:
                         self.wake(self.locks.release_tuple_lock(txn.dxid, tuple_tag))
                     break
@@ -460,19 +477,16 @@ class Cluster:
 
     # ------------------------------------------------------------ event loop
 
-    def _trace(self, site, kind: str, template, *args) -> None:
-        """Record one trace event as the fields (len(args), tick, site, kind,
-        template, *args) at the end of the flat log `_events`, and nothing at
-        all unless `trace_enabled` is set.
+    def _trace(self, site, kind: Kind, *args) -> None:
+        """Record one trace event of `kind` as the fields (tick, site, kind,
+        *args) at the end of the flat log `_events`, and nothing at all unless
+        `trace_enabled` is set.
 
-        Nothing is formatted here: reading `trace` renders the event.  The
-        arguments must be values that no later step changes (ints, strings,
-        frozensets, tuples, lock tags, frozen records).  `template` is a
-        `str.format` template or, where the details need more than formatting,
-        a function of the arguments that returns them.
+        Nothing is formatted here: reading `trace` renders the event (see
+        `trace.render` for what the arguments may be).
         """
         if self.config.trace_enabled:
-            self._events += (len(args), self.clock, site, kind, template, *args)
+            self._events += (self.clock, site, kind, *args)
 
     @property
     def trace(self) -> list[str]:
@@ -481,7 +495,7 @@ class Cluster:
         Events recorded since the last read are rendered into the cached list
         and then dropped, so the list returned grows as the run goes on."""
         if self._events:
-            self._trace_lines.extend(_render_events(self._events))
+            self._trace_lines.extend(render(self._events))
             self._events.clear()
         return self._trace_lines
 
@@ -569,9 +583,7 @@ class Cluster:
             session = min(waiting, key=lambda s: (s.peek_step().seq, s.sid))
             step = session.peek_step()
             if session.skip_until_begin and step.kind not in ("begin", "detect"):
-                self._trace(
-                    "driver", "step_skipped", "seq={} session={}", step.seq, session.sid
-                )
+                self._trace("driver", STEP_SKIPPED, step.seq, session.sid)
                 session.pop_step()
                 continue
             if step.kind != "detect" and not session.free:
@@ -596,9 +608,7 @@ class Cluster:
         if step.kind == "detect":
             self.run_detector()
             return
-        self._trace(
-            "driver", "issue", "seq={} session={} sql={}", step.seq, session.sid, step.raw
-        )
+        self._trace("driver", ISSUE, step.seq, session.sid, step.raw)
         if step.kind == "begin":
             session.skip_until_begin = False
             if session.txn is not None:
@@ -623,9 +633,7 @@ class Cluster:
         if step.mem is not None and self.ledger is not None and session.group:
             result = self.ledger.charge(session.sid, session.group, step.mem)
             if result is _CHARGE_CANCELLED:
-                self._trace(
-                    "coord", "mem_cancel", "session={} bytes={}", session.sid, step.mem
-                )
+                self._trace("coord", MEM_CANCEL, session.sid, step.mem)
                 self._start_abort(session, "memory_cancelled")
                 return
         if step.cpu and self.cpu is not None and session.group:
@@ -642,7 +650,7 @@ class Cluster:
         if self.admission is not None and session.group:
             if self.admission.admit(session.sid, session.group) is _ADMISSION_QUEUE:
                 session.queued = True
-                self._trace("coord", "admission_queue", "session={}", session.sid)
+                self._trace("coord", ADMISSION_QUEUE, session.sid)
                 return
         self._begin_admitted(session)
 
@@ -653,7 +661,8 @@ class Cluster:
         # no transaction lock on the coordinator: only a segment's local xid
         # is ever waited on (see `Segment.update`)
         self.coord.locks.register_txn(txn.dxid)
-        self._trace("coord", "begin", _begin_details, session.sid, txn.dxid, txn.snapshot)
+        snap = txn.snapshot
+        self._trace("coord", BEGIN, session.sid, txn.dxid, snap.in_progress, snap.max_committed)
         self._session_freed(session)
 
     def _dispatch_parts(self, stmt: Statement) -> None:
@@ -693,14 +702,17 @@ class Cluster:
 
     def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
         dxid = stmt.txn.dxid
-        self._trace(seg.id, "stmt_conflict", "dxid={} reason={}", dxid, reason)
+        self._trace(seg.id, STMT_CONFLICT, dxid, reason)
         self.send(seg.id, COORD, partial(self.abort_transaction, dxid, reason))
 
     def _part_reply(self, stmt, seg, count, rows, wrote) -> None:
         if stmt.dead:
             return
         if wrote:
-            stmt.txn.write_segments.add(seg)
+            txn = stmt.txn
+            ws = txn.write_segments
+            if seg not in ws:
+                txn.write_segments = tuple(sorted((*ws, seg))) if ws else (seg,)
         if rows:
             stmt.rows.extend(rows)
         stmt.count += count
@@ -715,14 +727,7 @@ class Cluster:
         stmt.rows.sort()
         if stmt.step.kind == "select":
             session.scan_results.append((stmt.step.seq, list(stmt.rows)))
-        self._trace(
-            "coord",
-            "stmt_done",
-            "session={} seq={} count={}",
-            session.sid,
-            stmt.step.seq,
-            stmt.count,
-        )
+        self._trace("coord", STMT_DONE, session.sid, stmt.step.seq, stmt.count)
         session.stmt = None
         self._progress += 1
         self._session_freed(session)
@@ -735,10 +740,11 @@ class Cluster:
 
     def _touched_segments(self, txn: TransactionDescriptor) -> list[Segment]:
         """The segments where `txn` has a local xid or a lock request."""
+        xids = txn.local_xids
         return [
             seg
             for seg in self.segments
-            if seg.id in txn.local_xids or seg.locks.has_requests(txn.dxid)
+            if (xids and xids[seg.id] is not None) or seg.locks.has_requests(txn.dxid)
         ]
 
     def _commit(self, session: Session):
@@ -755,15 +761,9 @@ class Cluster:
         protocol = self.dtm.plan_commit(txn, self.config.force_2pc)
         txn.protocol = protocol
         touched = self._touched_segments(txn)
-        writers = [self.segments[s] for s in sorted(txn.write_segments)]
+        writers = [self.segments[s] for s in txn.write_segments]
         self._trace(
-            "coord",
-            "commit_start",
-            "session={} dxid={} protocol={} write_segments={}",
-            session.sid,
-            txn.dxid,
-            protocol.value,
-            [seg.id for seg in writers],
+            "coord", COMMIT_START, session.sid, txn.dxid, protocol.value, txn.write_segments
         )
         if protocol is _TWO_PHASE:
             yield from self._round(session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare)
@@ -788,9 +788,7 @@ class Cluster:
         for site in self.sites:
             site.parked.pop(txn.dxid, None)
         touched = self._touched_segments(txn)
-        self._trace(
-            "coord", "abort_start", "session={} dxid={} reason={}", session.sid, txn.dxid, reason
-        )
+        self._trace("coord", ABORT_START, session.sid, txn.dxid, reason)
         abort_at = partial(self._segment_end, committed=False)
         yield from self._round(session, touched, None, abort_at)
         self._finish_txn(session, committed=False, reason=reason)
@@ -832,7 +830,7 @@ class Cluster:
             return
         txn = session.txn
         if not ok:
-            self._trace("coord", "prepare_failed", "dxid={} seg={}", txn.dxid, site)
+            self._trace("coord", PREPARE_FAILED, txn.dxid, site)
             self._start_abort(session, "prepare_failed")
             return
         if msg is not None:
@@ -841,11 +839,11 @@ class Cluster:
 
     def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, reply) -> None:
         if self._prepare_veto(seg.id, txn):
-            self._trace(seg.id, "prepare_fail", "dxid={}", txn.dxid)
+            self._trace(seg.id, PREPARE_FAIL, txn.dxid)
             self.send(seg.id, COORD, partial(reply, seg.id, None, ok=False))
             return
         self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-        self._trace(seg.id, "prepared", "dxid={}", txn.dxid)
+        self._trace(seg.id, PREPARED, txn.dxid)
         self.send(seg.id, COORD, partial(reply, seg.id, dtm_mod.MSG_PREPARE_OK))
 
     def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
@@ -864,24 +862,24 @@ class Cluster:
         if reply is not None and committed:
             self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
         s = seg.id
-        local = txn.local_xids.get(s)
+        local = txn.local_xids[s] if txn.local_xids else None
         if local is not None:
             seg.states[local] = "committed" if committed else "aborted"
         promoted = seg.locks.release_all(txn.dxid, self.clock)
         if reply is None:
-            self._trace(s, "end_local", "dxid={}", txn.dxid)
+            self._trace(s, END_LOCAL, txn.dxid)
         elif committed:
             onephase = txn.protocol is _ONE_PHASE
-            self._trace(s, "commit_local", "dxid={} onephase={}", txn.dxid, onephase)
+            self._trace(s, COMMIT_LOCAL, txn.dxid, onephase)
         else:
-            self._trace(s, "abort_local", "dxid={}", txn.dxid)
+            self._trace(s, ABORT_LOCAL, txn.dxid)
         seg.wake(promoted)
         if reply is not None:
             self.send(s, COORD, partial(reply, s, dtm_mod.MSG_COMMIT_OK if committed else None))
 
     def _fsync(self, site: Site, txn, kind: str) -> None:
         txn.count(kind)
-        self._trace(site.id, "fsync", "dxid={} kind={}", txn.dxid, kind)
+        self._trace(site.id, FSYNC, txn.dxid, kind)
 
     def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
         txn = session.txn
@@ -896,14 +894,7 @@ class Cluster:
         txn.latency_ticks = self.clock - txn.begin_tick
         session.txn_latencies.append(txn.latency_ticks)
         self.coord.wake(self.coord.locks.release_all(txn.dxid, self.clock))
-        self._trace(
-            "coord",
-            "txn_end",
-            "session={} dxid={} outcome={}",
-            session.sid,
-            txn.dxid,
-            session.outcomes[-1],
-        )
+        self._trace("coord", TXN_END, session.sid, txn.dxid, session.outcomes[-1])
         if self.ledger is not None:
             self.ledger.release(session.sid)
         if self.admission is not None and session.group:
@@ -988,21 +979,16 @@ class Cluster:
     def _detect_on(self, graph: GlobalWaitForGraph) -> DetectionVerdict:
         verdict = detect(graph, self.txn_is_live)
         for step in verdict.steps:
-            self._trace("gdd", "reduce", ReductionStep.describe, step)
+            self._trace("gdd", REDUCE, step)
         self._trace(
-            "gdd",
-            "verdict",
-            _verdict_details,
-            verdict.outcome.value,
-            tuple(verdict.residual_edges),
-            verdict.victims,
+            "gdd", VERDICT, verdict.outcome.value, tuple(verdict.residual_edges), verdict.victims
         )
         self.verdicts.append(verdict)
         if verdict.outcome is Outcome.DEADLOCK:
-            self._trace("gdd", "validate", "frozen check: residual transactions all live")
+            self._trace("gdd", VALIDATE)
             break_deadlock(verdict, self)
         elif verdict.outcome is Outcome.STALE:
-            self._trace("gdd", "discard", "stale graph: a residual transaction finished")
+            self._trace("gdd", DISCARD)
         return verdict
 
     # ------------------------------------------------------------- cpu ticks
@@ -1066,10 +1052,10 @@ class Cluster:
             protocol = txn.protocol.value if txn.protocol else (
                 "aborted" if txn.state is _ABORTED else "open"
             )
-            counts = txn.counts
+            counted = txn.counted
             lines.append(
-                f"{dxid},{protocol},{counts.get(prepare, 0)},{counts.get(commit, 0)},"
-                f"{sum([counts.get(kind, 0) for kind in fsyncs])},{txn.latency_ticks}"
+                f"{dxid},{protocol},{counted(prepare)},{counted(commit)},"
+                f"{sum([counted(kind) for kind in fsyncs])},{txn.latency_ticks}"
             )
         return "\n".join(lines) + "\n"
 

@@ -15,6 +15,16 @@ as PostgreSQL's `heapgetpage` skips the per-tuple test on a page whose
 `PD_ALL_VISIBLE` bit is set.  The first stamp of the row clears the mark, as
 `heap_update` clears the bit, and the row then goes through the test for good,
 whether or not its stamper commits.
+
+Chains are pruned as PostgreSQL's `heap_page_prune` prunes a page: `prune`
+drops every version of a chain before the newest one whose writer the caller
+calls settled, one that committed below the horizon of every snapshot that
+can still read the chain (`dtm.DistributedSnapshot.horizon`).  Each such
+snapshot sees that writer committed, so it reads that version or a newer one,
+and the dropped versions are invisible to all of them.  The simulator prunes
+a chain each time it stamps it, so a chain keeps its newest settled version
+and the versions written after it, by transactions that still run or that
+committed at or above the horizon.
 """
 
 from __future__ import annotations
@@ -54,17 +64,17 @@ def route(key_value: int, n_segments: int) -> int:
     return key_value % n_segments
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleVersion:
     values: tuple[int, int]
     xmin_local: int
     cmin: int
-    ctid: tuple[str, int]  # (table, slot) on this segment
+    ctid: tuple[str, int]  # (table, slot) on this segment; one tuple per chain
     xmax_local: int = 0
     cmax: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Predicate:
     """Conjunction of column equalities; empty means match-all."""
 
@@ -200,13 +210,20 @@ class SegmentStore:
         victim.xmax_local = local_xid
         victim.cmax = cid
         successor = TupleVersion(
-            values=new_values,
-            xmin_local=local_xid,
-            cmin=cid,
-            ctid=(table, slot),
+            values=new_values, xmin_local=local_xid, cmin=cid, ctid=victim.ctid
         )
         chain.append(successor)
         return successor
+
+    def prune(self, table: str, slot: int, settled) -> None:
+        """Drop every version of the chain before the newest one whose
+        writer `settled` accepts (see the module docstring); the first
+        version is never tested, since nothing precedes it."""
+        chain = self.tables[table][slot]
+        for i in range(len(chain) - 1, 0, -1):
+            if settled(chain[i].xmin_local):
+                del chain[:i]
+                return
 
     def check_chain_invariants(self, local_state) -> None:
         """A chain's in-progress versions have one writer and form its tail;

@@ -161,19 +161,19 @@ class TestCommitPlanning:
     def test_single_segment_write_is_one_phase(self):
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
-        txn.write_segments.add(1)
+        txn.write_segments = (1,)
         assert mgr.plan_commit(txn) is Protocol.ONE_PHASE
 
     def test_multi_segment_write_is_two_phase(self):
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
-        txn.write_segments.update({0, 2})
+        txn.write_segments = (0, 2)
         assert mgr.plan_commit(txn) is Protocol.TWO_PHASE
 
     def test_force_2pc_downgrades_one_phase(self):
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
-        txn.write_segments.add(1)
+        txn.write_segments = (1,)
         assert mgr.plan_commit(txn, force_2pc=True) is Protocol.TWO_PHASE
         txn2 = mgr.begin(1)
         assert mgr.plan_commit(txn2, force_2pc=True) is Protocol.READ_ONLY
@@ -254,7 +254,8 @@ class TestTruncation:
 )
 def test_live_set_matches_recomputation_over_all_transactions(ops):
     """Snapshots built from the live-dxid set equal a scan of every
-    transaction ever begun, across random begin/commit/abort sequences."""
+    transaction ever begun, across random begin/commit/abort sequences, and
+    their horizon is the smallest xmin of the live snapshots."""
     mgr = DistributedTxnManager()
 
     def unfinished():
@@ -265,16 +266,22 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
     def committed():
         return [d for d, t in mgr.transactions.items() if t.state is TxnState.COMMITTED]
 
+    def horizon():  # the smallest xmin of the live snapshots
+        xmins = [mgr.transactions[d].snapshot.in_progress[0] for d in unfinished()]
+        return min(xmins, default=mgr.next_dxid)
+
     for tick, (op, pick) in enumerate(ops):
         live = sorted(unfinished())
         if op == "begin":
             txn = mgr.begin(tick)
             assert txn.snapshot.in_progress == tuple(sorted(unfinished()))
             assert txn.snapshot.max_committed == max(committed(), default=0)
+            assert txn.snapshot.horizon == horizon()
         elif live:
             dxid = live[pick % len(live)]
             (mgr.mark_committed if op == "commit" else mgr.mark_aborted)(dxid)
         assert mgr.current_snapshot().in_progress == tuple(sorted(unfinished()))
+        assert mgr.current_snapshot().horizon == mgr.horizon() == horizon()
         assert mgr.live_snapshots() == [
             t.snapshot
             for _, t in sorted(mgr.transactions.items())

@@ -208,6 +208,22 @@ class TestReleaseTupleLock:
         with pytest.raises(ProtocolError):
             table.release_tuple_lock(1, self.tuple_tag())
 
+    def test_held_and_waiting_is_protocol_error(self):
+        """A transaction that holds a tuple tag and also waits on it may not
+        release it: the simulator never gets there, and the table is left as
+        it was."""
+        table = make_table(1, 2, seg=1)
+        tag = self.tuple_tag()
+        table.acquire(1, tag, LockMode.SHARE, 0)
+        table.acquire(2, tag, LockMode.SHARE, 1)
+        result, _ = table.acquire(1, tag, LockMode.EXCLUSIVE, 2)
+        assert result is AcquireResult.BLOCKED
+        before = [(r.txn, r.mode, r.status) for r in table.locks_of(1)]
+        with pytest.raises(ProtocolError, match="while waiting"):
+            table.release_tuple_lock(1, tag)
+        assert [(r.txn, r.mode, r.status) for r in table.locks_of(1)] == before
+        table.check_invariants()
+
     def test_relation_tag_rejected(self):
         table = make_table(1)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)

@@ -165,12 +165,13 @@ def check_atomicity(cluster, seed) -> int:
     local xid on every segment it wrote.  Returns the local outcomes checked."""
     checked = 0
     for txn in cluster.dtm.transactions.values():
-        for seg, local in txn.local_xids.items():
+        local_xids = {seg: lx for seg, lx in enumerate(txn.local_xids) if lx is not None}
+        for seg, local in local_xids.items():
             state = cluster.segments[seg].states[local]
             assert state == txn.state.value, (seed, txn.dxid, seg, state)
             checked += 1
         if cluster.dtm.is_committed(txn.dxid):
-            missing = txn.write_segments - txn.local_xids.keys()
+            missing = set(txn.write_segments) - local_xids.keys()
             assert not missing, (seed, txn.dxid, missing)
     return checked
 

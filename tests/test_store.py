@@ -4,6 +4,8 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from htapsim.bench import build
+from htapsim.sim import SimConfig
 from htapsim.store import Predicate, SegmentStore, StoreError, TableDef, route
 
 
@@ -312,3 +314,65 @@ def test_all_visible_scans_match_testing_every_version(loaded, ops):
         snapshots.append(frozenset(committed))
         assert store.all_visible["t"] == set(range(len(loaded))) - stamped
         store.check_chain_invariants(lambda lx: "committed" if lx in committed else "aborted")
+
+
+class TestPrune:
+    def chain_of(self, writers):
+        """A one-slot store whose chain was written by `writers`, in order."""
+        store = SegmentStore(0)
+        store.create_table(TableDef("t"))
+        slot = store.insert_version("t", (1, 0), writers[0], 0)[1]
+        for n, xid in enumerate(writers[1:], start=1):
+            store.stamp_and_append("t", slot, store.chain("t", slot)[-1], (1, n), xid, 0)
+        return store, slot
+
+    def test_keeps_from_the_newest_settled_version(self):
+        store, slot = self.chain_of([1, 2, 3, 4])
+        store.prune("t", slot, lambda xid: xid in (2, 3))
+        chain = store.chain("t", slot)
+        assert [v.xmin_local for v in chain] == [3, 4]
+        assert chain[0].xmax_local == 4
+        assert all(v.ctid is chain[0].ctid for v in chain)  # one tuple per chain
+
+    def test_nothing_settled_past_the_first_keeps_the_chain(self):
+        store, slot = self.chain_of([1, 2, 3])
+        store.prune("t", slot, lambda xid: xid == 1)
+        assert [v.xmin_local for v in store.chain("t", slot)] == [1, 2, 3]
+
+
+def scans_of_live_snapshots(cluster) -> dict:
+    """Every table's rows, per segment, as each live transaction reads them,
+    and as a fresh observer does."""
+    readers = [(t.snapshot, t) for t in cluster.dtm.transactions.values() if not t.is_finished()]
+    readers.append((cluster.dtm.current_snapshot(), None))
+    return {
+        (seg.id, name, txn.dxid if txn else None): seg.store.scan(
+            table, Predicate(), seg.visibility(snapshot, txn)
+        )
+        for seg in cluster.segments
+        for name, table in sorted(cluster.catalog.items())
+        for snapshot, txn in readers
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=st.sampled_from(["update-only", "tpcb-like", "mixed-htap"]),
+    clients=st.integers(2, 16),
+    ticks=st.integers(1, 150),
+    seed=st.integers(0, 1000),
+)
+def test_pruning_at_the_horizon_keeps_every_live_snapshots_scans(workload, clients, ticks, seed):
+    """Pruning every chain at the horizon mid-run changes no scan of any live
+    snapshot: each live transaction, reading its own writes too, and a fresh
+    observer get the same rows, in the same version objects, before and
+    after."""
+    cluster = build(workload, clients, SimConfig(trace_enabled=False), seed=seed)
+    cluster.run(until_tick=ticks)
+    before = scans_of_live_snapshots(cluster)
+    horizon = cluster.dtm.current_snapshot().horizon
+    for seg in cluster.segments:
+        for name, chains in seg.store.tables.items():
+            for slot in chains:
+                seg.store.prune(name, slot, seg.settled_below(horizon))
+    assert scans_of_live_snapshots(cluster) == before
