@@ -75,14 +75,21 @@ def _txn_ends(sid: str) -> tuple[Step, Step]:
     return Step(0, sid, "begin", "begin"), Step(0, sid, "commit", "commit")
 
 
-def _update(sid: str, table: str, key: int, c2: int, cpu: int | None = None) -> Step:
+def _where_c1(keys: list[int]) -> list[Predicate]:
+    """One `c1 = key` predicate per key, for a client to share between the
+    statements it makes on that key."""
+    return [Predicate({"c1": key}) for key in keys]
+
+
+def _update(sid: str, table: str, pred: Predicate, c2: int, cpu: int | None = None) -> Step:
+    """An update of the row whose `c1` `pred` fixes."""
     return Step(
         0,
         sid,
         "update",
-        f"update {table} set c2={c2} where c1={key}",
+        f"update {table} set c2={c2} where c1={pred.eqs['c1']}",
         table=table,
-        pred=Predicate({"c1": key}),
+        pred=pred,
         set_c2=c2,
         cpu=cpu,
     )
@@ -95,12 +102,12 @@ def _insert(sid: str, table: str, rows: list[tuple[int, int]]) -> Step:
 
 def update_only_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):
     """Single-row updates to keys private to this client (no row conflicts)."""
-    own = [k for k in range(keys) if k % clients == idx] or [idx]
+    own = _where_c1([k for k in range(keys) if k % clients == idx] or [idx])
     begin, commit = _txn_ends(sid)
     while True:
-        key = rng.choice(own)
+        pred = rng.choice(own)
         yield begin
-        yield _update(sid, "accounts", key, rng.randrange(1000))
+        yield _update(sid, "accounts", pred, rng.randrange(1000))
         yield commit
 
 
@@ -117,18 +124,19 @@ def insert_only_client(sid: str, idx: int, rng: random.Random, n_segments: int):
 
 
 def tpcb_like_client(sid: str, idx: int, clients: int, rng: random.Random, scale):
-    """Account/teller/branch updates plus a history insert per transaction."""
+    """Account/teller/branch updates plus a history insert per transaction.
+    The client's teller and branch are fixed; its accounts are drawn from the
+    whole table, so each account update builds its own predicate."""
     accounts, tellers, branches = scale
     begin, commit = _txn_ends(sid)
+    teller, branch = _where_c1([idx % tellers, idx % branches])
     while True:
         a = rng.randrange(accounts)
-        t = idx % tellers
-        b = idx % branches
         delta = rng.randrange(100)
         yield begin
-        yield _update(sid, "accounts", a, delta)
-        yield _update(sid, "tellers", t, delta)
-        yield _update(sid, "branches", b, delta)
+        yield _update(sid, "accounts", Predicate({"c1": a}), delta)
+        yield _update(sid, "tellers", teller, delta)
+        yield _update(sid, "branches", branch, delta)
         yield _insert(sid, "history", [(a, delta)])
         yield commit
 
@@ -145,12 +153,12 @@ def olap_client(sid: str, rng: random.Random, scan_cpu: int):
 
 
 def oltp_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):
-    own = [k for k in range(keys) if k % clients == idx] or [idx]
+    own = _where_c1([k for k in range(keys) if k % clients == idx] or [idx])
     begin, commit = _txn_ends(sid)
     while True:
-        key = rng.choice(own)
+        pred = rng.choice(own)
         yield begin
-        yield _update(sid, "accounts", key, rng.randrange(100), cpu=1)
+        yield _update(sid, "accounts", pred, rng.randrange(100), cpu=1)
         yield commit
 
 

@@ -75,10 +75,10 @@ from .trace import (
     STEP_SKIPPED,
     STMT_CONFLICT,
     STMT_DONE,
+    TICK,
     TXN_END,
     VALIDATE,
     VERDICT,
-    Kind,
     render,
 )
 from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_local
@@ -123,8 +123,9 @@ class SimConfig:
     eager: bool = False
     collection_skew: int = 0  # ticks between per-segment graph snapshots
     resource_groups: list[ResourceGroupConfig] = field(default_factory=list)
-    # record trace events; their fields are kept in one flat log and only
-    # rendered to text when `Cluster.trace` is read
+    # record trace events, read once when the cluster is built: their fields
+    # are kept in one flat log and only rendered to text when `Cluster.trace`
+    # is read; with it off, `Cluster._log` discards them
     trace_enabled: bool = True
 
 
@@ -145,6 +146,7 @@ class Session:
         self.end: Generator | None = None
         # aborted txn: drop its remaining steps up to the next begin
         self.skip_until_begin = False
+        self.issue = None  # eager order's callback that issues its next step
         self.outcomes: list[str] = []
         self.txn_latencies: list[int] = []
         self.scan_results: list[tuple[int, list]] = []
@@ -208,8 +210,7 @@ class Site:
         result, blockers = self.locks.acquire(txn.dxid, tag, mode, cl.clock)
         if result is _LOCK_GRANTED:
             return True
-        blocked_by = frozenset([b.txn for b in blockers])
-        cl._trace(self.id, LOCK_WAIT, txn.dxid, tag, mode.name, blocked_by)
+        cl._log((self.id, LOCK_WAIT, txn.dxid, tag, mode, frozenset([b.txn for b in blockers])))
         cl._ensure_gdd_scheduled()
         return False
 
@@ -223,7 +224,7 @@ class Site:
         """Trace each grant in `promoted` and schedule the part parked on it."""
         cl = self.cluster
         for req in promoted:
-            cl._trace(self.id, LOCK_GRANT, req.txn, req.tag, req.mode.name)
+            cl._log((self.id, LOCK_GRANT, req.txn, req.tag, req.mode))
             part = self.parked.pop(req.txn, None)
             if part is not None:
                 cl.schedule(0, partial(self.resume, part))
@@ -259,7 +260,7 @@ class Site:
             local = self.local_xid(txn)
             for values in rows:
                 self.store.insert_version(step.table, values, local, txn.command_id)
-            cl._trace(self.id, INSERT, txn.dxid, len(rows))
+            cl._log((self.id, INSERT, txn.dxid, len(rows)))
             cl._segment_part_done(self, stmt, len(rows), wrote=bool(rows))
         elif step.kind == "select":
             vis = self.visibility(txn.snapshot, txn)
@@ -267,7 +268,7 @@ class Site:
             found_rows = [v.values for _, v in found]
             cl._segment_part_done(self, stmt, len(found_rows), rows=found_rows)
         else:  # lock
-            cl._trace(self.id, RELATION_LOCKED, txn.dxid, step.table)
+            cl._log((self.id, RELATION_LOCKED, txn.dxid, step.table))
             cl._segment_part_done(self, stmt, 0)
 
 
@@ -299,7 +300,7 @@ class Segment(Site):
         cl = self.cluster
         tag = LockTag(_TRANSACTION, self.id, local)
         self.locks.acquire(txn.dxid, tag, _EXCLUSIVE, cl.clock)
-        cl._trace(self.id, ASSIGN_LOCAL_XID, txn.dxid, local)
+        cl._log((self.id, ASSIGN_LOCAL_XID, txn.dxid, local))
         return local
 
     def visibility(self, snapshot, txn: TransactionDescriptor | None = None):
@@ -370,7 +371,7 @@ class Segment(Site):
                         step.table, slot, version, new_values, local, txn.command_id
                     )
                     stamped += 1
-                    cl._trace(self.id, STAMP, txn.dxid, step.table, slot)
+                    cl._log((self.id, STAMP, txn.dxid, step.table, slot))
                     if tuple_held:
                         self.wake(self.locks.release_tuple_lock(txn.dxid, tuple_tag))
                     break
@@ -404,8 +405,13 @@ class Cluster:
         self._buckets: dict[int, deque] = {}
         self._ticks: list[int] = []
         self._fg_pending = 0
-        self._events: list = []  # trace events not yet rendered, see `_trace`
+        # trace events not yet rendered, see `trace.render`: a call site
+        # records one with `_log((site, kind, *args))`, which extends the list
+        # in place or, with tracing off, drops the event
+        self._events: list = []
+        self._log = self._events.extend if config.trace_enabled else deque(maxlen=0).extend
         self._trace_lines: list[str] = []  # the rendered trace, see `trace`
+        self._trace_tick = 0  # the tick of the first events in `_events`
 
         self.dtm = DistributedTxnManager()
         self.coord = Site(self, COORD)
@@ -472,30 +478,23 @@ class Cluster:
         if group is not None and self.resources is not None and group not in self.resources:
             raise ValueError(f"session {sid}: unknown resource group {group!r}")
         session = Session(sid, group, step_iter=step_iter)
+        session.issue = partial(self._issue_for_session, session)
         self.sessions[sid] = session
         return session
 
     # ------------------------------------------------------------ event loop
-
-    def _trace(self, site, kind: Kind, *args) -> None:
-        """Record one trace event of `kind` as the fields (tick, site, kind,
-        *args) at the end of the flat log `_events`, and nothing at all unless
-        `trace_enabled` is set.
-
-        Nothing is formatted here: reading `trace` renders the event (see
-        `trace.render` for what the arguments may be).
-        """
-        if self.config.trace_enabled:
-            self._events += (self.clock, site, kind, *args)
 
     @property
     def trace(self) -> list[str]:
         """The text trace, one `tick|site|kind|details` line per event.
 
         Events recorded since the last read are rendered into the cached list
-        and then dropped, so the list returned grows as the run goes on."""
+        and then dropped, so the list returned grows as the run goes on; the
+        tick in force at the end of one read is the tick of the next read's
+        first events."""
         if self._events:
-            self._trace_lines.extend(render(self._events))
+            lines, self._trace_tick = render(self._events, self._trace_tick)
+            self._trace_lines.extend(lines)
             self._events.clear()
         return self._trace_lines
 
@@ -523,7 +522,8 @@ class Cluster:
 
         With a tick bound it returns before any event past the bound and as
         soon as the clock has reached the bound, so after at most one event
-        at the bound; the next call goes on from there."""
+        at the bound; the next call goes on from there.  Each time the clock
+        moves, a tick mark goes into the trace log."""
         ticks, buckets = self._ticks, self._buckets
         while True:
             if stop_when is not None and stop_when(self):
@@ -538,17 +538,27 @@ class Cluster:
             tick = ticks[0]
             if until_tick is not None and tick > until_tick:
                 return
+            if tick != self.clock:
+                self.clock = tick
+                self._log((TICK, tick))
             bucket = buckets[tick]
-            fn = bucket.popleft()
-            if fn is None:
-                fn = bucket.popleft()  # a background event
-            else:
-                self._fg_pending -= 1
+            # run the bucket's events in a row while none of the checks above
+            # can stop the loop; an event may append to the bucket.  The tick
+            # goes once its bucket is empty, so an event that raises leaves at
+            # most an empty bucket, which the next call drops
+            drain = stop_when is None and (until_tick is None or tick < until_tick)
+            while bucket:
+                fn = bucket.popleft()
+                if fn is None:
+                    fn = bucket.popleft()  # a background event
+                else:
+                    self._fg_pending -= 1
+                fn()
+                if not (drain and self._fg_pending):
+                    break
             if not bucket:
                 heapq.heappop(ticks)
                 del buckets[tick]
-            self.clock = tick
-            fn()
 
     def blocked_sessions(self) -> list[str]:
         """Sessions stuck mid-statement (the stall oracle's blocked set)."""
@@ -583,7 +593,7 @@ class Cluster:
             session = min(waiting, key=lambda s: (s.peek_step().seq, s.sid))
             step = session.peek_step()
             if session.skip_until_begin and step.kind not in ("begin", "detect"):
-                self._trace("driver", STEP_SKIPPED, step.seq, session.sid)
+                self._log(("driver", STEP_SKIPPED, step.seq, session.sid))
                 session.pop_step()
                 continue
             if step.kind != "detect" and not session.free:
@@ -608,7 +618,7 @@ class Cluster:
         if step.kind == "detect":
             self.run_detector()
             return
-        self._trace("driver", ISSUE, step.seq, session.sid, step.raw)
+        self._log(("driver", ISSUE, step.seq, session.sid, step.raw))
         if step.kind == "begin":
             session.skip_until_begin = False
             if session.txn is not None:
@@ -633,7 +643,7 @@ class Cluster:
         if step.mem is not None and self.ledger is not None and session.group:
             result = self.ledger.charge(session.sid, session.group, step.mem)
             if result is _CHARGE_CANCELLED:
-                self._trace("coord", MEM_CANCEL, session.sid, step.mem)
+                self._log(("coord", MEM_CANCEL, session.sid, step.mem))
                 self._start_abort(session, "memory_cancelled")
                 return
         if step.cpu and self.cpu is not None and session.group:
@@ -650,7 +660,7 @@ class Cluster:
         if self.admission is not None and session.group:
             if self.admission.admit(session.sid, session.group) is _ADMISSION_QUEUE:
                 session.queued = True
-                self._trace("coord", ADMISSION_QUEUE, session.sid)
+                self._log(("coord", ADMISSION_QUEUE, session.sid))
                 return
         self._begin_admitted(session)
 
@@ -662,7 +672,7 @@ class Cluster:
         # is ever waited on (see `Segment.update`)
         self.coord.locks.register_txn(txn.dxid)
         snap = txn.snapshot
-        self._trace("coord", BEGIN, session.sid, txn.dxid, snap.in_progress, snap.max_committed)
+        self._log(("coord", BEGIN, session.sid, txn.dxid, snap.in_progress, snap.max_committed))
         self._session_freed(session)
 
     def _dispatch_parts(self, stmt: Statement) -> None:
@@ -702,7 +712,7 @@ class Cluster:
 
     def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
         dxid = stmt.txn.dxid
-        self._trace(seg.id, STMT_CONFLICT, dxid, reason)
+        self._log((seg.id, STMT_CONFLICT, dxid, reason))
         self.send(seg.id, COORD, partial(self.abort_transaction, dxid, reason))
 
     def _part_reply(self, stmt, seg, count, rows, wrote) -> None:
@@ -727,25 +737,21 @@ class Cluster:
         stmt.rows.sort()
         if stmt.step.kind == "select":
             session.scan_results.append((stmt.step.seq, list(stmt.rows)))
-        self._trace("coord", STMT_DONE, session.sid, stmt.step.seq, stmt.count)
+        self._log(("coord", STMT_DONE, session.sid, stmt.step.seq, stmt.count))
         session.stmt = None
         self._progress += 1
         self._session_freed(session)
 
     def _session_freed(self, session: Session) -> None:
         if self.config.eager:
-            self.schedule(0, partial(self._issue_for_session, session))
+            self.schedule(0, session.issue)
 
     # ------------------------------------------------------- transaction end
 
     def _touched_segments(self, txn: TransactionDescriptor) -> list[Segment]:
-        """The segments where `txn` has a local xid or a lock request."""
-        xids = txn.local_xids
-        return [
-            seg
-            for seg in self.segments
-            if (xids and xids[seg.id] is not None) or seg.locks.has_requests(txn.dxid)
-        ]
+        """The segments where `txn` has a lock request: a local xid's segment
+        among them, since the xid holds its transaction lock until `release_all`."""
+        return [seg for seg in self.segments if seg.locks.has_requests(txn.dxid)]
 
     def _commit(self, session: Session):
         """Commit `session.txn` under the protocol `plan_commit` picks.
@@ -762,9 +768,7 @@ class Cluster:
         txn.protocol = protocol
         touched = self._touched_segments(txn)
         writers = [self.segments[s] for s in txn.write_segments]
-        self._trace(
-            "coord", COMMIT_START, session.sid, txn.dxid, protocol.value, txn.write_segments
-        )
+        self._log(("coord", COMMIT_START, session.sid, txn.dxid, protocol, txn.write_segments))
         if protocol is _TWO_PHASE:
             yield from self._round(session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare)
             self._fsync(self.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
@@ -788,7 +792,7 @@ class Cluster:
         for site in self.sites:
             site.parked.pop(txn.dxid, None)
         touched = self._touched_segments(txn)
-        self._trace("coord", ABORT_START, session.sid, txn.dxid, reason)
+        self._log(("coord", ABORT_START, session.sid, txn.dxid, reason))
         abort_at = partial(self._segment_end, committed=False)
         yield from self._round(session, touched, None, abort_at)
         self._finish_txn(session, committed=False, reason=reason)
@@ -830,7 +834,7 @@ class Cluster:
             return
         txn = session.txn
         if not ok:
-            self._trace("coord", PREPARE_FAILED, txn.dxid, site)
+            self._log(("coord", PREPARE_FAILED, txn.dxid, site))
             self._start_abort(session, "prepare_failed")
             return
         if msg is not None:
@@ -839,11 +843,11 @@ class Cluster:
 
     def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, reply) -> None:
         if self._prepare_veto(seg.id, txn):
-            self._trace(seg.id, PREPARE_FAIL, txn.dxid)
+            self._log((seg.id, PREPARE_FAIL, txn.dxid))
             self.send(seg.id, COORD, partial(reply, seg.id, None, ok=False))
             return
         self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-        self._trace(seg.id, PREPARED, txn.dxid)
+        self._log((seg.id, PREPARED, txn.dxid))
         self.send(seg.id, COORD, partial(reply, seg.id, dtm_mod.MSG_PREPARE_OK))
 
     def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
@@ -867,19 +871,18 @@ class Cluster:
             seg.states[local] = "committed" if committed else "aborted"
         promoted = seg.locks.release_all(txn.dxid, self.clock)
         if reply is None:
-            self._trace(s, END_LOCAL, txn.dxid)
+            self._log((s, END_LOCAL, txn.dxid))
         elif committed:
-            onephase = txn.protocol is _ONE_PHASE
-            self._trace(s, COMMIT_LOCAL, txn.dxid, onephase)
+            self._log((s, COMMIT_LOCAL, txn.dxid, txn.protocol is _ONE_PHASE))
         else:
-            self._trace(s, ABORT_LOCAL, txn.dxid)
+            self._log((s, ABORT_LOCAL, txn.dxid))
         seg.wake(promoted)
         if reply is not None:
             self.send(s, COORD, partial(reply, s, dtm_mod.MSG_COMMIT_OK if committed else None))
 
     def _fsync(self, site: Site, txn, kind: str) -> None:
         txn.count(kind)
-        self._trace(site.id, FSYNC, txn.dxid, kind)
+        self._log((site.id, FSYNC, txn.dxid, kind))
 
     def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
         txn = session.txn
@@ -894,7 +897,7 @@ class Cluster:
         txn.latency_ticks = self.clock - txn.begin_tick
         session.txn_latencies.append(txn.latency_ticks)
         self.coord.wake(self.coord.locks.release_all(txn.dxid, self.clock))
-        self._trace("coord", TXN_END, session.sid, txn.dxid, session.outcomes[-1])
+        self._log(("coord", TXN_END, session.sid, txn.dxid, session.outcomes[-1]))
         if self.ledger is not None:
             self.ledger.release(session.sid)
         if self.admission is not None and session.group:
@@ -979,16 +982,16 @@ class Cluster:
     def _detect_on(self, graph: GlobalWaitForGraph) -> DetectionVerdict:
         verdict = detect(graph, self.txn_is_live)
         for step in verdict.steps:
-            self._trace("gdd", REDUCE, step)
-        self._trace(
-            "gdd", VERDICT, verdict.outcome.value, tuple(verdict.residual_edges), verdict.victims
+            self._log(("gdd", REDUCE, step))
+        self._log(
+            ("gdd", VERDICT, verdict.outcome, tuple(verdict.residual_edges), verdict.victims)
         )
         self.verdicts.append(verdict)
         if verdict.outcome is Outcome.DEADLOCK:
-            self._trace("gdd", VALIDATE)
+            self._log(("gdd", VALIDATE))
             break_deadlock(verdict, self)
         elif verdict.outcome is Outcome.STALE:
-            self._trace("gdd", DISCARD)
+            self._log(("gdd", DISCARD))
         return verdict
 
     # ------------------------------------------------------------- cpu ticks

@@ -90,11 +90,6 @@ class Predicate:
         """The distribution-key value if the predicate fixes one, else None."""
         return self.eqs.get(table.dist_key)
 
-    def __str__(self) -> str:
-        if not self.eqs:
-            return "true"
-        return " and ".join(f"{c}={v}" for c, v in sorted(self.eqs.items()))
-
 
 class SegmentStore:
     """Heap storage of one segment: table -> slot -> version chain."""

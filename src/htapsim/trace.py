@@ -6,11 +6,14 @@ that kind carries.  A template is a `str.format` template with one field per
 argument or, where the details need more than formatting, a function of the
 arguments that returns them.
 
-`sim.Cluster._trace` appends an event to one flat log as the fields
-(tick, site, kind, *args), where `kind` is the `Kind` itself, so logging looks
-nothing up; `render` turns the log into `tick|site|kind|details` lines.  The
-arguments must be values that no later step changes (ints, strings, tuples,
-frozensets, lock tags, frozen records).
+A call site records an event with `Cluster._log((site, kind, *args))`, which
+extends one flat log in place, where `kind` is the `Kind` itself, so logging
+looks nothing up; with tracing off `_log` discards it.  Events carry no tick:
+`Cluster.run` logs a tick mark, `TICK` and the tick, each time the clock
+moves, and `render` turns the log into `tick|site|kind|details` lines,
+carrying the tick from mark to mark.  The arguments must be values that no
+later step changes (ints, strings, tuples, frozensets, lock tags, frozen
+records, Enum members); Enum members are named at render time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .gdd import ReductionStep
+from .dtm import Protocol
+from .gdd import Outcome, ReductionStep
+from .locks import LockMode
 
 COORD = -1  # the coordinator's site id; segments are 0 .. n-1
 
@@ -29,21 +34,30 @@ class Kind(NamedTuple):
     arity: int
 
 
-def render(log: list) -> list[str]:
-    """The `tick|site|kind|details` lines of a trace log."""
+TICK = object()  # in a site's place in the log: the next field is the tick from here on
+
+
+def render(log: list, tick: int = 0) -> tuple[list[str], int]:
+    """The `tick|site|kind|details` lines of a trace log whose first events
+    happen at `tick`, and the tick in force at its end."""
     lines = []
     i, end = 0, len(log)
     while i < end:
-        tick, site, kind = log[i : i + 3]
-        j = i + 3 + kind.arity
-        args = log[i + 3 : j]
+        site = log[i]
+        if site is TICK:
+            tick = log[i + 1]
+            i += 2
+            continue
+        kind = log[i + 1]
+        j = i + 2 + kind.arity
+        args = log[i + 2 : j]
         i = j
         if type(site) is not str:
             site = "coord" if site == COORD else f"seg{site}"
         template = kind.template
         details = template.format(*args) if type(template) is str else template(*args)
         lines.append(f"{tick}|{site}|{kind.name}|{details}")
-    return lines
+    return lines, tick
 
 
 def _begin_details(sid: str, dxid: int, in_progress: tuple, max_committed: int) -> str:
@@ -53,20 +67,20 @@ def _begin_details(sid: str, dxid: int, in_progress: tuple, max_committed: int) 
     )
 
 
-def _commit_start_details(sid: str, dxid: int, protocol: str, write_segments: tuple) -> str:
+def _commit_start_details(sid: str, dxid: int, protocol: Protocol, write_segments: tuple) -> str:
     return (
-        f"session={sid} dxid={dxid} protocol={protocol} "
+        f"session={sid} dxid={dxid} protocol={protocol.value} "
         f"write_segments={list(write_segments)}"
     )
 
 
-def _lock_wait_details(dxid: int, tag, mode: str, blockers: frozenset) -> str:
-    return f"dxid={dxid} tag={tag} mode={mode} blockers={sorted(blockers)}"
+def _lock_wait_details(dxid: int, tag, mode: LockMode, blockers: frozenset) -> str:
+    return f"dxid={dxid} tag={tag} mode={mode.name} blockers={sorted(blockers)}"
 
 
-def _verdict_details(outcome: str, residual: tuple, victims: tuple) -> str:
+def _verdict_details(outcome: Outcome, residual: tuple, victims: tuple) -> str:
     return (
-        f"outcome={outcome} residual={[str(e) for e in residual]} "
+        f"outcome={outcome.value} residual={[str(e) for e in residual]} "
         f"victims={list(victims)}"
     )
 
@@ -81,7 +95,7 @@ MEM_CANCEL = Kind("mem_cancel", "session={} bytes={}", 2)
 STMT_DONE = Kind("stmt_done", "session={} seq={} count={}", 3)
 # any site: locks
 LOCK_WAIT = Kind("lock_wait", _lock_wait_details, 4)
-LOCK_GRANT = Kind("lock_grant", "dxid={} tag={} mode={}", 3)
+LOCK_GRANT = Kind("lock_grant", "dxid={} tag={} mode={.name}", 3)
 # segments: statement parts
 ASSIGN_LOCAL_XID = Kind("assign_local_xid", "dxid={} local={}", 2)
 INSERT = Kind("insert", "dxid={} rows={}", 2)

@@ -15,6 +15,11 @@ fixpoint.  In `chain_of_events` each event schedules the next, as a message
 handler does, so one event is pending at a time; in `fan_out` all N are
 scheduled up front.  The median round divided by N is the cost of one
 `schedule` plus its run.
+
+`recording_chain` is `chain_of_events` where each event also records one
+trace event of arity 3, as a stamp does, with tracing on and with tracing
+off; its median round less `chain_of_events`'s, over N, is the cost of
+recording one event.
 """
 
 import random
@@ -22,12 +27,13 @@ import random
 import pytest
 
 from htapsim.sim import Cluster, SimConfig
+from htapsim.trace import STAMP
 
 COUNTS = (1_000, 100_000)
 MIXES = {
     "all0": lambda n: [0] * n,
     "all1": lambda n: [1] * n,
-    "mixed0to5": lambda n: [random.Random(n).randrange(6) for _ in range(n)],
+    "mixed0to5": lambda n: random.Random(n).choices(range(6), k=n),
 }
 
 
@@ -38,6 +44,21 @@ def chain_of_events(delays: list[int]) -> Cluster:
     it = iter(delays)
 
     def step():
+        delay = next(it, None)
+        if delay is not None:
+            cluster.schedule(delay, step)
+
+    cluster.schedule(0, step)
+    return cluster
+
+
+def recording_chain(delays: list[int], tracing: bool) -> Cluster:
+    """`chain_of_events` whose every event records one trace event."""
+    cluster = Cluster(SimConfig(trace_enabled=tracing))
+    it = iter(delays)
+
+    def step():
+        cluster._log((0, STAMP, 7, "accounts", 3))
         delay = next(it, None)
         if delay is not None:
             cluster.schedule(delay, step)
@@ -72,3 +93,18 @@ def test_schedule_and_run(benchmark, shape, mix, count):
 
     cluster = benchmark(one_round)
     assert cluster._fg_pending == 0
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("mix", sorted(MIXES))
+@pytest.mark.parametrize("tracing", [True, False], ids=["trace_on", "trace_off"])
+def test_schedule_run_and_record(benchmark, tracing, mix, count):
+    delays = MIXES[mix](count)
+
+    def one_round():
+        cluster = recording_chain(delays, tracing)
+        cluster.run()
+        return cluster
+
+    cluster = benchmark(one_round)
+    assert len(cluster.trace) == (count + 1 if tracing else 0)

@@ -17,6 +17,7 @@ import htapsim.bench as bench_mod
 from htapsim.bench import (
     bench,
     build,
+    default_htap_groups,
     insert_only_client,
     olap_client,
     oltp_client,
@@ -24,7 +25,7 @@ from htapsim.bench import (
     update_only_client,
 )
 from htapsim.scenario import parse_sql
-from htapsim.sim import SimConfig
+from htapsim.sim import Cluster, SimConfig
 
 CLIENTS = {
     "update-only": (lambda: update_only_client("c001", 1, 32, random.Random(5), 256), {}),
@@ -89,3 +90,22 @@ def test_bench_leaves_the_callers_config_unchanged():
     config = SimConfig()
     bench_mod.bench("mixed-htap", 4, 50, config, seed=1)
     assert config == SimConfig()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: build("read-only", 4), "unknown workload 'read-only'", id="workload"),
+        pytest.param(lambda: build("update-only", 0), "need at least one client", id="no-clients"),
+        pytest.param(
+            lambda: Cluster(SimConfig(resource_groups=default_htap_groups())).add_session(
+                "s1", "etl_group"
+            ),
+            "session s1: unknown resource group 'etl_group'",
+            id="resource-group",
+        ),
+    ],
+)
+def test_bad_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from htapsim.bench import bench
 from htapsim.cli import main
+from htapsim.scenario import load_scenario
+from htapsim.sim import run_scenario
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "deadlock_two_txn.yaml")
 BENCH = ["bench", "--workload", "tpcb-like", "--clients", "2", "--ticks", "10"]
@@ -55,6 +58,16 @@ def test_valid_counts_still_run(capsys):
     assert main(BENCH) == 0
     assert "workload=tpcb-like clients=2 ticks=10" in capsys.readouterr().out
     assert main(["run", SCENARIO, "--segments", "3"]) == 0
+
+
+def test_out_writes_the_metrics_csv(tmp_path, capsys):
+    """`--out` writes exactly the run's `metrics_csv`, for `run` and `bench`."""
+    out = tmp_path / "run.csv"
+    assert main(["run", SCENARIO, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == run_scenario(load_scenario(SCENARIO)).metrics_csv
+    out = tmp_path / "bench.csv"
+    assert main(BENCH + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == bench("tpcb-like", 2, 10).metrics_csv
 
 
 # strict order: C holds row 1 and never commits, so B blocks at seq 7, its

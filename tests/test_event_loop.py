@@ -8,6 +8,7 @@ per-tick buckets.
 
 import heapq
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from htapsim.sim import Cluster, SimConfig
@@ -88,3 +89,22 @@ def test_event_order_matches_the_heap_reference(program):
     want = drive(ReferenceLoop(), events, windows)
     assert drive(Cluster(SimConfig()), events, windows) == want
     assert sum(1 for entry in want if entry[0] not in ("window", "fixpoint")) == len(events)
+
+
+@pytest.mark.parametrize("delay", [0, 1])
+def test_an_event_that_raises_leaves_the_loop_usable(delay):
+    """The raising event's emptied bucket is dropped by the next run, which
+    then runs what was scheduled after the raise."""
+    cluster = Cluster(SimConfig())
+    ran = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    cluster.schedule(0, boom)
+    with pytest.raises(RuntimeError):
+        cluster.run()
+    cluster.schedule(delay, lambda: ran.append(cluster.clock))
+    cluster.run()
+    assert ran == [delay]
+    assert cluster._fg_pending == 0 and not cluster._ticks and not cluster._buckets

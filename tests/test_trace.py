@@ -5,7 +5,7 @@ import string
 
 import pytest
 
-from htapsim.trace import KINDS, Kind, render
+from htapsim.trace import KINDS, TICK, Kind, render
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
@@ -24,8 +24,25 @@ def test_kind_names_are_unique():
     assert len(names) == len(set(names))
 
 
+ONE = Kind("one", "x={}", 1)
+NONE = Kind("none", "nothing", 0)
+
+
 def test_render_reads_each_event_by_its_arity():
-    one = Kind("one", "x={}", 1)
-    none = Kind("none", "nothing", 0)
-    log = [3, -1, one, "a", 4, 0, none, 5, "driver", one, (1, 2)]
-    assert render(log) == ["3|coord|one|x=a", "4|seg0|none|nothing", "5|driver|one|x=(1, 2)"]
+    log = [TICK, 3, -1, ONE, "a", TICK, 4, 0, NONE, TICK, 5, "driver", ONE, (1, 2)]
+    assert render(log) == (
+        ["3|coord|one|x=a", "4|seg0|none|nothing", "5|driver|one|x=(1, 2)"],
+        5,
+    )
+
+
+def test_render_starts_at_the_tick_carried_over_from_an_earlier_read():
+    """Events before the log's first mark happen at the tick the previous
+    read of the trace ended at."""
+    log = [0, NONE, 1, ONE, "b", TICK, 9, 2, NONE]
+    assert render(log, 7) == (["7|seg0|none|nothing", "7|seg1|one|x=b", "9|seg2|none|nothing"], 9)
+
+
+def test_render_reads_tick_marks_with_no_event_between_them():
+    assert render([TICK, 3, TICK, 6, -1, NONE]) == (["6|coord|none|nothing"], 6)
+    assert render([TICK, 3, TICK, 6], 2) == ([], 6)
