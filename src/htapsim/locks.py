@@ -173,11 +173,12 @@ class LockTable:
 
     Like PostgreSQL's per-backend lock list, the table also keeps, for each
     transaction, its own requests grouped by tag.  The duplicate check in
-    `acquire` reads only those, and releasing a transaction removes exactly
-    those from their queues and drops each queue left empty.  Only queues
-    with a strong request can have waiters, so release updates the counts
+    `acquire` reads only those.  A release, of all of them at the
+    transaction's end or of one tuple lock, takes them off their queues
+    through one path, `_remove`, which drops each queue left empty; only
+    queues with a strong request can have waiters, so it updates the counts
     only there.  As PostgreSQL's UnGrantLock and CleanUpLock wake waiters
-    only where the lock's waitMask is set, release then re-evaluates only
+    only where the lock's waitMask is set, a release then re-evaluates only
     the queues that still have waiters.  It wakes them in `born` order, the
     order in which the tags got their first request since they were last
     empty, whatever order the transaction made its requests in; queues are
@@ -247,8 +248,9 @@ class LockTable:
             return _BLOCKED, blockers
         return _ACQUIRED, []
 
-    def release_all(self, txn: int, tick: int) -> list[LockRequest]:
-        """Drop every grant and wait of `txn` on this segment (commit/abort path).
+    def release_all(self, txn: int) -> list[LockRequest]:
+        """End `txn` on this segment (commit/abort path): deregister it and
+        drop its every grant and wait.
 
         Returns the requests promoted to granted by queue re-evaluation, in
         `born` order of their queues.  Idempotent: releasing a txn that holds
@@ -258,24 +260,7 @@ class LockTable:
         own = self._own.pop(txn, None)
         if own is None:
             return []
-        queues = self._queues
-        woken = []
-        for tag, mine in own.items():
-            queue = queues[tag]
-            requests = queue.requests
-            for req in mine:
-                del requests[req.seq]
-            if not requests:
-                # the common own-xid case: an emptied queue needs no counts
-                del queues[tag]
-            elif queue.strong:  # else only weak grants, which nothing waits on
-                for req in mine:
-                    if req.mode > _WEAK:
-                        queue.strong -= 1
-                    if req.status is _WAITING:
-                        queue.waiting -= 1
-                if queue.waiting:
-                    woken.append(queue)
+        woken = self._remove(own)
         if not woken:
             return []
         if len(woken) > 1:
@@ -304,14 +289,8 @@ class LockTable:
         del own[tag]
         if not own:
             del self._own[txn]
-        queue = self._queues[tag]
-        for req in held:
-            del queue.requests[req.seq]
-        if not queue.requests:
-            del self._queues[tag]
-            return []
-        queue.strong -= sum(req.mode > _WEAK for req in held)  # none was waiting
-        return self._reevaluate(queue) if queue.waiting else []
+        woken = self._remove({tag: held})
+        return self._reevaluate(woken[0]) if woken else []
 
     # -- queries used by the wait-graph and the simulator ---------------------
 
@@ -400,6 +379,30 @@ class LockTable:
                     raise AssertionError(f"waiter without blocker on {tag}: {r}")
 
     # -- internals ------------------------------------------------------------
+
+    def _remove(self, own: dict[LockTag, list[LockRequest]]) -> list[LockQueue]:
+        """Take one transaction's requests off their queues, `own` mapping
+        each tag to its requests there, and drop each queue left empty;
+        returns the queues that still have waiters, in `own`'s order."""
+        queues = self._queues
+        woken = []
+        for tag, mine in own.items():
+            queue = queues[tag]
+            requests = queue.requests
+            for req in mine:
+                del requests[req.seq]
+            if not requests:
+                # the common own-xid case: an emptied queue needs no counts
+                del queues[tag]
+            elif queue.strong:  # else only weak grants, which nothing waits on
+                for req in mine:
+                    if req.mode > _WEAK:
+                        queue.strong -= 1
+                    if req.status is _WAITING:
+                        queue.waiting -= 1
+                if queue.waiting:
+                    woken.append(queue)
+        return woken
 
     def _blockers_for(
         self, queue: Iterable[LockRequest], req: LockRequest

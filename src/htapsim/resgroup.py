@@ -134,34 +134,31 @@ _RUN, _QUEUE = Admission.RUN, Admission.QUEUE
 
 
 class AdmissionControl:
-    """Per-group concurrency slots with a FIFO wait queue."""
+    """Per-group concurrency slots, counted in `running`, with a FIFO wait
+    queue; a query ends only once admitted, and `complete` hands its slot
+    straight to the group's first queued query."""
 
     def __init__(self, groups: ResourceGroups):
         self.groups = groups
-        self.active: dict[str, list] = {name: [] for name in groups.configs}
+        self.running: dict[str, int] = dict.fromkeys(groups.configs, 0)
         self.queued: dict[str, deque] = {name: deque() for name in groups.configs}
 
     def admit(self, query, group: str) -> Admission:
         if group not in self.groups:
             raise ConfigError(f"unknown resource group {group!r}")
-        cfg = self.groups.configs[group]
-        if len(self.active[group]) < cfg.concurrency:
-            self.active[group].append(query)
+        if self.running[group] < self.groups.configs[group].concurrency:
+            self.running[group] += 1
             return _RUN
         self.queued[group].append(query)
         return _QUEUE
 
     def complete(self, query, group: str):
-        """Release a slot; returns the dequeued query now admitted, if any."""
-        if query in self.active[group]:
-            self.active[group].remove(query)
-        elif query in self.queued[group]:
-            self.queued[group].remove(query)
-            return None
-        if self.queued[group] and len(self.active[group]) < self.groups.configs[group].concurrency:
-            nxt = self.queued[group].popleft()
-            self.active[group].append(nxt)
-            return nxt
+        """Free the slot of the admitted `query`; returns the queued query
+        that takes it, if any."""
+        queue = self.queued[group]
+        if queue:
+            return queue.popleft()
+        self.running[group] -= 1
         return None
 
 
@@ -175,6 +172,7 @@ _OK, _CANCELLED = ChargeResult.OK, ChargeResult.CANCELLED
 
 @dataclass
 class _QueryCharges:
+    group: str
     slot: float = 0.0
     group_shared: float = 0.0
     global_shared: float = 0.0
@@ -186,7 +184,6 @@ class MemoryLedger:
     def __init__(self, groups: ResourceGroups):
         self.groups = groups
         self.charges: dict[object, _QueryCharges] = {}
-        self.query_group: dict[object, str] = {}
         self.group_shared_used: dict[str, float] = {n: 0.0 for n in groups.configs}
         self.global_shared_used = 0.0
 
@@ -194,8 +191,7 @@ class MemoryLedger:
         if amount < 0:
             raise ValueError("memory charge must be non-negative")
         mem = self.groups.memory[group]
-        rec = self.charges.setdefault(query, _QueryCharges())
-        self.query_group[query] = group
+        rec = self.charges.setdefault(query, _QueryCharges(group))
         take_slot = min(amount, max(0.0, mem.slot_quota - rec.slot))
         rest = amount - take_slot
         take_group = min(rest, max(0.0, mem.shared - self.group_shared_used[group]))
@@ -219,8 +215,7 @@ class MemoryLedger:
         rec = self.charges.pop(query, None)
         if rec is None:
             return
-        group = self.query_group.pop(query)
-        self.group_shared_used[group] -= rec.group_shared
+        self.group_shared_used[rec.group] -= rec.group_shared
         self.global_shared_used -= rec.global_shared
 
     def usage_of(self, query) -> float:

@@ -236,12 +236,17 @@ class Site:
         then fans the statement out to the segments; a segment's share takes
         the relation lock there and then inserts `rows` (an insert's rows
         routed to this segment), scans, locks or updates (`Segment.update`).
-        After every wait the part stops if its statement has died meanwhile.
+        A part whose statement is already dead does nothing; any other first
+        registers the transaction here, where its relation lock then gives
+        it a request, so the transaction's end, which releases every site
+        where it has one, reaches every site that registered it.  After
+        every wait the part stops if its statement has died meanwhile.
         """
         cl = self.cluster
         txn, step = stmt.txn, stmt.step
         if stmt.dead:
             return
+        self.locks.register_txn(txn.dxid)
         mode = RELATION_LOCK_MODE[step.kind]
         if step.kind == "update" and cl.config.legacy_locking:
             mode = _EXCLUSIVE  # legacy locking: one writer per table
@@ -426,8 +431,13 @@ class Cluster:
 
         self.catalog: dict[str, TableDef] = {}
         self.sessions: dict[str, Session] = {}
-        self.verdicts: list[DetectionVerdict] = []
+        # what the detector's verdicts leave behind: the victims' dxids, in
+        # the order it chose them, and the number of runs that found a deadlock
+        self.victims: list[int] = []
+        self.deadlocks = 0
 
+        # all four exist iff there are groups, and `add_session` accepts only a
+        # group of these, so a session with a group may use each of them
         self.resources: ResourceGroups | None = None
         self.admission: AdmissionControl | None = None
         self.ledger: MemoryLedger | None = None
@@ -475,7 +485,7 @@ class Cluster:
             seg.store.insert_frozen(table.name, tuple(values), BOOTSTRAP_LOCAL_XID)
 
     def add_session(self, sid: str, group: str | None = None, step_iter=None) -> Session:
-        if group is not None and self.resources is not None and group not in self.resources:
+        if group is not None and (self.resources is None or group not in self.resources):
             raise ValueError(f"session {sid}: unknown resource group {group!r}")
         session = Session(sid, group, step_iter=step_iter)
         session.issue = partial(self._issue_for_session, session)
@@ -640,13 +650,13 @@ class Cluster:
         session.txn.command_id += 1
         stmt = Statement(session, step)
         session.stmt = stmt
-        if step.mem is not None and self.ledger is not None and session.group:
+        if step.mem is not None and session.group:
             result = self.ledger.charge(session.sid, session.group, step.mem)
             if result is _CHARGE_CANCELLED:
                 self._log(("coord", MEM_CANCEL, session.sid, step.mem))
                 self._start_abort(session, "memory_cancelled")
                 return
-        if step.cpu and self.cpu is not None and session.group:
+        if step.cpu and session.group:
             # one worker per segment: the statement's gang occupies a core on
             # each until the burst completes everywhere
             for k in range(self.config.n_segments):
@@ -657,20 +667,16 @@ class Cluster:
         self.coord.resume(self.coord.work(stmt))
 
     def _do_begin(self, session: Session) -> None:
-        if self.admission is not None and session.group:
-            if self.admission.admit(session.sid, session.group) is _ADMISSION_QUEUE:
-                session.queued = True
-                self._log(("coord", ADMISSION_QUEUE, session.sid))
-                return
+        if session.group and self.admission.admit(session.sid, session.group) is _ADMISSION_QUEUE:
+            session.queued = True
+            self._log(("coord", ADMISSION_QUEUE, session.sid))
+            return
         self._begin_admitted(session)
 
     def _begin_admitted(self, session: Session) -> None:
         session.queued = False
         txn = self.dtm.begin(self.clock, session.sid)
         session.txn = txn
-        # no transaction lock on the coordinator: only a segment's local xid
-        # is ever waited on (see `Segment.update`)
-        self.coord.locks.register_txn(txn.dxid)
         snap = txn.snapshot
         self._log(("coord", BEGIN, session.sid, txn.dxid, snap.in_progress, snap.max_committed))
         self._session_freed(session)
@@ -702,7 +708,6 @@ class Cluster:
         stmt.outstanding = len(rows_at)
         for s, rows in rows_at.items():
             seg = self.segments[s]
-            seg.locks.register_txn(stmt.txn.dxid)
             self.send(COORD, s, partial(seg.resume, seg.work(stmt, rows)))
 
     # ------------------------------------------------ segment-side replies
@@ -869,7 +874,7 @@ class Cluster:
         local = txn.local_xids[s] if txn.local_xids else None
         if local is not None:
             seg.states[local] = "committed" if committed else "aborted"
-        promoted = seg.locks.release_all(txn.dxid, self.clock)
+        promoted = seg.locks.release_all(txn.dxid)
         if reply is None:
             self._log((s, END_LOCAL, txn.dxid))
         elif committed:
@@ -896,11 +901,10 @@ class Cluster:
             session.outcomes.append(f"aborted:{reason}" if reason else "aborted")
         txn.latency_ticks = self.clock - txn.begin_tick
         session.txn_latencies.append(txn.latency_ticks)
-        self.coord.wake(self.coord.locks.release_all(txn.dxid, self.clock))
+        self.coord.wake(self.coord.locks.release_all(txn.dxid))
         self._log(("coord", TXN_END, session.sid, txn.dxid, session.outcomes[-1]))
-        if self.ledger is not None:
+        if session.group:
             self.ledger.release(session.sid)
-        if self.admission is not None and session.group:
             freed = self.admission.complete(session.sid, session.group)
             if freed is not None:
                 waiter = self.sessions[freed]
@@ -986,8 +990,9 @@ class Cluster:
         self._log(
             ("gdd", VERDICT, verdict.outcome, tuple(verdict.residual_edges), verdict.victims)
         )
-        self.verdicts.append(verdict)
         if verdict.outcome is Outcome.DEADLOCK:
+            self.deadlocks += 1
+            self.victims += verdict.victims
             self._log(("gdd", VALIDATE))
             break_deadlock(verdict, self)
         elif verdict.outcome is Outcome.STALE:
@@ -997,7 +1002,7 @@ class Cluster:
     # ------------------------------------------------------------- cpu ticks
 
     def _ensure_cpu_tick(self) -> None:
-        if self.cpu is None or self._cpu_tick_scheduled:
+        if self._cpu_tick_scheduled:
             return
         self._cpu_tick_scheduled = True
         self.schedule(1, self._cpu_tick, background=True)
@@ -1028,9 +1033,7 @@ class Cluster:
         return "idle"
 
     def final_verdict(self) -> str:
-        if any(v.outcome is Outcome.DEADLOCK for v in self.verdicts):
-            return "deadlock"
-        return "clean"
+        return "deadlock" if self.deadlocks else "clean"
 
     def state_digest(self) -> str:
         """Canonical serialization of committed visible state, for dual-run diffs."""
@@ -1094,11 +1097,10 @@ def run_scenario(scenario: Scenario, config: SimConfig | None = None) -> Scenari
     cluster = Cluster(config, scenario)
     cluster.run()
     victims = []
-    for verdict in cluster.verdicts:
-        for dxid in verdict.victims:
-            sid = cluster.dtm.transactions[dxid].sid
-            if sid not in victims:
-                victims.append(sid)
+    for dxid in cluster.victims:
+        sid = cluster.dtm.transactions[dxid].sid
+        if sid not in victims:
+            victims.append(sid)
     outcomes = {sid: cluster.session_outcome(sid) for sid in sorted(cluster.sessions)}
     return ScenarioResult(
         outcomes=outcomes,

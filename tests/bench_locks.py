@@ -47,7 +47,7 @@ def test_acquire_release_compatible(benchmark, holders):
     def one_round():
         table.register_txn(txn)
         result, _ = table.acquire(txn, REL, LockMode.ROW_EXCLUSIVE, 1)
-        table.release_all(txn, 2)
+        table.release_all(txn)
         return result
 
     assert benchmark(one_round) is AcquireResult.GRANTED
@@ -66,8 +66,8 @@ def test_blocked_then_promoted(benchmark, holders):
             table.acquire(txn, REL, LockMode.ROW_EXCLUSIVE, 1)
         table.acquire(first, TUPLE, LockMode.EXCLUSIVE, 1)
         blocked, _ = table.acquire(second, TUPLE, LockMode.EXCLUSIVE, 1)
-        promoted = table.release_all(first, 2)
-        table.release_all(second, 3)
+        promoted = table.release_all(first)
+        table.release_all(second)
         return blocked, [r.txn for r in promoted]
 
     assert benchmark(one_round) == (AcquireResult.BLOCKED, [second])
@@ -104,7 +104,7 @@ def test_own_xid_lock(benchmark):
         table.register_txn(xid)
         tag = LockTag(TagKind.TRANSACTION, 0, xid)
         result, _ = table.acquire(xid, tag, LockMode.EXCLUSIVE, 1)
-        table.release_all(xid, 2)
+        table.release_all(xid)
         return result
 
     assert benchmark(one_round) is AcquireResult.GRANTED

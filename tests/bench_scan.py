@@ -52,7 +52,7 @@ def committed_update(cluster, seg, slot: int, c2: int) -> None:
     seg.store.stamp_and_append(TABLE.name, slot, newest, (newest.values[0], c2), local, 0)
     seg.states[local] = "committed"
     cluster.dtm.mark_committed(txn.dxid)
-    seg.locks.release_all(txn.dxid, cluster.clock)
+    seg.locks.release_all(txn.dxid)
 
 
 @pytest.mark.parametrize("updated", [False, True], ids=["loaded", "updated"])

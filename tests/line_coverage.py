@@ -5,7 +5,9 @@
 Runs the tests in this process under a `sys.settrace` hook, tier-1 unless
 pytest arguments are given, then prints one `file:line: statement` line per
 statement inside a function of `src/htapsim` that no test ran, and a last
-line with their count.  Statements are read with `ast`:
+line with their count.  Statements are read with `ast`, from the source as
+it was before the tests started, so a module edited during the run is still
+reported against the lines that ran:
 
 - a docstring is not a statement, and neither are `global` and `nonlocal`;
 - a compound statement (`if`, `for`, `while`, `with`, ...) counts as run
@@ -73,11 +75,11 @@ def _functions(node: ast.AST, out: list) -> None:
             _functions(child, out)
 
 
-def function_statements(path: Path) -> list:
+def function_statements(source: str, filename: str) -> list:
     """(statement, lines that mark it run) for each function-body statement
-    of the module at `path`, in line order."""
+    of the module `source`, read from `filename`, in line order."""
     out: list = []
-    _functions(ast.parse(path.read_text(), str(path)), out)
+    _functions(ast.parse(source, filename), out)
     return sorted(out, key=lambda item: item[0].lineno)
 
 
@@ -122,12 +124,15 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 def main(argv: list[str]) -> int:
     tier1 = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", str(ROOT / "tests")]
+    modules = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        modules.append((path, source.splitlines(), function_statements(source, str(path))))
     status, ran = run_traced(argv or tier1)
     missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, source, statements in modules:
         lines = ran.get(str(path), set())
-        source = path.read_text().splitlines()
-        for node, marks in function_statements(path):
+        for node, marks in statements:
             if lines.isdisjoint(marks):
                 missed += 1
                 text = source[node.lineno - 1].strip()

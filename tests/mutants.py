@@ -1,0 +1,193 @@
+"""Check that the tests still catch known defects, one mutant at a time.
+
+    python3 tests/mutants.py [name ...]
+
+Each entry of `MUTANTS` is a defect written into the code as exact text
+edits, with the tests that must fail on it.  The script copies `src`,
+`tests`, `scenarios` and `pyproject.toml` to a temporary directory, then
+for each mutant (all of them, or those named) applies its edits there, runs
+its tests with pytest in a subprocess and puts the file back.  It prints
+`killed` when the tests fail, `survived` when they pass and `error` when
+pytest ends any other way, and exits 1 unless every mutant is killed.
+First it runs the chosen mutants' tests on the unmutated copy, and exits 2
+if they fail there, since a kill then shows nothing.
+
+An edit's old text must match its file exactly once, so a mutant that no
+longer fits the code stops the script rather than passing unseen.  Kills
+are judged without `tests/test_pins.py`: a golden hash catches any change
+in behaviour, so it says nothing about whether the other tests would.
+Hypothesis runs with a fixed seed, so each verdict is reproducible.  Only
+the standard library is used; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "pyproject.toml")
+PINS = "tests/test_pins.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    edits: tuple[tuple[str, str], ...]  # (old, new), old matching once
+    reason: str
+    tests: tuple[str, ...]  # pytest ids that must fail
+
+
+ORACLE = "tests/test_oracle.py"
+LIVENESS = f"{ORACLE}::test_gdd_restores_liveness_on_deadlocking_scenarios"
+
+MUTANTS = [
+    Mutant(
+        "abort-keeps-parked-parts",
+        "src/htapsim/sim.py",
+        (("            site.parked.pop(txn.dxid, None)\n", "            pass\n"),),
+        "an aborted transaction's waiting parts stay parked, so a later grant"
+        " resumes a dead statement's part; `check_parked` sees the dead part",
+        (LIVENESS,),
+    ),
+    Mutant(
+        "horizon-at-next-dxid",
+        "src/htapsim/dtm.py",
+        (
+            (
+                "        return next(iter(self._live.values()), self.next_dxid)",
+                "        return self.next_dxid",
+            ),
+        ),
+        "chains are pruned at the newest dxid, dropping versions that live"
+        " snapshots still see",
+        ("tests/test_store.py::test_pruning_at_the_horizon_keeps_every_live_snapshots_scans",),
+    ),
+    Mutant(
+        "settled-at-the-horizon",
+        "src/htapsim/sim.py",
+        (("entries.get(xid, -1) < horizon", "entries.get(xid, -1) <= horizon"),),
+        "a writer at the horizon counts as settled, though the snapshot whose"
+        " xmin it is does not see it",
+        ("tests/test_store.py::test_pruning_at_the_horizon_keeps_every_live_snapshots_scans",),
+    ),
+    Mutant(
+        "reevaluate-grants-one",
+        "src/htapsim/locks.py",
+        (
+            (
+                "                promoted.append(req)\n",
+                "                promoted.append(req)\n                break\n",
+            ),
+        ),
+        "a release promotes only the first waiter it may grant",
+        ("tests/test_locks.py::TestReleaseAll::test_two_compatible_waiters_both_promoted",),
+    ),
+    Mutant(
+        "release-all-unsorted",
+        "src/htapsim/locks.py",
+        (("        if len(woken) > 1:\n            woken.sort(key=_born)\n", ""),),
+        "promotions come in the order the transaction made its requests, not"
+        " in the order its tags were born",
+        ("tests/test_locks.py::TestReleaseAll::test_promotions_come_in_queue_creation_order",),
+    ),
+    Mutant(
+        "idle-group-keeps-credit",
+        "src/htapsim/resgroup.py",
+        (("                vtime[group] = max(vtime[group], min(busy))\n", "                pass\n"),),
+        "a share group back from idle replays the credit it built while idle",
+        ("tests/test_resgroup.py::TestCpuScheduler::test_returning_group_replays_no_idle_credit",),
+    ),
+    Mutant(
+        "register-at-dispatch",
+        "src/htapsim/sim.py",
+        (
+            (
+                "        self.locks.register_txn(txn.dxid)\n",
+                "        if self.id == COORD:\n            self.locks.register_txn(txn.dxid)\n",
+            ),
+            (
+                "            seg = self.segments[s]\n",
+                "            seg = self.segments[s]\n            seg.locks.register_txn(stmt.txn.dxid)\n",
+            ),
+        ),
+        "a segment registers a transaction when a part is sent to it, so a"
+        " part that arrives after its statement died leaves the ended"
+        " transaction registered there",
+        (f"{ORACLE}::test_victims_commit_or_abort_exactly_once_per_cycle",),
+    ),
+]
+
+
+def apply(text: str, mutant: Mutant) -> str:
+    for old, new in mutant.edits:
+        count = text.count(old)
+        if count != 1:
+            raise SystemExit(f"{mutant.name}: {old!r} matches {count} times in {mutant.file}")
+        text = text.replace(old, new)
+    return text
+
+
+def run_pytest(tree: Path, tests) -> int:
+    """Run `tests` in `tree` and return pytest's exit status; no bytecode is
+    written, so a file put back within the same second is read afresh."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *tests,
+    ]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def run(mutant: Mutant, tree: Path) -> str:
+    """Run the mutant's tests in `tree` with its edits applied."""
+    path = tree / mutant.file
+    original = path.read_text()
+    path.write_text(apply(original, mutant))
+    try:
+        status = run_pytest(tree, mutant.tests)
+    finally:
+        path.write_text(original)
+    return {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
+
+
+def main(names: list[str]) -> int:
+    known = {m.name for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise SystemExit(f"unknown mutants {unknown}; pick from {sorted(known)}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    tests = list(dict.fromkeys(test for m in chosen for test in m.tests))
+    if any(test.startswith(PINS) for test in tests):
+        raise SystemExit(f"kills are judged without {PINS}")
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="htapsim-mutants-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for entry in COPIED:
+            source = ROOT / entry
+            if source.is_dir():
+                shutil.copytree(source, tree / entry, ignore=ignore)
+            else:
+                shutil.copy2(source, tree / entry)
+        status = run_pytest(tree, tests)
+        if status != 0:
+            print(f"the mutants' tests fail without any mutant (pytest exit {status})")
+            return 2
+        for mutant in chosen:
+            start = time.monotonic()
+            verdict = run(mutant, tree)
+            failed += verdict != "killed"
+            print(f"{mutant.name}: {verdict} ({time.monotonic() - start:.1f} s)", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

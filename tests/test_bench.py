@@ -104,8 +104,19 @@ def test_bench_leaves_the_callers_config_unchanged():
             "session s1: unknown resource group 'etl_group'",
             id="resource-group",
         ),
+        pytest.param(
+            lambda: Cluster(SimConfig()).add_session("s1", "oltp_group"),
+            "session s1: unknown resource group 'oltp_group'",
+            id="resource-group-without-groups",
+        ),
     ],
 )
 def test_bad_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_mixed_htap_summary_has_a_line_per_group():
+    lines = bench("mixed-htap", 4, 60).summary().splitlines()
+    groups = [line.split()[0] for line in lines if line.startswith("group=")]
+    assert groups == ["group=olap_group", "group=oltp_group"]

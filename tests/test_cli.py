@@ -54,6 +54,11 @@ def test_non_number_count_is_an_argument_error(capsys):
     assert "argument --clients: invalid int value: 'many'" in capsys.readouterr().err
 
 
+def test_run_of_a_missing_file_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "missing.yaml")]) == 2
+    assert "cannot read scenario:" in capsys.readouterr().err
+
+
 def test_valid_counts_still_run(capsys):
     assert main(BENCH) == 0
     assert "workload=tpcb-like clients=2 ticks=10" in capsys.readouterr().out

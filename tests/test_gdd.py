@@ -237,6 +237,11 @@ def test_first_cycle_backtracks_out_of_a_dead_end():
     assert first_cycle({1: [2, 3], 2: [], 3: [1]}) == [1, 3]
 
 
+def test_first_cycle_of_an_acyclic_map_is_empty():
+    """The walk from 1 finishes 2, so the root 2 is skipped."""
+    assert first_cycle({1: [2], 2: []}) == []
+
+
 def reference_reduce(edges, rng=None):
     """The rules applied by rescanning a plain edge set: every pass tests
     every vertex's degree against all live edges.  The counting `reduce`

@@ -57,6 +57,15 @@ class TestAppendixCase:
         with pytest.raises(ValueError):
             run_join_scenario(3, capacity=0)
 
+    @pytest.mark.parametrize(
+        "segments, message",
+        [(0, "need at least one segment"), (2, "adversarial routing needs 3 segments")],
+        ids=["no segment", "two segments"],
+    )
+    def test_too_few_segments_rejected(self, segments, message):
+        with pytest.raises(ValueError, match=message):
+            run_join_scenario(segments)
+
 
 class TestPrefetchProperty:
     def test_prefetch_completes_for_random_routings(self):

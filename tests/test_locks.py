@@ -100,6 +100,18 @@ class TestAcquire:
         with pytest.raises(ProtocolError):
             table.acquire(99, rel(0), LockMode.ACCESS_SHARE, 0)
 
+    def test_tag_of_another_segment_is_protocol_error(self):
+        table = make_table(1)
+        with pytest.raises(ProtocolError, match="does not belong to segment 0"):
+            table.acquire(1, rel(1), LockMode.ACCESS_SHARE, 0)
+
+    def test_second_wait_in_the_same_mode_is_protocol_error(self):
+        table = make_table(1, 2)
+        table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)
+        assert table.acquire(2, rel(0), LockMode.SHARE, 1)[0] is AcquireResult.BLOCKED
+        with pytest.raises(ProtocolError, match="txn 2 already waiting"):
+            table.acquire(2, rel(0), LockMode.SHARE, 2)
+
     def test_blocked_by_earlier_waiter_only(self):
         # W2 is compatible with the granted set but conflicts with W1 ahead
         # of it; no lock jumping means W2 waits on W1.
@@ -129,20 +141,20 @@ class TestReleaseAll:
         xact = LockTag(TagKind.TRANSACTION, 0, 101)
         table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(2, xact, LockMode.SHARE, 1)
-        promoted = table.release_all(1, 2)
+        promoted = table.release_all(1)
         assert [(r.txn, r.status) for r in promoted] == [(2, RequestStatus.GRANTED)]
 
     def test_release_of_idle_txn_is_empty_and_idempotent(self):
         table = make_table(1)
-        assert table.release_all(1, 0) == []
-        assert table.release_all(1, 1) == []
+        assert table.release_all(1) == []
+        assert table.release_all(1) == []
 
     def test_two_compatible_waiters_both_promoted(self):
         table = make_table(1, 2, 3)
         table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)
         table.acquire(2, rel(0), LockMode.ACCESS_SHARE, 1)
         table.acquire(3, rel(0), LockMode.ACCESS_SHARE, 2)
-        promoted = table.release_all(1, 3)
+        promoted = table.release_all(1)
         assert sorted(r.txn for r in promoted) == [2, 3]
         table.check_invariants()
 
@@ -157,7 +169,7 @@ class TestReleaseAll:
         table.acquire(1, a, LockMode.ROW_EXCLUSIVE, 1)
         table.acquire(4, b, LockMode.SHARE, 2)  # waits on txn 1
         table.acquire(5, a, LockMode.SHARE, 2)  # waits on txn 1
-        promoted = table.release_all(1, 3)
+        promoted = table.release_all(1)
         assert [(r.txn, r.tag) for r in promoted] == [(5, a), (4, b)]
         table.check_invariants()
 
@@ -167,7 +179,7 @@ class TestReleaseAll:
         table.acquire(2, rel(0), LockMode.ACCESS_EXCLUSIVE, 1)
         table.acquire(3, rel(0), LockMode.ROW_EXCLUSIVE, 2)  # conflicts with 1
         table.acquire(4, rel(0), LockMode.ACCESS_SHARE, 3)  # waits on 2 only
-        promoted = table.release_all(2, 4)
+        promoted = table.release_all(2)
         assert [r.txn for r in promoted] == [4]
         (still,) = table.waiting_requests()
         assert still.txn == 3
@@ -272,10 +284,10 @@ class TestStrongCount:
     def test_release_with_nobody_waiting_skips_reevaluation(self, monkeypatch):
         table = self.crowded()
         reevaluations = counting(monkeypatch, "_reevaluate")
-        assert table.release_all(1, 1) == []
+        assert table.release_all(1) == []
         assert reevaluations == []
         table.acquire(self.HOLDERS + 2, rel(0), LockMode.SHARE, 2)
-        assert table.release_all(2, 3) == []  # the waiter still waits on 3..
+        assert table.release_all(2) == []  # the waiter still waits on 3..
         assert len(reevaluations) == 1
         table.check_invariants()
 
@@ -288,7 +300,7 @@ class TestOneRecord:
         table = make_table(1, 2, 3)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
-        table.release_all(1, 1)
+        table.release_all(1)
         result, blockers = table.acquire(3, rel(0), LockMode.SHARE, 2)
         assert result is AcquireResult.BLOCKED
         assert [(b.txn, b.seq) for b in blockers] == [(2, 1)]
@@ -303,10 +315,10 @@ class TestOneRecord:
         xact = LockTag(TagKind.TRANSACTION, 0, 7)
         table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(2, xact, LockMode.SHARE, 1)
-        assert [r.txn for r in table.release_all(1, 2)] == [2]
+        assert [r.txn for r in table.release_all(1)] == [2]
         (queue,) = table._queues.values()
         assert (queue.born, queue.strong, queue.waiting) == (0, 1, 0)
-        table.release_all(2, 3)
+        table.release_all(2)
         assert table._queues == {}
         table.register_txn(2)
         table.acquire(2, xact, LockMode.SHARE, 4)
@@ -365,6 +377,21 @@ def born_late(table):
     table._queues[rel(0, "t2")].born = 3
 
 
+def misfiled(table):
+    table._queues[rel(0)].requests[1].seq = 7
+
+
+def out_of_order(table):
+    queue = table._queues[rel(0)]
+    queue.requests = dict(reversed(queue.requests.items()))
+
+
+def waiter_without_blocker(table):
+    # SHARE is as strong as EXCLUSIVE, so the counts still hold
+    (waiter,) = table.waiting_requests()
+    waiter.mode = LockMode.SHARE
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -374,6 +401,9 @@ def born_late(table):
         (missing_from_index, "per-transaction index"),
         (shared_birth, "share a birth number"),
         (born_late, "born after its requests"),
+        (misfiled, "filed under relation:t1@seg0 as 1"),
+        (out_of_order, "not in arrival order"),
+        (waiter_without_blocker, "waiter without blocker on relation:t2@seg0"),
     ],
 )
 def test_check_invariants_rejects_bad_record_state(corrupt, message):
@@ -436,7 +466,7 @@ def test_release_matches_promotion_oracle(requests, victim):
         queue_shadow.append((txn, mode, "waiting" if blocked else "granted"))
     residual = [(t, m, s) for t, m, s in queue_shadow if t != victim]
     expected = promotion_oracle(residual)
-    promoted = table.release_all(victim, 99)
+    promoted = table.release_all(victim)
     assert [r.txn for r in promoted] == expected
     table.check_invariants()
 
@@ -454,7 +484,7 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
     for tick in range(300):
         txn = rng.randrange(1, 9)
         if rng.random() < 0.3:
-            table.release_all(txn, tick)
+            table.release_all(txn)
             table.register_txn(txn)
             held[txn].clear()
             waiting.discard(txn)
@@ -638,7 +668,7 @@ def test_per_transaction_index_matches_walk_over_every_queue(ops):
             assert as_keys(blockers) == as_keys(expected)
         elif op == "release_all":
             expected = reference_release_all(table, txn, born)
-            assert as_keys(table.release_all(txn, tick)) == as_keys(expected)
+            assert as_keys(table.release_all(txn)) == as_keys(expected)
             table.register_txn(txn)
         elif tag.kind is TagKind.TUPLE and any(
             r.tag == tag and r.status is RequestStatus.GRANTED for r in mine

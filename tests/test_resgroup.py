@@ -75,6 +75,24 @@ class TestConfigValidation:
         ResourceGroups([pinned("p", range(0, 31)), shares("s")], 1000.0)
         ResourceGroups([pinned("p", range(0, 32))], 1000.0)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (dict(memory_limit=0, cpu_rate_limit=10), "memory limit out of"),
+            (dict(memory_limit=101, cpu_rate_limit=10), "memory limit out of"),
+            (dict(memory_shared_quota=0, cpu_rate_limit=10), "shared quota out of"),
+            (dict(cpu_rate_limit=0), "cpu rate limit out of"),
+            (dict(cpu_rate_limit=101), "cpu rate limit out of"),
+            (dict(cpuset=frozenset()), "empty cpuset"),
+        ],
+        ids=["no memory", "memory above 100", "no shared quota", "no cpu", "cpu above 100",
+             "empty cpuset"],
+    )
+    def test_out_of_range_config_rejected(self, config, message):
+        fields = dict(name="g", concurrency=1, memory_limit=10) | config
+        with pytest.raises(ConfigError, match=f"group g: {message}"):
+            ResourceGroupConfig(**fields)
+
     def test_global_shared_is_the_unassigned_remainder(self):
         groups = ResourceGroups([shares("a", mem=35), shares("b", mem=15)], 1000.0)
         assert groups.global_shared == pytest.approx(500.0)
@@ -147,6 +165,29 @@ class TestMemoryLedger:
         assert ledger.group_shared_used["g"] == 0.0
         assert ledger.global_shared_used == 0.0
 
+    def test_usage_of_sums_the_three_layers(self):
+        groups, ledger = self.make()
+        assert ledger.usage_of("q") == 0.0
+        ledger.charge("q", "g", 150.0)  # slot 28, group shared 70, global 52
+        assert ledger.usage_of("q") == pytest.approx(150.0)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda ledger: ledger.group_shared_used.update(g=1.0), "group shared ledger"),
+            (lambda ledger: setattr(ledger, "global_shared_used", 1.0), "global shared ledger"),
+            (lambda ledger: setattr(ledger.charges["q"], "slot", -1.0), "negative slot usage"),
+        ],
+        ids=["group shared", "global shared", "slot"],
+    )
+    def test_conservation_check_rejects_a_corrupted_ledger(self, corrupt, message):
+        groups, ledger = self.make()
+        ledger.charge("q", "g", 10.0)
+        ledger.check_conservation()
+        corrupt(ledger)
+        with pytest.raises(AssertionError, match=message):
+            ledger.check_conservation()
+
     def test_negative_charge_rejected(self):
         groups, ledger = self.make()
         with pytest.raises(ValueError):
@@ -184,6 +225,14 @@ class TestCpuScheduler:
     def saturate(self, sched, name, n, burst=1, start=0):
         for i in range(n):
             sched.submit(f"{name}-{start + i}", name, burst)
+
+    def test_bad_submit_rejected(self):
+        sched = CpuScheduler(ResourceGroups([shares("a")], 1000.0))
+        with pytest.raises(ValueError, match="burst must be at least one tick"):
+            sched.submit("q", "a", 0)
+        with pytest.raises(ConfigError, match="unknown resource group 'b'"):
+            sched.submit("q", "b", 1)
+        assert not sched.has_work()
 
     def test_share_ratio_converges_one_to_three(self):
         groups = ResourceGroups(

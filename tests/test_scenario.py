@@ -446,6 +446,27 @@ groups:
         4,
         "group s: cpusets leave no core for CPU_RATE_LIMIT",
     ),
+    "insert without value tuples": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: insert t values 5}
+""",
+        8,
+        "insert without value tuples",
+    ),
+    "group missing a parameter": (
+        "\ngroups:\n  - {name: g, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}\n",
+        3,
+        "group missing parameter 'CONCURRENCY'",
+    ),
+    "list at the top level": ("- {name: t}\n", 1, "scenario must be a mapping"),
+    "table without a name": ("\ntables: [{distributed_by: c1}]\n", 2, "table missing 'name'"),
+    "session without an id": ("\nsessions: [{steps: []}]\n", 2, "session without id"),
 }
 
 

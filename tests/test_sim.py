@@ -21,8 +21,15 @@ from htapsim.dtm import (
 )
 from htapsim.gdd import GddConfig
 from htapsim.locks import TagKind
-from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_scenario, parse_sql
-from htapsim.sim import Cluster, SimConfig, run_scenario
+from htapsim.scenario import (
+    Expectation,
+    Scenario,
+    SessionDef,
+    TableSpec,
+    parse_scenario,
+    parse_sql,
+)
+from htapsim.sim import Cluster, ScenarioResult, SimConfig, run_scenario
 from htapsim.store import TableDef
 from test_oracle import random_delays, random_scenario
 
@@ -786,3 +793,28 @@ sessions:
         cluster.run()
         assert cluster.sessions["A"].outcomes == ["aborted:deadlock_victim", "committed"]
         assert self.second_burst_ticks(cluster) == self.second_burst_ticks(plain) == 9
+
+
+def test_a_session_with_no_steps_is_idle():
+    cluster = Cluster(SimConfig())
+    cluster.add_session("A")
+    cluster.run()
+    assert cluster.session_outcome("A") == "idle"
+
+
+def test_expectations_met_names_each_mismatch():
+    result = ScenarioResult(
+        outcomes={"A": "committed", "B": "aborted:deadlock_victim"},
+        verdict="clean",
+        victims=[],
+        trace=[],
+        metrics_csv="",
+        stalled=[],
+        scans={},
+    )
+    assert result.expectations_met(None) == (True, [])
+    expect = Expectation(verdict="deadlock", victims=["B"], outcomes={"B": "aborted"})
+    assert result.expectations_met(expect) == (
+        False,
+        ["verdict clean, expected deadlock", "victims [], expected ['B']"],
+    )

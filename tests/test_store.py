@@ -127,6 +127,18 @@ class TestVersionChains:
         with pytest.raises(AssertionError, match=fault):
             store.check_chain_invariants(states.get)
 
+    def test_chain_invariants_reject_a_successor_of_an_unstamped_version(self):
+        store = SegmentStore(0)
+        store.create_table(TableDef("t"))
+        slot = store.insert_version("t", (1, 10), 1, 1)[1]
+        first = store.chain("t", slot)[0]
+        store.stamp_and_append("t", slot, first, (1, 11), 2, 1)
+        states = {1: "committed", 2: "committed"}
+        store.check_chain_invariants(states.get)
+        first.xmax_local = 0
+        with pytest.raises(AssertionError, match="successor without stamped xmax"):
+            store.check_chain_invariants(states.get)
+
     def test_stamp_finds_victim_by_identity(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
