@@ -172,30 +172,26 @@ class LockTable:
     rule, not a second rule.
 
     Like PostgreSQL's per-backend lock list, the table also keeps, for each
-    transaction, its own requests grouped by tag.  The duplicate check in
-    `acquire` reads only those.  A release, of all of them at the
-    transaction's end or of one tuple lock, takes them off their queues
-    through one path, `_remove`, which drops each queue left empty; only
-    queues with a strong request can have waiters, so it updates the counts
-    only there.  As PostgreSQL's UnGrantLock and CleanUpLock wake waiters
-    only where the lock's waitMask is set, a release then re-evaluates only
-    the queues that still have waiters.  It wakes them in `born` order, the
-    order in which the tags got their first request since they were last
-    empty, whatever order the transaction made its requests in; queues are
-    independent, so only the order of the promoted list depends on it.
-    `locks_of` lists tags in the same order.
+    transaction, its own requests grouped by tag.  That is the table's one
+    record of a transaction: it knows one only while it holds or waits for a
+    lock here, as lock.c knows a backend only by its PROCLOCKs.  The
+    duplicate check in `acquire` reads only those.  A release, of all of
+    them at the transaction's end or of one tuple lock, takes them off their
+    queues through one path, `_remove`, which drops each queue left empty;
+    only queues with a strong request can have waiters, so it updates the
+    counts only there.  As PostgreSQL's UnGrantLock and CleanUpLock wake
+    waiters only where the lock's waitMask is set, a release then
+    re-evaluates only the queues that still have waiters.  It wakes them in
+    `born` order, the order in which the tags got their first request since
+    they were last empty, whatever order the transaction made its requests
+    in; queues are independent, so only the order of the promoted list
+    depends on it.  `locks_of` lists tags in the same order.
     """
 
     segment: int
     _queues: dict[LockTag, LockQueue] = field(default_factory=dict)
     _own: dict[int, dict[LockTag, list[LockRequest]]] = field(default_factory=dict)
-    _active: set[int] = field(default_factory=set)
     _next_seq: int = 0
-
-    # -- transaction registration -------------------------------------------
-
-    def register_txn(self, txn: int) -> None:
-        self._active.add(txn)
 
     # -- core operations -----------------------------------------------------
 
@@ -209,8 +205,6 @@ class LockTable:
         Returns (GRANTED, []) or (BLOCKED, blockers) where blockers are as in
         `blockers_of`.
         """
-        if txn not in self._active:
-            raise ProtocolError(f"txn {txn} not active on segment {self.segment}")
         if tag.segment != self.segment:
             raise ProtocolError(f"tag {tag} does not belong to segment {self.segment}")
         own = self._own.get(txn)
@@ -249,14 +243,13 @@ class LockTable:
         return _ACQUIRED, []
 
     def release_all(self, txn: int) -> list[LockRequest]:
-        """End `txn` on this segment (commit/abort path): deregister it and
-        drop its every grant and wait.
+        """End `txn` on this segment (commit/abort path): drop its every
+        grant and wait.
 
         Returns the requests promoted to granted by queue re-evaluation, in
         `born` order of their queues.  Idempotent: releasing a txn that holds
         nothing returns [].
         """
-        self._active.discard(txn)
         own = self._own.pop(txn, None)
         if own is None:
             return []
@@ -335,12 +328,14 @@ class LockTable:
         blocker.  Each queue's strong and waiting counts match its requests,
         and the per-transaction index holds exactly each transaction's
         requests in arrival order.  The `born` of every queue is distinct and
-        at most the arrival number of its first request."""
+        at most the arrival number of its first request.  No transaction
+        waits for two requests here: a part parks at its wait (`sim.Site`)."""
         queues = self._queues
         born = [queue.born for queue in queues.values()]
         if len(set(born)) != len(born):
             raise AssertionError(f"tags share a birth number: {sorted(born)}")
         own: dict[int, dict[LockTag, list[LockRequest]]] = {}
+        waiters: set[int] = set()
         for tag, queue in queues.items():
             if not queue.requests:
                 raise AssertionError(f"empty queue kept for {tag}")
@@ -350,6 +345,12 @@ class LockTable:
                 if r.seq != seq or r.tag != tag:
                     raise AssertionError(f"request {r} filed under {tag} as {seq}")
                 own.setdefault(r.txn, {}).setdefault(tag, []).append(r)
+                if r.status is _WAITING:
+                    if r.txn in waiters:
+                        raise AssertionError(
+                            f"txn {r.txn} waits twice on segment {self.segment}"
+                        )
+                    waiters.add(r.txn)
             seqs = list(queue.requests)
             if seqs != sorted(seqs):
                 raise AssertionError(f"{tag} is not in arrival order: {seqs}")

@@ -152,9 +152,9 @@ class AdmissionControl:
         self.queued[group].append(query)
         return _QUEUE
 
-    def complete(self, query, group: str):
-        """Free the slot of the admitted `query`; returns the queued query
-        that takes it, if any."""
+    def complete(self, group: str):
+        """Free the slot of a query of `group` that was admitted; returns the
+        queued query that takes it, if any."""
         queue = self.queued[group]
         if queue:
             return queue.popleft()

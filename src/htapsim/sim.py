@@ -210,7 +210,7 @@ class Site:
         result, blockers = self.locks.acquire(txn.dxid, tag, mode, cl.clock)
         if result is _LOCK_GRANTED:
             return True
-        cl._log((self.id, LOCK_WAIT, txn.dxid, tag, mode, frozenset([b.txn for b in blockers])))
+        cl._log((self.id, LOCK_WAIT, txn.dxid, tag, mode, tuple([b.txn for b in blockers])))
         cl._ensure_gdd_scheduled()
         return False
 
@@ -236,17 +236,15 @@ class Site:
         then fans the statement out to the segments; a segment's share takes
         the relation lock there and then inserts `rows` (an insert's rows
         routed to this segment), scans, locks or updates (`Segment.update`).
-        A part whose statement is already dead does nothing; any other first
-        registers the transaction here, where its relation lock then gives
-        it a request, so the transaction's end, which releases every site
-        where it has one, reaches every site that registered it.  After
+        A part whose statement is already dead does nothing, so it leaves no
+        request behind; any other takes its relation lock here, and the
+        transaction's end releases every site where it has a request.  After
         every wait the part stops if its statement has died meanwhile.
         """
         cl = self.cluster
         txn, step = stmt.txn, stmt.step
         if stmt.dead:
             return
-        self.locks.register_txn(txn.dxid)
         mode = RELATION_LOCK_MODE[step.kind]
         if step.kind == "update" and cl.config.legacy_locking:
             mode = _EXCLUSIVE  # legacy locking: one writer per table
@@ -905,7 +903,7 @@ class Cluster:
         self._log(("coord", TXN_END, session.sid, txn.dxid, session.outcomes[-1]))
         if session.group:
             self.ledger.release(session.sid)
-            freed = self.admission.complete(session.sid, session.group)
+            freed = self.admission.complete(session.group)
             if freed is not None:
                 waiter = self.sessions[freed]
                 self.schedule(0, lambda: self._begin_admitted(waiter))

@@ -1,11 +1,11 @@
 """Per-segment in-memory MVCC heap with hash distribution.
 
 Tables have two integer columns (c1, c2) and are distributed by one of them.
-Each row is a version chain keyed by a stable ctid; updates stamp the visible
-version with the updater's local xid and append a successor.  Updates set only
-the second column, so the first (c1) is fixed for the life of a chain, and a
-per-table index from c1 value to slots serves every scan whose predicate fixes
-c1.  All blocking behavior (tuple locks, transaction-lock waits) lives in the
+Each row is a version chain in a slot, numbered in insert order and never
+reused; updates stamp the visible version with the updater's local xid and
+append a successor.  Updates set only the second column, so the first (c1) is
+fixed for the life of a chain, and a per-table index from c1 value to slots
+serves every scan whose predicate fixes c1.  All blocking behavior (tuple locks, transaction-lock waits) lives in the
 simulator; the store itself is passive data plus pure scan/stamp operations.
 
 A row loaded by an always-committed writer (`insert_frozen`, PostgreSQL's
@@ -69,7 +69,6 @@ class TupleVersion:
     values: tuple[int, int]
     xmin_local: int
     cmin: int
-    ctid: tuple[str, int]  # (table, slot) on this segment; one tuple per chain
     xmax_local: int = 0
     cmax: int = 0
 
@@ -96,8 +95,8 @@ class SegmentStore:
 
     def __init__(self, segment: int):
         self.segment = segment
+        # table -> slot -> chain; slots are numbered in insert order
         self.tables: dict[str, dict[int, list[TupleVersion]]] = {}
-        self._next_slot: dict[str, int] = {}
         # table -> c1 value -> slots, in increasing slot order
         self._by_c1: dict[str, dict[int, list[int]]] = {}
         # table -> slots whose chain is one version every snapshot sees
@@ -105,30 +104,27 @@ class SegmentStore:
 
     def create_table(self, table: TableDef) -> None:
         self.tables.setdefault(table.name, {})
-        self._next_slot.setdefault(table.name, 0)
         self._by_c1.setdefault(table.name, {})
         self.all_visible.setdefault(table.name, set())
 
     def insert_version(
         self, table: str, values: tuple[int, int], local_xid: int, cid: int
-    ) -> tuple[str, int]:
-        slot = self._next_slot[table]
-        self._next_slot[table] = slot + 1
-        ctid = (table, slot)
-        self.tables[table][slot] = [
-            TupleVersion(values=values, xmin_local=local_xid, cmin=cid, ctid=ctid)
-        ]
+    ) -> int:
+        """Insert a row into the table's next slot, and return the slot."""
+        chains = self.tables[table]
+        slot = len(chains)  # no slot is ever removed
+        chains[slot] = [TupleVersion(values=values, xmin_local=local_xid, cmin=cid)]
         self._by_c1[table].setdefault(values[0], []).append(slot)
-        return ctid
+        return slot
 
     def insert_frozen(
         self, table: str, values: tuple[int, int], local_xid: int
-    ) -> tuple[str, int]:
+    ) -> int:
         """Insert a row whose writer `local_xid` the caller vouches is
         committed before any snapshot, and mark it all-visible."""
-        ctid = self.insert_version(table, values, local_xid, 0)
-        self.all_visible[table].add(ctid[1])
-        return ctid
+        slot = self.insert_version(table, values, local_xid, 0)
+        self.all_visible[table].add(slot)
+        return slot
 
     def chain(self, table: str, slot: int) -> list[TupleVersion]:
         return self.tables[table][slot]
@@ -204,9 +200,7 @@ class SegmentStore:
         self.all_visible[table].discard(slot)
         victim.xmax_local = local_xid
         victim.cmax = cid
-        successor = TupleVersion(
-            values=new_values, xmin_local=local_xid, cmin=cid, ctid=victim.ctid
-        )
+        successor = TupleVersion(values=new_values, xmin_local=local_xid, cmin=cid)
         chain.append(successor)
         return successor
 

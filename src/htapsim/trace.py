@@ -12,8 +12,8 @@ looks nothing up; with tracing off `_log` discards it.  Events carry no tick:
 `Cluster.run` logs a tick mark, `TICK` and the tick, each time the clock
 moves, and `render` turns the log into `tick|site|kind|details` lines,
 carrying the tick from mark to mark.  The arguments must be values that no
-later step changes (ints, strings, tuples, frozensets, lock tags, frozen
-records, Enum members); Enum members are named at render time.
+later step changes (ints, strings, tuples, lock tags, frozen records,
+Enum members); Enum members are named at render time.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def _commit_start_details(sid: str, dxid: int, protocol: Protocol, write_segment
     )
 
 
-def _lock_wait_details(dxid: int, tag, mode: LockMode, blockers: frozenset) -> str:
-    return f"dxid={dxid} tag={tag} mode={mode.name} blockers={sorted(blockers)}"
+def _lock_wait_details(dxid: int, tag, mode: LockMode, blockers: tuple) -> str:
+    # a transaction with two conflicting requests on the tag is listed once
+    return f"dxid={dxid} tag={tag} mode={mode.name} blockers={sorted(set(blockers))}"
 
 
 def _verdict_details(outcome: Outcome, residual: tuple, victims: tuple) -> str:

@@ -17,6 +17,11 @@ transaction's own requests: the time per round stays flat in N.  One case
 times a strong request meeting the N holders, which the blocking rule
 decides by walking them, in O(N).  One more case times the lock every
 writer takes on its own local xid.
+
+The last case times one release in front of N EXCLUSIVE waiters on one
+tag, for N = 16, 64, 256 and 1,024: the release promotes the first waiter,
+and re-evaluating the queue decides every waiter by the blocking rule's
+walk over the whole queue, so it costs O(N^2) (ROADMAP item 16).
 """
 
 import itertools
@@ -26,6 +31,7 @@ import pytest
 from htapsim.locks import AcquireResult, LockMode, LockTable, LockTag, TagKind
 
 HOLDERS = (1, 32, 256)
+WAITERS = (16, 64, 256, 1024)
 REL = LockTag(TagKind.RELATION, 0, "accounts")
 TUPLE = LockTag(TagKind.TUPLE, 0, ("accounts", 7))
 
@@ -33,7 +39,6 @@ TUPLE = LockTag(TagKind.TUPLE, 0, ("accounts", 7))
 def table_with_holders(n: int) -> LockTable:
     table = LockTable(0)
     for txn in range(1, n + 1):
-        table.register_txn(txn)
         table.acquire(txn, REL, LockMode.ROW_EXCLUSIVE, 0)
     return table
 
@@ -45,7 +50,6 @@ def test_acquire_release_compatible(benchmark, holders):
     txn = holders + 1
 
     def one_round():
-        table.register_txn(txn)
         result, _ = table.acquire(txn, REL, LockMode.ROW_EXCLUSIVE, 1)
         table.release_all(txn)
         return result
@@ -62,7 +66,6 @@ def test_blocked_then_promoted(benchmark, holders):
 
     def one_round():
         for txn in (first, second):
-            table.register_txn(txn)
             table.acquire(txn, REL, LockMode.ROW_EXCLUSIVE, 1)
         table.acquire(first, TUPLE, LockMode.EXCLUSIVE, 1)
         blocked, _ = table.acquire(second, TUPLE, LockMode.EXCLUSIVE, 1)
@@ -81,7 +84,6 @@ def test_strong_request_meets_weak_holders(benchmark, holders):
 
     def setup():
         table = table_with_holders(holders)
-        table.register_txn(strong)
         return (table,), {}
 
     def one_round(table):
@@ -101,10 +103,28 @@ def test_own_xid_lock(benchmark):
 
     def one_round():
         xid = next(xids)
-        table.register_txn(xid)
         tag = LockTag(TagKind.TRANSACTION, 0, xid)
         result, _ = table.acquire(xid, tag, LockMode.EXCLUSIVE, 1)
         table.release_all(xid)
         return result
 
     assert benchmark(one_round) is AcquireResult.GRANTED
+
+
+@pytest.mark.parametrize("waiters", WAITERS)
+def test_release_in_front_of_exclusive_waiters(benchmark, waiters):
+    """Txn 0 holds a tuple lock in EXCLUSIVE and txns 1..N wait for it in
+    EXCLUSIVE; txn 0's release promotes txn 1 alone.  Each round times the
+    release on a table built afresh, outside the timing."""
+
+    def setup():
+        table = LockTable(0)
+        for txn in range(waiters + 1):
+            table.acquire(txn, TUPLE, LockMode.EXCLUSIVE, 0)
+        return (table,), {}
+
+    def one_round(table):
+        return [r.txn for r in table.release_all(0)]
+
+    rounds = max(10, 4096 // waiters)
+    assert benchmark.pedantic(one_round, setup=setup, rounds=rounds) == [1]

@@ -46,7 +46,6 @@ def loaded_segment(rows: int):
 def committed_update(cluster, seg, slot: int, c2: int) -> None:
     """Stamp the newest version of `slot` by a transaction that commits."""
     txn = cluster.dtm.begin(cluster.clock)
-    seg.locks.register_txn(txn.dxid)
     local = seg.local_xid(txn)
     newest = seg.store.chain(TABLE.name, slot)[-1]
     seg.store.stamp_and_append(TABLE.name, slot, newest, (newest.values[0], c2), local, 0)

@@ -82,7 +82,7 @@ def test_visible(benchmark, live):
     for local, dxid in enumerate(probes(live), start=1):
         mapping.record(local, dxid)
         states[local] = "committed" if dxid % 2 and dxid < 2 * live else "in_progress"
-        versions.append(TupleVersion((1, 1), local, 0, ("t", 0)))
+        versions.append(TupleVersion((1, 1), local, 0))
 
     def one_round():
         return [visible(v, snap, mapping, None, states) for v in versions]

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 ORACLE = "tests/test_oracle.py"
 LIVENESS = f"{ORACLE}::test_gdd_restores_liveness_on_deadlocking_scenarios"
+COMMIT = "tests/test_sim.py::TestCommitProtocols"
 
 MUTANTS = [
     Mutant(
@@ -105,22 +106,77 @@ MUTANTS = [
         ("tests/test_resgroup.py::TestCpuScheduler::test_returning_group_replays_no_idle_credit",),
     ),
     Mutant(
-        "register-at-dispatch",
+        "dead-part-takes-its-lock",
+        "src/htapsim/sim.py",
+        (
+            ("        if stmt.dead:\n            return\n        mode = ", "        mode = "),
+            (
+                "            yield txn.dxid\n            if stmt.dead:\n                return\n",
+                "            yield txn.dxid\n        if stmt.dead:\n            return\n",
+            ),
+        ),
+        "a part that reaches its site after its statement died takes the"
+        " relation lock before it stops, leaving a request for the ended"
+        " transaction there",
+        (f"{ORACLE}::test_victims_commit_or_abort_exactly_once_per_cycle",),
+    ),
+    Mutant(
+        "commit-round-first-writer-only",
         "src/htapsim/sim.py",
         (
             (
-                "        self.locks.register_txn(txn.dxid)\n",
-                "        if self.id == COORD:\n            self.locks.register_txn(txn.dxid)\n",
-            ),
-            (
-                "            seg = self.segments[s]\n",
-                "            seg = self.segments[s]\n            seg.locks.register_txn(stmt.txn.dxid)\n",
+                "        yield from self._round(session, writers, dtm_mod.MSG_COMMIT, commit_at)\n",
+                "        yield from self._round(session, writers[:1], dtm_mod.MSG_COMMIT, commit_at)\n",
             ),
         ),
-        "a segment registers a transaction when a part is sent to it, so a"
-        " part that arrives after its statement died leaves the ended"
-        " transaction registered there",
-        (f"{ORACLE}::test_victims_commit_or_abort_exactly_once_per_cycle",),
+        "the commit round visits only the first writer, so the other writers"
+        " keep the transaction in progress and hold its locks",
+        (
+            f"{COMMIT}::test_two_segment_write_counts",
+            f"{COMMIT}::test_three_segment_write_counts",
+        ),
+    ),
+    Mutant(
+        "reply-skips-commit-ok",
+        "src/htapsim/sim.py",
+        (
+            (
+                "        if msg is not None:\n            txn.count(msg)\n        next(end, None)\n",
+                "        if msg is not None and msg != dtm_mod.MSG_COMMIT_OK:\n"
+                "            txn.count(msg)\n        next(end, None)\n",
+            ),
+        ),
+        "a segment's commit acknowledgement is not counted as a message",
+        (
+            f"{COMMIT}::test_single_segment_insert_takes_one_phase",
+            f"{COMMIT}::test_two_segment_write_counts",
+        ),
+    ),
+    Mutant(
+        "abort-any-txn-of-the-session",
+        "src/htapsim/sim.py",
+        (
+            (
+                "        if session is None or session.txn is not txn:\n",
+                "        if session is None or session.txn is None:\n",
+            ),
+        ),
+        "a verdict's victim that has already ended aborts whatever transaction"
+        " its session runs now",
+        ("tests/test_sim.py::TestAbortTransaction::test_stale_or_unknown_dxid_aborts_nothing",),
+    ),
+    Mutant(
+        "cpu-ties-to-the-highest-name",
+        "src/htapsim/resgroup.py",
+        (
+            (
+                "                name = min(runnable, key=vtime.__getitem__)\n",
+                "                name = min(reversed(runnable), key=vtime.__getitem__)\n",
+            ),
+        ),
+        "of two share groups with equal virtual time, a free core goes to the"
+        " one with the highest name",
+        ("tests/test_resgroup.py::test_equal_weights_tie_to_the_lowest_name",),
     ),
 ]
 

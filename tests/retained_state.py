@@ -16,16 +16,21 @@ For each `bench` workload at 32 clients and seed 0, under the default config
 - `gc_objects`: objects the cyclic GC tracks, counted after the run less
   those counted before the build.
 
-Then it prints the peak traced memory of `compile()` over each module of
-`src/htapsim`, which the interpreter pays at import whenever it writes no
-bytecode cache.  Only the standard library is used; pytest does not collect
-this file.  Runs at 8,000 ticks take tens of seconds each under tracemalloc.
+Then it prints, for each module of `src/htapsim`, the peak traced memory
+of `compile()` over it, which the interpreter pays at import whenever it
+writes no bytecode cache, and its parser-token count: the tokens `tokenize`
+yields less comments, blank lines and the encoding.  CPython 3.11's parser
+keeps its tokens in an array of 8,192 slots and doubles it at the next
+token, so a module that crosses that count compiles with a higher peak.
+Only the standard library is used; pytest does not collect this file.  Runs
+at 8,000 ticks take tens of seconds each under tracemalloc.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -76,13 +81,24 @@ def compile_peak(path: Path) -> float:
     return peak / MIB
 
 
+def parser_tokens(path: Path) -> int:
+    """Tokens of the module at `path`, less comments, blank lines and the
+    encoding, which the parser does not keep."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with path.open("rb") as fh:
+        return sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
+
+
 def main(argv: list[str]) -> int:
     ticks = [int(t) for t in argv] or TICKS
     for workload in WORKLOADS:
         for t in ticks:
             print(retained(workload, t), flush=True)
     for path in sorted(PACKAGE.glob("*.py")):
-        print(f"compile {path.name} peak_mib={compile_peak(path):.2f}")
+        print(
+            f"compile {path.name} peak_mib={compile_peak(path):.2f}"
+            f" tokens={parser_tokens(path)}"
+        )
     return 0
 
 

@@ -65,8 +65,7 @@ class FakeTxn:
 
 
 def version(xmin, cmin=0, xmax=0, cmax=0):
-    return TupleVersion(values=(1, 1), xmin_local=xmin, cmin=cmin, ctid=("t", 0),
-                        xmax_local=xmax, cmax=cmax)
+    return TupleVersion(values=(1, 1), xmin_local=xmin, cmin=cmin, xmax_local=xmax, cmax=cmax)
 
 
 class TestVisible:
@@ -320,7 +319,6 @@ def test_segment_commit_log_decides_visibility():
     table = TableDef("t")
     cluster.create_table(table, [(1, 10)])
     txn = cluster.dtm.begin(0)
-    cluster.segments[0].locks.register_txn(txn.dxid)
     local = cluster.segments[0].local_xid(txn)
     cluster.segments[0].store.insert_version("t", (2, 20), local, 0)
     cluster.dtm.mark_committed(txn.dxid)

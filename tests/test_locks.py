@@ -35,13 +35,6 @@ def rel(seg, name="t1"):
     return LockTag(TagKind.RELATION, seg, name)
 
 
-def make_table(*txns, seg=0):
-    table = LockTable(seg)
-    for t in txns:
-        table.register_txn(t)
-    return table
-
-
 class TestConflictMatrix:
     def test_all_64_entries(self):
         for a in range(1, 9):
@@ -74,39 +67,34 @@ class TestConflictMatrix:
 
 class TestAcquire:
     def test_concurrent_row_exclusive_updates(self):
-        table = make_table(1, 2)
+        table = LockTable(0)
         assert table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)[0] is AcquireResult.GRANTED
         assert table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 1)[0] is AcquireResult.GRANTED
 
     def test_blocked_behind_access_exclusive(self):
-        table = make_table(1, 4)
+        table = LockTable(0)
         table.acquire(1, rel(0, "t2"), LockMode.ACCESS_EXCLUSIVE, 0)
         result, blockers = table.acquire(4, rel(0, "t2"), LockMode.ROW_EXCLUSIVE, 1)
         assert result is AcquireResult.BLOCKED
         assert [b.txn for b in blockers] == [1]
 
     def test_reentrant_same_mode(self):
-        table = make_table(1)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         assert table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 5)[0] is AcquireResult.GRANTED
 
     def test_own_holdings_never_conflict(self):
-        table = make_table(1)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         assert table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 1)[0] is AcquireResult.GRANTED
 
-    def test_unknown_txn_is_protocol_error(self):
-        table = make_table(1)
-        with pytest.raises(ProtocolError):
-            table.acquire(99, rel(0), LockMode.ACCESS_SHARE, 0)
-
     def test_tag_of_another_segment_is_protocol_error(self):
-        table = make_table(1)
+        table = LockTable(0)
         with pytest.raises(ProtocolError, match="does not belong to segment 0"):
             table.acquire(1, rel(1), LockMode.ACCESS_SHARE, 0)
 
     def test_second_wait_in_the_same_mode_is_protocol_error(self):
-        table = make_table(1, 2)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)
         assert table.acquire(2, rel(0), LockMode.SHARE, 1)[0] is AcquireResult.BLOCKED
         with pytest.raises(ProtocolError, match="txn 2 already waiting"):
@@ -115,7 +103,7 @@ class TestAcquire:
     def test_blocked_by_earlier_waiter_only(self):
         # W2 is compatible with the granted set but conflicts with W1 ahead
         # of it; no lock jumping means W2 waits on W1.
-        table = make_table(1, 2, 3)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ACCESS_SHARE, 0)
         table.acquire(2, rel(0), LockMode.ACCESS_EXCLUSIVE, 1)
         result, blockers = table.acquire(3, rel(0), LockMode.ACCESS_SHARE, 2)
@@ -124,7 +112,7 @@ class TestAcquire:
 
     def test_same_tick_waiters_ordered_by_arrival_not_dxid(self):
         # txn 6 enqueues before txn 2 in the same tick, so 2 waits on 6
-        table = make_table(1, 2, 6)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ACCESS_SHARE, 0)
         table.acquire(6, rel(0), LockMode.ACCESS_EXCLUSIVE, 1)
         result, blockers = table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 1)
@@ -137,7 +125,7 @@ class TestAcquire:
 
 class TestReleaseAll:
     def test_single_waiter_promotion(self):
-        table = make_table(1, 2)
+        table = LockTable(0)
         xact = LockTag(TagKind.TRANSACTION, 0, 101)
         table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(2, xact, LockMode.SHARE, 1)
@@ -145,12 +133,12 @@ class TestReleaseAll:
         assert [(r.txn, r.status) for r in promoted] == [(2, RequestStatus.GRANTED)]
 
     def test_release_of_idle_txn_is_empty_and_idempotent(self):
-        table = make_table(1)
+        table = LockTable(0)
         assert table.release_all(1) == []
         assert table.release_all(1) == []
 
     def test_two_compatible_waiters_both_promoted(self):
-        table = make_table(1, 2, 3)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)
         table.acquire(2, rel(0), LockMode.ACCESS_SHARE, 1)
         table.acquire(3, rel(0), LockMode.ACCESS_SHARE, 2)
@@ -161,7 +149,7 @@ class TestReleaseAll:
     def test_promotions_come_in_queue_creation_order(self):
         """Txn 1 requests b before a, the reverse of their queues' creation
         order, and leaves a waiter on each; its release wakes a's first."""
-        table = make_table(1, 2, 3, 4, 5)
+        table = LockTable(0)
         a, b = rel(0, "a"), rel(0, "b")
         table.acquire(2, a, LockMode.ACCESS_SHARE, 0)  # creates queue a
         table.acquire(3, b, LockMode.ACCESS_SHARE, 0)  # then queue b
@@ -174,7 +162,7 @@ class TestReleaseAll:
         table.check_invariants()
 
     def test_compatible_waiter_promoted_past_blocked_waiter(self):
-        table = make_table(1, 2, 3, 4)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.SHARE, 0)
         table.acquire(2, rel(0), LockMode.ACCESS_EXCLUSIVE, 1)
         table.acquire(3, rel(0), LockMode.ROW_EXCLUSIVE, 2)  # conflicts with 1
@@ -192,7 +180,7 @@ class TestReleaseTupleLock:
         return LockTag(TagKind.TUPLE, seg, ("t1", slot))
 
     def test_waiter_promoted(self):
-        table = make_table(1, 2, seg=1)
+        table = LockTable(1)
         tag = self.tuple_tag()
         table.acquire(2, tag, LockMode.EXCLUSIVE, 0)
         table.acquire(1, tag, LockMode.EXCLUSIVE, 1)
@@ -200,13 +188,13 @@ class TestReleaseTupleLock:
         assert [r.txn for r in promoted] == [1]
 
     def test_empty_queue_release(self):
-        table = make_table(1, seg=1)
+        table = LockTable(1)
         tag = self.tuple_tag()
         table.acquire(1, tag, LockMode.EXCLUSIVE, 0)
         assert table.release_tuple_lock(1, tag) == []
 
     def test_conflicting_waiters_exactly_one_promoted(self):
-        table = make_table(1, 2, 3, seg=1)
+        table = LockTable(1)
         tag = self.tuple_tag()
         table.acquire(1, tag, LockMode.EXCLUSIVE, 0)
         table.acquire(2, tag, LockMode.EXCLUSIVE, 1)
@@ -216,7 +204,7 @@ class TestReleaseTupleLock:
         table.check_invariants()
 
     def test_not_held_is_protocol_error(self):
-        table = make_table(1, seg=1)
+        table = LockTable(1)
         with pytest.raises(ProtocolError):
             table.release_tuple_lock(1, self.tuple_tag())
 
@@ -224,7 +212,7 @@ class TestReleaseTupleLock:
         """A transaction that holds a tuple tag and also waits on it may not
         release it: the simulator never gets there, and the table is left as
         it was."""
-        table = make_table(1, 2, seg=1)
+        table = LockTable(1)
         tag = self.tuple_tag()
         table.acquire(1, tag, LockMode.SHARE, 0)
         table.acquire(2, tag, LockMode.SHARE, 1)
@@ -237,7 +225,7 @@ class TestReleaseTupleLock:
         table.check_invariants()
 
     def test_relation_tag_rejected(self):
-        table = make_table(1)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         with pytest.raises(ProtocolError):
             table.release_tuple_lock(1, rel(0))
@@ -263,7 +251,7 @@ class TestStrongCount:
     HOLDERS = 256
 
     def crowded(self):
-        table = make_table(*range(1, self.HOLDERS + 3))
+        table = LockTable(0)
         for txn in range(1, self.HOLDERS + 1):
             table.acquire(txn, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         return table
@@ -297,7 +285,7 @@ class TestOneRecord:
     it has requests and is dropped when it has none."""
 
     def test_born_survives_its_creators_release(self):
-        table = make_table(1, 2, 3)
+        table = LockTable(0)
         table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
         table.release_all(1)
@@ -311,7 +299,7 @@ class TestOneRecord:
         table.check_invariants()
 
     def test_a_queue_lasts_until_its_tag_is_empty(self):
-        table = make_table(1, 2)
+        table = LockTable(0)
         xact = LockTag(TagKind.TRANSACTION, 0, 7)
         table.acquire(1, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(2, xact, LockMode.SHARE, 1)
@@ -320,13 +308,12 @@ class TestOneRecord:
         assert (queue.born, queue.strong, queue.waiting) == (0, 1, 0)
         table.release_all(2)
         assert table._queues == {}
-        table.register_txn(2)
         table.acquire(2, xact, LockMode.SHARE, 4)
         assert table._queues[xact].born == 2
         table.check_invariants()
 
     def test_locks_of_lists_tags_by_born(self):
-        table = make_table(1, 2, 3)
+        table = LockTable(0)
         xact = LockTag(TagKind.TRANSACTION, 0, 7)
         for txn in (1, 2, 3):
             table.acquire(txn, rel(0), LockMode(txn), 0)
@@ -342,7 +329,7 @@ class TestOneRecord:
 def strong_table():
     """Txns 1 and 2 hold t1 in ROW_EXCLUSIVE, txn 1 holds t2 in SHARE and
     txn 2 waits for t2 in EXCLUSIVE."""
-    table = make_table(1, 2)
+    table = LockTable(0)
     table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
     table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 0)
     table.acquire(1, rel(0, "t2"), LockMode.SHARE, 0)
@@ -386,6 +373,13 @@ def out_of_order(table):
     queue.requests = dict(reversed(queue.requests.items()))
 
 
+def two_waits(table):
+    # txn 2, already waiting on t2, waits on a tuple too, as no part could
+    tup = LockTag(TagKind.TUPLE, 0, ("t2", 0))
+    table.acquire(1, tup, LockMode.EXCLUSIVE, 0)
+    table.acquire(2, tup, LockMode.EXCLUSIVE, 0)
+
+
 def waiter_without_blocker(table):
     # SHARE is as strong as EXCLUSIVE, so the counts still hold
     (waiter,) = table.waiting_requests()
@@ -404,6 +398,7 @@ def waiter_without_blocker(table):
         (misfiled, "filed under relation:t1@seg0 as 1"),
         (out_of_order, "not in arrival order"),
         (waiter_without_blocker, "waiter without blocker on relation:t2@seg0"),
+        (two_waits, "txn 2 waits twice on segment 0"),
     ],
 )
 def test_check_invariants_rejects_bad_record_state(corrupt, message):
@@ -451,8 +446,6 @@ def test_release_matches_promotion_oracle(requests, victim):
     """Queue re-evaluation after release_all agrees with the exhaustive
     conflict-matrix walk over the residual queue."""
     table = LockTable(0)
-    for t in range(1, 6):
-        table.register_txn(t)
     tag = rel(0)
     seen = set()
     queue_shadow = []  # (txn, mode, status) in grant-queue order
@@ -476,8 +469,6 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
 
     rng = random.Random(7)
     table = LockTable(0)
-    for t in range(1, 9):
-        table.register_txn(t)
     tags = [rel(0, f"t{i}") for i in range(3)]
     held = {t: set() for t in range(1, 9)}
     waiting = set()
@@ -485,7 +476,6 @@ def test_no_conflicting_grants_invariant_under_random_traffic():
         txn = rng.randrange(1, 9)
         if rng.random() < 0.3:
             table.release_all(txn)
-            table.register_txn(txn)
             held[txn].clear()
             waiting.discard(txn)
             table.check_invariants()
@@ -641,8 +631,6 @@ def test_per_transaction_index_matches_walk_over_every_queue(ops):
     in a new order.  Each acquire's blockers are those of the blocking rule over the
     tag's requests."""
     table = LockTable(0)
-    for t in range(1, 6):
-        table.register_txn(t)
     tags = [
         rel(0, "t0"),
         rel(0, "t1"),
@@ -669,7 +657,6 @@ def test_per_transaction_index_matches_walk_over_every_queue(ops):
         elif op == "release_all":
             expected = reference_release_all(table, txn, born)
             assert as_keys(table.release_all(txn)) == as_keys(expected)
-            table.register_txn(txn)
         elif tag.kind is TagKind.TUPLE and any(
             r.tag == tag and r.status is RequestStatus.GRANTED for r in mine
         ):
@@ -683,7 +670,7 @@ def test_invariant_fixture_stops_at_first_bad_grant(checked_lock_tables, monkeyp
     """With the checking fixture on, a grant-rule bug fails at the acquire
     that makes the bad state."""
     monkeypatch.setattr(LockTable, "_blockers_for", lambda self, queue, req: [])
-    table = make_table(1, 2)
+    table = LockTable(0)
     table.acquire(1, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)
     with pytest.raises(AssertionError, match="conflicting grants"):
         table.acquire(2, rel(0), LockMode.ACCESS_EXCLUSIVE, 0)

@@ -116,9 +116,9 @@ class TestAdmission:
         adm.admit("q2", "g")
         assert adm.admit("q3", "g") is Admission.QUEUE
         assert adm.admit("q4", "g") is Admission.QUEUE
-        assert adm.complete("q1", "g") == "q3"
-        assert adm.complete("q2", "g") == "q4"
-        assert adm.complete("q3", "g") is None
+        assert adm.complete("g") == "q3"
+        assert adm.complete("g") == "q4"
+        assert adm.complete("g") is None
 
     def test_groups_are_independent(self):
         adm = self.make(1)

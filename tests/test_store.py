@@ -66,16 +66,15 @@ class TestVersionChains:
     def test_insert_scan_roundtrip(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        store.insert_version("t", (1, 10), local_xid=1, cid=1)
-        store.insert_version("t", (2, 20), local_xid=1, cid=1)
+        assert store.insert_version("t", (1, 10), local_xid=1, cid=1) == 0
+        assert store.insert_version("t", (2, 20), local_xid=1, cid=1) == 1
         rows = store.scan(TableDef("t"), Predicate(), everything_visible)
         assert [v.values for _, v in rows] == [(1, 10), (2, 20)]
 
     def test_stamp_appends_successor(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        ctid = store.insert_version("t", (1, 10), local_xid=1, cid=1)
-        slot = ctid[1]
+        slot = store.insert_version("t", (1, 10), local_xid=1, cid=1)
         victim = store.chain("t", slot)[0]
         successor = store.stamp_and_append("t", slot, victim, (1, 99), 2, 1)
         chain = store.chain("t", slot)
@@ -83,13 +82,11 @@ class TestVersionChains:
         assert victim.xmax_local == 2
         assert successor.xmin_local == 2
         assert successor.values == (1, 99)
-        assert successor.ctid == victim.ctid
 
     def test_chain_linearity_audit(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        ctid = store.insert_version("t", (1, 10), 1, 1)
-        slot = ctid[1]
+        slot = store.insert_version("t", (1, 10), 1, 1)
         store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
         states = {1: "committed", 2: "in_progress"}
         store.check_chain_invariants(lambda lx: states.get(lx, "aborted"))
@@ -97,7 +94,7 @@ class TestVersionChains:
     def test_restamp_after_aborted_stamper_drops_its_versions(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        slot = store.insert_version("t", (1, 10), 1, 1)[1]
+        slot = store.insert_version("t", (1, 10), 1, 1)
         victim = store.chain("t", slot)[0]
         mine = store.stamp_and_append("t", slot, victim, (1, 11), 2, 1)
         store.stamp_and_append("t", slot, mine, (1, 12), 2, 2)  # a later command
@@ -121,7 +118,7 @@ class TestVersionChains:
         """xid 3 stamps xid 2's version: legal only once xid 2 has committed."""
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        slot = store.insert_version("t", (1, 10), 1, 1)[1]
+        slot = store.insert_version("t", (1, 10), 1, 1)
         mine = store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
         store.stamp_and_append("t", slot, mine, (1, 12), 3, 1)
         with pytest.raises(AssertionError, match=fault):
@@ -130,7 +127,7 @@ class TestVersionChains:
     def test_chain_invariants_reject_a_successor_of_an_unstamped_version(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        slot = store.insert_version("t", (1, 10), 1, 1)[1]
+        slot = store.insert_version("t", (1, 10), 1, 1)
         first = store.chain("t", slot)[0]
         store.stamp_and_append("t", slot, first, (1, 11), 2, 1)
         states = {1: "committed", 2: "committed"}
@@ -142,7 +139,7 @@ class TestVersionChains:
     def test_stamp_finds_victim_by_identity(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        slot = store.insert_version("t", (1, 10), 1, 1)[1]
+        slot = store.insert_version("t", (1, 10), 1, 1)
         twin = dataclasses.replace(store.chain("t", slot)[0])  # equal, not the same
         with pytest.raises(StoreError):
             store.stamp_and_append("t", slot, twin, (1, 11), 2, 1)
@@ -151,8 +148,7 @@ class TestVersionChains:
     def test_visible_version_picks_newest_accepted(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        ctid = store.insert_version("t", (1, 10), 1, 1)
-        slot = ctid[1]
+        slot = store.insert_version("t", (1, 10), 1, 1)
         store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
         old_only = lambda v: v.xmin_local == 1
         newest = lambda v: True
@@ -224,7 +220,7 @@ def test_c1_index_scan_matches_filtered_full_scan(ops, c1, c2):
 def test_update_may_not_change_c1():
     store = SegmentStore(0)
     store.create_table(TableDef("t"))
-    slot = store.insert_version("t", (1, 10), 1, 1)[1]
+    slot = store.insert_version("t", (1, 10), 1, 1)
     with pytest.raises(StoreError):
         store.stamp_and_append("t", slot, store.chain("t", slot)[0], (2, 10), 2, 1)
 
@@ -262,7 +258,7 @@ class TestAllVisible:
         elif fault == "two versions":
             store.chain("t", 0).append(dataclasses.replace(store.chain("t", 0)[0]))
         else:
-            store.all_visible["t"].add(store.insert_version("t", (2, 20), 1, 0)[1])
+            store.all_visible["t"].add(store.insert_version("t", (2, 20), 1, 0))
         with pytest.raises(AssertionError, match="all-visible"):
             store.check_chain_invariants(states.get)
 
@@ -333,7 +329,7 @@ class TestPrune:
         """A one-slot store whose chain was written by `writers`, in order."""
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
-        slot = store.insert_version("t", (1, 0), writers[0], 0)[1]
+        slot = store.insert_version("t", (1, 0), writers[0], 0)
         for n, xid in enumerate(writers[1:], start=1):
             store.stamp_and_append("t", slot, store.chain("t", slot)[-1], (1, n), xid, 0)
         return store, slot
@@ -344,7 +340,6 @@ class TestPrune:
         chain = store.chain("t", slot)
         assert [v.xmin_local for v in chain] == [3, 4]
         assert chain[0].xmax_local == 4
-        assert all(v.ctid is chain[0].ctid for v in chain)  # one tuple per chain
 
     def test_nothing_settled_past_the_first_keeps_the_chain(self):
         store, slot = self.chain_of([1, 2, 3])

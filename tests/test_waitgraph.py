@@ -25,8 +25,6 @@ class TestSnapshotLocal:
     def test_transaction_lock_wait_is_solid(self):
         # two-transaction deadlock, segment 0 side: B waits on A's txn lock
         table = LockTable(0)
-        table.register_txn(A)
-        table.register_txn(B)
         xact = LockTag(TagKind.TRANSACTION, 0, 11)
         table.acquire(A, xact, LockMode.EXCLUSIVE, 0)
         table.acquire(B, xact, LockMode.SHARE, 1)
@@ -36,8 +34,6 @@ class TestSnapshotLocal:
         # segment 1 of the dotted-edge case: B waits on C's txn lock while
         # holding the tuple lock; A queues behind B's tuple lock
         table = LockTable(1)
-        for t in (A, B, C):
-            table.register_txn(t)
         xact_c = LockTag(TagKind.TRANSACTION, 1, 21)
         tup = LockTag(TagKind.TUPLE, 1, ("t1", 0))
         table.acquire(C, xact_c, LockMode.EXCLUSIVE, 0)
@@ -55,8 +51,6 @@ class TestSnapshotLocal:
 
     def test_blocked_by_k_holders_yields_k_edges(self):
         table = LockTable(0)
-        for t in (A, B, C):
-            table.register_txn(t)
         tag = LockTag(TagKind.RELATION, 0, "t1")
         table.acquire(A, tag, LockMode.ACCESS_SHARE, 0)
         table.acquire(B, tag, LockMode.ACCESS_SHARE, 1)
@@ -66,8 +60,6 @@ class TestSnapshotLocal:
     def test_every_dotted_edge_comes_from_a_tuple_tag(self):
         # construction audit over a mixed table
         table = LockTable(1)
-        for t in (A, B, C, D):
-            table.register_txn(t)
         table.acquire(A, LockTag(TagKind.RELATION, 1, "t"), LockMode.ACCESS_EXCLUSIVE, 0)
         table.acquire(B, LockTag(TagKind.RELATION, 1, "t"), LockMode.ACCESS_SHARE, 1)
         table.acquire(C, LockTag(TagKind.TUPLE, 1, ("t", 3)), LockMode.EXCLUSIVE, 2)
