@@ -28,8 +28,15 @@ from .resgroup import (
     ResourceGroupConfig,
     ResourceGroups,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
-from .sim import Cluster, ScenarioResult, SimConfig, run_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    ScenarioResult,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
+)
+from .sim import Cluster, SimConfig
 from .store import Predicate, SegmentStore, TableDef, TupleVersion, route
 from .waitgraph import (
     EdgeKind,

@@ -9,8 +9,8 @@ from contextlib import ExitStack
 from .bench import WORKLOADS, bench
 from .gdd import GddConfig, Outcome, detect, find_cycle
 from .interconnect import JoinOutcome, run_join_scenario
-from .scenario import ScenarioError, load_scenario
-from .sim import SimConfig, run_scenario
+from .scenario import ScenarioError, load_scenario, run_scenario
+from .sim import SimConfig
 from .waitgraph import GlobalWaitForGraph
 
 

@@ -10,9 +10,9 @@ or not found by a binary search of the in-progress dxids, tested in that
 order.  Each snapshot also carries the horizon it was taken under, as
 Greenplum's carries `xminAllDistributedSnapshots`: the smallest xmin of any
 live snapshot, below which every dxid has finished for every snapshot then or
-later.  Segments prune versions below it (`sim.Segment.update`) and keep a
-local-xid -> dxid mapping.  `truncate_mapping` can truncate that mapping up to
-the horizon, but no simulator run calls it, only tests do, so a segment's
+later.  Segments prune versions below it (`segment.Segment.update`) and keep
+a local-xid -> dxid mapping.  `truncate_mapping` can truncate that mapping up
+to the horizon, but no simulator run calls it, only tests do, so a segment's
 mapping grows with the run.  Tuple visibility combines the distributed
 snapshot with that mapping, falling back to local state for truncated
 entries.  Commit protocol choreography runs on the simulator's event loop;
@@ -195,8 +195,8 @@ class DistributedTxnManager:
 
     The only owner of distributed transaction state: each descriptor's
     `state` and the live set change only in `begin`, `mark_committed` and
-    `mark_aborted`.  Each segment's own commit log, `sim.Segment.states`,
-    is that segment's and is updated by it.
+    `mark_aborted`.  Each segment's own commit log,
+    `segment.Segment.states`, is that segment's and is updated by it.
     """
 
     def __init__(self):
@@ -254,9 +254,6 @@ class DistributedTxnManager:
 
     def is_live(self, dxid: int) -> bool:
         return dxid in self._live
-
-    def live_snapshots(self) -> list[DistributedSnapshot]:
-        return [self.transactions[d].snapshot for d in self._live]
 
     def horizon(self) -> int:
         """Oldest dxid visible as running to any live snapshot: the smallest

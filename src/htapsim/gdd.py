@@ -15,9 +15,7 @@ collected information stale and it is discarded.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -75,9 +73,7 @@ class GddConfig:
             raise ValueError("detector period must be >= 1")
 
 
-def reduce(
-    g: GlobalWaitForGraph, rng: random.Random | None = None
-) -> tuple[GlobalWaitForGraph, list[ReductionStep]]:
+def reduce(g: GlobalWaitForGraph) -> tuple[GlobalWaitForGraph, list[ReductionStep]]:
     """Run the two greedy rules to fixpoint; g itself is left as it is.
 
     A rule's scope is None for R1 and a segment for R2.  Out-degree counters
@@ -86,9 +82,7 @@ def reduce(
     in ascending dxid, R2 one segment at a time in ascending order.  A vertex
     that becomes removable behind the cursor waits for the next pass, so the
     step log is that of rescanning every vertex each pass, and traces are
-    reproducible.  Passing an rng draws random vertex ranks per pass in place
-    of dxid order, shuffles the segments and may run R2 first; the residual
-    graph is the same either way (confluence), only the step log differs.
+    reproducible.
     """
     edges = g.edges()  # sorted, so edge indices sort as the edges do
     deg: Counter = Counter()  # (scope, v) -> live out-edges of v in the scope
@@ -118,16 +112,14 @@ def reduce(
         return tuple(edges[i] for i in removed)
 
     def peel(scope: int | None) -> bool:
-        """One pass of a rule over its ready vertices, lowest rank first."""
-        # a vertex's rank is its dxid, or one random draw per pass
-        rank = (lambda v: v) if rng is None else functools.cache(lambda v: rng.random())
+        """One pass of a rule over its ready vertices, lowest dxid first."""
         pending = ready[scope]
-        heap = [(rank(v), v) for v in pending]
+        heap = list(pending)
         heapq.heapify(heap)
         pending.clear()
         hit = False
         while heap:
-            r, v = heapq.heappop(heap)
+            v = heapq.heappop(heap)
             if not into.get((scope, v)):
                 continue
             removed = remove(into[scope, v])
@@ -135,23 +127,18 @@ def reduce(
             steps.append(ReductionStep(rule, v, scope, removed))
             hit = True
             for w in (e.waiter for e in removed):
-                if w in pending and rank(w) > r:  # ahead of the cursor
+                if w in pending and w > v:  # ahead of the cursor
                     pending.discard(w)
-                    heapq.heappush(heap, (rank(w), w))
+                    heapq.heappush(heap, w)
         return hit
 
     def pass_local() -> bool:
         segments = sorted(s for s, vs in ready.items() if vs and s is not None)
-        if rng is not None:
-            rng.shuffle(segments)
         return any([peel(seg) for seg in segments])
 
-    while True:
-        passes = [lambda: peel(None), pass_local]
-        if rng is not None and rng.random() < 0.5:
-            passes.reverse()
-        if not any([p() for p in passes]):
-            break
+    # each round runs R1's pass and then R2's, until neither removes an edge
+    while peel(None) | pass_local():
+        pass
     live = (edges[i] for (scope, _), ids in into.items() if scope is None for i in ids)
     return GlobalWaitForGraph(live), steps
 

@@ -267,9 +267,9 @@ class LockTable:
         """Release one tuple-lock grant mid-transaction (the dotted-edge case).
 
         A transaction never holds and waits on one tuple tag at once: a part
-        waits for one grant per site (`sim.Site`), and it releases the tuple
-        lock only after that grant came.  A request still waiting on the tag
-        is a protocol error."""
+        waits for one grant per site (`segment.Site`), and it releases the
+        tuple lock only after that grant came.  A request still waiting on the
+        tag is a protocol error."""
         if tag.kind is not TagKind.TUPLE:
             raise ProtocolError(f"{tag} is not a tuple lock")
         own = self._own.get(txn, {})
@@ -329,7 +329,8 @@ class LockTable:
         and the per-transaction index holds exactly each transaction's
         requests in arrival order.  The `born` of every queue is distinct and
         at most the arrival number of its first request.  No transaction
-        waits for two requests here: a part parks at its wait (`sim.Site`)."""
+        waits for two requests here: a part parks at its wait
+        (`segment.Site`)."""
         queues = self._queues
         born = [queue.born for queue in queues.values()]
         if len(set(born)) != len(born):

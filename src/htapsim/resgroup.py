@@ -218,12 +218,6 @@ class MemoryLedger:
         self.group_shared_used[rec.group] -= rec.group_shared
         self.global_shared_used -= rec.global_shared
 
-    def usage_of(self, query) -> float:
-        rec = self.charges.get(query)
-        if rec is None:
-            return 0.0
-        return rec.slot + rec.group_shared + rec.global_shared
-
     def check_conservation(self) -> None:
         total_slot = sum(r.slot for r in self.charges.values())
         total_group = sum(r.group_shared for r in self.charges.values())
@@ -368,14 +362,3 @@ class CpuScheduler:
             if n:
                 core_ticks[name] += n
         return finished
-
-    def grantable_waiting(self) -> int:
-        """Waiting tasks that could run now given the hard caps."""
-        n = 0
-        for name, cores in self.cpuset_groups.items():
-            room = len(cores) - self.group_running[name]
-            n += min(room, len(self.waiting[name]))
-        shared_room = self.shared_cores - self.share_running
-        share_waiting = sum(len(self.waiting[n]) for n in self.share_groups)
-        n += min(shared_room, share_waiting)
-        return n

@@ -19,6 +19,8 @@ reason but its own `abort` step, its remaining steps are dropped up to the
 session's next `begin`, which strict order traces as `step_skipped`.  `detect`
 forces one detector run and belongs to no session's transaction; strict order
 runs it in its turn even inside a dropped remainder, eager order drops it.
+`run_scenario` runs a scenario on a fresh `sim.Cluster` to fixpoint and
+returns its `ScenarioResult`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .resgroup import ConfigError, ResourceGroupConfig, group_set_fault
+from .sim import Cluster, SimConfig
 from .store import Predicate, StoreError, TableDef
 
 
@@ -375,3 +378,53 @@ def parse_scenario(text: str) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read())
+
+
+@dataclass
+class ScenarioResult:
+    outcomes: dict[str, str]
+    verdict: str
+    victims: list[str]
+    trace: list[str]
+    metrics_csv: str
+    stalled: list[str]
+    scans: dict[str, list]
+
+    def expectations_met(self, expect) -> tuple[bool, list[str]]:
+        problems = []
+        if expect is None:
+            return True, problems
+        if expect.verdict is not None and expect.verdict != self.verdict:
+            problems.append(f"verdict {self.verdict}, expected {expect.verdict}")
+        if expect.victims and sorted(set(expect.victims)) != sorted(set(self.victims)):
+            problems.append(f"victims {self.victims}, expected {expect.victims}")
+        for sid, want in sorted(expect.outcomes.items()):
+            got = self.outcomes.get(sid, "missing")
+            matched = got == want if ":" in want else got.split(":")[0] == want
+            if not matched:
+                problems.append(f"session {sid}: outcome {got}, expected {want}")
+        return not problems, problems
+
+
+def run_scenario(scenario: Scenario, config: SimConfig | None = None) -> ScenarioResult:
+    config = config or SimConfig()
+    cluster = Cluster(config, scenario)
+    cluster.run()
+    victims = []
+    for dxid in cluster.victims:
+        sid = cluster.dtm.transactions[dxid].sid
+        if sid not in victims:
+            victims.append(sid)
+    outcomes = {sid: cluster.session_outcome(sid) for sid in sorted(cluster.sessions)}
+    return ScenarioResult(
+        outcomes=outcomes,
+        verdict=cluster.final_verdict(),
+        victims=victims,
+        trace=cluster.trace,
+        metrics_csv=cluster.metrics_csv(),
+        stalled=[sid for sid, o in sorted(outcomes.items()) if o == "stalled"],
+        scans={
+            sid: list(cluster.sessions[sid].scan_results)
+            for sid in sorted(cluster.sessions)
+        },
+    )

@@ -4,13 +4,21 @@ One coordinator (site -1) plus N segments, a logical tick clock, and a single
 event loop that runs events in tick order and, within a tick, in the order
 they were scheduled.  Sessions execute scenario steps; statements dispatch
 per-segment work over simulated messages; blocking is explicit lock-table
-state with parked statement parts resumed on grant.  Each site's own state is
-one object, a `Site` (the coordinator) or a `Segment`; `Cluster` keeps the
-event loop.  The deadlock detector runs as a periodic background task (and
-synchronously for scripted `detect` steps).  The end of a transaction, a
-commit under its protocol or an abort, is one coordinator generator that
-waits on each message round it sends, with fsync accounting.
-Identical (config, scenario) produces an identical trace.
+state with parked statement parts resumed on grant.  Identical (config,
+scenario) produces an identical trace.
+
+The two roles of a transaction live in their own modules:
+- `segment.py`, the executor side (Greenplum's QE, query executor): each
+  site's lock table and parked statement parts, a `Site` (the coordinator)
+  or a `Segment` with its heap, commit log and xid mapping;
+- `commit.py`, the end of a transaction on the coordinator (Greenplum's QD,
+  query dispatcher): a commit under its protocol or an abort, one generator
+  that waits on each message round it sends, with fsync accounting.
+
+This module keeps `Cluster`: the event loop, the session driver, the
+statement replies and the deadlock detector, which runs as a periodic
+background task (and synchronously for scripted `detect` steps).
+`scenario.run_scenario` runs a whole scenario on a cluster.
 """
 
 from __future__ import annotations
@@ -20,15 +28,11 @@ from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 from . import dtm as dtm_mod
-from .dtm import (
-    DistributedTxnManager,
-    Protocol,
-    TransactionDescriptor,
-    TxnState,
-    XidMapping,
-)
+from .commit import abort, commit
+from .dtm import DistributedTxnManager, TransactionDescriptor, TxnState
 from .gdd import (
     DetectionVerdict,
     GddConfig,
@@ -36,7 +40,6 @@ from .gdd import (
     break_deadlock,
     detect,
 )
-from .locks import AcquireResult, LockMode, LockTable, LockTag, TagKind
 from .resgroup import (
     N_CORES,
     Admission,
@@ -47,61 +50,34 @@ from .resgroup import (
     ResourceGroupConfig,
     ResourceGroups,
 )
-from .scenario import Scenario, Step
-from .store import Predicate, SegmentStore, TableDef, route
+from .segment import BOOTSTRAP_LOCAL_XID, Segment, Site
+from .store import Predicate, TableDef, route
 from .trace import (
-    ABORT_LOCAL,
-    ABORT_START,
     ADMISSION_QUEUE,
-    ASSIGN_LOCAL_XID,
     BEGIN,
-    COMMIT_LOCAL,
-    COMMIT_START,
     COORD,
     DISCARD,
-    END_LOCAL,
-    FSYNC,
-    INSERT,
     ISSUE,
-    LOCK_GRANT,
-    LOCK_WAIT,
     MEM_CANCEL,
-    PREPARE_FAIL,
-    PREPARE_FAILED,
-    PREPARED,
     REDUCE,
-    RELATION_LOCKED,
-    STAMP,
     STEP_SKIPPED,
     STMT_CONFLICT,
     STMT_DONE,
     TICK,
-    TXN_END,
     VALIDATE,
     VERDICT,
     render,
 )
 from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_local
 
-BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
+if TYPE_CHECKING:
+    from .scenario import Scenario, Step
+
 MESSAGE_DELAY = 1  # ticks per message on a link without its own delay
 GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide
 
-# the relation lock each statement kind takes, on the coordinator and on every
-# segment it reaches; legacy locking overrides "update" (see Site.work)
-RELATION_LOCK_MODE = {
-    "update": LockMode.ROW_EXCLUSIVE,
-    "insert": LockMode.ROW_EXCLUSIVE,
-    "select": LockMode.ACCESS_SHARE,
-    "lock": LockMode.ACCESS_EXCLUSIVE,
-}
-
 # Per-transaction paths read these members as module constants: reading one
 # off its Enum class costs several times as much as reading a global.
-_LOCK_GRANTED = AcquireResult.GRANTED
-_TUPLE, _TRANSACTION = TagKind.TUPLE, TagKind.TRANSACTION
-_SHARE, _EXCLUSIVE = LockMode.SHARE, LockMode.EXCLUSIVE
-_ONE_PHASE, _TWO_PHASE = Protocol.ONE_PHASE, Protocol.TWO_PHASE
 _ABORTED = TxnState.ABORTED
 _ADMISSION_QUEUE = Admission.QUEUE
 _CHARGE_CANCELLED = ChargeResult.CANCELLED
@@ -140,7 +116,7 @@ class Session:
         self.txn: TransactionDescriptor | None = None
         self.stmt: "Statement | None" = None
         self.queued = False  # waiting for an admission slot
-        # the transaction's end in flight: the `_commit` or `_abort`
+        # the transaction's end in flight: the `commit.commit` or `commit.abort`
         # generator, suspended in a round until its last reply.  An abort
         # closes and replaces a commit; a reply to any other end is dropped
         self.end: Generator | None = None
@@ -181,219 +157,7 @@ class Statement:
         self.outstanding = 0  # segment parts dispatched and not yet replied
         self.rows: list[tuple[int, int]] = []
         self.count = 0
-        self.dead = False  # set by `Cluster._abort`, the only end of a running statement
-
-
-class Site:
-    """One site's lock table and the statement parts parked on it; the
-    coordinator is a `Site` and each segment a `Segment`.
-
-    A part (`work`) is a generator that yields its transaction's dxid at each
-    lock grant it waits for.  A transaction runs one statement at a time and
-    a statement one part per site, so it waits for at most one grant here:
-    `resume` parks the part under the dxid, and `wake` resumes it, with the
-    lock granted, once the grant comes.
-    """
-
-    def __init__(self, cluster: Cluster, id: int):
-        self.cluster = cluster
-        self.id = id
-        self.locks = LockTable(id)
-        self.parked: dict[int, Generator] = {}  # dxid -> its waiting part
-        self.relation_tags: dict[str, LockTag] = {}  # table name -> its tag here
-
-    def acquire_or_park(self, txn: TransactionDescriptor, tag: LockTag, mode) -> bool:
-        """Request `tag` in `mode` for `txn`; True if granted.  Otherwise
-        trace the wait and arm the detector: the part then yields
-        `txn.dxid` and `resume` parks it."""
-        cl = self.cluster
-        result, blockers = self.locks.acquire(txn.dxid, tag, mode, cl.clock)
-        if result is _LOCK_GRANTED:
-            return True
-        cl._log((self.id, LOCK_WAIT, txn.dxid, tag, mode, tuple([b.txn for b in blockers])))
-        cl._ensure_gdd_scheduled()
-        return False
-
-    def resume(self, part: Generator) -> None:
-        """Run `part` to its next wait, parked under the dxid it yields, or to its end."""
-        dxid = next(part, None)
-        if dxid is not None:
-            self.parked[dxid] = part
-
-    def wake(self, promoted) -> None:
-        """Trace each grant in `promoted` and schedule the part parked on it."""
-        cl = self.cluster
-        for req in promoted:
-            cl._log((self.id, LOCK_GRANT, req.txn, req.tag, req.mode))
-            part = self.parked.pop(req.txn, None)
-            if part is not None:
-                cl.schedule(0, partial(self.resume, part))
-
-    def work(self, stmt: Statement, rows=None):
-        """This site's share of `stmt`, run as a generator.
-
-        The coordinator's share takes the statement's relation lock there and
-        then fans the statement out to the segments; a segment's share takes
-        the relation lock there and then inserts `rows` (an insert's rows
-        routed to this segment), scans, locks or updates (`Segment.update`).
-        A part whose statement is already dead does nothing, so it leaves no
-        request behind; any other takes its relation lock here, and the
-        transaction's end releases every site where it has a request.  After
-        every wait the part stops if its statement has died meanwhile.
-        """
-        cl = self.cluster
-        txn, step = stmt.txn, stmt.step
-        if stmt.dead:
-            return
-        mode = RELATION_LOCK_MODE[step.kind]
-        if step.kind == "update" and cl.config.legacy_locking:
-            mode = _EXCLUSIVE  # legacy locking: one writer per table
-        tag = self.relation_tags.get(step.table)
-        if tag is None:
-            tag = self.relation_tags[step.table] = LockTag(TagKind.RELATION, self.id, step.table)
-        if not self.acquire_or_park(txn, tag, mode):
-            yield txn.dxid
-            if stmt.dead:
-                return
-        if self.id == COORD:
-            cl._dispatch_parts(stmt)
-        elif step.kind == "update":
-            yield from self.update(stmt)
-        elif step.kind == "insert":
-            local = self.local_xid(txn)
-            for values in rows:
-                self.store.insert_version(step.table, values, local, txn.command_id)
-            cl._log((self.id, INSERT, txn.dxid, len(rows)))
-            cl._segment_part_done(self, stmt, len(rows), wrote=bool(rows))
-        elif step.kind == "select":
-            vis = self.visibility(txn.snapshot, txn)
-            found = self.store.scan(cl.catalog[step.table], step.pred or Predicate(), vis)
-            found_rows = [v.values for _, v in found]
-            cl._segment_part_done(self, stmt, len(found_rows), rows=found_rows)
-        else:  # lock
-            cl._log((self.id, RELATION_LOCKED, txn.dxid, step.table))
-            cl._segment_part_done(self, stmt, 0)
-
-
-class Segment(Site):
-    """A segment: a site that also holds its heap (`store`), its commit log
-    (`states`, local xid -> "in_progress", "committed" or "aborted"), its
-    local-to-distributed xid `mapping` and the next local xid to hand out."""
-
-    def __init__(self, cluster: Cluster, id: int):
-        super().__init__(cluster, id)
-        self.store = SegmentStore(id)
-        self.states: dict[int, str] = {BOOTSTRAP_LOCAL_XID: "committed"}
-        self.mapping = XidMapping(id)
-        self.mapping.record(BOOTSTRAP_LOCAL_XID, 0)
-        self.next_local_xid = 1
-
-    def local_xid(self, txn: TransactionDescriptor) -> int:
-        """Assign a local xid (and the transaction self-lock) on first write."""
-        xids = txn.local_xids
-        if xids and xids[self.id] is not None:
-            return xids[self.id]
-        local = self.next_local_xid
-        self.next_local_xid = local + 1
-        xids = list(xids or [None] * len(self.cluster.segments))
-        xids[self.id] = local
-        txn.local_xids = tuple(xids)
-        self.states[local] = "in_progress"
-        self.mapping.record(local, txn.dxid)
-        cl = self.cluster
-        tag = LockTag(_TRANSACTION, self.id, local)
-        self.locks.acquire(txn.dxid, tag, _EXCLUSIVE, cl.clock)
-        cl._log((self.id, ASSIGN_LOCAL_XID, txn.dxid, local))
-        return local
-
-    def visibility(self, snapshot, txn: TransactionDescriptor | None = None):
-        """The visibility test of `snapshot` on this segment, as read by
-        `txn` (None: an observer outside any transaction)."""
-        mapping, states = self.mapping, self.states
-        # `dtm_mod.visible` is looked up at each call, so tracers can wrap it
-        return lambda version: dtm_mod.visible(version, snapshot, mapping, txn, states)
-
-    def settled_below(self, horizon: int):
-        """The test `SegmentStore.prune` takes at `horizon`: whether a local
-        xid committed here with a dxid below `horizon`, so that every snapshot
-        taken under `horizon` or later sees it committed.  A truncated
-        mapping entry was below an earlier horizon."""
-        states, entries = self.states, self.mapping.entries
-        return lambda xid: states.get(xid) == "committed" and entries.get(xid, -1) < horizon
-
-    def update(self, stmt: Statement):
-        """An update's share here: stamp the versions its scan returned.
-
-        Each slot is one loop, as in PostgreSQL's `heap_update`: if an
-        in-progress transaction stamped the version, queue on the tuple lock
-        and then on the stamper's transaction lock, and look at the version's
-        stamper again after each wait.  The tuple lock is held from its
-        request on, and released once the slot is stamped, as `heap_update`
-        releases `have_tuple_lock`, whether or not a stamper still ran when
-        its grant came.
-
-        The scan's version is not read again after a wait, because under
-        snapshot isolation it stays the newest version of its chain that the
-        statement sees: the snapshot and command id are fixed for the
-        statement, a version appended later is written by a transaction the
-        snapshot does not see, and `stamp_and_append` writes `xmax` into the
-        very version object the scan returned.  A READ COMMITTED re-check
-        would follow the chain here instead.
-
-        Each stamp first prunes its chain (`SegmentStore.prune`) at the
-        horizon of the statement's snapshot.  That horizon is no later than
-        the one of any snapshot live now, so no live snapshot loses a version
-        it can see, the scan's version included.  Pruning keeps every
-        `states` and `mapping` entry, and emits no trace line.
-        """
-        cl = self.cluster
-        txn, step = stmt.txn, stmt.step
-        store = self.store
-        vis = self.visibility(txn.snapshot, txn)
-        settled = self.settled_below(txn.snapshot.horizon)
-        pred = step.pred or Predicate()
-        stamped = 0
-        for slot, version in store.scan(cl.catalog[step.table], pred, vis):
-            tuple_held = False
-            local = self.local_xid(txn)
-            while True:
-                stamper = version.xmax_local
-                # a version this transaction stamped is invisible to its later
-                # commands, and a statement stamps a slot once, so no scan
-                # returns one
-                assert stamper != local, f"dxid {txn.dxid} restamps {step.table}:{slot}"
-                state = self.states.get(stamper, "aborted") if stamper else "unstamped"
-                if state == "committed":
-                    # first updater won and committed; we lose
-                    cl._segment_stmt_failed(self, stmt, "serialization")
-                    return
-                if state != "in_progress":
-                    new_values = (version.values[0], step.set_c2)
-                    store.prune(step.table, slot, settled)
-                    store.stamp_and_append(
-                        step.table, slot, version, new_values, local, txn.command_id
-                    )
-                    stamped += 1
-                    cl._log((self.id, STAMP, txn.dxid, step.table, slot))
-                    if tuple_held:
-                        self.wake(self.locks.release_tuple_lock(txn.dxid, tuple_tag))
-                    break
-                # stamper still in progress: queue on the tuple, then on its txn lock
-                tuple_tag = LockTag(_TUPLE, self.id, (step.table, slot))
-                if not tuple_held:
-                    tuple_held = True
-                    if not self.acquire_or_park(txn, tuple_tag, _EXCLUSIVE):
-                        yield txn.dxid
-                        if stmt.dead:
-                            return
-                        continue  # look at the stamper again
-                xact_tag = LockTag(_TRANSACTION, self.id, stamper)
-                if not self.acquire_or_park(txn, xact_tag, _SHARE):
-                    yield txn.dxid
-                    if stmt.dead:
-                        return
-                # granted: the stamper has finished, so look at its outcome
-        cl._segment_part_done(self, stmt, stamped, wrote=stamped > 0)
+        self.dead = False  # set by `commit.abort`, the only end of a running statement
 
 
 class Cluster:
@@ -640,7 +404,7 @@ class Cluster:
                 f"session {session.sid}: statement {step.raw!r} outside a transaction"
             )
         if step.kind == "commit":
-            self._start_end(session, self._commit(session))
+            self._start_end(session, commit(self, session))
             return
         if step.kind == "abort":
             self._start_abort(session, "user")
@@ -751,55 +515,6 @@ class Cluster:
 
     # ------------------------------------------------------- transaction end
 
-    def _touched_segments(self, txn: TransactionDescriptor) -> list[Segment]:
-        """The segments where `txn` has a lock request: a local xid's segment
-        among them, since the xid holds its transaction lock until `release_all`."""
-        return [seg for seg in self.segments if seg.locks.has_requests(txn.dxid)]
-
-    def _commit(self, session: Session):
-        """Commit `session.txn` under the protocol `plan_commit` picks.
-
-        Under 2PC the writers prepare, and once all have, the coordinator
-        makes its commit record durable.  Then touched segments that wrote
-        nothing end the transaction locally, uncounted, and the commit round
-        goes to the writers: one-phase commit is that round alone, over its
-        one writer, and a read-only commit has no site to wait for, so it
-        finishes at once.
-        """
-        txn = session.txn
-        protocol = self.dtm.plan_commit(txn, self.config.force_2pc)
-        txn.protocol = protocol
-        touched = self._touched_segments(txn)
-        writers = [self.segments[s] for s in txn.write_segments]
-        self._log(("coord", COMMIT_START, session.sid, txn.dxid, protocol, txn.write_segments))
-        if protocol is _TWO_PHASE:
-            yield from self._round(session, writers, dtm_mod.MSG_PREPARE, self._segment_prepare)
-            self._fsync(self.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
-        for seg in touched:
-            if seg.id not in txn.write_segments:
-                self.send(COORD, seg.id, partial(self._segment_end, seg, txn, True))
-        commit_at = partial(self._segment_end, committed=True)
-        yield from self._round(session, writers, dtm_mod.MSG_COMMIT, commit_at)
-        self._finish_txn(session, committed=True)
-
-    def _abort(self, session: Session, reason: str):
-        """Abort `session.txn`: kill its statement and parked parts, then an
-        abort round over every touched segment."""
-        txn = session.txn
-        stmt = session.stmt
-        if stmt is not None:
-            if stmt.step.kind == "update" and stmt.outstanding:
-                self.inflight_updates -= 1  # undo the dispatch's increment
-            stmt.dead = True
-            session.stmt = None
-        for site in self.sites:
-            site.parked.pop(txn.dxid, None)
-        touched = self._touched_segments(txn)
-        self._log(("coord", ABORT_START, session.sid, txn.dxid, reason))
-        abort_at = partial(self._segment_end, committed=False)
-        yield from self._round(session, touched, None, abort_at)
-        self._finish_txn(session, committed=False, reason=reason)
-
     def _start_end(self, session: Session, end: Generator) -> None:
         """Make `end` the session's end in flight and run it to its first wait."""
         session.end = end
@@ -810,109 +525,13 @@ class Cluster:
         nothing if an abort is under way.  Every caller has checked that the
         session's transaction is open."""
         if session.end is not None:
-            if session.end.__name__ == "_abort":
+            if session.end.gi_code is abort.__code__:
                 return  # already aborting
             session.end.close()
-        self._start_end(session, self._abort(session, reason))
-
-    def _round(self, session: Session, segments: list[Segment], msg: str | None, at_site):
-        """Send `msg` to each segment in order, where `at_site(segment, txn,
-        reply=...)` runs and answers through `reply(site, msg)`; return once
-        every segment has answered, at once if there is none.  Abort messages
-        are not counted (`msg` is None)."""
-        txn = session.txn
-        reply = partial(self._reply, session, session.end)
-        for seg in segments:
-            if msg is not None:
-                txn.count(msg)
-            self.send(COORD, seg.id, partial(at_site, seg, txn, reply=reply))
-        for _ in segments:
-            yield
-
-    def _reply(self, session: Session, end: Generator, site: int, msg, ok=True) -> None:
-        """A site's reply to the session's end `end`, counted as `msg`; dropped
-        unless `end` is still the end in flight.  A vetoed prepare (`ok`
-        False) aborts instead."""
-        if session.end is not end:
-            return
-        txn = session.txn
-        if not ok:
-            self._log(("coord", PREPARE_FAILED, txn.dxid, site))
-            self._start_abort(session, "prepare_failed")
-            return
-        if msg is not None:
-            txn.count(msg)
-        next(end, None)
-
-    def _segment_prepare(self, seg: Segment, txn: TransactionDescriptor, reply) -> None:
-        if self._prepare_veto(seg.id, txn):
-            self._log((seg.id, PREPARE_FAIL, txn.dxid))
-            self.send(seg.id, COORD, partial(reply, seg.id, None, ok=False))
-            return
-        self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-        self._log((seg.id, PREPARED, txn.dxid))
-        self.send(seg.id, COORD, partial(reply, seg.id, dtm_mod.MSG_PREPARE_OK))
+        self._start_end(session, abort(self, session, reason))
 
     def _prepare_veto(self, seg: int, txn: TransactionDescriptor) -> bool:
         return False  # test hook, given a segment id: patched to inject prepare failures
-
-    def _segment_end(
-        self, seg: Segment, txn: TransactionDescriptor, committed: bool, reply=None
-    ) -> None:
-        """End `txn` on one segment as `committed` says: record its local
-        outcome, release its locks and wake their waiters.
-
-        With no `reply` this is the local end of a segment that the commit
-        round does not visit.  In a commit round the segment first makes its
-        commit durable; in a commit or abort round it then replies.
-        """
-        if reply is not None and committed:
-            self._fsync(seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
-        s = seg.id
-        local = txn.local_xids[s] if txn.local_xids else None
-        if local is not None:
-            seg.states[local] = "committed" if committed else "aborted"
-        promoted = seg.locks.release_all(txn.dxid)
-        if reply is None:
-            self._log((s, END_LOCAL, txn.dxid))
-        elif committed:
-            self._log((s, COMMIT_LOCAL, txn.dxid, txn.protocol is _ONE_PHASE))
-        else:
-            self._log((s, ABORT_LOCAL, txn.dxid))
-        seg.wake(promoted)
-        if reply is not None:
-            self.send(s, COORD, partial(reply, s, dtm_mod.MSG_COMMIT_OK if committed else None))
-
-    def _fsync(self, site: Site, txn, kind: str) -> None:
-        txn.count(kind)
-        self._log((site.id, FSYNC, txn.dxid, kind))
-
-    def _finish_txn(self, session: Session, committed: bool, reason: str = "") -> None:
-        txn = session.txn
-        if committed:
-            self.dtm.mark_committed(txn.dxid)
-            self.committed_txns += 1
-            session.outcomes.append("committed")
-        else:
-            self.dtm.mark_aborted(txn.dxid)
-            self.aborted_txns += 1
-            session.outcomes.append(f"aborted:{reason}" if reason else "aborted")
-        txn.latency_ticks = self.clock - txn.begin_tick
-        session.txn_latencies.append(txn.latency_ticks)
-        self.coord.wake(self.coord.locks.release_all(txn.dxid))
-        self._log(("coord", TXN_END, session.sid, txn.dxid, session.outcomes[-1]))
-        if session.group:
-            self.ledger.release(session.sid)
-            freed = self.admission.complete(session.group)
-            if freed is not None:
-                waiter = self.sessions[freed]
-                self.schedule(0, lambda: self._begin_admitted(waiter))
-        session.txn = None
-        session.end = None
-        self._progress += 1
-        if not committed and reason != "user":
-            session.skip_until_begin = True
-        self._session_freed(session)
 
     # ------------------------------------------------------ deadlock breaking
 
@@ -1063,52 +682,3 @@ class Cluster:
             )
         return "\n".join(lines) + "\n"
 
-
-@dataclass
-class ScenarioResult:
-    outcomes: dict[str, str]
-    verdict: str
-    victims: list[str]
-    trace: list[str]
-    metrics_csv: str
-    stalled: list[str]
-    scans: dict[str, list]
-
-    def expectations_met(self, expect) -> tuple[bool, list[str]]:
-        problems = []
-        if expect is None:
-            return True, problems
-        if expect.verdict is not None and expect.verdict != self.verdict:
-            problems.append(f"verdict {self.verdict}, expected {expect.verdict}")
-        if expect.victims and sorted(set(expect.victims)) != sorted(set(self.victims)):
-            problems.append(f"victims {self.victims}, expected {expect.victims}")
-        for sid, want in sorted(expect.outcomes.items()):
-            got = self.outcomes.get(sid, "missing")
-            matched = got == want if ":" in want else got.split(":")[0] == want
-            if not matched:
-                problems.append(f"session {sid}: outcome {got}, expected {want}")
-        return not problems, problems
-
-
-def run_scenario(scenario: Scenario, config: SimConfig | None = None) -> ScenarioResult:
-    config = config or SimConfig()
-    cluster = Cluster(config, scenario)
-    cluster.run()
-    victims = []
-    for dxid in cluster.victims:
-        sid = cluster.dtm.transactions[dxid].sid
-        if sid not in victims:
-            victims.append(sid)
-    outcomes = {sid: cluster.session_outcome(sid) for sid in sorted(cluster.sessions)}
-    return ScenarioResult(
-        outcomes=outcomes,
-        verdict=cluster.final_verdict(),
-        victims=victims,
-        trace=cluster.trace,
-        metrics_csv=cluster.metrics_csv(),
-        stalled=[sid for sid, o in sorted(outcomes.items()) if o == "stalled"],
-        scans={
-            sid: list(cluster.sessions[sid].scan_results)
-            for sid in sorted(cluster.sessions)
-        },
-    )

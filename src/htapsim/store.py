@@ -126,9 +126,6 @@ class SegmentStore:
         self.all_visible[table].add(slot)
         return slot
 
-    def chain(self, table: str, slot: int) -> list[TupleVersion]:
-        return self.tables[table][slot]
-
     def visible_version(self, table: str, slot: int, is_visible) -> TupleVersion | None:
         """Newest version of the chain that `is_visible` accepts."""
         for version in reversed(self.tables[table][slot]):

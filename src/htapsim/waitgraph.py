@@ -53,24 +53,12 @@ class GlobalWaitForGraph:
 
     # -- file format -----------------------------------------------------
 
-    def to_json(self) -> str:
-        doc = {
-            "vertices": sorted(self.vertices),
-            "edges": [
-                {
-                    "segment": e.segment,
-                    "from": e.waiter,
-                    "to": e.holder,
-                    "kind": e.kind.value,
-                }
-                for e in self.edges()
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "GlobalWaitForGraph":
-        """Parse `to_json`'s format; ValueError names what is malformed."""
+        """Parse a graph file: a JSON object whose "edges" lists one
+        {"segment", "from", "to", "kind"} record per edge, "from" waiting
+        for "to"; other keys are ignored.  ValueError names what is
+        malformed."""
         doc = json.loads(text)
         records = doc.get("edges") if isinstance(doc, dict) else None
         if not isinstance(records, list):

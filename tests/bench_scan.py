@@ -47,7 +47,7 @@ def committed_update(cluster, seg, slot: int, c2: int) -> None:
     """Stamp the newest version of `slot` by a transaction that commits."""
     txn = cluster.dtm.begin(cluster.clock)
     local = seg.local_xid(txn)
-    newest = seg.store.chain(TABLE.name, slot)[-1]
+    newest = seg.store.tables[TABLE.name][slot][-1]
     seg.store.stamp_and_append(TABLE.name, slot, newest, (newest.values[0], c2), local, 0)
     seg.states[local] = "committed"
     cluster.dtm.mark_committed(txn.dxid)
@@ -76,7 +76,7 @@ def test_point_scan_under_an_old_snapshot(benchmark, length):
     old = seg.visibility(cluster.dtm.current_snapshot())
     for c2 in range(1, length):
         committed_update(cluster, seg, 7, c2)
-    assert len(seg.store.chain(TABLE.name, 7)) == length
+    assert len(seg.store.tables[TABLE.name][7]) == length
     pred = Predicate({"c1": 7})
 
     def one_scan():

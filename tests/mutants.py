@@ -51,8 +51,8 @@ COMMIT = "tests/test_sim.py::TestCommitProtocols"
 MUTANTS = [
     Mutant(
         "abort-keeps-parked-parts",
-        "src/htapsim/sim.py",
-        (("            site.parked.pop(txn.dxid, None)\n", "            pass\n"),),
+        "src/htapsim/commit.py",
+        (("        site.parked.pop(txn.dxid, None)\n", "        pass\n"),),
         "an aborted transaction's waiting parts stay parked, so a later grant"
         " resumes a dead statement's part; `check_parked` sees the dead part",
         (LIVENESS,),
@@ -72,7 +72,7 @@ MUTANTS = [
     ),
     Mutant(
         "settled-at-the-horizon",
-        "src/htapsim/sim.py",
+        "src/htapsim/segment.py",
         (("entries.get(xid, -1) < horizon", "entries.get(xid, -1) <= horizon"),),
         "a writer at the horizon counts as settled, though the snapshot whose"
         " xmin it is does not see it",
@@ -107,7 +107,7 @@ MUTANTS = [
     ),
     Mutant(
         "dead-part-takes-its-lock",
-        "src/htapsim/sim.py",
+        "src/htapsim/segment.py",
         (
             ("        if stmt.dead:\n            return\n        mode = ", "        mode = "),
             (
@@ -122,11 +122,11 @@ MUTANTS = [
     ),
     Mutant(
         "commit-round-first-writer-only",
-        "src/htapsim/sim.py",
+        "src/htapsim/commit.py",
         (
             (
-                "        yield from self._round(session, writers, dtm_mod.MSG_COMMIT, commit_at)\n",
-                "        yield from self._round(session, writers[:1], dtm_mod.MSG_COMMIT, commit_at)\n",
+                "    yield from _round(cl, session, writers, dtm_mod.MSG_COMMIT, commit_at)\n",
+                "    yield from _round(cl, session, writers[:1], dtm_mod.MSG_COMMIT, commit_at)\n",
             ),
         ),
         "the commit round visits only the first writer, so the other writers"
@@ -138,12 +138,12 @@ MUTANTS = [
     ),
     Mutant(
         "reply-skips-commit-ok",
-        "src/htapsim/sim.py",
+        "src/htapsim/commit.py",
         (
             (
-                "        if msg is not None:\n            txn.count(msg)\n        next(end, None)\n",
-                "        if msg is not None and msg != dtm_mod.MSG_COMMIT_OK:\n"
-                "            txn.count(msg)\n        next(end, None)\n",
+                "    if msg is not None:\n        txn.count(msg)\n    next(end, None)\n",
+                "    if msg is not None and msg != dtm_mod.MSG_COMMIT_OK:\n"
+                "        txn.count(msg)\n    next(end, None)\n",
             ),
         ),
         "a segment's commit acknowledgement is not counted as a message",
@@ -177,6 +177,17 @@ MUTANTS = [
         "of two share groups with equal virtual time, a free core goes to the"
         " one with the highest name",
         ("tests/test_resgroup.py::test_equal_weights_tie_to_the_lowest_name",),
+    ),
+    Mutant(
+        "r2-drops-solid-edges",
+        "src/htapsim/gdd.py",
+        (("        if e.kind is EdgeKind.DOTTED:\n", "        if True:\n"),),
+        "the local rule R2 drops solid edges too, as if a vertex not blocked on"
+        " a segment released there the locks it holds to its transaction's end",
+        (
+            "tests/test_gdd.py::TestMatchesReference"
+            "::test_same_residual_and_steps_in_default_order",
+        ),
     ),
 ]
 

@@ -8,8 +8,7 @@ import pytest
 
 from htapsim.bench import bench
 from htapsim.cli import main
-from htapsim.scenario import load_scenario
-from htapsim.sim import run_scenario
+from htapsim.scenario import load_scenario, run_scenario
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "deadlock_two_txn.yaml")
 BENCH = ["bench", "--workload", "tpcb-like", "--clients", "2", "--ticks", "10"]

@@ -281,7 +281,8 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
             (mgr.mark_committed if op == "commit" else mgr.mark_aborted)(dxid)
         assert mgr.current_snapshot().in_progress == tuple(sorted(unfinished()))
         assert mgr.current_snapshot().horizon == mgr.horizon() == horizon()
-        assert mgr.live_snapshots() == [
+        # the live-dxid index holds the unfinished transactions in dxid order
+        assert [mgr.transactions[d].snapshot for d in mgr._live] == [
             t.snapshot
             for _, t in sorted(mgr.transactions.items())
             if not t.is_finished()

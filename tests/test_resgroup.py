@@ -29,6 +29,26 @@ def pinned(name, cores, concurrency=10, mem=15, quota=20):
     )
 
 
+def usage_of(ledger, query) -> float:
+    """The memory `query` holds over its slot and the two shared layers."""
+    rec = ledger.charges.get(query)
+    if rec is None:
+        return 0.0
+    return rec.slot + rec.group_shared + rec.global_shared
+
+
+def grantable_waiting(sched) -> int:
+    """Waiting tasks that could run now given the hard caps."""
+    n = 0
+    for name, cores in sched.cpuset_groups.items():
+        room = len(cores) - sched.group_running[name]
+        n += min(room, len(sched.waiting[name]))
+    shared_room = sched.shared_cores - sched.share_running
+    share_waiting = sum(len(sched.waiting[n]) for n in sched.share_groups)
+    n += min(shared_room, share_waiting)
+    return n
+
+
 class TestConfigValidation:
     def test_worked_example_slot_quota(self):
         # 1000 total, 35% limit -> 350; 20% shared -> 70; 280 / 10 = 28
@@ -161,15 +181,15 @@ class TestMemoryLedger:
         groups, ledger = self.make()
         ledger.charge("q", "g", 100.0)
         assert ledger.charge("q", "g", 10_000.0) is ChargeResult.CANCELLED
-        assert ledger.usage_of("q") == 0.0
+        assert usage_of(ledger, "q") == 0.0
         assert ledger.group_shared_used["g"] == 0.0
         assert ledger.global_shared_used == 0.0
 
     def test_usage_of_sums_the_three_layers(self):
         groups, ledger = self.make()
-        assert ledger.usage_of("q") == 0.0
+        assert usage_of(ledger, "q") == 0.0
         ledger.charge("q", "g", 150.0)  # slot 28, group shared 70, global 52
-        assert ledger.usage_of("q") == pytest.approx(150.0)
+        assert usage_of(ledger, "q") == pytest.approx(150.0)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -206,7 +226,7 @@ class TestMemoryLedger:
             if result is ChargeResult.CANCELLED:
                 # only cancelled when the three layers really could not fit it
                 assert amount > headroom_before + 1e-9
-                assert ledger.usage_of(query) == 0.0
+                assert usage_of(ledger, query) == 0.0
             ledger.check_conservation()
 
     @staticmethod
@@ -295,7 +315,7 @@ class TestCpuScheduler:
                     sched.submit(f"{name}{tick}-{_}", name, rng.randrange(1, 4))
             sched.tick()
             # no grantable waiting task while capacity for it sits idle
-            assert sched.grantable_waiting() == 0
+            assert grantable_waiting(sched) == 0
 
     def test_share_group_cannot_use_pinned_cores(self):
         groups = ResourceGroups(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from htapsim import commit
 from htapsim.dtm import (
     FSYNC_COORD_COMMIT,
     FSYNC_SEGMENT_COMMIT,
@@ -24,12 +25,14 @@ from htapsim.locks import TagKind
 from htapsim.scenario import (
     Expectation,
     Scenario,
+    ScenarioResult,
     SessionDef,
     TableSpec,
     parse_scenario,
     parse_sql,
+    run_scenario,
 )
-from htapsim.sim import Cluster, ScenarioResult, SimConfig, run_scenario
+from htapsim.sim import Cluster, SimConfig
 from htapsim.store import TableDef
 from test_oracle import random_delays, random_scenario
 
@@ -369,7 +372,7 @@ sessions:
         )
         assert cluster.session_outcome("A") == "open"
         seg = cluster.segments[0]
-        chain = seg.store.chain("t", 0)
+        chain = seg.store.tables["t"][0]
         assert [seg.states[v.xmin_local] for v in chain] == [
             "committed",
             "in_progress",
@@ -474,7 +477,8 @@ sessions:
         before = cluster.committed_txns
         acc = cluster.dtm.transactions[1]
         messages, fsyncs = Counter(acc.messages), Counter(acc.fsyncs)
-        cluster._reply(session, commit_end, seg, MSG_COMMIT_OK)  # straggler ack after completion
+        # a straggler ack after completion
+        commit._reply(cluster, session, commit_end, seg, MSG_COMMIT_OK)
         assert cluster.committed_txns == before
         assert acc.messages == messages and acc.fsyncs == fsyncs
         assert session.outcomes == ["committed"]

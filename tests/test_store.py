@@ -75,9 +75,9 @@ class TestVersionChains:
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), local_xid=1, cid=1)
-        victim = store.chain("t", slot)[0]
+        victim = store.tables["t"][slot][0]
         successor = store.stamp_and_append("t", slot, victim, (1, 99), 2, 1)
-        chain = store.chain("t", slot)
+        chain = store.tables["t"][slot]
         assert chain == [victim, successor]
         assert victim.xmax_local == 2
         assert successor.xmin_local == 2
@@ -87,7 +87,7 @@ class TestVersionChains:
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), 1, 1)
-        store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
+        store.stamp_and_append("t", slot, store.tables["t"][slot][0], (1, 11), 2, 1)
         states = {1: "committed", 2: "in_progress"}
         store.check_chain_invariants(lambda lx: states.get(lx, "aborted"))
 
@@ -95,13 +95,13 @@ class TestVersionChains:
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), 1, 1)
-        victim = store.chain("t", slot)[0]
+        victim = store.tables["t"][slot][0]
         mine = store.stamp_and_append("t", slot, victim, (1, 11), 2, 1)
         store.stamp_and_append("t", slot, mine, (1, 12), 2, 2)  # a later command
         # xid 2 aborts; xid 3 re-stamps the version xid 2 had stamped
         successor = store.stamp_and_append("t", slot, victim, (1, 13), 3, 1)
-        assert store.chain("t", slot) == [victim, successor]
-        assert store.chain("t", slot)[-1] is successor
+        assert store.tables["t"][slot] == [victim, successor]
+        assert store.tables["t"][slot][-1] is successor
         assert victim.xmax_local == 3
         states = {1: "committed", 2: "aborted", 3: "in_progress"}
         store.check_chain_invariants(lambda lx: states.get(lx, "aborted"))
@@ -119,7 +119,7 @@ class TestVersionChains:
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), 1, 1)
-        mine = store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
+        mine = store.stamp_and_append("t", slot, store.tables["t"][slot][0], (1, 11), 2, 1)
         store.stamp_and_append("t", slot, mine, (1, 12), 3, 1)
         with pytest.raises(AssertionError, match=fault):
             store.check_chain_invariants(states.get)
@@ -128,7 +128,7 @@ class TestVersionChains:
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), 1, 1)
-        first = store.chain("t", slot)[0]
+        first = store.tables["t"][slot][0]
         store.stamp_and_append("t", slot, first, (1, 11), 2, 1)
         states = {1: "committed", 2: "committed"}
         store.check_chain_invariants(states.get)
@@ -140,16 +140,16 @@ class TestVersionChains:
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), 1, 1)
-        twin = dataclasses.replace(store.chain("t", slot)[0])  # equal, not the same
+        twin = dataclasses.replace(store.tables["t"][slot][0])  # equal, not the same
         with pytest.raises(StoreError):
             store.stamp_and_append("t", slot, twin, (1, 11), 2, 1)
-        assert store.chain("t", slot)[0].xmax_local == 0
+        assert store.tables["t"][slot][0].xmax_local == 0
 
     def test_visible_version_picks_newest_accepted(self):
         store = SegmentStore(0)
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 10), 1, 1)
-        store.stamp_and_append("t", slot, store.chain("t", slot)[0], (1, 11), 2, 1)
+        store.stamp_and_append("t", slot, store.tables["t"][slot][0], (1, 11), 2, 1)
         old_only = lambda v: v.xmin_local == 1
         newest = lambda v: True
         assert store.visible_version("t", slot, old_only).values == (1, 10)
@@ -222,7 +222,7 @@ def test_update_may_not_change_c1():
     store.create_table(TableDef("t"))
     slot = store.insert_version("t", (1, 10), 1, 1)
     with pytest.raises(StoreError):
-        store.stamp_and_append("t", slot, store.chain("t", slot)[0], (2, 10), 2, 1)
+        store.stamp_and_append("t", slot, store.tables["t"][slot][0], (2, 10), 2, 1)
 
 
 class TestAllVisible:
@@ -254,9 +254,9 @@ class TestAllVisible:
         store = self.loaded([(1, 10)])
         states = {0: "committed", 1: "in_progress"}
         if fault == "stamped":
-            store.chain("t", 0)[0].xmax_local = 1
+            store.tables["t"][0][0].xmax_local = 1
         elif fault == "two versions":
-            store.chain("t", 0).append(dataclasses.replace(store.chain("t", 0)[0]))
+            store.tables["t"][0].append(dataclasses.replace(store.tables["t"][0][0]))
         else:
             store.all_visible["t"].add(store.insert_version("t", (2, 20), 1, 0))
         with pytest.raises(AssertionError, match="all-visible"):
@@ -331,20 +331,20 @@ class TestPrune:
         store.create_table(TableDef("t"))
         slot = store.insert_version("t", (1, 0), writers[0], 0)
         for n, xid in enumerate(writers[1:], start=1):
-            store.stamp_and_append("t", slot, store.chain("t", slot)[-1], (1, n), xid, 0)
+            store.stamp_and_append("t", slot, store.tables["t"][slot][-1], (1, n), xid, 0)
         return store, slot
 
     def test_keeps_from_the_newest_settled_version(self):
         store, slot = self.chain_of([1, 2, 3, 4])
         store.prune("t", slot, lambda xid: xid in (2, 3))
-        chain = store.chain("t", slot)
+        chain = store.tables["t"][slot]
         assert [v.xmin_local for v in chain] == [3, 4]
         assert chain[0].xmax_local == 4
 
     def test_nothing_settled_past_the_first_keeps_the_chain(self):
         store, slot = self.chain_of([1, 2, 3])
         store.prune("t", slot, lambda xid: xid == 1)
-        assert [v.xmin_local for v in store.chain("t", slot)] == [1, 2, 3]
+        assert [v.xmin_local for v in store.tables["t"][slot]] == [1, 2, 3]
 
 
 def scans_of_live_snapshots(cluster) -> dict:

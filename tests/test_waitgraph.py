@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -19,6 +20,23 @@ def edge(seg, waiter, holder, kind=EdgeKind.SOLID):
 
 def graph(*edges):
     return GlobalWaitForGraph(edges)
+
+
+def to_json(g) -> str:
+    """The graph file `GlobalWaitForGraph.from_json` reads, with its vertices."""
+    doc = {
+        "vertices": sorted(g.vertices),
+        "edges": [
+            {
+                "segment": e.segment,
+                "from": e.waiter,
+                "to": e.holder,
+                "kind": e.kind.value,
+            }
+            for e in g.edges()
+        ],
+    }
+    return json.dumps(doc, indent=2)
 
 
 class TestSnapshotLocal:
@@ -78,20 +96,20 @@ class TestFileFormat:
             edge(1, A, B, EdgeKind.DOTTED),
             edge(-1, D, C),
         )
-        text = g.to_json()
+        text = to_json(g)
         back = GlobalWaitForGraph.from_json(text)
         assert back.edges() == g.edges()
         assert back.vertices == g.vertices
 
     def test_json_shape(self):
-        import json
-
-        g = graph(edge(1, A, B, EdgeKind.DOTTED))
-        doc = json.loads(g.to_json())
-        assert doc["vertices"] == [A, B]
-        assert doc["edges"] == [
-            {"segment": 1, "from": A, "to": B, "kind": "dotted"}
+        doc = {
+            "vertices": [A, B],
+            "edges": [{"segment": 1, "from": A, "to": B, "kind": "dotted"}],
+        }
+        assert GlobalWaitForGraph.from_json(json.dumps(doc)).edges() == [
+            edge(1, A, B, EdgeKind.DOTTED)
         ]
+        assert json.loads(to_json(graph(edge(1, A, B, EdgeKind.DOTTED)))) == doc
 
     def test_vertices_cover_all_edges(self):
         g = graph(edge(0, A, B), edge(2, C, D))
@@ -111,7 +129,5 @@ class TestFileFormat:
         ],
     )
     def test_bad_edge_is_named(self, record, message):
-        import json
-
         with pytest.raises(ValueError, match=re.escape(message)):
             GlobalWaitForGraph.from_json(json.dumps({"edges": [record]}))
