@@ -100,14 +100,17 @@ def _insert(sid: str, table: str, rows: list[tuple[int, int]]) -> Step:
     return Step(0, sid, "insert", f"insert {table} values {values}", table=table, rows=rows)
 
 
-def update_only_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):
-    """Single-row updates to keys private to this client (no row conflicts)."""
+def update_only_client(
+    sid: str, idx: int, clients: int, rng: random.Random, keys: int, values=1000, cpu=None
+):
+    """Single-row updates to keys private to this client (no row conflicts),
+    each setting `c2` to a value below `values` and costing `cpu` ticks."""
     own = _where_c1([k for k in range(keys) if k % clients == idx] or [idx])
     begin, commit = _txn_ends(sid)
     while True:
         pred = rng.choice(own)
         yield begin
-        yield _update(sid, "accounts", pred, rng.randrange(1000))
+        yield _update(sid, "accounts", pred, rng.randrange(values), cpu)
         yield commit
 
 
@@ -153,13 +156,8 @@ def olap_client(sid: str, rng: random.Random, scan_cpu: int):
 
 
 def oltp_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):
-    own = _where_c1([k for k in range(keys) if k % clients == idx] or [idx])
-    begin, commit = _txn_ends(sid)
-    while True:
-        pred = rng.choice(own)
-        yield begin
-        yield _update(sid, "accounts", pred, rng.randrange(100), cpu=1)
-        yield commit
+    """`update_only_client`, with values below 100 and one tick of CPU each."""
+    return update_only_client(sid, idx, clients, rng, keys, values=100, cpu=1)
 
 
 def build(

@@ -11,14 +11,14 @@ order.  Each snapshot also carries the horizon it was taken under, as
 Greenplum's carries `xminAllDistributedSnapshots`: the smallest xmin of any
 live snapshot, below which every dxid has finished for every snapshot then or
 later.  Segments prune versions below it (`segment.Segment.update`) and keep
-a local-xid -> dxid mapping.  `truncate_mapping` can truncate that mapping up
-to the horizon, but no simulator run calls it, only tests do, so a segment's
-mapping grows with the run.  Tuple visibility combines the distributed
-snapshot with that mapping, falling back to local state for truncated
-entries.  Commit protocol choreography runs on the simulator's event loop;
-this module owns the state, the planning rule (read-only / one-phase /
-two-phase) and one descriptor per transaction, which holds the message and
-fsync accounting.
+a local-xid -> dxid mapping, which each segment truncates at the horizon
+whenever it hands out a local xid (`segment.Segment.local_xid`), as
+Greenplum's `DistributedLog_AdvanceOldestXmin` does.  Tuple visibility
+combines the distributed snapshot with that mapping, falling back to local
+state for truncated entries.  Commit protocol choreography runs on the
+simulator's event loop; this module owns the state, the planning rule
+(read-only / one-phase / two-phase) and one descriptor per transaction, which
+holds the message and fsync accounting.
 """
 
 from __future__ import annotations
@@ -152,18 +152,15 @@ class TransactionDescriptor:
 
 
 class XidMapping:
-    """Per-segment map from local xid to dxid, with truncation.
-
-    Truncated entries keep a tombstone so that lookups can tell "fall back to
-    local visibility" apart from "mapping was never recorded", which is an
-    integrity error.
-    """
+    """Per-segment map from local xid to dxid, truncated below one bound,
+    `oldest_xmin` (Greenplum's `oldestXmin`): local xids are handed out densely
+    and in order.  A lookup below it falls back to local visibility; an
+    unmapped local xid at or above it is an integrity error."""
 
     def __init__(self, segment: int):
         self.segment = segment
         self.entries: dict[int, int] = {}
-        self.truncated: set[int] = set()
-        self.horizon = 1  # oldest dxid any live snapshot may see as running
+        self.oldest_xmin = 0
 
     TRUNCATED = object()
 
@@ -174,20 +171,20 @@ class XidMapping:
         """Return the dxid, XidMapping.TRUNCATED, or raise IntegrityError."""
         if local_xid in self.entries:
             return self.entries[local_xid]
-        if local_xid in self.truncated:
+        if local_xid < self.oldest_xmin:
             return XidMapping.TRUNCATED
         raise IntegrityError(
             f"segment {self.segment}: local xid {local_xid} unmapped above horizon"
         )
 
-    def truncate(self, horizon: int) -> int:
-        """Drop entries whose dxid is below `horizon`; idempotent."""
-        for local_xid in sorted(self.entries):
-            if self.entries[local_xid] < horizon:
-                self.truncated.add(local_xid)
-                del self.entries[local_xid]
-        self.horizon = max(self.horizon, horizon)
-        return self.horizon
+    def truncate(self, horizon: int) -> None:
+        """Drop entries upward from `oldest_xmin` while their dxid is below
+        `horizon`: stop at the first at or above it, or at a missing one."""
+        entries, oldest = self.entries, self.oldest_xmin
+        while oldest in entries and entries[oldest] < horizon:
+            del entries[oldest]
+            oldest += 1
+        self.oldest_xmin = oldest
 
 
 class DistributedTxnManager:
@@ -259,9 +256,6 @@ class DistributedTxnManager:
         """Oldest dxid visible as running to any live snapshot: the smallest
         live xmin, or the next dxid if none is live."""
         return next(iter(self._live.values()), self.next_dxid)
-
-    def truncate_mapping(self, mapping: XidMapping) -> int:
-        return mapping.truncate(self.horizon())
 
 
 def expected_accounting(protocol: Protocol, k: int) -> tuple[Counter, Counter]:

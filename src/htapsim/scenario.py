@@ -93,6 +93,7 @@ _SQL_PATTERNS = {
 
 _COND = re.compile(r"^(c1|c2)\s*=\s*(-?\d+)$")
 _VALUES = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_VALUES_LIST = re.compile(rf"^{_VALUES.pattern}(?:\s*,\s*{_VALUES.pattern})*$")
 
 
 def parse_predicate(text: str | None, line: int = 0) -> Predicate:
@@ -103,7 +104,8 @@ def parse_predicate(text: str | None, line: int = 0) -> Predicate:
         m = _COND.match(part.strip())
         if not m:
             raise ScenarioError(f"line {line}: bad condition {part.strip()!r}")
-        eqs[m.group(1)] = int(m.group(2))
+        if eqs.setdefault(m.group(1), int(m.group(2))) != int(m.group(2)):
+            raise ScenarioError(f"line {line}: conflicting conditions on {m.group(1)}")
     return Predicate(eqs)
 
 
@@ -121,13 +123,15 @@ def parse_sql(sql: str, seq: int, session: str, line: int = 0) -> Step:
             rows = [(int(a), int(b)) for a, b in _VALUES.findall(m.group(2))]
             if not rows:
                 raise ScenarioError(f"line {line}: insert without value tuples")
+            if not _VALUES_LIST.match(m.group(2)):
+                raise ScenarioError(f"line {line}: bad insert values {m.group(2)!r}")
             step.rows = rows
         elif kind == "update":
             step.table = m.group(1)
-            if m.group(2) != "c2":
-                raise ScenarioError(
-                    f"line {line}: updating the distribution key is not supported"
-                )
+            if m.group(2) not in ("c1", "c2"):
+                raise ScenarioError(f"line {line}: unknown column {m.group(2)!r}")
+            if m.group(2) == "c1":
+                raise ScenarioError(f"line {line}: updating the distribution key is not supported")
             step.set_c2 = int(m.group(3))
             step.pred = parse_predicate(m.group(4), line)
         elif kind == "select":

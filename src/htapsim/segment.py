@@ -154,7 +154,8 @@ class Segment(Site):
         self.next_local_xid = 1
 
     def local_xid(self, txn: TransactionDescriptor) -> int:
-        """Assign a local xid (and the transaction self-lock) on first write."""
+        """Assign a local xid (and the transaction self-lock) on first write,
+        and truncate the mapping at the horizon of `txn`'s snapshot."""
         xids = txn.local_xids
         if xids and xids[self.id] is not None:
             return xids[self.id]
@@ -165,6 +166,7 @@ class Segment(Site):
         txn.local_xids = tuple(xids)
         self.states[local] = "in_progress"
         self.mapping.record(local, txn.dxid)
+        self.mapping.truncate(txn.snapshot.horizon)
         cl = self.cluster
         tag = LockTag(_TRANSACTION, self.id, local)
         self.locks.acquire(txn.dxid, tag, _EXCLUSIVE, cl.clock)

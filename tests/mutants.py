@@ -71,6 +71,26 @@ MUTANTS = [
         ("tests/test_store.py::test_pruning_at_the_horizon_keeps_every_live_snapshots_scans",),
     ),
     Mutant(
+        "truncate-at-the-horizon",
+        "src/htapsim/dtm.py",
+        (
+            (
+                "        while oldest in entries and entries[oldest] < horizon:\n",
+                "        while oldest in entries and entries[oldest] <= horizon:\n",
+            ),
+        ),
+        "a segment truncates the mapping of the writer at the horizon, which the"
+        " snapshot whose xmin it is sees as running, so its versions fall back"
+        " to local commit status",
+        (
+            "tests/test_dtm.py::TestTruncation"
+            "::test_truncation_stops_at_the_first_entry_at_or_above_the_horizon",
+            f"{ORACLE}::test_updates_stamp_the_newest_version_their_snapshot_sees",
+            "tests/test_store.py::test_pruning_at_the_horizon_keeps_every_live_snapshots_scans",
+            f"{COMMIT}::test_one_phase_commit_window_snapshot_sees_txn_in_progress",
+        ),
+    ),
+    Mutant(
         "settled-at-the-horizon",
         "src/htapsim/segment.py",
         (("entries.get(xid, -1) < horizon", "entries.get(xid, -1) <= horizon"),),
@@ -135,6 +155,14 @@ MUTANTS = [
             f"{COMMIT}::test_two_segment_write_counts",
             f"{COMMIT}::test_three_segment_write_counts",
         ),
+    ),
+    Mutant(
+        "begin-admitted-wrong-session",
+        "src/htapsim/commit.py",
+        (("cl._begin_admitted(waiter)", "cl._begin_admitted(session)"),),
+        "a finished transaction's admission slot begins a transaction for its"
+        " own session instead of the session queued for the slot",
+        ("tests/test_sim.py::TestResourceIntegration::test_admission_respects_concurrency_one",),
     ),
     Mutant(
         "reply-skips-commit-ok",

@@ -5,7 +5,8 @@ says.  Trace events are recorded as tuples and rendered when `Cluster.trace`
 is read, so a run read window by window must give the same text as a run
 read once at the end: an event argument that changed after it was recorded
 would render differently.  No module of `htapsim` may grow past the parser's
-token step, which every run pays for in memory at import.
+token step, which every run pays for in memory at import, and no segment's
+xid mapping may grow with run length.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from htapsim.sim import Cluster, SimConfig
 from retained_state import PACKAGE, parser_tokens
 
 PARSER_TOKEN_STEP = 8192  # CPython 3.11 doubles its token array at this count
+MAPPING_BOUND = 256  # xid mapping entries per segment: 8 per client at 32 clients
 
 CLIENTS = {
     "update-only": (lambda: update_only_client("c001", 1, 32, random.Random(5), 256), {}),
@@ -133,3 +135,16 @@ def test_every_module_stays_below_the_parser_token_step():
     tokens = {path.name: parser_tokens(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert "sim.py" in tokens
     assert {name: n for name, n in tokens.items() if n >= PARSER_TOKEN_STEP} == {}
+
+
+@pytest.mark.parametrize("workload", ["update-only", "tpcb-like"])
+def test_xid_mapping_stays_bounded(workload):
+    """A segment truncates its local-to-distributed xid mapping at the
+    snapshot horizon whenever it hands out a local xid, so the mapping holds
+    about the transactions in flight, not every one the run has begun."""
+    cluster = build(workload, 32, SimConfig(trace_enabled=False))
+    cluster.run(until_tick=2000)
+    handed_out = [seg.next_local_xid for seg in cluster.segments]
+    sizes = [len(seg.mapping.entries) for seg in cluster.segments]
+    assert min(handed_out) > 4 * MAPPING_BOUND, handed_out
+    assert max(sizes) <= MAPPING_BOUND, sizes

@@ -114,8 +114,10 @@ class TestVisible:
         assert not self.vis(version(xmin=3), snap, FakeTxn())
 
     def test_truncated_mapping_falls_back_to_local_state(self):
-        self.mapping.record(3, 2)
+        for local in range(4):  # densely from 0, as a segment hands them out
+            self.mapping.record(local, local)
         self.mapping.truncate(5)
+        assert self.mapping.lookup(3) is XidMapping.TRUNCATED
         self.local_commits.add(3)
         snap = DistributedSnapshot((7,), 9)
         assert self.vis(version(xmin=3), snap, FakeTxn())
@@ -202,47 +204,63 @@ class TestAccountingOracle:
 
 
 class TestTruncation:
+    """A segment records local xids densely from 0, and `truncate` drops the
+    prefix of them whose dxids are below the horizon."""
+
     def test_no_live_snapshots_truncates_everything(self):
         mgr = DistributedTxnManager()
         mapping = XidMapping(0)
+        mapping.record(0, 0)  # the bootstrap xid
         for i in range(1, 4):
             txn = mgr.begin(i)
             mapping.record(i, txn.dxid)
             mgr.mark_committed(txn.dxid)
-        horizon = mgr.truncate_mapping(mapping)
-        assert horizon == mgr.next_dxid
+        mapping.truncate(mgr.horizon())
+        assert mgr.horizon() == mgr.next_dxid
         assert mapping.entries == {}
+        assert mapping.oldest_xmin == 4
+        assert all(mapping.lookup(local) is XidMapping.TRUNCATED for local in range(4))
+        with pytest.raises(IntegrityError):
+            mapping.lookup(4)  # never handed out
 
-    def test_horizon_is_min_in_progress_of_live_snapshots(self):
+    def test_truncation_stops_at_the_first_entry_at_or_above_the_horizon(self):
         mgr = DistributedTxnManager()
         mapping = XidMapping(0)
-        early = [mgr.begin(i) for i in range(4)]  # dxids 1..4
-        for t in early:
-            mapping.record(t.dxid + 100, t.dxid)
-            mgr.mark_committed(t.dxid)
-        mgr.begin(4)  # dxid 5, stays live
-        middle = [mgr.begin(5 + i) for i in range(3)]  # dxids 6..8
-        for t in middle:
-            mapping.record(t.dxid + 100, t.dxid)
-            mgr.mark_committed(t.dxid)
-        last = mgr.begin(9)  # dxid 9, live; its snapshot saw {5, 9} running
-        assert last.snapshot.in_progress == (5, 9)
-        horizon = mgr.truncate_mapping(mapping)
-        assert horizon == 5
-        assert all(d >= 5 for d in mapping.entries.values())
-        assert mapping.lookup(101) is XidMapping.TRUNCATED
-        assert mapping.entries == {106: 6, 107: 7, 108: 8}
+        mapping.record(0, 0)
+        b = mgr.begin(0)  # dxid 1
+        a = mgr.begin(1)  # dxid 2
+        mapping.record(1, a.dxid)  # a writes here first
+        mapping.record(2, b.dxid)
+        mgr.mark_committed(b.dxid)
+        c = mgr.begin(2)  # dxid 3: saw a running
+        mgr.mark_committed(a.dxid)
+        assert c.snapshot.in_progress == (2, 3)
+        assert mgr.horizon() == 2
+        mapping.truncate(mgr.horizon())
+        # local xid 2's dxid 1 is below the horizon, but it comes after local
+        # xid 1, whose dxid is not
+        assert mapping.entries == {1: 2, 2: 1}
+        assert mapping.oldest_xmin == 1
+        assert mapping.lookup(0) is XidMapping.TRUNCATED
+        assert mapping.lookup(2) == 1
+        mgr.mark_committed(c.dxid)
+        mapping.truncate(mgr.horizon())
+        assert (mapping.entries, mapping.oldest_xmin) == ({}, 3)
 
     def test_truncation_is_idempotent(self):
         mgr = DistributedTxnManager()
         mapping = XidMapping(0)
+        mapping.record(0, 0)
         t = mgr.begin(0)
         mapping.record(1, t.dxid)
         mgr.mark_committed(t.dxid)
-        h1 = mgr.truncate_mapping(mapping)
-        entries = dict(mapping.entries)
-        h2 = mgr.truncate_mapping(mapping)
-        assert (h1, entries) == (h2, dict(mapping.entries))
+        live = mgr.begin(1)
+        mapping.record(2, live.dxid)
+        mapping.truncate(mgr.horizon())
+        state = (dict(mapping.entries), mapping.oldest_xmin)
+        assert state == ({2: 2}, 2)
+        mapping.truncate(mgr.horizon())
+        assert (dict(mapping.entries), mapping.oldest_xmin) == state
 
 
 @given(

@@ -49,6 +49,12 @@ class TestSqlGrammar:
         with pytest.raises(ScenarioError):
             parse_predicate("c3=1", 5)
 
+    def test_repeated_equal_condition_is_one_condition(self):
+        assert parse_sql("select t where c1=1 and c2=7 and c1=1", 1, "A").pred.eqs == {
+            "c1": 1,
+            "c2": 7,
+        }
+
 
 class TestCpuset:
     def test_range(self):
@@ -467,6 +473,71 @@ sessions:
     "list at the top level": ("- {name: t}\n", 1, "scenario must be a mapping"),
     "table without a name": ("\ntables: [{distributed_by: c1}]\n", 2, "table missing 'name'"),
     "session without an id": ("\nsessions: [{steps: []}]\n", 2, "session without id"),
+    "insert with a malformed later tuple": (
+        """
+tables:
+  - {name: t, rows: [[1, 10], [2, 20]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "insert t values (1,2), (3,4,5)"}
+""",
+        8,
+        "bad insert values '(1,2), (3,4,5)'",
+    ),
+    "insert with text after the tuples": (
+        """
+tables:
+  - {name: t, rows: [[1, 10], [2, 20]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "insert t values (1,2) (3,4)"}
+""",
+        8,
+        "bad insert values '(1,2) (3,4)'",
+    ),
+    "select with conflicting conditions": (
+        """
+tables:
+  - {name: t, rows: [[1, 10], [2, 20]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "select t where c1=1 and c1=2"}
+""",
+        8,
+        "conflicting conditions on c1",
+    ),
+    "update with conflicting conditions": (
+        """
+tables:
+  - {name: t, rows: [[1, 10], [2, 20]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "update t set c2=5 where c2=10 and c2=20"}
+""",
+        8,
+        "conflicting conditions on c2",
+    ),
+    "update of an unknown column": (
+        """
+tables:
+  - {name: t, rows: [[1, 10], [2, 20]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "update t set c3=1"}
+""",
+        8,
+        "unknown column 'c3'",
+    ),
 }
 
 
