@@ -58,13 +58,14 @@ def commit(cl: Cluster, session: Session):
     protocol = cl.dtm.plan_commit(txn, cl.config.force_2pc)
     txn.protocol = protocol
     touched = _touched_segments(cl, txn)
-    writers = [cl.segments[s] for s in txn.write_segments]
-    cl._log(("coord", COMMIT_START, session.sid, txn.dxid, protocol, txn.write_segments))
+    written = txn.write_segments
+    writers = [cl.segments[s] for s in written]
+    cl._log(("coord", COMMIT_START, session.sid, txn.dxid, protocol, written))
     if protocol is _TWO_PHASE:
         yield from _round(cl, session, writers, dtm_mod.MSG_PREPARE, _segment_prepare)
         _fsync(cl, cl.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
     for seg in touched:
-        if seg.id not in txn.write_segments:
+        if seg.id not in written:
             cl.send(COORD, seg.id, partial(_segment_end, cl, seg, txn, True))
     commit_at = partial(_segment_end, committed=True)
     yield from _round(cl, session, writers, dtm_mod.MSG_COMMIT, commit_at)

@@ -41,7 +41,7 @@ class TxnState(Enum):
 
 # Per-transaction paths read the states as module constants: reading a member
 # off its Enum class costs several times as much as reading a global.
-_ACTIVE, _COMMITTED, _ABORTED = TxnState.ACTIVE, TxnState.COMMITTED, TxnState.ABORTED
+_COMMITTED, _ABORTED = TxnState.COMMITTED, TxnState.ABORTED
 
 
 @dataclass(slots=True)
@@ -112,9 +112,10 @@ class TransactionDescriptor:
     latency, and the messages and fsyncs its rounds counted.
 
     Every transaction that finishes keeps its descriptor, so its fields are
-    the smallest forms that serve: `write_segments` is an ascending tuple,
-    and `local_xids` a tuple indexed by segment, with None where the
-    transaction has no local xid, empty until it has one.  Message types and
+    the smallest forms that serve: `local_xids` is a tuple indexed by
+    segment, with None where the transaction has no local xid, empty until
+    it has one; a segment hands one out at its first write there, so it is
+    also the record of the writers (`write_segments`).  Message types and
     fsync sites are distinct names, and `counts` is one int holding a 32-bit
     field per name, so that it is neither a container nor tracked by the
     cyclic GC.  `counted` reads one name, and `messages` and `fsyncs` are
@@ -127,14 +128,16 @@ class TransactionDescriptor:
     sid: str | None = None  # the session that runs it
     state: TxnState = TxnState.ACTIVE
     local_xids: tuple[int | None, ...] = ()
-    write_segments: tuple[int, ...] = ()
     command_id: int = 0  # bumped once per statement
     counts: int = 0  # see `_UNIT`
     protocol: Protocol | None = None
     latency_ticks: int = 0
 
-    def is_finished(self) -> bool:
-        return self.state is not _ACTIVE
+    @property
+    def write_segments(self) -> tuple[int, ...]:
+        """The segments that gave the transaction a local xid, ascending: as
+        in PostgreSQL's `RecordTransactionCommit`, no xid means no write."""
+        return tuple([s for s, local in enumerate(self.local_xids) if local is not None])
 
     def count(self, kind: str) -> None:
         self.counts += _UNIT[kind]
@@ -226,8 +229,8 @@ class DistributedTxnManager:
         return DistributedSnapshot(tuple(self._live), self.max_committed, self.horizon())
 
     def plan_commit(self, txn: TransactionDescriptor, force_2pc: bool = False) -> Protocol:
-        """Pick the commit protocol from the observed write-set."""
-        k = len(txn.write_segments)
+        """Pick the commit protocol from the number of `txn`'s writers."""
+        k = len(txn.local_xids) - txn.local_xids.count(None)
         if k == 0:
             return _READ_ONLY
         if k == 1 and not force_2pc:

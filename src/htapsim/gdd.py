@@ -162,21 +162,18 @@ def detect(g: GlobalWaitForGraph, live: Callable[[int], bool]) -> DetectionVerdi
 
 
 def break_deadlock(verdict: DetectionVerdict, cluster) -> list[int]:
-    """Abort the verdict's victims cluster-wide.
+    """Abort the verdict's victims cluster-wide, through `cluster`'s
+    abort_transaction(dxid, reason), and return their dxids.
 
-    `cluster` must expose txn_is_live(dxid) and abort_transaction(dxid, reason).
-    A victim that already finished is skipped (the next detector run will
-    re-evaluate the cycle).  Returns the dxids actually aborted.
+    Called in the event that ran `detect`, which found every residual
+    transaction live, so each victim still runs; `abort_transaction` itself
+    ignores a transaction that has ended.
     """
     if verdict.outcome is not Outcome.DEADLOCK:
         raise ValueError("break_deadlock requires a Deadlock verdict")
-    aborted = []
     for victim in verdict.victims:
-        if not cluster.txn_is_live(victim):
-            continue
         cluster.abort_transaction(victim, reason="deadlock_victim")
-        aborted.append(victim)
-    return aborted
+    return list(verdict.victims)
 
 
 def _weak_components(g: GlobalWaitForGraph) -> list[list[int]]:

@@ -109,17 +109,20 @@ def parse_predicate(text: str | None, line: int = 0) -> Predicate:
     return Predicate(eqs)
 
 
-def parse_sql(sql: str, seq: int, session: str, line: int = 0) -> Step:
+def parse_sql(sql: str, seq: int, session: str, line: int = 0, dist_keys=None) -> Step:
+    """Parse one statement.  `dist_keys` maps each known table to its
+    distribution key; without it any table is known and distributed by c1."""
     text = " ".join(sql.strip().split())
     for kind, pat in _SQL_PATTERNS.items():
         m = pat.match(text)
         if not m:
             continue
         step = Step(seq=seq, session=session, kind=kind, raw=text)
-        if kind == "lock":
+        if m.groups():  # lock, insert, update and select name a table first
             step.table = m.group(1)
-        elif kind == "insert":
-            step.table = m.group(1)
+            if dist_keys is not None and step.table not in dist_keys:
+                raise ScenarioError(f"line {line}: unknown table {step.table!r}")
+        if kind == "insert":
             rows = [(int(a), int(b)) for a, b in _VALUES.findall(m.group(2))]
             if not rows:
                 raise ScenarioError(f"line {line}: insert without value tuples")
@@ -127,15 +130,20 @@ def parse_sql(sql: str, seq: int, session: str, line: int = 0) -> Step:
                 raise ScenarioError(f"line {line}: bad insert values {m.group(2)!r}")
             step.rows = rows
         elif kind == "update":
-            step.table = m.group(1)
-            if m.group(2) not in ("c1", "c2"):
-                raise ScenarioError(f"line {line}: unknown column {m.group(2)!r}")
-            if m.group(2) == "c1":
-                raise ScenarioError(f"line {line}: updating the distribution key is not supported")
+            column = m.group(2)
+            if column not in ("c1", "c2"):
+                raise ScenarioError(f"line {line}: unknown column {column!r}")
+            key = "c1" if dist_keys is None else dist_keys[step.table]
+            if column == key:
+                raise ScenarioError(
+                    f"line {line}: updating the distribution key is not supported"
+                    f" ({step.table} is distributed by {key})"
+                )
+            if column == "c1":
+                raise ScenarioError(f"line {line}: only c2 can be set, not c1")
             step.set_c2 = int(m.group(3))
             step.pred = parse_predicate(m.group(4), line)
         elif kind == "select":
-            step.table = m.group(1)
             step.pred = parse_predicate(m.group(2), line)
         return step
     raise ScenarioError(f"line {line}: cannot parse statement {text!r}")
@@ -324,14 +332,7 @@ def parse_scenario(text: str) -> Scenario:
                     f"line {sline}: duplicate seq {seq} (first at line {seen_seq[seq]})"
                 )
             seen_seq[seq] = sline
-            step = parse_sql(str(step_rec["sql"]), seq, sid, sline)
-            if step.table is not None and step.table not in dist_keys:
-                raise ScenarioError(f"line {sline}: unknown table {step.table!r}")
-            if step.kind == "update" and dist_keys.get(step.table) == "c2":
-                raise ScenarioError(
-                    f"line {sline}: updating the distribution key is not supported"
-                    f" ({step.table} is distributed by c2)"
-                )
+            step = parse_sql(str(step_rec["sql"]), seq, sid, sline, dist_keys)
             if "mem" in step_rec:
                 step.mem = _non_negative(float, step_rec["mem"], "mem", sline)
             if "cpu" in step_rec:

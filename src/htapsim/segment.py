@@ -129,7 +129,7 @@ class Site:
             for values in rows:
                 self.store.insert_version(step.table, values, local, txn.command_id)
             cl._log((self.id, INSERT, txn.dxid, len(rows)))
-            cl._segment_part_done(self, stmt, len(rows), wrote=bool(rows))
+            cl._segment_part_done(self, stmt, len(rows))
         elif step.kind == "select":
             vis = self.visibility(txn.snapshot, txn)
             found = self.store.scan(cl.catalog[step.table], step.pred or Predicate(), vis)
@@ -155,7 +155,8 @@ class Segment(Site):
 
     def local_xid(self, txn: TransactionDescriptor) -> int:
         """Assign a local xid (and the transaction self-lock) on first write,
-        and truncate the mapping at the horizon of `txn`'s snapshot."""
+        and truncate the mapping at the horizon of `txn`'s snapshot.  Call it
+        only right before a write: it makes this segment one of `txn`'s writers."""
         xids = txn.local_xids
         if xids and xids[self.id] is not None:
             return xids[self.id]
@@ -260,4 +261,4 @@ class Segment(Site):
                     if stmt.dead:
                         return
                 # granted: the stamper has finished, so look at its outcome
-        cl._segment_part_done(self, stmt, stamped, wrote=stamped > 0)
+        cl._segment_part_done(self, stmt, stamped)

@@ -193,10 +193,9 @@ class Cluster:
 
         self.catalog: dict[str, TableDef] = {}
         self.sessions: dict[str, Session] = {}
-        # what the detector's verdicts leave behind: the victims' dxids, in
-        # the order it chose them, and the number of runs that found a deadlock
+        # the dxids of the detector's victims, in the order it chose them; a
+        # run that finds a deadlock chooses at least one
         self.victims: list[int] = []
-        self.deadlocks = 0
 
         # all four exist iff there are groups, and `add_session` accepts only a
         # group of these, so a session with a group may use each of them
@@ -399,7 +398,7 @@ class Cluster:
                 )
             self._do_begin(session)
             return
-        if session.txn is None or session.txn.is_finished():
+        if session.txn is None:
             raise RuntimeError(
                 f"session {session.sid}: statement {step.raw!r} outside a transaction"
             )
@@ -474,22 +473,17 @@ class Cluster:
 
     # ------------------------------------------------ segment-side replies
 
-    def _segment_part_done(self, seg: Segment, stmt, count, rows=None, wrote=False) -> None:
-        self.send(seg.id, COORD, partial(self._part_reply, stmt, seg.id, count, rows, wrote))
+    def _segment_part_done(self, seg: Segment, stmt, count, rows=None) -> None:
+        self.send(seg.id, COORD, partial(self._part_reply, stmt, count, rows))
 
     def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
         dxid = stmt.txn.dxid
         self._log((seg.id, STMT_CONFLICT, dxid, reason))
         self.send(seg.id, COORD, partial(self.abort_transaction, dxid, reason))
 
-    def _part_reply(self, stmt, seg, count, rows, wrote) -> None:
+    def _part_reply(self, stmt, count, rows) -> None:
         if stmt.dead:
             return
-        if wrote:
-            txn = stmt.txn
-            ws = txn.write_segments
-            if seg not in ws:
-                txn.write_segments = tuple(sorted((*ws, seg))) if ws else (seg,)
         if rows:
             stmt.rows.extend(rows)
         stmt.count += count
@@ -534,9 +528,6 @@ class Cluster:
         return False  # test hook, given a segment id: patched to inject prepare failures
 
     # ------------------------------------------------------ deadlock breaking
-
-    def txn_is_live(self, dxid: int) -> bool:
-        return self.dtm.is_live(dxid)
 
     def abort_transaction(self, dxid: int, reason: str = "deadlock_victim") -> None:
         txn = self.dtm.transactions.get(dxid)
@@ -601,14 +592,13 @@ class Cluster:
         return self._detect_on(self.collect_graph())
 
     def _detect_on(self, graph: GlobalWaitForGraph) -> DetectionVerdict:
-        verdict = detect(graph, self.txn_is_live)
+        verdict = detect(graph, self.dtm.is_live)
         for step in verdict.steps:
             self._log(("gdd", REDUCE, step))
         self._log(
             ("gdd", VERDICT, verdict.outcome, tuple(verdict.residual_edges), verdict.victims)
         )
         if verdict.outcome is Outcome.DEADLOCK:
-            self.deadlocks += 1
             self.victims += verdict.victims
             self._log(("gdd", VALIDATE))
             break_deadlock(verdict, self)
@@ -650,7 +640,7 @@ class Cluster:
         return "idle"
 
     def final_verdict(self) -> str:
-        return "deadlock" if self.deadlocks else "clean"
+        return "deadlock" if self.victims else "clean"
 
     def state_digest(self) -> str:
         """Canonical serialization of committed visible state, for dual-run diffs."""

@@ -36,21 +36,23 @@ class StoreError(Exception):
     pass
 
 
+COLUMNS = ("c1", "c2")  # every table's columns, in row order
+
+
 @dataclass(frozen=True)
 class TableDef:
     name: str
-    columns: tuple[str, str] = ("c1", "c2")
     dist_key: str = "c1"
 
     def __post_init__(self):
-        if self.dist_key not in self.columns:
+        if self.dist_key not in COLUMNS:
             raise StoreError(
                 f"distribution key {self.dist_key!r} is not a column of {self.name}"
             )
 
     def dist_value(self, values: tuple[int, int]) -> int:
         """The distribution-key value of a row, which decides its segment."""
-        return values[self.columns.index(self.dist_key)]
+        return values[COLUMNS.index(self.dist_key)]
 
 
 def route(key_value: int, n_segments: int) -> int:
@@ -79,9 +81,9 @@ class Predicate:
 
     eqs: dict[str, int] = field(default_factory=dict)
 
-    def matches(self, values: tuple[int, int], columns: tuple[str, str]) -> bool:
+    def matches(self, values: tuple[int, int]) -> bool:
         for col, want in self.eqs.items():
-            if values[columns.index(col)] != want:
+            if values[COLUMNS.index(col)] != want:
                 return False
         return True
 
@@ -146,7 +148,7 @@ class SegmentStore:
         table = table_def.name
         chains = self.tables.get(table, {})
         all_visible = self.all_visible.get(table, ())
-        c1 = pred.eqs.get(table_def.columns[0])
+        c1 = pred.eqs.get(COLUMNS[0])
         if c1 is None:
             slots = chains  # slots are inserted in order
         else:
@@ -157,9 +159,7 @@ class SegmentStore:
                 version = chains[slot][0]
             else:
                 version = self.visible_version(table, slot, is_visible)
-            if version is not None and (
-                not must_match or pred.matches(version.values, table_def.columns)
-            ):
+            if version is not None and (not must_match or pred.matches(version.values)):
                 out.append((slot, version))
         return out
 

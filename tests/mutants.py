@@ -194,6 +194,20 @@ MUTANTS = [
         ("tests/test_sim.py::TestAbortTransaction::test_stale_or_unknown_dxid_aborts_nothing",),
     ),
     Mutant(
+        "local-xid-before-the-first-write",
+        "src/htapsim/segment.py",
+        (
+            ("            tuple_held = False\n            local = self.local_xid(txn)\n",
+             "            tuple_held = False\n"),
+            ("        stamped = 0\n", "        stamped = 0\n        local = self.local_xid(txn)\n"),
+        ),
+        "an update's part takes a local xid before its scan finds a row, so a"
+        " segment where it stamps nothing counts as a writer; the random"
+        " oracle scenarios miss it, since their updates write on every"
+        " segment they reach",
+        (f"{COMMIT}::test_two_segment_write_counts",),
+    ),
+    Mutant(
         "cpu-ties-to-the-highest-name",
         "src/htapsim/resgroup.py",
         (

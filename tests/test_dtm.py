@@ -162,19 +162,19 @@ class TestCommitPlanning:
     def test_single_segment_write_is_one_phase(self):
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
-        txn.write_segments = (1,)
+        txn.local_xids = (None, 1, None)
         assert mgr.plan_commit(txn) is Protocol.ONE_PHASE
 
     def test_multi_segment_write_is_two_phase(self):
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
-        txn.write_segments = (0, 2)
+        txn.local_xids = (1, None, 1)
         assert mgr.plan_commit(txn) is Protocol.TWO_PHASE
 
     def test_force_2pc_downgrades_one_phase(self):
         mgr = DistributedTxnManager()
         txn = mgr.begin(0)
-        txn.write_segments = (1,)
+        txn.local_xids = (None, 1, None)
         assert mgr.plan_commit(txn, force_2pc=True) is Protocol.TWO_PHASE
         txn2 = mgr.begin(1)
         assert mgr.plan_commit(txn2, force_2pc=True) is Protocol.READ_ONLY
@@ -277,7 +277,7 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
 
     def unfinished():
         return frozenset(
-            d for d, t in mgr.transactions.items() if not t.is_finished()
+            d for d, t in mgr.transactions.items() if t.state is TxnState.ACTIVE
         )
 
     def committed():
@@ -303,7 +303,7 @@ def test_live_set_matches_recomputation_over_all_transactions(ops):
         assert [mgr.transactions[d].snapshot for d in mgr._live] == [
             t.snapshot
             for _, t in sorted(mgr.transactions.items())
-            if not t.is_finished()
+            if t.state is TxnState.ACTIVE
         ]
         for dxid in range(mgr.next_dxid + 1):
             assert mgr.is_live(dxid) == (dxid in unfinished())

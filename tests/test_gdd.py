@@ -184,34 +184,24 @@ class TestDetect:
 
 
 class FakeCluster:
-    def __init__(self, live):
-        self.live = dict(live)
+    def __init__(self):
         self.aborted = []
-
-    def txn_is_live(self, dxid):
-        return self.live.get(dxid, False)
 
     def abort_transaction(self, dxid, reason):
         self.aborted.append((dxid, reason))
-        self.live[dxid] = False
 
 
 class TestBreakDeadlock:
     def test_aborts_victims(self):
         verdict = detect(two_txn_cycle(), lambda d: True)
-        cluster = FakeCluster({A: True, B: True})
+        cluster = FakeCluster()
         aborted = break_deadlock(verdict, cluster)
         assert aborted == [B]
         assert cluster.aborted == [(B, "deadlock_victim")]
 
-    def test_finished_victim_is_noop(self):
-        verdict = detect(two_txn_cycle(), lambda d: True)
-        cluster = FakeCluster({A: True, B: False})
-        assert break_deadlock(verdict, cluster) == []
-
     def test_clean_verdict_rejected(self):
         verdict = detect(graph(), lambda d: True)
-        cluster = FakeCluster({})
+        cluster = FakeCluster()
         with pytest.raises(ValueError):
             break_deadlock(verdict, cluster)
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from htapsim.dtm import expected_accounting, visible
+from htapsim.dtm import TxnState, expected_accounting, visible
 from htapsim.gdd import GddConfig, Outcome, detect, reduce
 from htapsim.scenario import Scenario, SessionDef, Step, TableSpec, parse_sql
 from htapsim.sim import Cluster, SimConfig
@@ -130,7 +130,7 @@ def oracle_agreement_stats(n_scenarios=N_SCENARIOS, base_seed=1000, **mode):
         cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_enabled=False, **mode)
         stalled = bool(cluster.blocked_sessions())
         graph = cluster.collect_graph()
-        verdict = detect(graph, cluster.txn_is_live)
+        verdict = detect(graph, cluster.dtm.is_live)
         assert verdict.outcome in (Outcome.CLEAN, Outcome.DEADLOCK)
         if (verdict.outcome is Outcome.DEADLOCK) == stalled:
             agree += 1
@@ -173,8 +173,15 @@ def test_detector_agrees_with_stall_oracle_in_mode(mode):
 
 def check_atomicity(cluster, seed) -> int:
     """At fixpoint, each local xid of each transaction holds the dtm's
-    outcome in its segment's commit log, and each committed transaction has a
-    local xid on every segment it wrote.  Returns the local outcomes checked."""
+    outcome in its segment's commit log, and each committed transaction's
+    write segments are those that traced an insert or a stamp for it.
+    Returns the local outcomes checked."""
+    wrote: dict[int, set[int]] = {}  # dxid -> segments that traced a write
+    for line in cluster.trace:
+        _, site, kind, details = line.split("|", 3)
+        if kind in ("insert", "stamp"):
+            dxid = int(details.split()[0].removeprefix("dxid="))
+            wrote.setdefault(dxid, set()).add(int(site.removeprefix("seg")))
     checked = 0
     for txn in cluster.dtm.transactions.values():
         local_xids = {seg: lx for seg, lx in enumerate(txn.local_xids) if lx is not None}
@@ -183,8 +190,8 @@ def check_atomicity(cluster, seed) -> int:
             assert state == txn.state.value, (seed, txn.dxid, seg, state)
             checked += 1
         if cluster.dtm.is_committed(txn.dxid):
-            missing = set(txn.write_segments) - local_xids.keys()
-            assert not missing, (seed, txn.dxid, missing)
+            traced = tuple(sorted(wrote.get(txn.dxid, ())))
+            assert txn.write_segments == traced, (seed, txn.dxid, txn.write_segments, traced)
     return checked
 
 
@@ -208,7 +215,7 @@ def check_records(cluster) -> bool:
     one, and each live descriptor's `sid` names the session holding it.
     Returns False, so that `run(stop_when=check_records)` checks after every
     event and runs to fixpoint."""
-    live = {t.dxid: t for t in cluster.dtm.transactions.values() if not t.is_finished()}
+    live = {t.dxid: t for t in cluster.dtm.transactions.values() if t.state is TxnState.ACTIVE}
     open_txns = {}
     for sid, session in cluster.sessions.items():
         if session.txn is not None:
@@ -233,7 +240,7 @@ def check_parked(cluster) -> bool:
             txn = cluster.dtm.transactions[dxid]
             stmt = cluster.sessions[txn.sid].stmt
             where = (cluster.clock, site.id, dxid)
-            assert not txn.is_finished(), where
+            assert txn.state is TxnState.ACTIVE, where
             assert stmt is not None and stmt.txn is txn and not stmt.dead, where
             assert waiting[dxid] == 1, (where, waiting[dxid])
         for dxid in waiting:
@@ -377,7 +384,7 @@ def check_truncation_invariance(cluster):
     statement horizons the run truncates at, changes no live scan."""
     live = [
         t for t in cluster.dtm.transactions.values()
-        if not t.is_finished()
+        if t.state is TxnState.ACTIVE
     ]
     before = {t.dxid: scan_all_segments(cluster, t.snapshot) for t in live}
     for seg in cluster.segments:

@@ -538,6 +538,32 @@ sessions:
         8,
         "unknown column 'c3'",
     ),
+    "update of c1 where c2 is the distribution key": (
+        """
+tables:
+  - {name: t, distributed_by: c2, rows: [[1, 10]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "update t set c1=5"}
+""",
+        8,
+        "only c2 can be set",
+    ),
+    "update of c1 on an undeclared table": (
+        """
+tables:
+  - {name: t, rows: [[1, 10]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: "update u set c1=5"}
+""",
+        8,
+        "unknown table 'u'",
+    ),
 }
 
 

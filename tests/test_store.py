@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from htapsim.bench import build
+from htapsim.dtm import TxnState
 from htapsim.sim import SimConfig
 from htapsim.store import Predicate, SegmentStore, StoreError, TableDef, route
 
@@ -39,18 +40,17 @@ class TestTableDef:
 
     def test_default_two_int_columns(self):
         t = TableDef("t")
-        assert t.columns == ("c1", "c2")
         assert t.dist_key == "c1"
 
 
 class TestPredicate:
     def test_conjunction(self):
         p = Predicate({"c1": 3, "c2": 7})
-        assert p.matches((3, 7), ("c1", "c2"))
-        assert not p.matches((3, 8), ("c1", "c2"))
+        assert p.matches((3, 7))
+        assert not p.matches((3, 8))
 
     def test_empty_matches_all(self):
-        assert Predicate().matches((1, 2), ("c1", "c2"))
+        assert Predicate().matches((1, 2))
 
     def test_pinned_key(self):
         t = TableDef("t")
@@ -164,7 +164,7 @@ def brute_force_scan(store, table_def, pred, is_visible):
     chains = store.tables[table_def.name]
     for slot in sorted(chains):
         version = next((v for v in reversed(chains[slot]) if is_visible(v)), None)
-        if version is not None and pred.matches(version.values, table_def.columns):
+        if version is not None and pred.matches(version.values):
             out.append((slot, version))
     return out
 
@@ -303,7 +303,7 @@ def test_all_visible_scans_match_testing_every_version(loaded, ops):
         out = []
         for slot, chain in sorted(store.tables["t"].items()):
             seen = [v for v in chain if is_visible(v)]
-            if seen and pred.matches(seen[-1].values, t.columns):
+            if seen and pred.matches(seen[-1].values):
                 out.append((slot, seen[-1]))
         return out
 
@@ -350,7 +350,7 @@ class TestPrune:
 def scans_of_live_snapshots(cluster) -> dict:
     """Every table's rows, per segment, as each live transaction reads them,
     and as a fresh observer does."""
-    readers = [(t.snapshot, t) for t in cluster.dtm.transactions.values() if not t.is_finished()]
+    readers = [(t.snapshot, t) for t in cluster.dtm.transactions.values() if t.state is TxnState.ACTIVE]
     readers.append((cluster.dtm.current_snapshot(), None))
     return {
         (seg.id, name, txn.dxid if txn else None): seg.store.scan(
