@@ -16,7 +16,7 @@ from .dtm import (
     XidMapping,
     visible,
 )
-from .gdd import DetectionVerdict, GddConfig, Outcome, break_deadlock, detect, reduce
+from .gdd import DetectionVerdict, Outcome, break_deadlock, detect, reduce
 from .interconnect import JoinOutcome, run_join_scenario
 from .locks import AcquireResult, LockMode, LockTable, LockTag, TagKind, conflicts
 from .resgroup import (
@@ -32,6 +32,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     ScenarioResult,
+    build_cluster,
     load_scenario,
     parse_scenario,
     run_scenario,

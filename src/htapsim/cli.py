@@ -7,7 +7,7 @@ import sys
 from contextlib import ExitStack
 
 from .bench import WORKLOADS, bench
-from .gdd import GddConfig, Outcome, detect, find_cycle
+from .gdd import Outcome, detect, find_cycle
 from .interconnect import JoinOutcome, run_join_scenario
 from .scenario import ScenarioError, load_scenario, run_scenario
 from .sim import SimConfig
@@ -62,7 +62,7 @@ def _cmd_run(args) -> int:
     config = SimConfig(
         n_segments=args.segments,
         legacy_locking=args.legacy_locking,
-        gdd=GddConfig(period=args.gdd_period),
+        gdd_period=args.gdd_period,
     )
     with ExitStack() as stack:
         files = _open_outputs(stack, args.out, args.trace)
@@ -89,7 +89,7 @@ def _cmd_bench(args) -> int:
     config = SimConfig(
         n_segments=args.segments,
         legacy_locking=args.legacy_locking,
-        gdd=GddConfig(period=args.gdd_period),
+        gdd_period=args.gdd_period,
     )
     with ExitStack() as stack:
         files = _open_outputs(stack, args.out)

@@ -64,15 +64,6 @@ class DetectionVerdict:
         return self.residual.edges()
 
 
-@dataclass
-class GddConfig:
-    period: int = 100  # ticks between detector runs
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("detector period must be >= 1")
-
-
 def reduce(g: GlobalWaitForGraph) -> tuple[GlobalWaitForGraph, list[ReductionStep]]:
     """Run the two greedy rules to fixpoint; g itself is left as it is.
 

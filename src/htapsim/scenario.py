@@ -19,12 +19,14 @@ reason but its own `abort` step, its remaining steps are dropped up to the
 session's next `begin`, which strict order traces as `step_skipped`.  `detect`
 forces one detector run and belongs to no session's transaction; strict order
 runs it in its turn even inside a dropped remainder, eager order drops it.
-`run_scenario` runs a scenario on a fresh `sim.Cluster` to fixpoint and
-returns its `ScenarioResult`.
+`build_cluster` is the one place that turns a scenario into a `sim.Cluster`,
+through the cluster's public `create_table` and `add_session`;
+`run_scenario` runs that cluster to fixpoint and returns its `ScenarioResult`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 from dataclasses import dataclass, field
@@ -411,9 +413,25 @@ class ScenarioResult:
         return not problems, problems
 
 
-def run_scenario(scenario: Scenario, config: SimConfig | None = None) -> ScenarioResult:
+def build_cluster(scenario: Scenario, config: SimConfig | None = None) -> Cluster:
+    """A cluster for `scenario` under `config`: the scenario's resource
+    groups after the config's, its tables, then its sessions, each with its
+    own steps in `seq` order.  A group name in both sets is a `ConfigError`."""
     config = config or SimConfig()
-    cluster = Cluster(config, scenario)
+    groups = [*config.resource_groups, *scenario.groups]
+    cluster = Cluster(dataclasses.replace(config, resource_groups=groups))
+    for spec in scenario.tables:
+        cluster.create_table(spec.table, spec.rows)
+    own: dict[str, list[Step]] = {sdef.sid: [] for sdef in scenario.sessions}
+    for step in sorted(scenario.steps, key=lambda s: s.seq):
+        own[step.session].append(step)
+    for sdef in scenario.sessions:
+        cluster.add_session(sdef.sid, sdef.group, step_iter=iter(own[sdef.sid]))
+    return cluster
+
+
+def run_scenario(scenario: Scenario, config: SimConfig | None = None) -> ScenarioResult:
+    cluster = build_cluster(scenario, config)
     cluster.run()
     victims = []
     for dxid in cluster.victims:

@@ -4,8 +4,9 @@ One coordinator (site -1) plus N segments, a logical tick clock, and a single
 event loop that runs events in tick order and, within a tick, in the order
 they were scheduled.  Sessions execute scenario steps; statements dispatch
 per-segment work over simulated messages; blocking is explicit lock-table
-state with parked statement parts resumed on grant.  Identical (config,
-scenario) produces an identical trace.
+state with parked statement parts resumed on grant.  A `Cluster` is built
+from its `SimConfig` alone and filled through `create_table` and
+`add_session`; identical inputs produce an identical trace.
 
 The two roles of a transaction live in their own modules:
 - `segment.py`, the executor side (Greenplum's QE, query executor): each
@@ -18,7 +19,8 @@ The two roles of a transaction live in their own modules:
 This module keeps `Cluster`: the event loop, the session driver, the
 statement replies and the deadlock detector, which runs as a periodic
 background task (and synchronously for scripted `detect` steps).
-`scenario.run_scenario` runs a whole scenario on a cluster.
+`scenario.build_cluster` is the one place that builds a scenario's cluster,
+as `bench.build` is for a workload's.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from typing import TYPE_CHECKING
 from . import dtm as dtm_mod
 from .commit import abort, commit
 from .dtm import DistributedTxnManager, TransactionDescriptor, TxnState
-from .gdd import (
-    DetectionVerdict,
-    GddConfig,
-    Outcome,
-    break_deadlock,
-    detect,
-)
+from .gdd import DetectionVerdict, Outcome, break_deadlock, detect
 from .resgroup import (
     N_CORES,
     Admission,
@@ -71,7 +67,7 @@ from .trace import (
 from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_local
 
 if TYPE_CHECKING:
-    from .scenario import Scenario, Step
+    from .scenario import Step
 
 MESSAGE_DELAY = 1  # ticks per message on a link without its own delay
 GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide
@@ -88,8 +84,9 @@ class SimConfig:
     n_segments: int = 3
     seed: int = 0  # read by nothing: the simulator draws no random numbers
     link_delays: dict = field(default_factory=dict)  # (src, dst) -> ticks
-    gdd_enabled: bool = True
-    gdd: GddConfig = field(default_factory=GddConfig)
+    # ticks between the detector daemon's runs; None runs no daemon, and a
+    # scripted `detect` step still runs the detector
+    gdd_period: int | None = 100
     legacy_locking: bool = False
     force_2pc: bool = False
     # issue order: strict (False) issues the lowest `seq` of all sessions'
@@ -103,6 +100,15 @@ class SimConfig:
     # are kept in one flat log and only rendered to text when `Cluster.trace`
     # is read; with it off, `Cluster._log` discards them
     trace_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        if self.gdd_period is not None and self.gdd_period < 1:
+            raise ValueError(f"detector period must be >= 1, not {self.gdd_period}")
+        for link, delay in self.link_delays.items():
+            if delay < 0:
+                raise ValueError(f"link {link}: delay must be >= 0, not {delay}")
+        if self.collection_skew < 0:
+            raise ValueError(f"collection_skew must be >= 0, not {self.collection_skew}")
 
 
 class Session:
@@ -163,7 +169,7 @@ class Statement:
 class Cluster:
     """The simulated cluster plus its event loop."""
 
-    def __init__(self, config: SimConfig, scenario: Scenario | None = None):
+    def __init__(self, config: SimConfig):
         self.config = config
         self.clock = 0
         # the event queue: one FIFO bucket of events per tick, and a heap of
@@ -204,11 +210,8 @@ class Cluster:
         self.ledger: MemoryLedger | None = None
         self.cpu: CpuScheduler | None = None
         self._cpu_tick_scheduled = False
-        groups = list(config.resource_groups)
-        if scenario is not None:
-            groups = groups + list(scenario.groups)
-        if groups:
-            self.resources = ResourceGroups(groups, GLOBAL_MEMORY, N_CORES)
+        if config.resource_groups:
+            self.resources = ResourceGroups(config.resource_groups, GLOBAL_MEMORY, N_CORES)
             self.admission = AdmissionControl(self.resources)
             self.ledger = MemoryLedger(self.resources)
             self.cpu = CpuScheduler(self.resources)
@@ -223,19 +226,7 @@ class Cluster:
         self.committed_txns = 0
         self.aborted_txns = 0
 
-        if scenario is not None:
-            self._load_scenario(scenario)
-
     # ---------------------------------------------------------------- setup
-
-    def _load_scenario(self, scenario: Scenario) -> None:
-        for spec in scenario.tables:
-            self.create_table(spec.table, spec.rows)
-        own: dict[str, list[Step]] = {sdef.sid: [] for sdef in scenario.sessions}
-        for step in sorted(scenario.steps, key=lambda s: s.seq):
-            own[step.session].append(step)
-        for sdef in scenario.sessions:
-            self.add_session(sdef.sid, sdef.group, step_iter=iter(own[sdef.sid]))
 
     def create_table(self, table: TableDef, rows=()) -> None:
         self.catalog[table.name] = table
@@ -539,10 +530,10 @@ class Cluster:
     # ------------------------------------------------------------ gdd daemon
 
     def _ensure_gdd_scheduled(self) -> None:
-        if not self.config.gdd_enabled or self._gdd_scheduled:
+        if self.config.gdd_period is None or self._gdd_scheduled:
             return
         self._gdd_scheduled = True
-        self.schedule(self.config.gdd.period, self._gdd_run, background=True)
+        self.schedule(self.config.gdd_period, self._gdd_run, background=True)
 
     def _gdd_run(self) -> None:
         self._gdd_scheduled = False

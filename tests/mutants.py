@@ -231,6 +231,39 @@ MUTANTS = [
             "::test_same_residual_and_steps_in_default_order",
         ),
     ),
+    Mutant(
+        "build-drops-scenario-groups",
+        "src/htapsim/scenario.py",
+        (
+            (
+                "    groups = [*config.resource_groups, *scenario.groups]\n",
+                "    groups = list(config.resource_groups)\n",
+            ),
+        ),
+        "a scenario's cluster gets only the config's resource groups, so its"
+        " own sessions name groups the cluster does not have",
+        ("tests/test_sim.py::TestResourceIntegration::test_scenario_groups_follow_the_configs",),
+    ),
+    Mutant(
+        "daemon-armed-without-a-period",
+        "src/htapsim/sim.py",
+        (
+            (
+                "        if self.config.gdd_period is None or self._gdd_scheduled:\n",
+                "        if self._gdd_scheduled:\n",
+            ),
+            (
+                "self.schedule(self.config.gdd_period, ",
+                "self.schedule(self.config.gdd_period or 100, ",
+            ),
+        ),
+        "with no detector period a lock wait still arms the daemon, at the"
+        " default period, so a run meant to keep its deadlocks breaks them",
+        (
+            "tests/test_sim.py::TestSimConfig"
+            "::test_no_period_arms_no_daemon_and_a_detect_step_still_runs",
+        ),
+    ),
 ]
 
 

@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
-from htapsim import load_scenario, run_scenario  # noqa: E402
+from htapsim import build_cluster, load_scenario, run_scenario  # noqa: E402
 from htapsim.bench import WORKLOADS, bench, build  # noqa: E402
 from htapsim.sim import Cluster, SimConfig  # noqa: E402
 from test_pins import issue_order_runs  # noqa: E402
@@ -94,7 +94,7 @@ def main() -> int:
     for seed in ISSUE_ORDER_SEEDS:
         scenario, configs = issue_order_runs(seed)
         for digest, config in zip(orders.values(), configs):
-            cluster = Cluster(config, scenario)
+            cluster = build_cluster(scenario, config)
             cluster.run(until_tick=5000)
             digest.update("\n".join(cluster.trace).encode())
             for sid in sorted(cluster.sessions):

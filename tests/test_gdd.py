@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htapsim.gdd import (
-    GddConfig,
     Outcome,
     ReductionStep,
     break_deadlock,
@@ -204,12 +203,6 @@ class TestBreakDeadlock:
         cluster = FakeCluster()
         with pytest.raises(ValueError):
             break_deadlock(verdict, cluster)
-
-
-class TestConfig:
-    def test_period_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GddConfig(period=0)
 
 
 def test_find_cycle_walks_a_real_cycle():

@@ -14,9 +14,9 @@ from collections import Counter
 import pytest
 
 from htapsim.dtm import TxnState, expected_accounting, visible
-from htapsim.gdd import GddConfig, Outcome, detect, reduce
-from htapsim.scenario import Scenario, SessionDef, Step, TableSpec, parse_sql
-from htapsim.sim import Cluster, SimConfig
+from htapsim.gdd import Outcome, detect, reduce
+from htapsim.scenario import Scenario, SessionDef, Step, TableSpec, build_cluster, parse_sql
+from htapsim.sim import SimConfig
 from htapsim.store import Predicate, TableDef
 from test_gdd import reference_reduce
 from test_pins import issue_order_runs
@@ -92,17 +92,16 @@ ORACLE_MODES = {
 }
 
 
-def run_to_fixpoint(scenario, seed, gdd_enabled, stop_when=None, **mode):
+def run_to_fixpoint(scenario, seed, gdd_period, stop_when=None, **mode):
     rng = random.Random(seed * 7919 + 13)
     config = SimConfig(
         seed=seed,
         eager=True,
-        gdd_enabled=gdd_enabled,
-        gdd=GddConfig(period=17),
+        gdd_period=gdd_period,
         link_delays=random_delays(rng),
         **mode,
     )
-    cluster = Cluster(config, scenario)
+    cluster = build_cluster(scenario, config)
     cluster.run(stop_when=stop_when)
     check_registrations(cluster, seed)
     return cluster
@@ -127,7 +126,7 @@ def oracle_agreement_stats(n_scenarios=N_SCENARIOS, base_seed=1000, **mode):
     confluent = 0
     for i in range(n_scenarios):
         seed = base_seed + i
-        cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_enabled=False, **mode)
+        cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_period=None, **mode)
         stalled = bool(cluster.blocked_sessions())
         graph = cluster.collect_graph()
         verdict = detect(graph, cluster.dtm.is_live)
@@ -269,7 +268,7 @@ def liveness_stats(n_scenarios=150, base_seed=5000, **mode):
         seed = base_seed + i
         scenario = random_scenario(seed)
         cluster = run_to_fixpoint(
-            scenario, seed, gdd_enabled=True, stop_when=check_each_event, **mode
+            scenario, seed, gdd_period=17, stop_when=check_each_event, **mode
         )
         assert cluster.blocked_sessions() == [], f"seed {seed}"
         for sid in sorted(cluster.sessions):
@@ -305,7 +304,7 @@ def test_victims_commit_or_abort_exactly_once_per_cycle():
     seen_victims = 0
     for i in range(200):
         seed = 9000 + i
-        cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_enabled=True)
+        cluster = run_to_fixpoint(random_scenario(seed), seed, gdd_period=17)
         for dxid in cluster.victims:
             txn = cluster.dtm.transactions[dxid]
             assert txn.state.value == "aborted", (seed, dxid)
@@ -407,12 +406,11 @@ def history_stats(n_histories=N_HISTORIES, base_seed=20_000, **mode):
         config = SimConfig(
             seed=seed,
             eager=True,
-            gdd_enabled=True,
-            gdd=GddConfig(period=13),
+            gdd_period=13,
             link_delays=random_delays(rng),
             **mode,
         )
-        cluster = Cluster(config, scenario)
+        cluster = build_cluster(scenario, config)
         probe_at = rng.randrange(3, 12)
         cluster.run(stop_when=lambda cl: check_each_event(cl) or cl.clock >= probe_at)
         check_truncation_invariance(cluster)
@@ -522,7 +520,7 @@ def test_updates_stamp_the_newest_version_their_snapshot_sees():
     for seed in range(100):
         scenario, configs = issue_order_runs(seed)
         for config in configs:
-            cluster = Cluster(config, scenario)
+            cluster = build_cluster(scenario, config)
             checked = check_each_stamp(cluster)
             cluster.run(until_tick=5000)
             stamps += len(checked)

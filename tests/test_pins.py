@@ -18,9 +18,8 @@ import pytest
 
 from htapsim import load_scenario, run_scenario
 from htapsim.bench import bench
-from htapsim.gdd import GddConfig
-from htapsim.scenario import Scenario, SessionDef, TableSpec, parse_sql
-from htapsim.sim import Cluster, SimConfig
+from htapsim.scenario import Scenario, SessionDef, TableSpec, build_cluster, parse_sql
+from htapsim.sim import SimConfig
 from htapsim.store import TableDef
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -202,7 +201,7 @@ def issue_order_runs(seed: int) -> tuple[Scenario, list[SimConfig]]:
     delays = {(a, b): rng.randrange(1, 4) for a in sites for b in sites if a != b}
     period = rng.choice((5, 17))
     return scenario, [
-        SimConfig(eager=eager, link_delays=delays, gdd=GddConfig(period=period))
+        SimConfig(eager=eager, link_delays=delays, gdd_period=period)
         for eager in (False, True)
     ]
 
@@ -216,7 +215,7 @@ def test_issue_order_pinned_over_random_scenarios():
     for seed in range(500):
         scenario, configs = issue_order_runs(seed)
         for config in configs:
-            cluster = Cluster(config, scenario)
+            cluster = build_cluster(scenario, config)
             cluster.run(until_tick=5000)
             digest.update("\n".join(cluster.trace).encode())
             for sid in sorted(cluster.sessions):

@@ -20,14 +20,15 @@ from htapsim.dtm import (
     Protocol,
     expected_accounting,
 )
-from htapsim.gdd import GddConfig
 from htapsim.locks import TagKind
+from htapsim.resgroup import ConfigError, ResourceGroupConfig
 from htapsim.scenario import (
     Expectation,
     Scenario,
     ScenarioResult,
     SessionDef,
     TableSpec,
+    build_cluster,
     parse_scenario,
     parse_sql,
     run_scenario,
@@ -83,11 +84,11 @@ class TestPaperScenarios:
         seed = 1005
         config = SimConfig(
             eager=True,
-            gdd=GddConfig(period=17),
+            gdd_period=17,
             collection_skew=7,
             link_delays=random_delays(random.Random(seed * 7919 + 13)),
         )
-        cluster = Cluster(config, random_scenario(seed))
+        cluster = build_cluster(random_scenario(seed), config)
         cluster.run()
         assert cluster.blocked_sessions() == []
         assert cluster.final_verdict() == "deadlock"
@@ -154,6 +155,41 @@ class TestPaperScenarios:
         result = run_text("")
         assert result.outcomes == {}
         assert result.verdict == "clean"
+
+
+class TestSimConfig:
+    def test_no_period_arms_no_daemon_and_a_detect_step_still_runs(self):
+        """With `gdd_period=None` a lock wait schedules no detector run: the
+        two-transaction deadlock without its `detect` step stays stalled and
+        no detector run is traced.  The scripted `detect` step still runs the
+        detector, once, and breaks the deadlock."""
+        scenario, result = run_file("deadlock_two_txn.yaml", gdd_period=None)
+        ok, problems = result.expectations_met(scenario.expect)
+        assert ok, problems
+        assert sum("|gdd|verdict|" in l for l in result.trace) == 1
+
+        scenario.steps = [s for s in scenario.steps if s.kind != "detect"]
+        cluster = build_cluster(scenario, SimConfig(gdd_period=None))
+        cluster.run()
+        assert any("|lock_wait|" in l for l in cluster.trace)
+        assert cluster.blocked_sessions() == ["A", "B"]
+        assert not any("|gdd|" in l for l in cluster.trace)
+        assert not cluster._ticks  # nothing left to run, the daemon included
+
+    def test_period_must_be_positive(self):
+        assert SimConfig(gdd_period=1).gdd_period == 1
+        with pytest.raises(ValueError, match="detector period must be >= 1, not 0"):
+            SimConfig(gdd_period=0)
+
+    def test_negative_link_delay_rejected(self):
+        assert SimConfig(link_delays={(0, -1): 0}).link_delays == {(0, -1): 0}
+        with pytest.raises(ValueError, match=r"link \(0, -1\): delay must be >= 0, not -1"):
+            SimConfig(link_delays={(-1, 0): 1, (0, -1): -1})
+
+    def test_negative_collection_skew_rejected(self):
+        assert SimConfig(collection_skew=0).collection_skew == 0
+        with pytest.raises(ValueError, match="collection_skew must be >= 0, not -1"):
+            SimConfig(collection_skew=-1)
 
 
 class TestStatementSemantics:
@@ -296,8 +332,7 @@ sessions:
         grant comes by a wake and, when T2 looks again, the stamper T1 has
         already ended.  T2 stamps the row and gives the tuple lock back, as
         `heap_update` releases `have_tuple_lock`."""
-        cluster = Cluster(
-            SimConfig(),
+        cluster = build_cluster(
             parse_scenario(
                 """
 tables:
@@ -383,7 +418,7 @@ sessions:
 
 def run_cluster(text, **cfg):
     scenario = parse_scenario(text)
-    cluster = Cluster(SimConfig(**cfg), scenario)
+    cluster = build_cluster(scenario, SimConfig(**cfg))
     cluster.run()
     return cluster
 
@@ -467,7 +502,7 @@ sessions:
         assert sum(acc.fsyncs.values()) == 0
 
     def test_duplicate_commit_reply_is_idempotent(self):
-        cluster = Cluster(SimConfig(), parse_scenario(INSERT_ONE_SEGMENT))
+        cluster = build_cluster(parse_scenario(INSERT_ONE_SEGMENT))
         session = cluster.sessions["A"]
         cluster.run(stop_when=lambda c: session.end is not None)
         commit_end = session.end
@@ -486,7 +521,7 @@ sessions:
     @pytest.mark.parametrize("veto", [0, 1, 2])
     def test_prepare_failure_aborts_everywhere(self, veto):
         scenario = parse_scenario(WRITE_THREE_SEGMENTS)
-        cluster = Cluster(SimConfig(), scenario)
+        cluster = build_cluster(scenario)
         cluster._prepare_veto = lambda seg, txn: seg == veto
         cluster.run()
         assert cluster.sessions["A"].outcomes == ["aborted:prepare_failed"]
@@ -507,7 +542,7 @@ sessions:
 
     def test_one_phase_commit_window_snapshot_sees_txn_in_progress(self):
         scenario = parse_scenario(INSERT_ONE_SEGMENT)
-        cluster = Cluster(SimConfig(), scenario)
+        cluster = build_cluster(scenario)
         seg = 1  # key 1 routes to segment 1
 
         def segment_committed(cl):
@@ -597,8 +632,7 @@ class TestAbortTransaction:
         names A, which is now inside dxid 2.  Aborting dxid 1, as a verdict
         taken before that commit would, must leave dxid 2 alone, and so must
         aborting a dxid that was never handed out."""
-        cluster = Cluster(
-            SimConfig(),
+        cluster = build_cluster(
             parse_scenario(
                 """
 tables:
@@ -723,6 +757,28 @@ sessions:
         assert result.outcomes == {"A": "committed", "B": "committed"}
         assert any("admission_queue|session=B" in l for l in result.trace)
 
+    def test_scenario_groups_follow_the_configs(self):
+        """`build_cluster` keeps the config's groups and adds the scenario's
+        after them, leaving the config as it was; a group that both name is a
+        `ConfigError` when the cluster is built."""
+        scenario = parse_scenario(self.GROUPED)
+        big = ResourceGroupConfig("big", 2, 20, cpu_rate_limit=30)
+        config = SimConfig(resource_groups=[big])
+        cluster = build_cluster(scenario, config)
+        assert cluster.config.resource_groups == [big, *scenario.groups]
+        assert list(cluster.resources.configs) == ["big", "little"]
+        assert config.resource_groups == [big]
+        cluster.add_session("C", "big")
+        cluster.run()
+        assert {sid: cluster.session_outcome(sid) for sid in "ABC"} == {
+            "A": "committed",
+            "B": "committed",
+            "C": "idle",
+        }
+        clash = SimConfig(resource_groups=[ResourceGroupConfig("little", 1, 10, cpu_rate_limit=10)])
+        with pytest.raises(ConfigError, match="duplicate group name 'little'"):
+            build_cluster(scenario, clash)
+
     def test_memory_cancellation_aborts_the_query(self):
         result = run_text(
             """
@@ -789,9 +845,9 @@ sessions:
         """The first burst's statement is aborted while its gang still runs;
         those workers finishing must not complete the next statement's gang."""
         scenario = parse_scenario(self.TWO_BURSTS)
-        plain = Cluster(SimConfig(eager=True), scenario)
+        plain = build_cluster(scenario, SimConfig(eager=True))
         plain.run()
-        cluster = Cluster(SimConfig(eager=True), parse_scenario(self.TWO_BURSTS))
+        cluster = build_cluster(parse_scenario(self.TWO_BURSTS), SimConfig(eager=True))
         cluster.run(until_tick=2)
         cluster.abort_transaction(cluster.sessions["A"].txn.dxid)
         cluster.run()
