@@ -70,9 +70,11 @@ def percentile(values: list, q: float) -> float:
     return float(ordered[idx])
 
 
-def _txn_ends(sid: str) -> tuple[Step, Step]:
-    """A client's `begin` and `commit` steps, shared by all its transactions."""
-    return Step(0, sid, "begin", "begin"), Step(0, sid, "commit", "commit")
+# every client's transactions share these; the simulator never changes a step.
+# A step names no session, so the clients below leave their first parameter,
+# `sid`, unread (as `olap_client` does `rng`); callers pass it positionally.
+BEGIN = Step(0, "begin", "begin")
+COMMIT = Step(0, "commit", "commit")
 
 
 def _where_c1(keys: list[int]) -> list[Predicate]:
@@ -81,11 +83,10 @@ def _where_c1(keys: list[int]) -> list[Predicate]:
     return [Predicate({"c1": key}) for key in keys]
 
 
-def _update(sid: str, table: str, pred: Predicate, c2: int, cpu: int | None = None) -> Step:
+def _update(table: str, pred: Predicate, c2: int, cpu: int | None = None) -> Step:
     """An update of the row whose `c1` `pred` fixes."""
     return Step(
         0,
-        sid,
         "update",
         f"update {table} set c2={c2} where c1={pred.eqs['c1']}",
         table=table,
@@ -95,9 +96,9 @@ def _update(sid: str, table: str, pred: Predicate, c2: int, cpu: int | None = No
     )
 
 
-def _insert(sid: str, table: str, rows: list[tuple[int, int]]) -> Step:
+def _insert(table: str, rows: list[tuple[int, int]]) -> Step:
     values = ",".join(f"({a},{b})" for a, b in rows)
-    return Step(0, sid, "insert", f"insert {table} values {values}", table=table, rows=rows)
+    return Step(0, "insert", f"insert {table} values {values}", table=table, rows=rows)
 
 
 def update_only_client(
@@ -106,23 +107,21 @@ def update_only_client(
     """Single-row updates to keys private to this client (no row conflicts),
     each setting `c2` to a value below `values` and costing `cpu` ticks."""
     own = _where_c1([k for k in range(keys) if k % clients == idx] or [idx])
-    begin, commit = _txn_ends(sid)
     while True:
         pred = rng.choice(own)
-        yield begin
-        yield _update(sid, "accounts", pred, rng.randrange(values), cpu)
-        yield commit
+        yield BEGIN
+        yield _update("accounts", pred, rng.randrange(values), cpu)
+        yield COMMIT
 
 
 def insert_only_client(sid: str, idx: int, rng: random.Random, n_segments: int):
     """Per-transaction inserts that all route to one segment (1PC candidates)."""
-    begin, commit = _txn_ends(sid)
     n = 0
     while True:
         key = idx * n_segments + (n % n_segments)  # constant within the txn
-        yield begin
-        yield _insert(sid, "history", [(key, n + j) for j in range(3)])
-        yield commit
+        yield BEGIN
+        yield _insert("history", [(key, n + j) for j in range(3)])
+        yield COMMIT
         n += 1
 
 
@@ -131,28 +130,24 @@ def tpcb_like_client(sid: str, idx: int, clients: int, rng: random.Random, scale
     The client's teller and branch are fixed; its accounts are drawn from the
     whole table, so each account update builds its own predicate."""
     accounts, tellers, branches = scale
-    begin, commit = _txn_ends(sid)
     teller, branch = _where_c1([idx % tellers, idx % branches])
     while True:
         a = rng.randrange(accounts)
         delta = rng.randrange(100)
-        yield begin
-        yield _update(sid, "accounts", Predicate({"c1": a}), delta)
-        yield _update(sid, "tellers", teller, delta)
-        yield _update(sid, "branches", branch, delta)
-        yield _insert(sid, "history", [(a, delta)])
-        yield commit
+        yield BEGIN
+        yield _update("accounts", Predicate({"c1": a}), delta)
+        yield _update("tellers", teller, delta)
+        yield _update("branches", branch, delta)
+        yield _insert("history", [(a, delta)])
+        yield COMMIT
 
 
 def olap_client(sid: str, rng: random.Random, scan_cpu: int):
-    begin, commit = _txn_ends(sid)
-    scan = Step(
-        0, sid, "select", "select bigtable", table="bigtable", pred=Predicate(), cpu=scan_cpu
-    )
+    scan = Step(0, "select", "select bigtable", table="bigtable", pred=Predicate(), cpu=scan_cpu)
     while True:
-        yield begin
+        yield BEGIN
         yield scan
-        yield commit
+        yield COMMIT
 
 
 def oltp_client(sid: str, idx: int, clients: int, rng: random.Random, keys: int):

@@ -8,11 +8,12 @@ YAML documents with a micro-grammar for the statements:
     select <table> [where <conjunction>]
 
 where a conjunction is column equalities joined by `and` (columns c1/c2 only).
-Every step carries a sequence number, unique in the file, and stays with its
-session; a session's steps run in `seq` order.  The simulator has two issue
-orders.  Strict order (the default) issues the lowest `seq` among all the
-sessions' next steps and waits while that step's session is busy; a step that
-blocks counts as issued, so other sessions' later steps may go.  Eager order
+Every step carries a sequence number, unique in the file, and belongs to the
+session that lists it; each `SessionDef` keeps its steps in `seq` order, the
+order its session runs them in.  The simulator has two issue orders.  Strict
+order (the default) issues the lowest `seq` among all the sessions' next steps
+and waits while that step's session is busy; a step that blocks counts as
+issued, so other sessions' later steps may go.  Eager order
 (`SimConfig.eager`) issues each session's next step as soon as that session is
 free.  One abort-skip rule holds in both: once a transaction aborts for any
 reason but its own `abort` step, its remaining steps are dropped up to the
@@ -43,7 +44,6 @@ class ScenarioError(Exception):
 @dataclass(slots=True)
 class Step:
     seq: int
-    session: str
     kind: str
     raw: str
     table: str | None = None
@@ -62,8 +62,12 @@ class TableSpec:
 
 @dataclass
 class SessionDef:
+    """A session and the steps it runs, kept in `seq` order: `parse_scenario`
+    sorts them, and a scenario built in code must list them so."""
+
     sid: str
     group: str | None = None
+    steps: list[Step] = field(default_factory=list)
 
 
 @dataclass
@@ -78,7 +82,6 @@ class Scenario:
     tables: list[TableSpec] = field(default_factory=list)
     groups: list[ResourceGroupConfig] = field(default_factory=list)
     sessions: list[SessionDef] = field(default_factory=list)
-    steps: list[Step] = field(default_factory=list)
     expect: Expectation | None = None
 
 
@@ -111,7 +114,7 @@ def parse_predicate(text: str | None, line: int = 0) -> Predicate:
     return Predicate(eqs)
 
 
-def parse_sql(sql: str, seq: int, session: str, line: int = 0, dist_keys=None) -> Step:
+def parse_sql(sql: str, seq: int, line: int = 0, dist_keys=None) -> Step:
     """Parse one statement.  `dist_keys` maps each known table to its
     distribution key; without it any table is known and distributed by c1."""
     text = " ".join(sql.strip().split())
@@ -119,7 +122,7 @@ def parse_sql(sql: str, seq: int, session: str, line: int = 0, dist_keys=None) -
         m = pat.match(text)
         if not m:
             continue
-        step = Step(seq=seq, session=session, kind=kind, raw=text)
+        step = Step(seq=seq, kind=kind, raw=text)
         if m.groups():  # lock, insert, update and select name a table first
             step.table = m.group(1)
             if dist_keys is not None and step.table not in dist_keys:
@@ -322,7 +325,8 @@ def parse_scenario(text: str) -> Scenario:
         group = rec.get("group")
         if group is not None and group not in group_names:
             raise ScenarioError(f"line {line}: unknown resource group {group!r}")
-        scenario.sessions.append(SessionDef(sid, group))
+        sdef = SessionDef(sid, group)
+        scenario.sessions.append(sdef)
         for step_rec in _records(rec.get("steps"), "steps", line):
             sline = _line(step_rec)
             _check_keys(step_rec, {"seq", "sql", "mem", "cpu"}, "step key")
@@ -334,12 +338,13 @@ def parse_scenario(text: str) -> Scenario:
                     f"line {sline}: duplicate seq {seq} (first at line {seen_seq[seq]})"
                 )
             seen_seq[seq] = sline
-            step = parse_sql(str(step_rec["sql"]), seq, sid, sline, dist_keys)
+            step = parse_sql(str(step_rec["sql"]), seq, sline, dist_keys)
             if "mem" in step_rec:
                 step.mem = _non_negative(float, step_rec["mem"], "mem", sline)
             if "cpu" in step_rec:
                 step.cpu = _non_negative(int, step_rec["cpu"], "cpu", sline)
-            scenario.steps.append(step)
+            sdef.steps.append(step)
+        sdef.steps.sort(key=lambda s: s.seq)
 
     if "expect" in doc and doc["expect"]:
         rec = doc["expect"]
@@ -362,23 +367,23 @@ def parse_scenario(text: str) -> Scenario:
                 f"line {_line(rec)}: verdict must be clean or deadlock"
             )
 
-    scenario.steps.sort(key=lambda s: s.seq)
-    in_txn: set[str] = set()  # sessions whose last begin is not yet closed
-    for step in scenario.steps:
-        if step.kind == "begin":
-            if step.session in in_txn:
+    for sdef in scenario.sessions:
+        in_txn = False  # the session's last begin is not yet closed
+        for step in sdef.steps:
+            if step.kind == "begin":
+                if in_txn:
+                    raise ScenarioError(
+                        f"line {seen_seq[step.seq]}: begin inside an open transaction"
+                        f" of session {sdef.sid} (seq {step.seq})"
+                    )
+                in_txn = True
+            elif step.kind != "detect" and not in_txn:
                 raise ScenarioError(
-                    f"line {seen_seq[step.seq]}: begin inside an open transaction"
-                    f" of session {step.session} (seq {step.seq})"
+                    f"line {seen_seq[step.seq]}: {step.raw!r} outside a transaction"
+                    f" of session {sdef.sid} (seq {step.seq})"
                 )
-            in_txn.add(step.session)
-        elif step.kind != "detect" and step.session not in in_txn:
-            raise ScenarioError(
-                f"line {seen_seq[step.seq]}: {step.raw!r} outside a transaction"
-                f" of session {step.session} (seq {step.seq})"
-            )
-        elif step.kind in ("commit", "abort"):
-            in_txn.discard(step.session)
+            elif step.kind in ("commit", "abort"):
+                in_txn = False
     return scenario
 
 
@@ -416,17 +421,14 @@ class ScenarioResult:
 def build_cluster(scenario: Scenario, config: SimConfig | None = None) -> Cluster:
     """A cluster for `scenario` under `config`: the scenario's resource
     groups after the config's, its tables, then its sessions, each with its
-    own steps in `seq` order.  A group name in both sets is a `ConfigError`."""
+    own steps.  A group name in both sets is a `ConfigError`."""
     config = config or SimConfig()
     groups = [*config.resource_groups, *scenario.groups]
     cluster = Cluster(dataclasses.replace(config, resource_groups=groups))
     for spec in scenario.tables:
         cluster.create_table(spec.table, spec.rows)
-    own: dict[str, list[Step]] = {sdef.sid: [] for sdef in scenario.sessions}
-    for step in sorted(scenario.steps, key=lambda s: s.seq):
-        own[step.session].append(step)
     for sdef in scenario.sessions:
-        cluster.add_session(sdef.sid, sdef.group, step_iter=iter(own[sdef.sid]))
+        cluster.add_session(sdef.sid, sdef.group, step_iter=iter(sdef.steps))
     return cluster
 
 

@@ -102,6 +102,8 @@ class SimConfig:
     trace_enabled: bool = True
 
     def __post_init__(self) -> None:
+        if self.n_segments < 1:
+            raise ValueError(f"n_segments must be >= 1, not {self.n_segments}")
         if self.gdd_period is not None and self.gdd_period < 1:
             raise ValueError(f"detector period must be >= 1, not {self.gdd_period}")
         for link, delay in self.link_delays.items():
@@ -229,6 +231,8 @@ class Cluster:
     # ---------------------------------------------------------------- setup
 
     def create_table(self, table: TableDef, rows=()) -> None:
+        if table.name in self.catalog:
+            raise ValueError(f"duplicate table {table.name!r}")
         self.catalog[table.name] = table
         for seg in self.segments:
             seg.store.create_table(table)
@@ -237,6 +241,8 @@ class Cluster:
             seg.store.insert_frozen(table.name, tuple(values), BOOTSTRAP_LOCAL_XID)
 
     def add_session(self, sid: str, group: str | None = None, step_iter=None) -> Session:
+        if sid in self.sessions:
+            raise ValueError(f"duplicate session id {sid!r}")
         if group is not None and (self.resources is None or group not in self.resources):
             raise ValueError(f"session {sid}: unknown resource group {group!r}")
         session = Session(sid, group, step_iter=step_iter)
@@ -262,8 +268,14 @@ class Cluster:
 
     def schedule(self, delay: int, fn, background: bool = False) -> None:
         """Run `fn` `delay` (>= 0) ticks from now, after every event already
-        scheduled for that tick.  The loop stops at fixpoint only once no
-        foreground event is pending; background events never hold it open."""
+        scheduled for that tick.
+
+        A background event (the detector daemon, a staggered collection, a
+        CPU tick) does not count in `_fg_pending`, so the loop goes on issuing
+        steps while one is queued.  It still runs: `run` reaches fixpoint
+        only once no event of either kind is queued, and moves the clock to
+        each.  That is why `_reschedule_after` and `_cpu_tick` stop re-arming
+        once they can do nothing more."""
         tick = self.clock + delay
         bucket = self._buckets.get(tick)
         if bucket is None:

@@ -40,7 +40,7 @@ def cluster_with_session(rows) -> Cluster:
 
 
 def steps(*texts):
-    return [parse_sql(text, 0, SID) for text in texts]
+    return [parse_sql(text, 0) for text in texts]
 
 
 def run_steps(cluster: Cluster, todo) -> None:

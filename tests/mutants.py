@@ -264,6 +264,14 @@ MUTANTS = [
             "::test_no_period_arms_no_daemon_and_a_detect_step_still_runs",
         ),
     ),
+    Mutant(
+        "session-steps-in-file-order",
+        "src/htapsim/scenario.py",
+        (("        sdef.steps.sort(key=lambda s: s.seq)\n", ""),),
+        "a session keeps its steps in the order its file lists them, so a"
+        " session that lists a step before a lower `seq` runs them out of order",
+        ("tests/test_sim.py::test_a_sessions_steps_run_in_seq_order_not_file_order",),
+    ),
 ]
 
 

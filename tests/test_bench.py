@@ -54,7 +54,7 @@ def test_typed_steps_equal_their_parsed_text(name):
     steps = list(itertools.islice(make(), 300))
     assert {s.kind for s in steps} >= {"begin", "commit"}
     for step in steps:
-        want = parse_sql(step.raw, 0, step.session)
+        want = parse_sql(step.raw, 0)
         want = dataclasses.replace(want, cpu=cpu_by_kind.get(want.kind))
         assert step == want
 

@@ -11,7 +11,9 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from htapsim.scenario import parse_sql
 from htapsim.sim import Cluster, SimConfig
+from htapsim.store import TableDef
 
 
 class ReferenceLoop:
@@ -108,3 +110,22 @@ def test_an_event_that_raises_leaves_the_loop_usable(delay):
     cluster.run()
     assert ran == [delay]
     assert cluster._fg_pending == 0 and not cluster._ticks and not cluster._buckets
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_a_background_event_runs_but_holds_no_step_back(background):
+    """A queued foreground event keeps the loop from issuing steps until it
+    has run; a background event does not.  Either kind still runs, and moves
+    the clock to its tick."""
+    cluster = Cluster(SimConfig())
+    cluster.create_table(TableDef("t"), [(1, 0)])
+    steps = [parse_sql(sql, seq) for seq, sql in enumerate(["begin", "select t", "commit"], 1)]
+    session = cluster.add_session("A", step_iter=iter(steps))
+    seen = []
+    cluster.schedule(
+        50, lambda: seen.append((cluster.clock, list(session.outcomes))), background=background
+    )
+    cluster.run()
+    assert seen == [(50, ["committed"] if background else [])]
+    assert session.outcomes == ["committed"]
+    assert (cluster.clock == 50) if background else (cluster.clock > 50)

@@ -25,21 +25,17 @@ from test_pins import issue_order_runs
 pytestmark = pytest.mark.usefixtures("checked_lock_tables")
 
 
-def make_steps(sid, texts):
-    return [parse_sql(t, seq=0, session=sid) for t in texts]
-
-
 def build_scenario(session_texts, tables):
     scenario = Scenario()
     for name, rows in tables:
         scenario.tables.append(TableSpec(TableDef(name), rows))
     seq = 0
     for sid in sorted(session_texts):
-        scenario.sessions.append(SessionDef(sid))
-        for step in make_steps(sid, session_texts[sid]):
+        steps = []
+        for text in session_texts[sid]:
             seq += 1
-            step.seq = seq
-            scenario.steps.append(step)
+            steps.append(parse_sql(text, seq))
+        scenario.sessions.append(SessionDef(sid, steps=steps))
     return scenario
 
 

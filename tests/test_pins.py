@@ -167,7 +167,6 @@ def issue_order_scenario(rng: random.Random) -> Scenario:
     own: dict[str, list[str]] = {}
     for i in range(rng.randrange(2, 6)):
         sid = f"s{i}"
-        scenario.sessions.append(SessionDef(sid))
         texts = own[sid] = []
         for _ in range(rng.randrange(1, 4)):
             texts.append("begin")
@@ -187,8 +186,10 @@ def issue_order_scenario(rng: random.Random) -> Scenario:
             texts.append("abort" if rng.random() < 0.15 else "commit")
     order = [sid for sid, texts in own.items() for _ in texts]
     rng.shuffle(order)
+    sessions = {sid: SessionDef(sid) for sid in own}
     for seq, sid in enumerate(order, 1):
-        scenario.steps.append(parse_sql(own[sid].pop(0), seq, sid))
+        sessions[sid].steps.append(parse_sql(own[sid].pop(0), seq))
+    scenario.sessions = list(sessions.values())
     return scenario
 
 

@@ -16,33 +16,33 @@ from htapsim.scenario import (
 
 class TestSqlGrammar:
     def test_update_with_conjunction(self):
-        step = parse_sql("update t1 set c2=5 where c1=3 and c2=7", 1, "A")
+        step = parse_sql("update t1 set c2=5 where c1=3 and c2=7", 1)
         assert step.kind == "update"
         assert step.table == "t1"
         assert step.set_c2 == 5
         assert step.pred.eqs == {"c1": 3, "c2": 7}
 
     def test_update_without_where_matches_all(self):
-        step = parse_sql("update t set c2=0", 1, "A")
+        step = parse_sql("update t set c2=0", 1)
         assert step.pred.eqs == {}
 
     def test_update_of_distribution_key_rejected(self):
         with pytest.raises(ScenarioError) as err:
-            parse_sql("update t set c1=5 where c2=1", 1, "A", line=12)
+            parse_sql("update t set c1=5 where c2=1", 1, line=12)
         assert "line 12" in str(err.value)
         assert "distribution key" in str(err.value)
 
     def test_insert_multi_values(self):
-        step = parse_sql("insert t values (1, 2), (3, 4)", 1, "A")
+        step = parse_sql("insert t values (1, 2), (3, 4)", 1)
         assert step.rows == [(1, 2), (3, 4)]
 
     def test_select_and_lock(self):
-        assert parse_sql("select t where c2=7", 1, "A").pred.eqs == {"c2": 7}
-        assert parse_sql("lock t2", 1, "A").table == "t2"
+        assert parse_sql("select t where c2=7", 1).pred.eqs == {"c2": 7}
+        assert parse_sql("lock t2", 1).table == "t2"
 
     def test_garbage_raises_with_line(self):
         with pytest.raises(ScenarioError) as err:
-            parse_sql("drop table students", 1, "A", line=33)
+            parse_sql("drop table students", 1, line=33)
         assert "line 33" in str(err.value)
 
     def test_bad_condition_column(self):
@@ -50,7 +50,7 @@ class TestSqlGrammar:
             parse_predicate("c3=1", 5)
 
     def test_repeated_equal_condition_is_one_condition(self):
-        assert parse_sql("select t where c1=1 and c2=7 and c1=1", 1, "A").pred.eqs == {
+        assert parse_sql("select t where c1=1 and c2=7 and c1=1", 1).pred.eqs == {
             "c1": 1,
             "c2": 7,
         }
@@ -88,8 +88,8 @@ expect:
         assert scenario.tables[0].rows == [(1, 2)]
         assert scenario.groups[0].cpu_rate_limit == 20
         assert scenario.groups[1].cpuset == frozenset({0, 1, 2, 3})
-        assert scenario.steps[1].mem == 100.0
-        assert scenario.steps[1].cpu == 3
+        assert scenario.sessions[0].steps[1].mem == 100.0
+        assert scenario.sessions[0].steps[1].cpu == 3
         assert scenario.expect.outcomes == {"A": "committed"}
 
     def test_yaml_error_carries_line_number(self):
@@ -594,8 +594,8 @@ sessions:
     )
     assert scenario.tables[0].rows == [(1, 2)]
     assert (scenario.groups[0].concurrency, scenario.groups[0].cpu_rate_limit) == (2, 20)
-    assert [(s.seq, s.cpu) for s in scenario.steps] == [(1, None), (2, 3)]
-    assert all(type(v) is int for v in (*scenario.tables[0].rows[0], scenario.steps[1].cpu))
+    assert [(s.seq, s.cpu) for s in scenario.sessions[0].steps] == [(1, None), (2, 3)]
+    assert all(type(v) is int for v in (*scenario.tables[0].rows[0], scenario.sessions[0].steps[1].cpu))
 
 
 YAML_ON_DEMAND = """

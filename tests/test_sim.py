@@ -71,7 +71,8 @@ class TestPaperScenarios:
         """Without the scripted `detect` steps only the periodic detector,
         collecting one site every `skew` ticks, can find the deadlocks."""
         scenario = parse_scenario((SCENARIOS / name).read_text())
-        scenario.steps = [s for s in scenario.steps if s.kind != "detect"]
+        for sdef in scenario.sessions:
+            sdef.steps = [s for s in sdef.steps if s.kind != "detect"]
         result = run_scenario(scenario, SimConfig(collection_skew=skew))
         ok, problems = result.expectations_met(scenario.expect)
         assert ok, problems
@@ -168,7 +169,8 @@ class TestSimConfig:
         assert ok, problems
         assert sum("|gdd|verdict|" in l for l in result.trace) == 1
 
-        scenario.steps = [s for s in scenario.steps if s.kind != "detect"]
+        for sdef in scenario.sessions:
+            sdef.steps = [s for s in sdef.steps if s.kind != "detect"]
         cluster = build_cluster(scenario, SimConfig(gdd_period=None))
         cluster.run()
         assert any("|lock_wait|" in l for l in cluster.trace)
@@ -190,6 +192,15 @@ class TestSimConfig:
         assert SimConfig(collection_skew=0).collection_skew == 0
         with pytest.raises(ValueError, match="collection_skew must be >= 0, not -1"):
             SimConfig(collection_skew=-1)
+
+    def test_no_segments_rejected(self):
+        assert SimConfig(n_segments=1).n_segments == 1
+        with pytest.raises(ValueError, match="n_segments must be >= 1, not 0"):
+            SimConfig(n_segments=0)
+
+    def test_negative_segment_count_rejected(self):
+        with pytest.raises(ValueError, match="n_segments must be >= 1, not -2"):
+            SimConfig(n_segments=-2)
 
 
 class TestStatementSemantics:
@@ -373,8 +384,7 @@ sessions:
         # built without the parser, which rejects such a script itself
         scenario = Scenario(
             tables=[TableSpec(TableDef("t1"))],
-            sessions=[SessionDef("A")],
-            steps=[parse_sql("select t1", 1, "A")],
+            sessions=[SessionDef("A", steps=[parse_sql("select t1", 1)])],
         )
         with pytest.raises(RuntimeError):
             run_scenario(scenario, SimConfig())
@@ -384,8 +394,9 @@ sessions:
         steps = ["begin", "update t1 set c2=5 where c1=1", "begin", "commit"]
         scenario = Scenario(
             tables=[TableSpec(TableDef("t1"), [(1, 0)])],
-            sessions=[SessionDef("A")],
-            steps=[parse_sql(sql, seq, "A") for seq, sql in enumerate(steps, 1)],
+            sessions=[
+                SessionDef("A", steps=[parse_sql(sql, seq) for seq, sql in enumerate(steps, 1)])
+            ],
         )
         with pytest.raises(RuntimeError, match="begin inside an open transaction"):
             run_scenario(scenario, SimConfig())
@@ -860,6 +871,52 @@ def test_a_session_with_no_steps_is_idle():
     cluster.add_session("A")
     cluster.run()
     assert cluster.session_outcome("A") == "idle"
+
+
+def test_a_reused_table_name_is_an_error():
+    """A second table of one name would keep the first one's rows where its
+    distribution key routed them, while statements route by the second's."""
+    cluster = Cluster(SimConfig())
+    cluster.create_table(TableDef("t"), [(1, 5), (2, 7)])
+    with pytest.raises(ValueError, match="duplicate table 't'"):
+        cluster.create_table(TableDef("t", dist_key="c2"), [(3, 9)])
+    assert cluster.catalog["t"].dist_key == "c1"
+
+
+def test_a_reused_session_id_is_an_error():
+    cluster = Cluster(SimConfig())
+    cluster.create_table(TableDef("t"), [(1, 0)])
+    steps = [parse_sql(sql, seq) for seq, sql in enumerate(["begin", "select t", "commit"], 1)]
+    first = cluster.add_session("A", step_iter=iter(steps))
+    with pytest.raises(ValueError, match="duplicate session id 'A'"):
+        cluster.add_session("A")
+    cluster.run()
+    assert cluster.sessions["A"] is first
+    assert first.outcomes == ["committed"]
+
+
+@pytest.mark.parametrize("eager", [False, True])
+def test_a_sessions_steps_run_in_seq_order_not_file_order(eager):
+    scenario = parse_scenario(
+        """
+tables:
+  - {name: t, rows: [[1, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 3, sql: commit}
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=5 where c1=1}
+expect:
+  verdict: clean
+  outcomes: {A: committed}
+"""
+    )
+    result = run_scenario(scenario, SimConfig(eager=eager))
+    ok, problems = result.expectations_met(scenario.expect)
+    assert ok, problems
+    issued = [line.split("|")[3].split()[0] for line in result.trace if "|issue|" in line]
+    assert issued == ["seq=1", "seq=2", "seq=3"]
 
 
 def test_expectations_met_names_each_mismatch():
