@@ -50,6 +50,13 @@ def _open_outputs(stack: ExitStack, *paths: str | None) -> list | None:
     return files
 
 
+def _config(args) -> SimConfig:
+    """The model options' `SimConfig`, shared by `run` and `bench`."""
+    return SimConfig(
+        n_segments=args.segments, legacy_locking=args.legacy_locking, gdd_period=args.gdd_period
+    )
+
+
 def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -59,17 +66,12 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
-    config = SimConfig(
-        n_segments=args.segments,
-        legacy_locking=args.legacy_locking,
-        gdd_period=args.gdd_period,
-    )
     with ExitStack() as stack:
         files = _open_outputs(stack, args.out, args.trace)
         if files is None:
             return 2
         out, trace = files
-        result = run_scenario(scenario, config)
+        result = run_scenario(scenario, _config(args))
         if out is not None:
             out.write(result.metrics_csv)
         if trace is not None:
@@ -86,17 +88,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = SimConfig(
-        n_segments=args.segments,
-        legacy_locking=args.legacy_locking,
-        gdd_period=args.gdd_period,
-    )
     with ExitStack() as stack:
         files = _open_outputs(stack, args.out)
         if files is None:
             return 2
         (out,) = files
-        result = bench(args.workload, args.clients, args.ticks, config, seed=args.seed)
+        result = bench(args.workload, args.clients, args.ticks, _config(args), seed=args.seed)
         print(result.summary())
         if out is not None:
             out.write(result.metrics_csv)
@@ -139,24 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
         "distributed snapshots, commit protocols, resource groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the model options of `run` and `bench`, read by `_config`
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--segments", type=_positive_int, default=3)
+    model.add_argument("--legacy-locking", action="store_true")
+    model.add_argument("--gdd-period", type=_positive_int, default=100)
 
-    p_run = sub.add_parser("run", help="execute a scenario file")
+    p_run = sub.add_parser("run", parents=[model], help="execute a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--segments", type=_positive_int, default=3)
-    p_run.add_argument("--legacy-locking", action="store_true")
-    p_run.add_argument("--gdd-period", type=_positive_int, default=100)
     p_run.add_argument("--out", help="write per-transaction metrics CSV")
     p_run.add_argument("--trace", help="write the event trace log")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_bench = sub.add_parser("bench", help="run a synthesized workload")
+    p_bench = sub.add_parser("bench", parents=[model], help="run a synthesized workload")
     p_bench.add_argument("--workload", choices=WORKLOADS, required=True)
     p_bench.add_argument("--clients", type=_positive_int, required=True)
     p_bench.add_argument("--ticks", type=_positive_int, required=True)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--segments", type=_positive_int, default=3)
-    p_bench.add_argument("--legacy-locking", action="store_true")
-    p_bench.add_argument("--gdd-period", type=_positive_int, default=100)
     p_bench.add_argument("--out", help="write per-transaction metrics CSV")
     p_bench.set_defaults(fn=_cmd_bench)
 

@@ -343,6 +343,10 @@ def parse_scenario(text: str) -> Scenario:
                 step.mem = _non_negative(float, step_rec["mem"], "mem", sline)
             if "cpu" in step_rec:
                 step.cpu = _non_negative(int, step_rec["cpu"], "cpu", sline)
+            if group is None and ("cpu" in step_rec or "mem" in step_rec):
+                raise ScenarioError(
+                    f"line {sline}: session {sid} has no resource group for cpu or mem"
+                )
             sdef.steps.append(step)
         sdef.steps.sort(key=lambda s: s.seq)
 

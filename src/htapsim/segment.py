@@ -3,9 +3,9 @@ parts it runs, the QE (query executor) side of a Greenplum transaction.
 
 The coordinator is a `Site`; each segment is a `Segment`, a site that also
 holds its heap, its commit log and its local-to-distributed xid mapping.
-A part reports back through the cluster's statement replies
-(`Cluster._segment_part_done`, `Cluster._segment_stmt_failed`); the end of
-its transaction, on every site, is in `commit.py`.
+Each segment part ends with one reply to the coordinator (`Site.reply`),
+a failed part's included; the end of its transaction, on every site, is in
+`commit.py`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .trace import (
     LOCK_WAIT,
     RELATION_LOCKED,
     STAMP,
+    STMT_CONFLICT,
 )
 
 if TYPE_CHECKING:
@@ -94,6 +95,13 @@ class Site:
             if part is not None:
                 cl.schedule(0, partial(self.resume, part))
 
+    def reply(self, stmt: Statement, count: int, rows=None, failed: str | None = None) -> None:
+        """Send this part's result to the coordinator (`Cluster._part_reply`):
+        `count` rows written or found, the rows a select found, or the reason
+        the part `failed`."""
+        cl = self.cluster
+        cl.send(self.id, COORD, partial(cl._part_reply, stmt, count, rows, failed))
+
     def work(self, stmt: Statement, rows=None):
         """This site's share of `stmt`, run as a generator.
 
@@ -129,15 +137,15 @@ class Site:
             for values in rows:
                 self.store.insert_version(step.table, values, local, txn.command_id)
             cl._log((self.id, INSERT, txn.dxid, len(rows)))
-            cl._segment_part_done(self, stmt, len(rows))
+            self.reply(stmt, len(rows))
         elif step.kind == "select":
             vis = self.visibility(txn.snapshot, txn)
             found = self.store.scan(cl.catalog[step.table], step.pred or Predicate(), vis)
             found_rows = [v.values for _, v in found]
-            cl._segment_part_done(self, stmt, len(found_rows), rows=found_rows)
+            self.reply(stmt, len(found_rows), rows=found_rows)
         else:  # lock
             cl._log((self.id, RELATION_LOCKED, txn.dxid, step.table))
-            cl._segment_part_done(self, stmt, 0)
+            self.reply(stmt, 0)
 
 
 class Segment(Site):
@@ -233,7 +241,8 @@ class Segment(Site):
                 state = self.states.get(stamper, "aborted") if stamper else "unstamped"
                 if state == "committed":
                     # first updater won and committed; we lose
-                    cl._segment_stmt_failed(self, stmt, "serialization")
+                    cl._log((self.id, STMT_CONFLICT, txn.dxid, "serialization"))
+                    self.reply(stmt, 0, failed="serialization")
                     return
                 if state != "in_progress":
                     new_values = (version.values[0], step.set_c2)
@@ -261,4 +270,4 @@ class Segment(Site):
                     if stmt.dead:
                         return
                 # granted: the stamper has finished, so look at its outcome
-        cl._segment_part_done(self, stmt, stamped)
+        self.reply(stmt, stamped)

@@ -57,7 +57,6 @@ from .trace import (
     MEM_CANCEL,
     REDUCE,
     STEP_SKIPPED,
-    STMT_CONFLICT,
     STMT_DONE,
     TICK,
     VALIDATE,
@@ -476,26 +475,23 @@ class Cluster:
 
     # ------------------------------------------------ segment-side replies
 
-    def _segment_part_done(self, seg: Segment, stmt, count, rows=None) -> None:
-        self.send(seg.id, COORD, partial(self._part_reply, stmt, count, rows))
-
-    def _segment_stmt_failed(self, seg: Segment, stmt, reason: str) -> None:
-        dxid = stmt.txn.dxid
-        self._log((seg.id, STMT_CONFLICT, dxid, reason))
-        self.send(seg.id, COORD, partial(self.abort_transaction, dxid, reason))
-
-    def _part_reply(self, stmt, count, rows) -> None:
+    def _part_reply(self, stmt: Statement, count: int, rows, failed: str | None) -> None:
+        """A segment part's reply (`Site.reply`), dropped once its statement
+        has died.  A failed part aborts the transaction and leaves
+        `outstanding` as it is, so `commit.abort` still sees the statement's
+        dispatch in flight; the last reply completes the statement."""
         if stmt.dead:
+            return
+        session = stmt.session
+        if failed is not None:
+            self._start_abort(session, failed)
             return
         if rows:
             stmt.rows.extend(rows)
         stmt.count += count
         stmt.outstanding -= 1
-        if stmt.outstanding == 0:
-            self._complete_stmt(stmt)
-
-    def _complete_stmt(self, stmt: Statement) -> None:
-        session = stmt.session
+        if stmt.outstanding:
+            return
         if stmt.step.kind == "update":
             self.inflight_updates -= 1
         stmt.rows.sort()

@@ -68,12 +68,13 @@ class GlobalWaitForGraph:
 
 def _edge_from_json(rec) -> WaitEdge:
     try:
-        e = WaitEdge(
-            segment=int(rec["segment"]),
-            waiter=int(rec["from"]),
-            holder=int(rec["to"]),
-            kind=EdgeKind(rec["kind"]),
-        )
+        ids = [rec[key] for key in ("segment", "from", "to")]
+        # an integral float such as 2.0 is an id; a boolean, a string or a
+        # fraction is an error rather than coerced
+        for v in ids:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+                raise ValueError(f"{v!r} is not an integer")
+        e = WaitEdge(*map(int, ids), EdgeKind(rec["kind"]))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"bad edge {rec!r}: {exc!r}") from None
     if e.waiter == e.holder:

@@ -272,6 +272,24 @@ MUTANTS = [
         " session that lists a step before a lower `seq` runs them out of order",
         ("tests/test_sim.py::test_a_sessions_steps_run_in_seq_order_not_file_order",),
     ),
+    Mutant(
+        "failed-reply-counts-as-a-reply",
+        "src/htapsim/sim.py",
+        (
+            (
+                "        if failed is not None:\n            self._start_abort(session, failed)\n",
+                "        if failed is not None:\n            stmt.outstanding -= 1\n"
+                "            self._start_abort(session, failed)\n",
+            ),
+        ),
+        "a failed part's reply counts off its statement's outstanding parts"
+        " before the abort, so the abort of a lost single-segment update finds"
+        " no dispatch in flight and leaves it counted in `inflight_updates`",
+        (
+            "tests/test_sim.py::TestPartReplies"
+            "::test_a_lost_single_segment_update_aborts_and_undoes_its_dispatch",
+        ),
+    ),
 ]
 
 

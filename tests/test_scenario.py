@@ -309,6 +309,35 @@ sessions:
         8,
         "mem must not be negative",
     ),
+    # a session without a group has no CPU share or memory quota to charge
+    "cpu without a group": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, cpu: 40}
+""",
+        8,
+        "session A has no resource group for cpu or mem",
+    ),
+    "mem without a group": (
+        """
+tables:
+  - {name: t}
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, mem: 5000}
+""",
+        10,
+        "session A has no resource group for cpu or mem",
+    ),
     "duplicate table": (
         """
 tables:

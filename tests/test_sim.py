@@ -700,6 +700,78 @@ sessions:
         assert kinds.count("abort_start") == kinds.count("abort_local") == 1
 
 
+class TestPartReplies:
+    """A segment part ends with one reply to the coordinator, a failed part's
+    included."""
+
+    # B's update waits on A's transaction lock on every segment it reaches,
+    # and loses there once A commits
+    LOSER = """
+tables:
+  - {name: t, rows: %s}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 3, sql: update t set c2=1%s}
+      - {seq: 5, sql: commit}
+  - id: B
+    steps:
+      - {seq: 2, sql: begin}
+      - {seq: 4, sql: update t set c2=2%s}
+      - {seq: 6, sql: commit}
+"""
+
+    def test_a_lost_single_segment_update_aborts_and_undoes_its_dispatch(self):
+        where = " where c1=3"
+        cluster = run_cluster(self.LOSER % ("[[3, 0]]", where, where))
+        assert cluster.session_outcome("A") == "committed"
+        assert cluster.session_outcome("B") == "aborted:serialization"
+        assert cluster.inflight_updates == 0
+        assert cluster.state_digest() == "t:[(3, 1)]"
+
+    def test_one_statement_failing_on_two_segments_aborts_once(self):
+        cluster = run_cluster(self.LOSER % ("[[0, 0], [1, 0]]", "", ""))
+        assert cluster.session_outcome("B") == "aborted:serialization"
+        kinds = [line.split("|")[2] for line in cluster.trace]
+        assert kinds.count("stmt_conflict") == 2
+        assert kinds.count("abort_start") == 1
+        assert cluster.inflight_updates == 0
+
+    def test_a_failed_reply_to_a_dead_statement_starts_no_second_abort(self):
+        """B's update waits on A, which never ends; the detector's abort of B
+        kills the statement, and a failed reply that reaches it after that is
+        dropped."""
+        cluster = run_cluster(
+            """
+tables:
+  - {name: t, rows: [[0, 0]]}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: update t set c2=1 where c1=0}
+  - id: B
+    steps:
+      - {seq: 3, sql: begin}
+      - {seq: 4, sql: update t set c2=2 where c1=0}
+"""
+        )
+        session = cluster.sessions["B"]
+        stmt = session.stmt
+        assert stmt is not None and stmt.outstanding == 1
+        cluster.abort_transaction(session.txn.dxid)
+        end = session.end
+        assert stmt.dead
+        cluster._part_reply(stmt, 0, None, "serialization")
+        assert session.end is end
+        cluster.run()
+        assert session.outcomes == ["aborted:deadlock_victim"]
+        kinds = [line.split("|")[2] for line in cluster.trace]
+        assert kinds.count("abort_start") == 1
+        assert cluster.inflight_updates == 0
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         digests = set()

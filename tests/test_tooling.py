@@ -1,11 +1,13 @@
-"""Every mutant in `tests/mutants.py` still fits the code it mutates.
+"""The tools outside the quick suite still fit the code they reach into.
 
-`tests/mutants.py` runs outside the quick suite, so a refactor that moves a
-mutant's old text or renames a test it names would otherwise show only when
-someone runs that script.  These checks read files and run nothing.
+`tests/mutants.py` and `perfbench` run outside the quick suite, so a
+refactor that moves a mutant's old text, renames a test a mutant names, or
+moves a name the tracer wraps would otherwise show only when someone runs
+them.  These checks read files and change nothing.
 """
 
 import re
+import types
 
 import pytest
 
@@ -29,3 +31,19 @@ def test_each_named_test_exists(mutant):
         for name in names:
             name = name.split("[")[0]
             assert re.search(rf"^\s*(def|class) {re.escape(name)}\b", source, re.M), test_id
+
+
+def test_every_name_the_tracer_wraps_is_defined_on_its_owner():
+    """`perfbench/tracer.py` finds each name it wraps in its owner's
+    `__dict__`, so a name moved to another module or class, or renamed,
+    breaks `perfbench/run.py --trace 1`.  The tracer's source is compiled
+    here, so nothing is written under `perfbench/`."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    targets = tracer.Tracer()._targets()
+    assert targets
+    missing = [
+        f"{owner.__name__}.{attr}" for owner, attr, _ in targets if attr not in vars(owner)
+    ]
+    assert not missing, f"the tracer wraps names its owners do not define: {missing}"

@@ -126,8 +126,20 @@ class TestFileFormat:
                 {"segment": 0, "from": 1, "to": 1, "kind": "solid"},
                 "cannot wait for itself",
             ),
+            # ids are integers: none is truncated or coerced
+            ({"segment": 0, "from": 1.9, "to": 2, "kind": "solid"}, "1.9 is not an integer"),
+            ({"segment": True, "from": 2, "to": 1, "kind": "solid"}, "True is not an integer"),
+            ({"segment": 0, "from": "1", "to": 2, "kind": "solid"}, "'1' is not an integer"),
+            ({"segment": 0, "from": 1, "to": 2.5, "kind": "solid"}, "2.5 is not an integer"),
+            ({"segment": 0, "from": False, "to": 2, "kind": "solid"}, "False is not an integer"),
         ],
     )
     def test_bad_edge_is_named(self, record, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             GlobalWaitForGraph.from_json(json.dumps({"edges": [record]}))
+
+    def test_integral_float_ids_are_integers(self):
+        doc = {"edges": [{"segment": 1.0, "from": 2.0, "to": 3, "kind": "dotted"}]}
+        (e,) = GlobalWaitForGraph.from_json(json.dumps(doc)).edges()
+        assert e == edge(1, 2, 3, EdgeKind.DOTTED)
+        assert all(type(v) is int for v in (e.segment, e.waiter, e.holder))
