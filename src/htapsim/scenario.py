@@ -221,13 +221,16 @@ def _non_negative(convert, value, what: str, line: int):
 
 
 def parse_cpuset(text) -> frozenset[int]:
-    """Parse cpuset syntax like "0-3" or "0-3,8,10-11"."""
+    """Parse cpuset syntax like "0-3" or "0-3,8,10-11"; a range whose low
+    end is above its high end is a `ValueError`."""
     cores: set[int] = set()
     for chunk in str(text).split(","):
         chunk = chunk.strip()
         if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            cores.update(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in chunk.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed cpuset range {chunk!r}")
+            cores.update(range(lo, hi + 1))
         elif chunk:
             cores.add(int(chunk))
     return frozenset(cores)

@@ -17,8 +17,10 @@ The two roles of a transaction live in their own modules:
   that waits on each message round it sends, with fsync accounting.
 
 This module keeps `Cluster`: the event loop, the session driver, the
-statement replies and the deadlock detector, which runs as a periodic
-background task (and synchronously for scripted `detect` steps).
+statement replies and the deadlock detector.  The detector runs as a
+periodic background daemon, each run one `_gdd_run` that collects the wait
+edges and one `_gdd_verdict` that detects and re-arms, and synchronously
+for scripted `detect` steps.
 `scenario.build_cluster` is the one place that builds a scenario's cluster,
 as `bench.build` is for a workload's.
 """
@@ -93,7 +95,9 @@ class SimConfig:
     # session's next step as soon as that session is free.  In both, an
     # aborted transaction's remaining steps are dropped up to the next begin.
     eager: bool = False
-    collection_skew: int = 0  # ticks between per-segment graph snapshots
+    # ticks between a detector run's snapshots of its sites' wait edges, one
+    # site after another, the coordinator first; 0 collects every site at once
+    collection_skew: int = 0
     resource_groups: list[ResourceGroupConfig] = field(default_factory=list)
     # record trace events, read once when the cluster is built: their fields
     # are kept in one flat log and only rendered to text when `Cluster.trace`
@@ -101,15 +105,25 @@ class SimConfig:
     trace_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_segments < 1:
-            raise ValueError(f"n_segments must be >= 1, not {self.n_segments}")
-        if self.gdd_period is not None and self.gdd_period < 1:
-            raise ValueError(f"detector period must be >= 1, not {self.gdd_period}")
+        _check_int("n_segments", self.n_segments, 1)
+        if self.gdd_period is not None:
+            _check_int("gdd_period: detector period", self.gdd_period, 1)
+        _check_int("collection_skew", self.collection_skew, 0)
+        # segment-to-segment links are legal, though no message takes one
+        sites = range(-1, self.n_segments)
         for link, delay in self.link_delays.items():
-            if delay < 0:
-                raise ValueError(f"link {link}: delay must be >= 0, not {delay}")
-        if self.collection_skew < 0:
-            raise ValueError(f"collection_skew must be >= 0, not {self.collection_skew}")
+            if not (isinstance(link, tuple) and len(link) == 2 and all(e in sites for e in link)):
+                raise ValueError(f"link_delays: link {link!r} is not two sites of -1..{sites[-1]}")
+            _check_int(f"link_delays: link {link}: delay", delay, 0)
+
+
+def _check_int(label: str, value, least: int) -> None:
+    """Raise a `ValueError` that starts with `label` unless `value` is an
+    int, not a bool, of at least `least`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{label} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{label} must be >= {least}, not {value}")
 
 
 class Session:
@@ -273,7 +287,7 @@ class Cluster:
         CPU tick) does not count in `_fg_pending`, so the loop goes on issuing
         steps while one is queued.  It still runs: `run` reaches fixpoint
         only once no event of either kind is queued, and moves the clock to
-        each.  That is why `_reschedule_after` and `_cpu_tick` stop re-arming
+        each.  That is why `_gdd_verdict` and `_cpu_tick` stop re-arming
         once they can do nothing more."""
         tick = self.clock + delay
         bucket = self._buckets.get(tick)
@@ -389,7 +403,7 @@ class Cluster:
 
     def _issue_step(self, session: Session, step: Step) -> None:
         if step.kind == "detect":
-            self.run_detector()
+            self._detect_on(self.collect_graph())
             return
         self._log(("driver", ISSUE, step.seq, session.sid, step.raw))
         if step.kind == "begin":
@@ -544,30 +558,20 @@ class Cluster:
         self.schedule(self.config.gdd_period, self._gdd_run, background=True)
 
     def _gdd_run(self) -> None:
+        """One run of the detector daemon, while a session is blocked:
+        collect every site's wait edges, then `_gdd_verdict`.  With a
+        collection skew the run snapshots one site every `collection_skew`
+        ticks into its own edge list: a lock wait during the collection can
+        arm the next run before this one ends, and each must see a whole
+        graph."""
         self._gdd_scheduled = False
         if not self.blocked_sessions():
             return  # re-armed by the next lock wait
-        if self.config.collection_skew > 0:
-            self._collect_staggered()
-            return
-        verdict = self.run_detector()
-        self._reschedule_after(verdict)
-
-    def _reschedule_after(self, verdict: DetectionVerdict) -> None:
-        if verdict.outcome is Outcome.DEADLOCK or self._progress != self._gdd_last_progress:
-            self._gdd_last_progress = self._progress
-            self._ensure_gdd_scheduled()
-        # otherwise: no progress since the last clean run; detection cannot
-        # help, so stop re-arming (the run loop will surface the stall)
-
-    def _collect_staggered(self) -> None:
-        """Spread per-segment snapshots over time (asynchronous collection).
-
-        Each collection gathers into its own edge list: a lock wait during a
-        collection can start the next one before this one finishes, and each
-        must still see a whole graph."""
-        edges: list[WaitEdge] = []
         skew = self.config.collection_skew
+        if not skew:
+            self._gdd_verdict(self.collect_graph())
+            return
+        edges: list[WaitEdge] = []
         for i, site in enumerate(self.sites):
             self.schedule(
                 skew * i,
@@ -576,19 +580,21 @@ class Cluster:
             )
         self.schedule(
             skew * len(self.sites),
-            lambda: self._finish_staggered(edges),
+            lambda: self._gdd_verdict(GlobalWaitForGraph(edges)),
             background=True,
         )
 
-    def _finish_staggered(self, edges: list[WaitEdge]) -> None:
-        verdict = self._detect_on(GlobalWaitForGraph(edges))
-        self._reschedule_after(verdict)
+    def _gdd_verdict(self, graph: GlobalWaitForGraph) -> None:
+        """Detect on the run's graph, then re-arm after a deadlock or once a
+        statement has completed since the last re-arm; otherwise detection
+        cannot help, so the daemon stops (the run loop surfaces the stall)."""
+        verdict = self._detect_on(graph)
+        if verdict.outcome is Outcome.DEADLOCK or self._progress != self._gdd_last_progress:
+            self._gdd_last_progress = self._progress
+            self._ensure_gdd_scheduled()
 
     def collect_graph(self) -> GlobalWaitForGraph:
         return collect_global([site.locks for site in self.sites])
-
-    def run_detector(self) -> DetectionVerdict:
-        return self._detect_on(self.collect_graph())
 
     def _detect_on(self, graph: GlobalWaitForGraph) -> DetectionVerdict:
         verdict = detect(graph, self.dtm.is_live)

@@ -290,6 +290,20 @@ MUTANTS = [
             "::test_a_lost_single_segment_update_aborts_and_undoes_its_dispatch",
         ),
     ),
+    Mutant(
+        "staggered-verdict-skips-the-re-arm",
+        "src/htapsim/sim.py",
+        (
+            (
+                "lambda: self._gdd_verdict(GlobalWaitForGraph(edges))",
+                "lambda: self._detect_on(GlobalWaitForGraph(edges))",
+            ),
+        ),
+        "a detector run that collects one site at a time detects but never"
+        " re-arms the daemon, so a deadlock left after its victim's abort, or"
+        " formed during the collection, waits for a lock wait that never comes",
+        (f"{ORACLE}::test_gdd_restores_liveness_in_mode[skew3]",),
+    ),
 ]
 
 

@@ -17,7 +17,10 @@ summary.  The matrix:
   its verdict, victims, outcomes, stalled sessions and scan results;
 - `tests/test_pins.py`'s `issue_order_runs` for seeds 100,000-100,499, one
   line for strict and one for eager order, each one sha256 over every run's
-  trace, session outcomes, metrics CSV and `state_digest()`.
+  trace, session outcomes, metrics CSV and `state_digest()`;
+- `tests/test_pins.py`'s `staggered_digest`, the detector daemon collecting
+  one site at a time: one line with one sha256 over every run's trace and
+  metrics CSV, the value `STAGGERED_PIN` holds.
 
 The script imports `htapsim` from the `src` directory of its own checkout,
 ahead of any installed copy, and `test_pins` from its own `tests` directory.
@@ -37,7 +40,7 @@ sys.path.insert(1, str(ROOT / "tests"))
 from htapsim import build_cluster, load_scenario, run_scenario  # noqa: E402
 from htapsim.bench import WORKLOADS, bench, build  # noqa: E402
 from htapsim.sim import Cluster, SimConfig  # noqa: E402
-from test_pins import issue_order_runs  # noqa: E402
+from test_pins import STAGGERED_SEEDS, issue_order_runs, staggered_digest  # noqa: E402
 
 BENCH_TICKS = 600
 BENCH_SEEDS = (0, 7)
@@ -106,6 +109,10 @@ def main() -> int:
             f"issue-order {order} seeds={ISSUE_ORDER_SEEDS[0]}-{ISSUE_ORDER_SEEDS[-1]} "
             f"sha256={digest.hexdigest()}"
         )
+    print(
+        f"staggered seeds={STAGGERED_SEEDS[0]}-{STAGGERED_SEEDS[-1]} skews=3,7 "
+        f"sha256={staggered_digest()}"
+    )
     return 0
 
 

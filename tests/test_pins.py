@@ -5,9 +5,11 @@ Each `bench` workload runs at seed 0 with 32 clients for a short tick budget;
 its counts, latencies, protocol mix, peak concurrent updates and the sha256 of
 its trace and of its per-transaction metrics CSV are pinned.  Every scenario
 file under `scenarios/` has its trace sha256 pinned too, and so do the traces
-and session outcomes of random scenarios in both issue orders.  A change that
-means to alter behaviour updates these values and says why; a performance or
-simplification change must leave them exactly as they are.
+and session outcomes of random scenarios in both issue orders, and the traces
+and metrics CSVs of the oracle's random scenarios under a detector that
+collects one site at a time.  A change that means to alter behaviour updates
+these values and says why; a performance or simplification change must leave
+them exactly as they are.
 """
 
 import hashlib
@@ -107,6 +109,10 @@ MODE_SCENARIO_TRACE_PINS = {
 
 # sha256 of test_issue_order_pinned_over_random_scenarios's traces and outcomes
 ISSUE_ORDER_PIN = "be55a320759780108452bd4f822a57c6a55044f4766ca3178ba7e7feb371a2a4"
+
+# sha256 of test_staggered_collection_pinned_over_random_scenarios's traces
+# and metrics CSVs
+STAGGERED_PIN = "ce74e9fd02dc86ff28ead0e0129a2d533c26da7ece1f48c5a0ba57fbe95da001"
 
 
 def bench_outputs(r) -> list:
@@ -222,3 +228,35 @@ def test_issue_order_pinned_over_random_scenarios():
             for sid in sorted(cluster.sessions):
                 digest.update(f"\n{sid}={cluster.session_outcome(sid)}\n".encode())
     assert digest.hexdigest() == ISSUE_ORDER_PIN
+
+
+STAGGERED_SEEDS = range(9000, 9150)
+
+
+def staggered_digest() -> str:
+    """One sha256 over the traces and metrics CSVs of
+    `test_oracle.random_scenario` for each of `STAGGERED_SEEDS` under
+    collection skews 3 and 7, each run to fixpoint: eager order, detector
+    period 17 and the link delays `test_oracle.run_to_fixpoint` draws."""
+    # imported here, since test_oracle imports this module
+    from test_oracle import random_delays, random_scenario
+
+    digest = hashlib.sha256()
+    for seed in STAGGERED_SEEDS:
+        scenario = random_scenario(seed)
+        delays = random_delays(random.Random(seed * 7919 + 13))
+        for skew in (3, 7):
+            config = SimConfig(
+                seed=seed, eager=True, gdd_period=17, link_delays=delays, collection_skew=skew
+            )
+            cluster = build_cluster(scenario, config)
+            cluster.run()
+            digest.update("\n".join(cluster.trace).encode())
+            digest.update(cluster.metrics_csv().encode())
+    return digest.hexdigest()
+
+
+def test_staggered_collection_pinned_over_random_scenarios():
+    """The detector daemon collecting one site at a time: 300 runs, which
+    reach 520 verdicts: 324 deadlocks, 192 clean and 4 stale."""
+    assert staggered_digest() == STAGGERED_PIN

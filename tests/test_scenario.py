@@ -471,6 +471,22 @@ groups:
         3,
         "group g: cpuset outside 0..31",
     ),
+    "cpuset with a reversed range": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "7-4,0"}
+""",
+        3,
+        "reversed cpuset range '7-4'",
+    ),
+    "cpuset of one reversed range": (
+        """
+groups:
+  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "3-1"}
+""",
+        3,
+        "reversed cpuset range '3-1'",
+    ),
     "no core left for a share group": (
         """
 groups:

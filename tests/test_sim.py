@@ -202,6 +202,40 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="n_segments must be >= 1, not -2"):
             SimConfig(n_segments=-2)
 
+    def test_fractional_period_rejected(self):
+        """A period of 2.5 used to put a verdict at tick 7.5 in the trace."""
+        with pytest.raises(ValueError, match=r"gdd_period: .* must be an integer, not 2\.5"):
+            SimConfig(gdd_period=2.5)
+
+    def test_fractional_segment_count_rejected(self):
+        """2.0 segments used to fail with a `TypeError` from `range` only
+        once the cluster was built."""
+        with pytest.raises(ValueError, match=r"n_segments must be an integer, not 2\.0"):
+            SimConfig(n_segments=2.0)
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"n_segments": True}, "n_segments"),
+            ({"collection_skew": True}, "collection_skew"),
+            ({"link_delays": {(-1, 0): True}}, r"link_delays: link \(-1, 0\): delay"),
+        ],
+        ids=["n_segments", "collection_skew", "link_delay"],
+    )
+    def test_boolean_tick_count_rejected(self, fields, field):
+        """A bool used to run as 1."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer, not True"):
+            SimConfig(**fields)
+
+    def test_link_to_a_missing_site_rejected(self):
+        """A link to a segment the cluster lacks used to be ignored; links
+        between segments stay legal."""
+        links = {(-1, 2): 1, (2, -1): 2, (0, 2): 3}
+        assert SimConfig(link_delays=links).link_delays == links
+        for link in [(0, 7), (-2, 0), (0, 3), (0, 1, 2)]:
+            with pytest.raises(ValueError, match=r"link_delays: link \(.*\) is not two sites"):
+                SimConfig(link_delays={link: 5})
+
 
 class TestStatementSemantics:
     def test_zero_row_update_takes_no_tuple_locks(self):
