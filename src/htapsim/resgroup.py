@@ -103,7 +103,6 @@ class ResourceGroups:
         if fault is not None:
             raise ConfigError(fault[1])
         self.configs = {g.name: g for g in configs}
-        self.global_memory = global_memory
         self.n_cores = n_cores
         self.memory: dict[str, GroupMemory] = {}
         for g in configs:
@@ -188,8 +187,8 @@ class MemoryLedger:
         self.global_shared_used = 0.0
 
     def charge(self, query, group: str, amount: float) -> ChargeResult:
-        if amount < 0:
-            raise ValueError("memory charge must be non-negative")
+        if not amount >= 0:  # NaN too
+            raise ValueError(f"memory charge must be non-negative, not {amount!r}")
         mem = self.groups.memory[group]
         rec = self.charges.setdefault(query, _QueryCharges(group))
         take_slot = min(amount, max(0.0, mem.slot_quota - rec.slot))
@@ -219,15 +218,17 @@ class MemoryLedger:
         self.global_shared_used -= rec.global_shared
 
     def check_conservation(self) -> None:
+        """Each shared layer's total matches its charges, and no usage is
+        negative; each comparison is written so that a NaN fails it."""
         total_slot = sum(r.slot for r in self.charges.values())
         total_group = sum(r.group_shared for r in self.charges.values())
         total_global = sum(r.global_shared for r in self.charges.values())
-        if abs(total_group - sum(self.group_shared_used.values())) > 1e-6:
+        if not abs(total_group - sum(self.group_shared_used.values())) <= 1e-6:
             raise AssertionError("group shared ledger out of balance")
-        if abs(total_global - self.global_shared_used) > 1e-6:
+        if not abs(total_global - self.global_shared_used) <= 1e-6:
             raise AssertionError("global shared ledger out of balance")
         # slot usage is tracked only per query; nonnegative by construction
-        if total_slot < -1e-9:
+        if not total_slot >= -1e-9:
             raise AssertionError("negative slot usage")
 
 
@@ -259,12 +260,13 @@ class CpuScheduler:
     it is known when it starts: each running task is filed under that call's
     number, in start order, and `tick()` pops the current call's list, as the
     cluster's event queue files events by tick (R. Brown's calendar queue).
-    Preempting a running task would have to take it out of its list again.
+    These lists, `_ends`, are the one record of the running tasks: a task is
+    in one from `_start` until the `tick()` that ends it, and a burst lasts
+    at least one tick.  Preempting a running task would take it out of the
+    one list it is in.
     """
 
     def __init__(self, groups: ResourceGroups):
-        self.groups = groups
-        self.n_cores = groups.n_cores
         self.cpuset_groups = {
             name: cfg.cpuset
             for name, cfg in sorted(groups.configs.items())
@@ -275,18 +277,16 @@ class CpuScheduler:
             for name, cfg in sorted(groups.configs.items())
             if cfg.cpu_rate_limit is not None
         }
-        self.shared_cores = self.n_cores - sum(
+        self.shared_cores = groups.n_cores - sum(
             len(cores) for cores in self.cpuset_groups.values()
         )
         self.waiting: dict[str, deque[_Task]] = {
             name: deque() for name in sorted(groups.configs)
         }
-        self.running: dict[_Task, None] = {}  # in start order
         self._ticks = 0  # `tick()` calls so far
         self._ends: dict[int, list[_Task]] = {}  # ending call -> tasks, in start order
-        # tasks in `running` per group, and of all share groups together
+        # running tasks per group
         self.group_running: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
-        self.share_running = 0
         self.vtime: dict[str, float] = {name: 0.0 for name in self.share_groups}
         self.group_core_ticks: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
 
@@ -309,10 +309,9 @@ class CpuScheduler:
         queue.append(_Task(query, group, burst))
 
     def has_work(self) -> bool:
-        return bool(self.running) or any(self.waiting.values())
+        return bool(self._ends) or any(self.waiting.values())
 
     def _start(self, task: _Task) -> None:
-        self.running[task] = None
         self.group_running[task.group] += 1
         end = self._ticks + task.burst
         ending = self._ends.get(end)
@@ -325,21 +324,19 @@ class CpuScheduler:
         """Advance one tick; returns queries whose bursts completed."""
         self._ticks += 1
         finished = []
+        running = self.group_running
         for task in self._ends.pop(self._ticks, ()):
-            del self.running[task]
-            self.group_running[task.group] -= 1
-            if task.group in self.share_groups:
-                self.share_running -= 1
+            running[task.group] -= 1
             finished.append(task.query)
 
         # hard partitions: each cpuset group fills only its own cores
         for name, cores in self.cpuset_groups.items():
             waiting = self.waiting[name]
-            while waiting and self.group_running[name] < len(cores):
+            while waiting and running[name] < len(cores):
                 self._start(waiting.popleft())
 
         # shared cores: smallest virtual time first among runnable share groups
-        free = self.shared_cores - self.share_running
+        free = self.shared_cores - sum(running[name] for name in self.share_groups)
         if free > 0:
             queues, vtime = self.waiting, self.vtime
             # in name order, so `min` gives a tie to the lowest name
@@ -352,13 +349,12 @@ class CpuScheduler:
                     runnable.remove(name)
                 vtime[name] += task.burst / self.share_groups[name]
                 self._start(task)
-                self.share_running += 1
                 free -= 1
                 if free == 0:
                     break
 
         core_ticks = self.group_core_ticks
-        for name, n in self.group_running.items():
+        for name, n in running.items():
             if n:
                 core_ticks[name] += n
         return finished

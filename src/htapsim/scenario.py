@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -201,16 +202,20 @@ def _check_keys(rec: dict, known: set, what: str) -> None:
 def _number(convert, value, what: str, line: int):
     """`convert(value)`; a boolean is an error rather than read as 0/1, and
     so, for `int`, is a fraction rather than truncated, while an integral
-    float such as 2.0 is accepted."""
+    float such as 2.0 is accepted.  For `float`, NaN and the infinities are
+    errors too."""
     if isinstance(value, bool) or (
         convert is int and isinstance(value, float) and not value.is_integer()
     ):
         kind = "an integer" if convert is int else "a number"
         raise ScenarioError(f"line {line}: {what} must be {kind}, not {value!r}")
     try:
-        return convert(value)
+        number = convert(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"line {line}: {what} must be a number, not {value!r}") from None
+    if convert is float and not math.isfinite(number):
+        raise ScenarioError(f"line {line}: {what} must be finite, not {value!r}")
+    return number
 
 
 def _non_negative(convert, value, what: str, line: int):
@@ -244,9 +249,12 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
         "group parameter",
     )
     try:
+        name = rec["name"]
+        if not isinstance(name, str):
+            raise ScenarioError(f"line {line}: group name must be a string, not {name!r}")
         cpuset = rec.get("CPUSET")
         return ResourceGroupConfig(
-            name=rec["name"],
+            name=name,
             concurrency=_number(int, rec["CONCURRENCY"], "CONCURRENCY", line),
             memory_limit=_number(float, rec["MEMORY_LIMIT"], "MEMORY_LIMIT", line),
             memory_shared_quota=_number(
@@ -320,7 +328,9 @@ def parse_scenario(text: str) -> Scenario:
     for rec in _records(doc.get("sessions"), "sessions", doc_line):
         line = _line(rec)
         _check_keys(rec, {"id", "group", "steps"}, "session key")
-        sid = str(rec.get("id", ""))
+        sid = rec.get("id", "")
+        if not isinstance(sid, str):
+            raise ScenarioError(f"line {line}: session id must be a string, not {sid!r}")
         if not sid:
             raise ScenarioError(f"line {line}: session without id")
         if any(s.sid == sid for s in scenario.sessions):

@@ -114,6 +114,8 @@ class SimConfig:
         for link, delay in self.link_delays.items():
             if not (isinstance(link, tuple) and len(link) == 2 and all(e in sites for e in link)):
                 raise ValueError(f"link_delays: link {link!r} is not two sites of -1..{sites[-1]}")
+            if link[0] == link[1]:
+                raise ValueError(f"link_delays: link {link} joins a site to itself")
             _check_int(f"link_delays: link {link}: delay", delay, 0)
 
 
@@ -224,7 +226,6 @@ class Cluster:
         self.admission: AdmissionControl | None = None
         self.ledger: MemoryLedger | None = None
         self.cpu: CpuScheduler | None = None
-        self._cpu_tick_scheduled = False
         if config.resource_groups:
             self.resources = ResourceGroups(config.resource_groups, GLOBAL_MEMORY, N_CORES)
             self.admission = AdmissionControl(self.resources)
@@ -435,11 +436,13 @@ class Cluster:
                 return
         if step.cpu and session.group:
             # one worker per segment: the statement's gang occupies a core on
-            # each until the burst completes everywhere
+            # each until the burst completes everywhere.  A CPU tick is queued
+            # exactly while the scheduler has work, so an idle one gets one
+            if not self.cpu.has_work():
+                self.schedule(1, self._cpu_tick, background=True)
             for k in range(self.config.n_segments):
                 self.cpu.submit((stmt, k), session.group, step.cpu)
             stmt.cpu_left = self.config.n_segments
-            self._ensure_cpu_tick()
             return
         self.coord.resume(self.coord.work(stmt))
 
@@ -613,20 +616,13 @@ class Cluster:
 
     # ------------------------------------------------------------- cpu ticks
 
-    def _ensure_cpu_tick(self) -> None:
-        if self._cpu_tick_scheduled:
-            return
-        self._cpu_tick_scheduled = True
-        self.schedule(1, self._cpu_tick, background=True)
-
     def _cpu_tick(self) -> None:
-        self._cpu_tick_scheduled = False
         for stmt, _ in self.cpu.tick():
             stmt.cpu_left -= 1
             if stmt.cpu_left == 0 and not stmt.dead:
                 self.schedule(0, partial(self.coord.resume, self.coord.work(stmt)))
         if self.cpu.has_work():
-            self._ensure_cpu_tick()
+            self.schedule(1, self._cpu_tick, background=True)
 
     # --------------------------------------------------------------- results
 

@@ -98,10 +98,10 @@ def test_cpu_tick(benchmark, running):
     def one_tick():
         for query in sched.tick():
             sched.submit(query, "g", 40)
-        return len(sched.running)
+        return sum(sched.group_running.values())
 
     benchmark(one_tick)
-    assert len(sched.running) + len(sched.waiting["g"]) == running
+    assert sum(sched.group_running.values()) + len(sched.waiting["g"]) == running
 
 
 @pytest.mark.parametrize("cores", RUNNING)
@@ -123,7 +123,7 @@ def test_cpu_tick_two_share_groups(benchmark, cores):
     def one_tick():
         for query in sched.tick():
             sched.submit(query, query[0], bursts[query[0]])
-        return len(sched.running)
+        return sum(sched.group_running.values())
 
     assert benchmark(one_tick) == cores
-    assert len(sched.running) + sum(map(len, sched.waiting.values())) == 4 * cores
+    assert sum(sched.group_running.values()) + sum(map(len, sched.waiting.values())) == 4 * cores

@@ -304,6 +304,18 @@ MUTANTS = [
         " formed during the collection, waits for a lock wait that never comes",
         (f"{ORACLE}::test_gdd_restores_liveness_in_mode[skew3]",),
     ),
+    Mutant(
+        "cpu-tick-re-armed-only-while-a-task-waits",
+        "src/htapsim/sim.py",
+        (("        if self.cpu.has_work():\n", "        if any(self.cpu.waiting.values()):\n"),),
+        "the CPU tick stops re-arming once no task waits, so a burst still"
+        " running then never ends and its statement never completes",
+        (
+            "tests/test_sim.py::TestResourceIntegration::test_cpu_burst_delays_statement",
+            "tests/test_sim.py::TestResourceIntegration"
+            "::test_a_cpu_tick_is_queued_exactly_while_the_scheduler_has_work",
+        ),
+    ),
 ]
 
 

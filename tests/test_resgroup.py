@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -43,7 +44,9 @@ def grantable_waiting(sched) -> int:
     for name, cores in sched.cpuset_groups.items():
         room = len(cores) - sched.group_running[name]
         n += min(room, len(sched.waiting[name]))
-    shared_room = sched.shared_cores - sched.share_running
+    shared_room = sched.shared_cores - sum(
+        sched.group_running[n] for n in sched.share_groups
+    )
     share_waiting = sum(len(sched.waiting[n]) for n in sched.share_groups)
     n += min(shared_room, share_waiting)
     return n
@@ -197,8 +200,14 @@ class TestMemoryLedger:
             (lambda ledger: ledger.group_shared_used.update(g=1.0), "group shared ledger"),
             (lambda ledger: setattr(ledger, "global_shared_used", 1.0), "global shared ledger"),
             (lambda ledger: setattr(ledger.charges["q"], "slot", -1.0), "negative slot usage"),
+            (lambda ledger: ledger.group_shared_used.update(g=math.nan), "group shared ledger"),
+            (lambda ledger: setattr(ledger, "global_shared_used", math.nan), "global shared ledger"),
+            (lambda ledger: setattr(ledger.charges["q"], "slot", math.nan), "negative slot usage"),
         ],
-        ids=["group shared", "global shared", "slot"],
+        ids=[
+            "group shared", "global shared", "slot",
+            "group shared NaN", "global shared NaN", "slot NaN",
+        ],
     )
     def test_conservation_check_rejects_a_corrupted_ledger(self, corrupt, message):
         groups, ledger = self.make()
@@ -209,9 +218,14 @@ class TestMemoryLedger:
             ledger.check_conservation()
 
     def test_negative_charge_rejected(self):
+        """A NaN charge used to pass, leaving NaN in both shared layers, so
+        that a later charge that fit was cancelled."""
         groups, ledger = self.make()
-        with pytest.raises(ValueError):
-            ledger.charge("q", "g", -1.0)
+        for amount in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="memory charge must be non-negative"):
+                ledger.charge("q", "g", amount)
+        assert ledger.charge("q", "g", 30.0) is ChargeResult.OK  # 28 slot, 2 group shared
+        ledger.check_conservation()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.floats(0, 400)), max_size=30))
@@ -327,8 +341,7 @@ class TestCpuScheduler:
         for i in range(64):
             sched.submit(f"a{i}", "a", 1)
         sched.tick()
-        running = [t for t in sched.running if t.group == "a"]
-        assert len(running) == 16  # only the shared half of the machine
+        assert sched.group_running["a"] == 16  # only the shared half of the machine
 
     def test_returning_group_replays_no_idle_credit(self):
         """One core, equal shares: `b` runs alone for 100 ticks, then `a`
@@ -374,8 +387,9 @@ class TestCpuScheduler:
                 continue
             sched.tick()
             recount = {name: 0 for name in "abp"}
-            for task in sched.running:
-                recount[task.group] += 1
+            for tasks in sched._ends.values():
+                for task in tasks:
+                    recount[task.group] += 1
             assert sched.group_running == recount
             for name in core_ticks:
                 core_ticks[name] += recount[name]
@@ -474,13 +488,20 @@ def scheduler_ops(names: str, max_burst: int):
 def run_side_by_side(groups, ops):
     """Run `ops` on `CpuScheduler` and `ReferenceScheduler` side by side:
     after every tick, the same finished queries in the same order, the same
-    running tasks in the same order, and the same per-group counts,
-    core-ticks and vtimes."""
+    running tasks with the same ticks left, in start order within each end
+    tick, and the same per-group counts, core-ticks and vtimes."""
     sched, ref = CpuScheduler(groups), ReferenceScheduler(groups)
 
     def tick():
         assert sched.tick() == ref.tick()
-        assert [t.query for t in sched.running] == [t.query for t in ref.running]
+        assert [
+            (end - sched._ticks, t.query)
+            for end in sorted(sched._ends)
+            for t in sched._ends[end]
+        ] == [
+            (t.remaining, t.query)
+            for t in sorted(ref.running, key=lambda t: t.remaining)
+        ]
         assert sched.group_running == ref.group_running
         assert sched.group_core_ticks == ref.group_core_ticks
         assert sched.vtime == ref.vtime

@@ -309,6 +309,52 @@ sessions:
         8,
         "mem must not be negative",
     ),
+    # a NaN charge used to leave NaN in the shared memory layers
+    "NaN mem": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, mem: .nan}
+""",
+        8,
+        "mem must be finite, not nan",
+    ),
+    "infinite mem": (
+        """
+tables:
+  - {name: t}
+sessions:
+  - id: A
+    steps:
+      - {seq: 1, sql: begin}
+      - {seq: 2, sql: select t, mem: .inf}
+""",
+        8,
+        "mem must be finite, not inf",
+    ),
+    # these used to run as the sessions "None", "[1, 2]" and "False"
+    "null session id": ("\nsessions:\n  - id: ~\n", 3, "session id must be a string, not None"),
+    "list session id": (
+        "\nsessions:\n  - id: [1, 2]\n", 3, "session id must be a string, not [1, 2]"
+    ),
+    "boolean session id": (
+        "\nsessions:\n  - id: false\n", 3, "session id must be a string, not False"
+    ),
+    "group name not a string": (
+        """
+groups:
+  - {name: 5, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20}
+sessions:
+  - id: A
+    group: 5
+""",
+        3,
+        "group name must be a string, not 5",
+    ),
     # a session without a group has no CPU share or memory quota to charge
     "cpu without a group": (
         """

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from htapsim import commit
+from htapsim import bench, commit
 from htapsim.dtm import (
     FSYNC_COORD_COMMIT,
     FSYNC_SEGMENT_COMMIT,
@@ -234,6 +235,13 @@ class TestSimConfig:
         assert SimConfig(link_delays=links).link_delays == links
         for link in [(0, 7), (-2, 0), (0, 3), (0, 1, 2)]:
             with pytest.raises(ValueError, match=r"link_delays: link \(.*\) is not two sites"):
+                SimConfig(link_delays={link: 5})
+
+    def test_link_from_a_site_to_itself_rejected(self):
+        """No message goes from a site to itself, so such a delay used to be
+        ignored."""
+        for link in [(0, 0), (-1, -1)]:
+            with pytest.raises(ValueError, match=re.escape(f"link {link} joins a site to itself")):
                 SimConfig(link_delays={link: 5})
 
 
@@ -970,6 +978,26 @@ sessions:
         cluster.run()
         assert cluster.sessions["A"].outcomes == ["aborted:deadlock_victim", "committed"]
         assert self.second_burst_ticks(cluster) == self.second_burst_ticks(plain) == 9
+
+    @pytest.mark.parametrize("clients", [2, 4, 9])
+    def test_a_cpu_tick_is_queued_exactly_while_the_scheduler_has_work(self, clients):
+        """After every event of a `mixed-htap` run, one `_cpu_tick` is queued
+        if the scheduler has work, and none otherwise."""
+        cluster = bench.build("mixed-htap", clients, SimConfig(trace_enabled=False), seed=1)
+        events = 0
+
+        def check(cluster):
+            nonlocal events
+            events += 1
+            queued = sum(
+                fn == cluster._cpu_tick for bucket in cluster._buckets.values() for fn in bucket
+            )
+            assert queued == cluster.cpu.has_work(), f"tick {cluster.clock}"
+            return False
+
+        cluster.run(until_tick=400, stop_when=check)
+        assert cluster.clock == 400
+        assert events > 1000
 
 
 def test_a_session_with_no_steps_is_idle():
