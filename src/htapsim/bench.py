@@ -12,10 +12,10 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 
+from .sim import Cluster, SimConfig
 # Not called here: perfbench's tracer looks `parse_sql` up in this module to
 # count scenario parsing (ROADMAP item 2 moves that lookup).
-from .scenario import Step, parse_sql  # noqa: F401
-from .sim import Cluster, SimConfig
+from .steps import Step, parse_sql  # noqa: F401
 from .store import Predicate, TableDef
 
 WORKLOADS = ("update-only", "insert-only", "tpcb-like", "mixed-htap")

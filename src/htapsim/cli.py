@@ -1,4 +1,7 @@
-"""Command line interface: run, bench, detect, netdeadlock."""
+"""Command line interface: run, bench, detect, netdeadlock.
+
+Each subcommand imports its own front end, so `bench` and `detect` load
+neither the scenario reader nor the interconnect model."""
 
 from __future__ import annotations
 
@@ -8,8 +11,6 @@ from contextlib import ExitStack
 
 from .bench import WORKLOADS, bench
 from .gdd import Outcome, detect, find_cycle
-from .interconnect import JoinOutcome, run_join_scenario
-from .scenario import ScenarioError, load_scenario, run_scenario
 from .sim import SimConfig
 from .waitgraph import GlobalWaitForGraph
 
@@ -58,6 +59,8 @@ def _config(args) -> SimConfig:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import ScenarioError, load_scenario, run_scenario
+
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -120,6 +123,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_netdeadlock(args) -> int:
+    from .interconnect import JoinOutcome, run_join_scenario
+
     result = run_join_scenario(
         n_segments=args.segments,
         capacity=args.buffer,

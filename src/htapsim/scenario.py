@@ -1,13 +1,8 @@
 """Scenario files: tables, resource groups, numbered session steps, expectations.
 
-YAML documents with a micro-grammar for the statements:
-
-    begin | commit | abort | lock <table> | detect
-    insert <table> values (a, b)[, (c, d)...]
-    update <table> set c2=<int> [where <conjunction>]
-    select <table> [where <conjunction>]
-
-where a conjunction is column equalities joined by `and` (columns c1/c2 only).
+YAML documents whose statements follow the micro-grammar of `steps.py`,
+which defines `Step`, `parse_sql` and `ScenarioError`; this module imports
+them from there, so `htapsim.scenario` exports them too.
 Every step carries a sequence number, unique in the file, and belongs to the
 session that lists it; each `SessionDef` keeps its steps in `seq` order, the
 order its session runs them in.  The simulator has two issue orders.  Strict
@@ -35,24 +30,8 @@ from dataclasses import dataclass, field
 
 from .resgroup import ConfigError, ResourceGroupConfig, group_set_fault
 from .sim import Cluster, SimConfig
-from .store import Predicate, StoreError, TableDef
-
-
-class ScenarioError(Exception):
-    """Malformed scenario; message carries the offending line when known."""
-
-
-@dataclass(slots=True)
-class Step:
-    seq: int
-    kind: str
-    raw: str
-    table: str | None = None
-    pred: Predicate | None = None
-    set_c2: int | None = None
-    rows: list[tuple[int, int]] | None = None
-    mem: float | None = None
-    cpu: int | None = None
+from .steps import ScenarioError, Step, parse_predicate, parse_sql  # noqa: F401  (re-exported)
+from .store import StoreError, TableDef
 
 
 @dataclass
@@ -84,75 +63,6 @@ class Scenario:
     groups: list[ResourceGroupConfig] = field(default_factory=list)
     sessions: list[SessionDef] = field(default_factory=list)
     expect: Expectation | None = None
-
-
-_SQL_PATTERNS = {
-    "begin": re.compile(r"^begin$"),
-    "commit": re.compile(r"^commit$"),
-    "abort": re.compile(r"^abort$"),
-    "detect": re.compile(r"^detect$"),
-    "lock": re.compile(r"^lock\s+(\w+)$"),
-    "insert": re.compile(r"^insert\s+(\w+)\s+values\s+(.+)$"),
-    "update": re.compile(r"^update\s+(\w+)\s+set\s+(\w+)\s*=\s*(-?\d+)(?:\s+where\s+(.+))?$"),
-    "select": re.compile(r"^select\s+(\w+)(?:\s+where\s+(.+))?$"),
-}
-
-_COND = re.compile(r"^(c1|c2)\s*=\s*(-?\d+)$")
-_VALUES = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-_VALUES_LIST = re.compile(rf"^{_VALUES.pattern}(?:\s*,\s*{_VALUES.pattern})*$")
-
-
-def parse_predicate(text: str | None, line: int = 0) -> Predicate:
-    if text is None or not text.strip():
-        return Predicate()
-    eqs: dict[str, int] = {}
-    for part in re.split(r"\s+and\s+", text.strip()):
-        m = _COND.match(part.strip())
-        if not m:
-            raise ScenarioError(f"line {line}: bad condition {part.strip()!r}")
-        if eqs.setdefault(m.group(1), int(m.group(2))) != int(m.group(2)):
-            raise ScenarioError(f"line {line}: conflicting conditions on {m.group(1)}")
-    return Predicate(eqs)
-
-
-def parse_sql(sql: str, seq: int, line: int = 0, dist_keys=None) -> Step:
-    """Parse one statement.  `dist_keys` maps each known table to its
-    distribution key; without it any table is known and distributed by c1."""
-    text = " ".join(sql.strip().split())
-    for kind, pat in _SQL_PATTERNS.items():
-        m = pat.match(text)
-        if not m:
-            continue
-        step = Step(seq=seq, kind=kind, raw=text)
-        if m.groups():  # lock, insert, update and select name a table first
-            step.table = m.group(1)
-            if dist_keys is not None and step.table not in dist_keys:
-                raise ScenarioError(f"line {line}: unknown table {step.table!r}")
-        if kind == "insert":
-            rows = [(int(a), int(b)) for a, b in _VALUES.findall(m.group(2))]
-            if not rows:
-                raise ScenarioError(f"line {line}: insert without value tuples")
-            if not _VALUES_LIST.match(m.group(2)):
-                raise ScenarioError(f"line {line}: bad insert values {m.group(2)!r}")
-            step.rows = rows
-        elif kind == "update":
-            column = m.group(2)
-            if column not in ("c1", "c2"):
-                raise ScenarioError(f"line {line}: unknown column {column!r}")
-            key = "c1" if dist_keys is None else dist_keys[step.table]
-            if column == key:
-                raise ScenarioError(
-                    f"line {line}: updating the distribution key is not supported"
-                    f" ({step.table} is distributed by {key})"
-                )
-            if column == "c1":
-                raise ScenarioError(f"line {line}: only c2 can be set, not c1")
-            step.set_c2 = int(m.group(3))
-            step.pred = parse_predicate(m.group(4), line)
-        elif kind == "select":
-            step.pred = parse_predicate(m.group(2), line)
-        return step
-    raise ScenarioError(f"line {line}: cannot parse statement {text!r}")
 
 
 @functools.cache
@@ -225,19 +135,25 @@ def _non_negative(convert, value, what: str, line: int):
     return number
 
 
-def parse_cpuset(text) -> frozenset[int]:
-    """Parse cpuset syntax like "0-3" or "0-3,8,10-11"; a range whose low
-    end is above its high end is a `ValueError`."""
+_CPUSET_CHUNK = re.compile(r"(\d+)(?:-(\d+))?")
+
+
+def parse_cpuset(text: str) -> frozenset[int]:
+    """Parse cpuset syntax like "0-3" or "0-3,8,10-11"; a chunk that is
+    neither a core nor a range of cores, and a range whose low end is above
+    its high end, is a `ValueError` that names CPUSET and the chunk."""
     cores: set[int] = set()
-    for chunk in str(text).split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
-        if "-" in chunk:
-            lo, hi = (int(end) for end in chunk.split("-", 1))
-            if lo > hi:
-                raise ValueError(f"reversed cpuset range {chunk!r}")
-            cores.update(range(lo, hi + 1))
-        elif chunk:
-            cores.add(int(chunk))
+        if not chunk:
+            continue
+        m = _CPUSET_CHUNK.fullmatch(chunk)
+        if not m:
+            raise ValueError(f"CPUSET: {chunk!r} is neither a core nor a range such as 0-3")
+        lo, hi = int(m[1]), int(m[2] or m[1])
+        if lo > hi:
+            raise ValueError(f"CPUSET: reversed cpuset range {chunk!r}")
+        cores.update(range(lo, hi + 1))
     return frozenset(cores)
 
 
@@ -253,6 +169,12 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
         if not isinstance(name, str):
             raise ScenarioError(f"line {line}: group name must be a string, not {name!r}")
         cpuset = rec.get("CPUSET")
+        if isinstance(cpuset, list):
+            raise ScenarioError(
+                f'line {line}: CPUSET must be a string such as "0-3,8", not the list {cpuset!r}'
+            )
+        if cpuset is not None and not isinstance(cpuset, str):
+            cpuset = str(_number(int, cpuset, "CPUSET", line))
         return ResourceGroupConfig(
             name=name,
             concurrency=_number(int, rec["CONCURRENCY"], "CONCURRENCY", line),
@@ -405,8 +327,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Read and parse a scenario file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(
+            f"line {line}: not UTF-8: cannot decode byte 0x{data[exc.start]:02x}: {exc.reason}"
+        ) from None
+    return parse_scenario(text)
 
 
 @dataclass

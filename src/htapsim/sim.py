@@ -32,7 +32,6 @@ from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
 
 from . import dtm as dtm_mod
 from .commit import abort, commit
@@ -49,6 +48,7 @@ from .resgroup import (
     ResourceGroups,
 )
 from .segment import BOOTSTRAP_LOCAL_XID, Segment, Site
+from .steps import Step
 from .store import Predicate, TableDef, route
 from .trace import (
     ADMISSION_QUEUE,
@@ -66,9 +66,6 @@ from .trace import (
     render,
 )
 from .waitgraph import GlobalWaitForGraph, WaitEdge, collect_global, snapshot_local
-
-if TYPE_CHECKING:
-    from .scenario import Step
 
 MESSAGE_DELAY = 1  # ticks per message on a link without its own delay
 GLOBAL_MEMORY = 1000.0  # memory units that resource groups divide

@@ -9,7 +9,6 @@ solid or dotted: solid waits disappear only when the holding transaction ends
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +58,8 @@ class GlobalWaitForGraph:
         {"segment", "from", "to", "kind"} record per edge, "from" waiting
         for "to"; other keys are ignored.  ValueError names what is
         malformed."""
+        import json  # here, not at the top: a simulation never reads a graph file
+
         doc = json.loads(text)
         records = doc.get("edges") if isinstance(doc, dict) else None
         if not isinstance(records, list):

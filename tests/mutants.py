@@ -316,6 +316,20 @@ MUTANTS = [
             "::test_a_cpu_tick_is_queued_exactly_while_the_scheduler_has_work",
         ),
     ),
+    Mutant(
+        "scenario-reader-loaded-with-bench",
+        "src/htapsim/bench.py",
+        (
+            (
+                "from .steps import Step, parse_sql  # noqa: F401\n",
+                "from .scenario import Step, parse_sql  # noqa: F401\n",
+            ),
+        ),
+        "`bench` takes the statement grammar from the scenario reader again, so"
+        " every process that imports htapsim compiles and builds the reader"
+        " though no workload reads a scenario",
+        ("tests/test_scenario.py::test_importing_htapsim_loads_only_the_simulator_core",),
+    ),
 ]
 
 

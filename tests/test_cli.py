@@ -2,6 +2,9 @@
 command runs end to end."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,34 @@ def test_non_number_count_is_an_argument_error(capsys):
 def test_run_of_a_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
     assert "cannot read scenario:" in capsys.readouterr().err
+
+
+def test_run_of_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["run", str(path)]) == 2
+    assert "scenario error: line 1: not UTF-8: cannot decode byte 0xff" in capsys.readouterr().err
+
+
+BENCH_ONLY = """
+import sys
+from htapsim import cli
+cli.main(["bench", "--workload", "update-only", "--clients", "2", "--ticks", "5"])
+print([name for name in ("htapsim.scenario", "htapsim.interconnect") if name in sys.modules])
+"""
+
+
+def test_bench_loads_neither_the_scenario_reader_nor_the_interconnect():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", BENCH_ONLY],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "workload=update-only clients=2 ticks=5"
+    assert out[-1] == "[]"
 
 
 def test_valid_counts_still_run(capsys):

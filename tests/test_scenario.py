@@ -7,6 +7,7 @@ import pytest
 import htapsim
 from htapsim.scenario import (
     ScenarioError,
+    load_scenario,
     parse_cpuset,
     parse_predicate,
     parse_scenario,
@@ -62,6 +63,9 @@ class TestCpuset:
 
     def test_mixed(self):
         assert parse_cpuset("0-2,8,10-11") == frozenset({0, 1, 2, 8, 10, 11})
+
+    def test_empty_chunks_are_skipped(self):
+        assert parse_cpuset("0, ,2,") == frozenset({0, 2})
 
 
 class TestScenarioDocument:
@@ -533,6 +537,26 @@ groups:
         3,
         "reversed cpuset range '3-1'",
     ),
+    "cpuset as a list": (
+        "\ngroups:\n  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: [0, 1]}\n",
+        3,
+        'CPUSET must be a string such as "0-3,8"',
+    ),
+    "cpuset of a negative core": (
+        "\ngroups:\n  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: -1}\n",
+        3,
+        "CPUSET: '-1' is neither a core nor a range",
+    ),
+    "cpuset range without a high end": (
+        '\ngroups:\n  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "0-"}\n',
+        3,
+        "CPUSET: '0-' is neither a core nor a range",
+    ),
+    "cpuset range of three ends": (
+        '\ngroups:\n  - {name: g, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: "1-2-3"}\n',
+        3,
+        "CPUSET: '1-2-3' is neither a core nor a range",
+    ),
     "no core left for a share group": (
         """
 groups:
@@ -675,6 +699,7 @@ tables:
   - {name: t, rows: [[1.0, 2.0]]}
 groups:
   - {name: g, CONCURRENCY: 2.0, MEMORY_LIMIT: 10, CPU_RATE_LIMIT: 20.0}
+  - {name: h, CONCURRENCY: 1, MEMORY_LIMIT: 10, CPUSET: 2.0}
 sessions:
   - id: A
     group: g
@@ -685,6 +710,7 @@ sessions:
     )
     assert scenario.tables[0].rows == [(1, 2)]
     assert (scenario.groups[0].concurrency, scenario.groups[0].cpu_rate_limit) == (2, 20)
+    assert scenario.groups[1].cpuset == frozenset({2})
     assert [(s.seq, s.cpu) for s in scenario.sessions[0].steps] == [(1, None), (2, 3)]
     assert all(type(v) is int for v in (*scenario.tables[0].rows[0], scenario.sessions[0].steps[1].cpu))
 
@@ -715,3 +741,51 @@ def test_yaml_is_imported_only_to_read_a_scenario():
     assert out[0] == "False"
     assert out[1].startswith("line 3: invalid YAML: ")
     assert out[2] == "True"
+
+
+def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
+    """Used to end `htapsim run` in a UnicodeDecodeError traceback."""
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"tables:\n  - {name: t}\n# caf\xe9\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert str(err.value).startswith("line 3: not UTF-8: cannot decode byte 0xe9")
+
+
+FRONT_END = ("htapsim.scenario", "htapsim.interconnect", "htapsim.cli", "json", "yaml")
+LAZY_NAMES = {
+    "scenario": (
+        "Scenario", "ScenarioError", "ScenarioResult", "build_cluster",
+        "load_scenario", "parse_scenario", "run_scenario",
+    ),
+    "interconnect": ("JoinOutcome", "run_join_scenario"),
+}
+COLD_START = f"""
+import importlib, sys
+import htapsim, htapsim.bench
+print([name for name in {FRONT_END!r} if name in sys.modules])
+for module, names in {LAZY_NAMES!r}.items():
+    for name in names:
+        value = getattr(htapsim, name)
+        print(name, value is getattr(importlib.import_module("htapsim." + module), name))
+print(hasattr(htapsim, "no_such_name"))
+"""
+
+
+def test_importing_htapsim_loads_only_the_simulator_core():
+    """Importing htapsim and its bench loads neither the scenario reader, the
+    interconnect model, the CLI, json nor PyYAML; each of the package's
+    scenario and interconnect names still resolves, on first access, to its
+    module's object, and an unknown name is still an AttributeError."""
+    src = os.path.dirname(os.path.dirname(htapsim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    names = [name for names in LAZY_NAMES.values() for name in names]
+    assert out[1:-1] == [f"{name} True" for name in names]
+    assert out[-1] == "False"
