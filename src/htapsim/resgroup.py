@@ -261,9 +261,18 @@ class CpuScheduler:
     number, in start order, and `tick()` pops the current call's list, as the
     cluster's event queue files events by tick (R. Brown's calendar queue).
     These lists, `_ends`, are the one record of the running tasks: a task is
-    in one from `_start` until the `tick()` that ends it, and a burst lasts
-    at least one tick.  Preempting a running task would take it out of the
-    one list it is in.
+    in one from the tick that starts it until the `tick()` that ends it, and
+    a burst lasts at least one tick.  Preempting a running task would take it
+    out of the one list it is in.
+
+    So one tick costs O(bursts that end + bursts that start), plus a pass
+    over the cpuset groups and, when a shared core is free, one listing of
+    the runnable share groups; nothing is done per running task.
+    `_shared_free` counts the shared cores no task holds, and a start charges
+    its whole burst to its group at once.  `group_core_ticks`, read only by
+    tests, takes back the ticks still to run of the bursts in `_ends`, so
+    after each tick it is the sum, over the ticks so far, of each group's
+    running tasks after that tick.
     """
 
     def __init__(self, groups: ResourceGroups):
@@ -280,6 +289,7 @@ class CpuScheduler:
         self.shared_cores = groups.n_cores - sum(
             len(cores) for cores in self.cpuset_groups.values()
         )
+        self._shared_free = self.shared_cores
         self.waiting: dict[str, deque[_Task]] = {
             name: deque() for name in sorted(groups.configs)
         }
@@ -288,11 +298,23 @@ class CpuScheduler:
         # running tasks per group
         self.group_running: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
         self.vtime: dict[str, float] = {name: 0.0 for name in self.share_groups}
-        self.group_core_ticks: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
+        # burst ticks of every task started, per group
+        self._charged: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
+
+    @property
+    def group_core_ticks(self) -> dict[str, int]:
+        """Core-ticks run per group: what the started bursts were charged,
+        less the ticks after this one that the running bursts still need."""
+        core_ticks = dict(self._charged)
+        now = self._ticks + 1
+        for end, tasks in self._ends.items():
+            for task in tasks:
+                core_ticks[task.group] -= end - now
+        return core_ticks
 
     def submit(self, query, group: str, burst: int) -> None:
-        if burst < 1:
-            raise ValueError("burst must be at least one tick")
+        if type(burst) is not int or burst < 1:
+            raise ValueError(f"burst must be at least one tick, as an int, not {burst!r}")
         queue = self.waiting.get(group)
         if queue is None:
             raise ConfigError(f"unknown resource group {group!r}")
@@ -311,50 +333,50 @@ class CpuScheduler:
     def has_work(self) -> bool:
         return bool(self._ends) or any(self.waiting.values())
 
-    def _start(self, task: _Task) -> None:
-        self.group_running[task.group] += 1
-        end = self._ticks + task.burst
-        ending = self._ends.get(end)
-        if ending is None:
-            self._ends[end] = [task]
-        else:
-            ending.append(task)
-
     def tick(self) -> list[object]:
         """Advance one tick; returns queries whose bursts completed."""
-        self._ticks += 1
+        self._ticks = now = self._ticks + 1
         finished = []
-        running = self.group_running
-        for task in self._ends.pop(self._ticks, ()):
-            running[task.group] -= 1
+        running, ends, charged = self.group_running, self._ends, self._charged
+        weights = self.share_groups
+        free = self._shared_free
+        for task in ends.pop(now, ()):
+            name = task.group
+            running[name] -= 1
+            if name in weights:
+                free += 1
             finished.append(task.query)
 
         # hard partitions: each cpuset group fills only its own cores
         for name, cores in self.cpuset_groups.items():
             waiting = self.waiting[name]
             while waiting and running[name] < len(cores):
-                self._start(waiting.popleft())
+                task = waiting.popleft()
+                running[name] += 1
+                charged[name] += task.burst
+                ends.setdefault(now + task.burst, []).append(task)
 
         # shared cores: smallest virtual time first among runnable share groups
-        free = self.shared_cores - sum(running[name] for name in self.share_groups)
         if free > 0:
             queues, vtime = self.waiting, self.vtime
             # in name order, so `min` gives a tie to the lowest name
-            runnable = [name for name in self.share_groups if queues[name]]
+            runnable = [name for name in weights if queues[name]]
             while runnable:
-                name = min(runnable, key=vtime.__getitem__)
+                if len(runnable) > 1:
+                    name = min(runnable, key=vtime.__getitem__)
+                else:  # most ticks of `mixed-htap`: one group has a queue
+                    name = runnable[0]
                 queue = queues[name]
                 task = queue.popleft()
                 if not queue:
                     runnable.remove(name)
-                vtime[name] += task.burst / self.share_groups[name]
-                self._start(task)
+                burst = task.burst
+                vtime[name] += burst / weights[name]
+                running[name] += 1
+                charged[name] += burst
+                ends.setdefault(now + burst, []).append(task)
                 free -= 1
                 if free == 0:
                     break
-
-        core_ticks = self.group_core_ticks
-        for name, n in running.items():
-            if n:
-                core_ticks[name] += n
+        self._shared_free = free
         return finished

@@ -195,6 +195,26 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
         raise ScenarioError(f"line {line}: {exc}") from None
 
 
+def _check_expected_sessions(scenario: Scenario, victims: list, outcomes: dict, line: int):
+    """Each expected victim, and each session with an expected outcome, is a
+    session of `scenario`, and each of them and each outcome is a string, so
+    that a bad `expect:` fails before the run rather than after it."""
+    sids = {sdef.sid for sdef in scenario.sessions}
+    for victim in victims:
+        if not isinstance(victim, str):
+            raise ScenarioError(f"line {line}: expected victim must be a string, not {victim!r}")
+        if victim not in sids:
+            raise ScenarioError(f"line {line}: expected victim {victim!r} is no session")
+    for sid, outcome in outcomes.items():
+        if sid not in sids:
+            raise ScenarioError(f"line {line}: expected outcome of {sid!r}, which is no session")
+        if not isinstance(outcome, str):
+            raise ScenarioError(
+                f"line {line}: expected outcome of session {sid} must be a string,"
+                f" not {outcome!r}"
+            )
+
+
 def parse_scenario(text: str) -> Scenario:
     import yaml  # here, not at the top: see _line_loader
 
@@ -296,10 +316,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(
                 f"line {_line(rec)}: expect needs a list of victims and a mapping of outcomes"
             )
+        outcomes = {k: v for k, v in outcomes.items() if k != "__line__"}
+        _check_expected_sessions(scenario, victims, outcomes, _line(rec))
         scenario.expect = Expectation(
-            verdict=rec.get("verdict"),
-            victims=[str(v) for v in victims],
-            outcomes={str(k): str(v) for k, v in outcomes.items() if k != "__line__"},
+            verdict=rec.get("verdict"), victims=victims, outcomes=outcomes
         )
         if scenario.expect.verdict not in (None, "clean", "deadlock"):
             raise ScenarioError(

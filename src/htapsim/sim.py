@@ -425,20 +425,23 @@ class Cluster:
         session.txn.command_id += 1
         stmt = Statement(session, step)
         session.stmt = stmt
-        if step.mem is not None and session.group:
-            result = self.ledger.charge(session.sid, session.group, step.mem)
+        group = session.group
+        if step.mem is not None and group:
+            result = self.ledger.charge(session.sid, group, step.mem)
             if result is _CHARGE_CANCELLED:
                 self._log(("coord", MEM_CANCEL, session.sid, step.mem))
                 self._start_abort(session, "memory_cancelled")
                 return
-        if step.cpu and session.group:
+        burst = step.cpu
+        if burst and group:
             # one worker per segment: the statement's gang occupies a core on
             # each until the burst completes everywhere.  A CPU tick is queued
             # exactly while the scheduler has work, so an idle one gets one
-            if not self.cpu.has_work():
+            cpu = self.cpu
+            if not cpu.has_work():
                 self.schedule(1, self._cpu_tick, background=True)
             for k in range(self.config.n_segments):
-                self.cpu.submit((stmt, k), session.group, step.cpu)
+                cpu.submit((stmt, k), group, burst)
             stmt.cpu_left = self.config.n_segments
             return
         self.coord.resume(self.coord.work(stmt))
@@ -614,11 +617,14 @@ class Cluster:
     # ------------------------------------------------------------- cpu ticks
 
     def _cpu_tick(self) -> None:
-        for stmt, _ in self.cpu.tick():
+        # `tick` and `has_work` are looked up on each call, not bound once,
+        # so that wrappers set on `CpuScheduler` after the build still run
+        cpu = self.cpu
+        for stmt, _ in cpu.tick():
             stmt.cpu_left -= 1
             if stmt.cpu_left == 0 and not stmt.dead:
                 self.schedule(0, partial(self.coord.resume, self.coord.work(stmt)))
-        if self.cpu.has_work():
+        if cpu.has_work():
             self.schedule(1, self._cpu_tick, background=True)
 
     # --------------------------------------------------------------- results

@@ -212,13 +212,27 @@ MUTANTS = [
         "src/htapsim/resgroup.py",
         (
             (
-                "                name = min(runnable, key=vtime.__getitem__)\n",
-                "                name = min(reversed(runnable), key=vtime.__getitem__)\n",
+                "                    name = min(runnable, key=vtime.__getitem__)\n",
+                "                    name = min(reversed(runnable), key=vtime.__getitem__)\n",
             ),
         ),
         "of two share groups with equal virtual time, a free core goes to the"
         " one with the highest name",
         ("tests/test_resgroup.py::test_equal_weights_tie_to_the_lowest_name",),
+    ),
+    Mutant(
+        "cpu-core-ticks-count-the-tick-in-hand-as-still-to-run",
+        "src/htapsim/resgroup.py",
+        (("        now = self._ticks + 1\n", "        now = self._ticks\n"),),
+        "`group_core_ticks` takes back one tick too many for every running"
+        " burst, the tick just run, so a group reads one core-tick short per"
+        " running task",
+        (
+            "tests/test_resgroup.py::TestCpuScheduler"
+            "::test_running_counts_match_a_recount_after_every_tick",
+            "tests/test_resgroup.py::TestCpuScheduler"
+            "::test_a_burst_counts_one_core_tick_per_tick_it_runs",
+        ),
     ),
     Mutant(
         "r2-drops-solid-edges",
@@ -307,7 +321,7 @@ MUTANTS = [
     Mutant(
         "cpu-tick-re-armed-only-while-a-task-waits",
         "src/htapsim/sim.py",
-        (("        if self.cpu.has_work():\n", "        if any(self.cpu.waiting.values()):\n"),),
+        (("        if cpu.has_work():\n", "        if any(cpu.waiting.values()):\n"),),
         "the CPU tick stops re-arming once no task waits, so a burst still"
         " running then never ends and its statement never completes",
         (

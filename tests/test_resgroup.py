@@ -266,6 +266,30 @@ class TestCpuScheduler:
             sched.submit("q", "a", 0)
         with pytest.raises(ConfigError, match="unknown resource group 'b'"):
             sched.submit("q", "b", 1)
+
+    def test_a_burst_that_is_not_an_int_is_rejected(self):
+        """A fractional burst would be filed under a tick `tick()` never
+        pops, so its task would hold its core for ever; a bool or an
+        integral float is refused too, as scenario files refuse them."""
+        sched = CpuScheduler(ResourceGroups([shares("a")], 1000.0))
+        for burst in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="as an int, not"):
+                sched.submit("q", "a", burst)
+        assert not sched.has_work()
+
+    def test_a_burst_counts_one_core_tick_per_tick_it_runs(self):
+        """A 3-tick burst on an idle scheduler starts in tick 1 and ends in
+        tick 4: its group reads 1, 2 and 3 core-ticks after ticks 1-3, and
+        still 3 after the tick that ends it."""
+        sched = CpuScheduler(ResourceGroups([shares("a")], 1000.0))
+        sched.submit("q", "a", 3)
+        read = []
+        for _ in range(4):
+            finished = sched.tick()
+            read.append(sched.group_core_ticks["a"])
+        assert read == [1, 2, 3, 3]
+        assert finished == ["q"]
+        assert not sched.has_work()
         assert not sched.has_work()
 
     def test_share_ratio_converges_one_to_three(self):

@@ -679,6 +679,34 @@ sessions:
         8,
         "unknown table 'u'",
     ),
+    "expected outcome of an undefined session": (
+        "\nexpect: {outcomes: {A: [1]}}\n", 2, "expected outcome of 'A', which is no session"
+    ),
+    "expected outcome not a string": (
+        """
+sessions:
+  - id: A
+    steps: []
+expect:
+  outcomes: {A: [1]}
+""",
+        6,
+        "expected outcome of session A must be a string, not [1]",
+    ),
+    "expected victim not a string": (
+        """
+sessions:
+  - id: A
+    steps: []
+expect:
+  victims: [[1]]
+""",
+        6,
+        "expected victim must be a string, not [1]",
+    ),
+    "expected victim of an undefined session": (
+        "\nexpect: {victims: [B]}\n", 2, "expected victim 'B' is no session"
+    ),
 }
 
 

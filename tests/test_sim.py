@@ -942,6 +942,18 @@ sessions:
         end_line = next(l for l in result.trace if "txn_end" in l)
         assert int(end_line.split("|")[0]) >= 25
 
+    def test_a_fractional_cpu_burst_fails_the_run(self):
+        """A `Step` built in code can carry `cpu=1.5`, which no scenario
+        file can.  Its submit must fail rather than file a burst that never
+        ends, which left an unbounded `run()` spinning on CPU ticks; the run
+        here is bounded so that the accepted burst fails the test, not hangs
+        it."""
+        scenario = parse_scenario(self.TWO_BURSTS)
+        scenario.sessions[0].steps[1].cpu = 1.5
+        cluster = build_cluster(scenario)
+        with pytest.raises(ValueError, match="burst must be at least one tick, as an int"):
+            cluster.run(until_tick=1000)
+
     TWO_BURSTS = """
 tables:
   - {name: t, rows: [[3, 0]]}
