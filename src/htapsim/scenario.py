@@ -206,6 +206,10 @@ def _check_expected_sessions(scenario: Scenario, victims: list, outcomes: dict, 
         if victim not in sids:
             raise ScenarioError(f"line {line}: expected victim {victim!r} is no session")
     for sid, outcome in outcomes.items():
+        if not isinstance(sid, str):
+            raise ScenarioError(
+                f"line {line}: expected outcome's session must be a string, not {sid!r}"
+            )
         if sid not in sids:
             raise ScenarioError(f"line {line}: expected outcome of {sid!r}, which is no session")
         if not isinstance(outcome, str):

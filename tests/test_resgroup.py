@@ -266,6 +266,7 @@ class TestCpuScheduler:
             sched.submit("q", "a", 0)
         with pytest.raises(ConfigError, match="unknown resource group 'b'"):
             sched.submit("q", "b", 1)
+        assert not sched.has_work()
 
     def test_a_burst_that_is_not_an_int_is_rejected(self):
         """A fractional burst would be filed under a tick `tick()` never
@@ -289,7 +290,6 @@ class TestCpuScheduler:
             read.append(sched.group_core_ticks["a"])
         assert read == [1, 2, 3, 3]
         assert finished == ["q"]
-        assert not sched.has_work()
         assert not sched.has_work()
 
     def test_share_ratio_converges_one_to_three(self):

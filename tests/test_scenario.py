@@ -704,6 +704,17 @@ expect:
         6,
         "expected victim must be a string, not [1]",
     ),
+    "expected outcome of a session that is not a string": (
+        """
+sessions:
+  - id: "1"
+    steps: []
+expect:
+  outcomes: {1: committed}
+""",
+        6,
+        "expected outcome's session must be a string, not 1",
+    ),
     "expected victim of an undefined session": (
         "\nexpect: {victims: [B]}\n", 2, "expected victim 'B' is no session"
     ),
