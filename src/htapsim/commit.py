@@ -4,9 +4,17 @@ This is the coordinator's distributed transaction manager at work, the
 commit path of Greenplum's `cdbtm.c`.  Each end is one generator over the
 cluster, `commit` or `abort`, kept as the session's end in flight.  It sends
 one message round at a time (`_round`) and waits for every segment's reply
-(`_reply`) before the next; a segment prepares (`_segment_prepare`) or ends
-the transaction locally (`_segment_end`), and both count their fsyncs
-(`_fsync`).  `_finish_txn` records the outcome on the coordinator.
+(`_reply`) before the next.  A segment prepares (`_segment_prepare`),
+commits (`_segment_commit`) or aborts (`_segment_abort`) the transaction;
+the last two end it there (`_end_here`), as a touched segment that wrote
+nothing does, with no reply, before the commit round.  Both sides count their
+fsyncs (`_fsync`).  `_finish_txn` records the outcome on the coordinator.
+
+A round message is one flat call, `partial(handler, cl, segment, txn,
+session, end)`, and its reply one flat call, `partial(_reply, cl, session,
+end, site, msg)`, with `ok` False added for a vetoed prepare: a reply names
+the end it answers, so one that arrives once that end is no longer in
+flight is dropped.
 """
 
 from __future__ import annotations
@@ -36,12 +44,8 @@ if TYPE_CHECKING:
     from .sim import Cluster, Session
 
 _ONE_PHASE, _TWO_PHASE = Protocol.ONE_PHASE, Protocol.TWO_PHASE
-
-
-def _touched_segments(cl: Cluster, txn: TransactionDescriptor) -> list[Segment]:
-    """The segments where `txn` has a lock request: a local xid's segment
-    among them, since the xid holds its transaction lock until `release_all`."""
-    return [seg for seg in cl.segments if seg.locks.has_requests(txn.dxid)]
+_MSG_PREPARE, _MSG_PREPARE_OK = dtm_mod.MSG_PREPARE, dtm_mod.MSG_PREPARE_OK
+_MSG_COMMIT, _MSG_COMMIT_OK = dtm_mod.MSG_COMMIT, dtm_mod.MSG_COMMIT_OK
 
 
 def commit(cl: Cluster, session: Session):
@@ -52,29 +56,38 @@ def commit(cl: Cluster, session: Session):
     nothing end the transaction locally, uncounted, and the commit round
     goes to the writers: one-phase commit is that round alone, over its
     one writer, and a read-only commit has no site to wait for, so it
-    finishes at once.
+    finishes at once.  The writers are the segments with a local xid; a
+    touched segment is one where the transaction has a lock request, a
+    writer among them, since its xid holds its transaction lock until
+    `release_all`.
     """
     txn = session.txn
     protocol = cl.dtm.plan_commit(txn, cl.config.force_2pc)
     txn.protocol = protocol
-    touched = _touched_segments(cl, txn)
-    written = txn.write_segments
-    writers = [cl.segments[s] for s in written]
-    cl._log(("coord", COMMIT_START, session.sid, txn.dxid, protocol, written))
+    dxid, xids = txn.dxid, txn.local_xids
+    writers: list[Segment] = []
+    others: list[Segment] = []  # touched, and wrote nothing
+    for seg in cl.segments:
+        if xids and xids[seg.id] is not None:
+            writers.append(seg)
+        elif seg.locks.has_requests(dxid):
+            others.append(seg)
+    written = tuple([seg.id for seg in writers])
+    cl._log(("coord", COMMIT_START, session.sid, dxid, protocol, written))
     if protocol is _TWO_PHASE:
-        yield from _round(cl, session, writers, dtm_mod.MSG_PREPARE, _segment_prepare)
+        yield from _round(cl, session, writers, _MSG_PREPARE, _segment_prepare)
         _fsync(cl, cl.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)
-    for seg in touched:
-        if seg.id not in written:
-            cl.send(COORD, seg.id, partial(_segment_end, cl, seg, txn, True))
-    commit_at = partial(_segment_end, committed=True)
-    yield from _round(cl, session, writers, dtm_mod.MSG_COMMIT, commit_at)
+    for seg in others:
+        event = (seg.id, END_LOCAL, dxid)
+        cl.send(COORD, seg.id, partial(_end_here, cl, seg, txn, "committed", event))
+    yield from _round(cl, session, writers, _MSG_COMMIT, _segment_commit)
     _finish_txn(cl, session, committed=True)
 
 
 def abort(cl: Cluster, session: Session, reason: str):
     """Abort `session.txn`: kill its statement and parked parts, then an
-    abort round over every touched segment."""
+    abort round over every touched segment, each segment where it has a
+    lock request."""
     txn = session.txn
     stmt = session.stmt
     if stmt is not None:
@@ -84,24 +97,29 @@ def abort(cl: Cluster, session: Session, reason: str):
         session.stmt = None
     for site in cl.sites:
         site.parked.pop(txn.dxid, None)
-    touched = _touched_segments(cl, txn)
+    touched = [seg for seg in cl.segments if seg.locks.has_requests(txn.dxid)]
     cl._log(("coord", ABORT_START, session.sid, txn.dxid, reason))
-    abort_at = partial(_segment_end, committed=False)
-    yield from _round(cl, session, touched, None, abort_at)
+    yield from _round(cl, session, touched, None, _segment_abort)
     _finish_txn(cl, session, committed=False, reason=reason)
 
 
-def _round(cl: Cluster, session: Session, segments: list[Segment], msg: str | None, at_site):
-    """Send `msg` to each segment in order, where `at_site(cl, segment, txn,
-    reply=...)` runs and answers through `reply(site, msg)`; return once
-    every segment has answered, at once if there is none.  Abort messages
-    are not counted (`msg` is None)."""
+def _round(cl: Cluster, session: Session, segments: list[Segment], msg: str | None, handler):
+    """Send `msg` to each segment in order and return once every segment has
+    answered, at once if there is none.  Abort messages are not counted
+    (`msg` is None).
+
+    The message to `segment` is one call, `handler(cl, segment, txn,
+    session, end)`, with `end` the session's end in flight as the round
+    starts; the handler answers with one call, `_reply(cl, session, end,
+    segment.id, reply_msg)`, so the reply names the end it answers.  No
+    other call wraps either."""
     txn = session.txn
-    reply = partial(_reply, cl, session, session.end)
+    end = session.end
+    send = cl.send
     for seg in segments:
         if msg is not None:
             txn.count(msg)
-        cl.send(COORD, seg.id, partial(at_site, cl, seg, txn, reply=reply))
+        send(COORD, seg.id, partial(handler, cl, seg, txn, session, end))
     for _ in segments:
         yield
 
@@ -115,49 +133,59 @@ def _reply(cl: Cluster, session: Session, end: Generator, site: int, msg, ok=Tru
     txn = session.txn
     if not ok:
         cl._log(("coord", PREPARE_FAILED, txn.dxid, site))
-        cl._start_abort(session, "prepare_failed")
+        cl._start_abort(session, dtm_mod.ABORT_PREPARE_FAILED)
         return
     if msg is not None:
         txn.count(msg)
     next(end, None)
 
 
-def _segment_prepare(cl: Cluster, seg: Segment, txn: TransactionDescriptor, reply) -> None:
-    if cl._prepare_veto(seg.id, txn):
-        cl._log((seg.id, PREPARE_FAIL, txn.dxid))
-        cl.send(seg.id, COORD, partial(reply, seg.id, None, ok=False))
+def _segment_prepare(
+    cl: Cluster, seg: Segment, txn: TransactionDescriptor, session: Session, end: Generator
+) -> None:
+    s = seg.id
+    if cl._prepare_veto(s, txn):
+        cl._log((s, PREPARE_FAIL, txn.dxid))
+        cl.send(s, COORD, partial(_reply, cl, session, end, s, None, False))
         return
     _fsync(cl, seg, txn, dtm_mod.FSYNC_SEGMENT_PREPARE)
-    cl._log((seg.id, PREPARED, txn.dxid))
-    cl.send(seg.id, COORD, partial(reply, seg.id, dtm_mod.MSG_PREPARE_OK))
+    cl._log((s, PREPARED, txn.dxid))
+    cl.send(s, COORD, partial(_reply, cl, session, end, s, _MSG_PREPARE_OK))
 
 
-def _segment_end(
-    cl: Cluster, seg: Segment, txn: TransactionDescriptor, committed: bool, reply=None
+def _segment_commit(
+    cl: Cluster, seg: Segment, txn: TransactionDescriptor, session: Session, end: Generator
 ) -> None:
-    """End `txn` on one segment as `committed` says: record its local
-    outcome, release its locks and wake their waiters.
-
-    With no `reply` this is the local end of a segment that the commit
-    round does not visit.  In a commit round the segment first makes its
-    commit durable; in a commit or abort round it then replies.
-    """
-    if reply is not None and committed:
-        _fsync(cl, seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
+    """Commit `txn` on one of its writers: make the commit durable, end it
+    here and reply."""
+    _fsync(cl, seg, txn, dtm_mod.FSYNC_SEGMENT_COMMIT)
     s = seg.id
-    local = txn.local_xids[s] if txn.local_xids else None
-    if local is not None:
-        seg.states[local] = "committed" if committed else "aborted"
+    _end_here(cl, seg, txn, "committed", (s, COMMIT_LOCAL, txn.dxid, txn.protocol is _ONE_PHASE))
+    cl.send(s, COORD, partial(_reply, cl, session, end, s, _MSG_COMMIT_OK))
+
+
+def _segment_abort(
+    cl: Cluster, seg: Segment, txn: TransactionDescriptor, session: Session, end: Generator
+) -> None:
+    """Abort `txn` on one segment it touched, and reply."""
+    s = seg.id
+    _end_here(cl, seg, txn, "aborted", (s, ABORT_LOCAL, txn.dxid))
+    cl.send(s, COORD, partial(_reply, cl, session, end, s, None))
+
+
+def _end_here(cl: Cluster, seg: Segment, txn: TransactionDescriptor, outcome: str, event) -> None:
+    """End `txn` on `seg`: record its local `outcome`, release its locks,
+    log `event` and wake the waiters granted.  This is the whole local end,
+    with no reply, of a committed transaction on a segment it touched but
+    did not write, which the commit round does not visit."""
+    xids = txn.local_xids
+    if xids:
+        local = xids[seg.id]
+        if local is not None:
+            seg.states[local] = outcome
     promoted = seg.locks.release_all(txn.dxid)
-    if reply is None:
-        cl._log((s, END_LOCAL, txn.dxid))
-    elif committed:
-        cl._log((s, COMMIT_LOCAL, txn.dxid, txn.protocol is _ONE_PHASE))
-    else:
-        cl._log((s, ABORT_LOCAL, txn.dxid))
+    cl._log(event)
     seg.wake(promoted)
-    if reply is not None:
-        cl.send(s, COORD, partial(reply, s, dtm_mod.MSG_COMMIT_OK if committed else None))
 
 
 def _fsync(cl: Cluster, site: Site, txn, kind: str) -> None:
@@ -188,6 +216,6 @@ def _finish_txn(cl: Cluster, session: Session, committed: bool, reason: str = ""
     session.txn = None
     session.end = None
     cl._progress += 1
-    if not committed and reason != "user":
+    if not committed and reason != dtm_mod.ABORT_USER:
         session.skip_until_begin = True
     cl._session_freed(session)

@@ -39,6 +39,23 @@ class TxnState(Enum):
     ABORTED = "aborted"
 
 
+# Why a transaction aborted, as its session records the outcome
+# `aborted:<reason>`: it lost a write-write conflict, the detector chose it as
+# a deadlock victim, its script aborted it, its resource group cancelled it
+# for memory, or a writer vetoed its prepare.
+ABORT_SERIALIZATION = "serialization"
+ABORT_DEADLOCK_VICTIM = "deadlock_victim"
+ABORT_USER = "user"
+ABORT_MEMORY_CANCELLED = "memory_cancelled"
+ABORT_PREPARE_FAILED = "prepare_failed"
+ABORT_REASONS = (
+    ABORT_SERIALIZATION,
+    ABORT_DEADLOCK_VICTIM,
+    ABORT_USER,
+    ABORT_MEMORY_CANCELLED,
+    ABORT_PREPARE_FAILED,
+)
+
 # Per-transaction paths read the states as module constants: reading a member
 # off its Enum class costs several times as much as reading a global.
 _COMMITTED, _ABORTED = TxnState.COMMITTED, TxnState.ABORTED

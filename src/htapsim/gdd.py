@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
+from .dtm import ABORT_DEADLOCK_VICTIM
 from .waitgraph import EdgeKind, GlobalWaitForGraph, WaitEdge
 
 
@@ -163,7 +164,7 @@ def break_deadlock(verdict: DetectionVerdict, cluster) -> list[int]:
     if verdict.outcome is not Outcome.DEADLOCK:
         raise ValueError("break_deadlock requires a Deadlock verdict")
     for victim in verdict.victims:
-        cluster.abort_transaction(victim, reason="deadlock_victim")
+        cluster.abort_transaction(victim, reason=ABORT_DEADLOCK_VICTIM)
     return list(verdict.victims)
 
 

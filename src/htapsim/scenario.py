@@ -28,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .dtm import ABORT_REASONS
 from .resgroup import ConfigError, ResourceGroupConfig, group_set_fault
 from .sim import Cluster, SimConfig
 from .steps import ScenarioError, Step, parse_predicate, parse_sql  # noqa: F401  (re-exported)
@@ -195,10 +196,19 @@ def _parse_group(rec: dict) -> ResourceGroupConfig:
         raise ScenarioError(f"line {line}: {exc}") from None
 
 
+# the outcomes a session can end a run with (`Cluster.session_outcome`);
+# `aborted` matches an abort for any reason
+_OUTCOMES = frozenset(
+    ["committed", "aborted", "stalled", "open", "idle"]
+    + [f"aborted:{reason}" for reason in ABORT_REASONS]
+)
+
+
 def _check_expected_sessions(scenario: Scenario, victims: list, outcomes: dict, line: int):
     """Each expected victim, and each session with an expected outcome, is a
-    session of `scenario`, and each of them and each outcome is a string, so
-    that a bad `expect:` fails before the run rather than after it."""
+    session of `scenario`, and each of them is a string, as each outcome is
+    one a session can end with, so that a bad `expect:` fails before the
+    run rather than after it."""
     sids = {sdef.sid for sdef in scenario.sessions}
     for victim in victims:
         if not isinstance(victim, str):
@@ -216,6 +226,12 @@ def _check_expected_sessions(scenario: Scenario, victims: list, outcomes: dict, 
             raise ScenarioError(
                 f"line {line}: expected outcome of session {sid} must be a string,"
                 f" not {outcome!r}"
+            )
+        if outcome not in _OUTCOMES:
+            raise ScenarioError(
+                f"line {line}: expected outcome of session {sid} is {outcome!r}, not one of"
+                " committed, aborted, stalled, open, idle or aborted:<reason>, with"
+                f" <reason> one of {', '.join(ABORT_REASONS)}"
             )
 
 

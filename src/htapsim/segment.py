@@ -241,8 +241,8 @@ class Segment(Site):
                 state = self.states.get(stamper, "aborted") if stamper else "unstamped"
                 if state == "committed":
                     # first updater won and committed; we lose
-                    cl._log((self.id, STMT_CONFLICT, txn.dxid, "serialization"))
-                    self.reply(stmt, 0, failed="serialization")
+                    cl._log((self.id, STMT_CONFLICT, txn.dxid, dtm_mod.ABORT_SERIALIZATION))
+                    self.reply(stmt, 0, failed=dtm_mod.ABORT_SERIALIZATION)
                     return
                 if state != "in_progress":
                     new_values = (version.values[0], step.set_c2)

@@ -420,7 +420,7 @@ class Cluster:
             self._start_end(session, commit(self, session))
             return
         if step.kind == "abort":
-            self._start_abort(session, "user")
+            self._start_abort(session, dtm_mod.ABORT_USER)
             return
         session.txn.command_id += 1
         stmt = Statement(session, step)
@@ -430,7 +430,7 @@ class Cluster:
             result = self.ledger.charge(session.sid, group, step.mem)
             if result is _CHARGE_CANCELLED:
                 self._log(("coord", MEM_CANCEL, session.sid, step.mem))
-                self._start_abort(session, "memory_cancelled")
+                self._start_abort(session, dtm_mod.ABORT_MEMORY_CANCELLED)
                 return
         burst = step.cpu
         if burst and group:
@@ -467,27 +467,31 @@ class Cluster:
         predicate pins the distribution key to that key's segment; any other
         to every segment."""
         step = stmt.step
+        kind = step.kind
         table = self.catalog[step.table]
         n = self.config.n_segments
-        if step.kind == "insert":
-            rows_at: dict[int, list | None] = {}
+        # (segment id, the rows routed there or None), in segment order
+        if kind == "insert":
+            rows_at: dict[int, list] = {}
             for values in step.rows:
                 rows_at.setdefault(route(table.dist_value(values), n), []).append(
                     tuple(values)
                 )
-            rows_at = dict(sorted(rows_at.items()))
+            parts = sorted(rows_at.items())
         else:
             pinned = step.pred.pinned_key(table) if step.pred is not None else None
-            segs = range(n) if pinned is None else [route(pinned, n)]
-            rows_at = dict.fromkeys(segs)
-        if step.kind == "update":
-            self.inflight_updates += 1
-            self.max_inflight_updates = max(
-                self.max_inflight_updates, self.inflight_updates
-            )
-        stmt.outstanding = len(rows_at)
-        for s, rows in rows_at.items():
-            seg = self.segments[s]
+            if pinned is None:
+                parts = [(s, None) for s in range(n)]
+            else:
+                parts = ((route(pinned, n), None),)
+            if kind == "update":
+                self.inflight_updates += 1
+                if self.inflight_updates > self.max_inflight_updates:
+                    self.max_inflight_updates = self.inflight_updates
+        stmt.outstanding = len(parts)
+        segments = self.segments
+        for s, rows in parts:
+            seg = segments[s]
             self.send(COORD, s, partial(seg.resume, seg.work(stmt, rows)))
 
     # ------------------------------------------------ segment-side replies
@@ -545,7 +549,7 @@ class Cluster:
 
     # ------------------------------------------------------ deadlock breaking
 
-    def abort_transaction(self, dxid: int, reason: str = "deadlock_victim") -> None:
+    def abort_transaction(self, dxid: int, reason: str = dtm_mod.ABORT_DEADLOCK_VICTIM) -> None:
         txn = self.dtm.transactions.get(dxid)
         session = self.sessions.get(txn.sid) if txn is not None else None
         if session is None or session.txn is not txn:

@@ -9,7 +9,7 @@ pyproject's `pythonpath = ["src"]` takes precedence over PYTHONPATH, so to
 time another checkout, run from inside that checkout; the header line
 "htapsim under test" names the copy being measured.
 
-Both cases drive a `Cluster` built in code, with no scenario, in eager issue
+Every case drives a `Cluster` built in code, with no scenario, in eager issue
 order and with the text trace off, one transaction per round:
 
 - `test_update_only_transaction` times the `update-only` workload's
@@ -18,9 +18,11 @@ order and with the text trace off, one transaction per round:
 - `test_two_phase_commit` times the commit of a transaction that updated one
   row on each of the 3 segments: the prepare round, the coordinator's fsync
   and the commit round.  Its `begin` and update run, untimed, in the round's
-  setup.
+  setup;
+- `test_abort_round` times the abort of such a transaction: the abort round
+  over the 3 segments it touched, with the same untimed setup.
 
-Each round leaves one more committed transaction and row version in the
+Each round leaves one more finished transaction and row version in the
 cluster, as a run does.
 """
 
@@ -75,3 +77,19 @@ def test_two_phase_commit(benchmark):
     )
     assert last_protocol(cluster) is Protocol.TWO_PHASE
     assert sorted(cluster.dtm.transactions[max(cluster.dtm.transactions)].write_segments) == [0, 1, 2]
+
+
+def test_abort_round(benchmark):
+    """The abort of `update accounts set c2=1` over rows on 3 segments."""
+    cluster = cluster_with_session([(0, 0), (1, 0), (2, 0)])
+    write, abort = steps("begin", "update accounts set c2=1"), steps("abort")
+    benchmark.pedantic(
+        run_steps,
+        args=(cluster, abort),
+        setup=lambda: run_steps(cluster, write),
+        rounds=2000,
+    )
+    session = cluster.sessions[SID]
+    assert set(session.outcomes) == {"aborted:user"} and session.txn is None
+    txn = cluster.dtm.transactions[max(cluster.dtm.transactions)]
+    assert sorted(txn.write_segments) == [0, 1, 2]

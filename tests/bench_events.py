@@ -20,9 +20,16 @@ scheduled up front.  The median round divided by N is the cost of one
 trace event of arity 3, as a stamp does, with tracing on and with tracing
 off; its median round less `chain_of_events`'s, over N, is the cost of
 recording one event.
+
+`message_fan_out` is `fan_out` where each event is a message: N sends from
+the coordinator to segment 1, each queuing one flat call of a five-argument
+handler, as a commit, prepare or abort round does.  Its median round over N
+is the host cost of one round message: building its call, `Cluster.send`,
+the queue and the call.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -80,6 +87,19 @@ def fan_out(delays: list[int]) -> Cluster:
     return cluster
 
 
+def handler(cl, seg, txn, session, end) -> None:
+    pass
+
+
+def message_fan_out(count: int) -> Cluster:
+    """A cluster with `count` round messages sent up front."""
+    cluster = Cluster(SimConfig(trace_enabled=False))
+    seg, txn, session, end = cluster.segments[1], object(), object(), object()
+    for _ in range(count):
+        cluster.send(0, 1, partial(handler, cluster, seg, txn, session, end))
+    return cluster
+
+
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("mix", sorted(MIXES))
 @pytest.mark.parametrize("shape", [chain_of_events, fan_out], ids=lambda f: f.__name__)
@@ -108,3 +128,14 @@ def test_schedule_run_and_record(benchmark, tracing, mix, count):
 
     cluster = benchmark(one_round)
     assert len(cluster.trace) == (count + 1 if tracing else 0)
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_send_and_run_round_messages(benchmark, count):
+    def one_round():
+        cluster = message_fan_out(count)
+        cluster.run()
+        return cluster
+
+    cluster = benchmark(one_round)
+    assert cluster._fg_pending == 0 and cluster.clock == 1

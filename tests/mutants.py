@@ -145,13 +145,32 @@ MUTANTS = [
         "src/htapsim/commit.py",
         (
             (
-                "    yield from _round(cl, session, writers, dtm_mod.MSG_COMMIT, commit_at)\n",
-                "    yield from _round(cl, session, writers[:1], dtm_mod.MSG_COMMIT, commit_at)\n",
+                "    yield from _round(cl, session, writers, _MSG_COMMIT, _segment_commit)\n",
+                "    yield from _round(cl, session, writers[:1], _MSG_COMMIT, _segment_commit)\n",
             ),
         ),
         "the commit round visits only the first writer, so the other writers"
         " keep the transaction in progress and hold its locks",
         (
+            f"{COMMIT}::test_two_segment_write_counts",
+            f"{COMMIT}::test_three_segment_write_counts",
+        ),
+    ),
+    Mutant(
+        "last-writer-ended-locally",
+        "src/htapsim/commit.py",
+        (
+            ("    for seg in others:\n", "    for seg in others + writers[-1:]:\n"),
+            (
+                "    yield from _round(cl, session, writers, _MSG_COMMIT, _segment_commit)\n",
+                "    yield from _round(cl, session, writers[:-1], _MSG_COMMIT, _segment_commit)\n",
+            ),
+        ),
+        "the last writer gets the uncounted local end of a segment that wrote"
+        " nothing instead of the commit round, so its commit is never made"
+        " durable or acknowledged, and a one-phase commit sends no message",
+        (
+            f"{COMMIT}::test_single_segment_insert_takes_one_phase",
             f"{COMMIT}::test_two_segment_write_counts",
             f"{COMMIT}::test_three_segment_write_counts",
         ),

@@ -718,6 +718,28 @@ expect:
     "expected victim of an undefined session": (
         "\nexpect: {victims: [B]}\n", 2, "expected victim 'B' is no session"
     ),
+    "misspelt expected outcome": (
+        """
+sessions:
+  - id: A
+    steps: []
+expect:
+  outcomes: {A: comitted}
+""",
+        6,
+        "expected outcome of session A is 'comitted', not one of",
+    ),
+    "expected abort for a reason the simulator never records": (
+        """
+sessions:
+  - id: A
+    steps: []
+expect:
+  outcomes: {A: aborted:serialisation}
+""",
+        6,
+        "expected outcome of session A is 'aborted:serialisation', not one of",
+    ),
 }
 
 
