@@ -56,10 +56,9 @@ def commit(cl: Cluster, session: Session):
     nothing end the transaction locally, uncounted, and the commit round
     goes to the writers: one-phase commit is that round alone, over its
     one writer, and a read-only commit has no site to wait for, so it
-    finishes at once.  The writers are the segments with a local xid; a
-    touched segment is one where the transaction has a lock request, a
-    writer among them, since its xid holds its transaction lock until
-    `release_all`.
+    finishes at once.  The writers are the segments where the transaction
+    has a local xid; the touched segments that wrote nothing are the others
+    where it has a lock request (`has_requests`).
     """
     txn = session.txn
     protocol = cl.dtm.plan_commit(txn, cl.config.force_2pc)
@@ -174,15 +173,17 @@ def _segment_abort(
 
 
 def _end_here(cl: Cluster, seg: Segment, txn: TransactionDescriptor, outcome: str, event) -> None:
-    """End `txn` on `seg`: record its local `outcome`, release its locks,
-    log `event` and wake the waiters granted.  This is the whole local end,
-    with no reply, of a committed transaction on a segment it touched but
-    did not write, which the commit round does not visit."""
+    """End `txn` on `seg`: record its local `outcome`, drop its own xid
+    lock if no waiter has filed it in the lock table, release its locks
+    there, log `event` and wake the waiters granted.  This is the whole local
+    end, with no reply, of a committed transaction on a segment it touched
+    but did not write, which the commit round does not visit."""
     xids = txn.local_xids
     if xids:
         local = xids[seg.id]
         if local is not None:
             seg.states[local] = outcome
+            seg.xid_locks.pop(local, None)
     promoted = seg.locks.release_all(txn.dxid)
     cl._log(event)
     seg.wake(promoted)

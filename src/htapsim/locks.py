@@ -158,9 +158,13 @@ class LockTable:
     table's arrival sequence.
 
     Every tag with requests has one LockQueue in `_queues`, made by its first
-    request since it was last empty and dropped when it is empty again.  Most
-    requests meet no conflict: concurrent updaters all take ROW_EXCLUSIVE on
-    a relation, and a writer's lock on its own xid is seldom waited on.  As
+    request since it was last empty and dropped when it is empty again.  A
+    writer's lock on its own xid is seldom waited on, so, as PostgreSQL's
+    VirtualXactLock keeps a virtual xid lock in its backend's fast-path slot,
+    it is held outside the table (`segment.Segment.xid_locks`) with only its
+    arrival number taken (`reserve`), and filed under that number
+    (`transfer`) when the first waiter comes.  Most requests meet no
+    conflict: concurrent updaters all take ROW_EXCLUSIVE on a relation.  As
     PostgreSQL lets a weak relation lock skip the shared lock table while no
     strong lock is counted on the relation (FastPathStrongRelationLocks and
     ConflictsWithRelationFastPath in lock.c), each queue counts its requests
@@ -174,8 +178,10 @@ class LockTable:
     Like PostgreSQL's per-backend lock list, the table also keeps, for each
     transaction, its own requests grouped by tag.  That is the table's one
     record of a transaction: it knows one only while it holds or waits for a
-    lock here, as lock.c knows a backend only by its PROCLOCKs.  The
-    duplicate check in `acquire` reads only those.  A release, of all of
+    lock here, as lock.c knows a backend only by its PROCLOCKs.  A writer
+    whose own xid lock is not filed here yet still holds the relation lock
+    it took before its first write.  The duplicate check in `acquire` reads
+    only those.  A release, of all of
     them at the transaction's end or of one tuple lock, takes them off their
     queues through one path, `_remove`, which drops each queue left empty;
     only queues with a strong request can have waiters, so it updates the
@@ -241,6 +247,30 @@ class LockTable:
             queue.waiting += 1
             return _BLOCKED, blockers
         return _ACQUIRED, []
+
+    def reserve(self) -> int:
+        """Take the next arrival number for a request that `transfer` files
+        later, as if the request had been made now."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
+
+    def transfer(self, txn: int, tag: LockTag, mode: LockMode, tick: int, seq: int) -> None:
+        """File `txn`'s lock on `tag` in `mode`, held outside the table so
+        far, as a granted request under the arrival number `seq` it reserved
+        (`reserve`): the tag's queue is born at `seq`, so a release wakes it
+        in the order the request would have had if made then.  `tag` must
+        have no requests yet."""
+        if tag.segment != self.segment:
+            raise ProtocolError(f"tag {tag} does not belong to segment {self.segment}")
+        if tag in self._queues:
+            raise ProtocolError(f"{tag} already has requests")
+        req = LockRequest(txn, tag, mode, _GRANTED, tick, seq)
+        own = self._own.get(txn)
+        if own is None:
+            own = self._own[txn] = {}
+        own[tag] = [req]
+        self._queues[tag] = LockQueue(req)
 
     def release_all(self, txn: int) -> list[LockRequest]:
         """End `txn` on this segment (commit/abort path): drop its every
@@ -394,7 +424,7 @@ class LockTable:
             for req in mine:
                 del requests[req.seq]
             if not requests:
-                # the common own-xid case: an emptied queue needs no counts
+                # an emptied queue needs no counts
                 del queues[tag]
             elif queue.strong:  # else only weak grants, which nothing waits on
                 for req in mine:

@@ -151,7 +151,16 @@ class Site:
 class Segment(Site):
     """A segment: a site that also holds its heap (`store`), its commit log
     (`states`, local xid -> "in_progress", "committed" or "aborted"), its
-    local-to-distributed xid `mapping` and the next local xid to hand out."""
+    local-to-distributed xid `mapping` and the next local xid to hand out.
+
+    Each writer holds an EXCLUSIVE lock on its own local xid, which a
+    transaction that finds the writer's stamp waits on in SHARE.  Until the
+    first such waiter comes, that lock is only an entry of `xid_locks`, local
+    xid -> the arrival number reserved for it in `locks`; the waiter files
+    it there (`LockTable.transfer`) and drops the entry, and the writer's
+    local end drops one never filed, as PostgreSQL's VirtualXactLock moves a
+    virtual xid lock from its fast-path slot into the lock table only when
+    another backend must wait on it."""
 
     def __init__(self, cluster: Cluster, id: int):
         super().__init__(cluster, id)
@@ -160,26 +169,26 @@ class Segment(Site):
         self.mapping = XidMapping(id)
         self.mapping.record(BOOTSTRAP_LOCAL_XID, 0)
         self.next_local_xid = 1
+        self.xid_locks: dict[int, int] = {}  # local xid -> its lock's reserved number
 
     def local_xid(self, txn: TransactionDescriptor) -> int:
-        """Assign a local xid (and the transaction self-lock) on first write,
-        and truncate the mapping at the horizon of `txn`'s snapshot.  Call it
-        only right before a write: it makes this segment one of `txn`'s writers."""
-        xids = txn.local_xids
-        if xids and xids[self.id] is not None:
-            return xids[self.id]
+        """Assign a local xid on first write, with its transaction lock
+        reserved in `xid_locks`, and truncate the mapping at the horizon of
+        `txn`'s snapshot.  Call it only right before a write: it makes this
+        segment one of `txn`'s writers."""
+        xids, i = txn.local_xids, self.id
+        if xids and xids[i] is not None:
+            return xids[i]
         local = self.next_local_xid
         self.next_local_xid = local + 1
-        xids = list(xids or [None] * len(self.cluster.segments))
-        xids[self.id] = local
-        txn.local_xids = tuple(xids)
+        if not xids:
+            xids = (None,) * len(self.cluster.segments)
+        txn.local_xids = xids[:i] + (local,) + xids[i + 1 :]
         self.states[local] = "in_progress"
         self.mapping.record(local, txn.dxid)
         self.mapping.truncate(txn.snapshot.horizon)
-        cl = self.cluster
-        tag = LockTag(_TRANSACTION, self.id, local)
-        self.locks.acquire(txn.dxid, tag, _EXCLUSIVE, cl.clock)
-        cl._log((self.id, ASSIGN_LOCAL_XID, txn.dxid, local))
+        self.xid_locks[local] = self.locks.reserve()
+        self.cluster._log((self.id, ASSIGN_LOCAL_XID, txn.dxid, local))
         return local
 
     def visibility(self, snapshot, txn: TransactionDescriptor | None = None):
@@ -265,6 +274,10 @@ class Segment(Site):
                             return
                         continue  # look at the stamper again
                 xact_tag = LockTag(_TRANSACTION, self.id, stamper)
+                seq = self.xid_locks.pop(stamper, None)
+                if seq is not None:  # the first waiter files the stamper's lock
+                    holder = self.mapping.entries[stamper]
+                    self.locks.transfer(holder, xact_tag, _EXCLUSIVE, cl.clock, seq)
                 if not self.acquire_or_park(txn, xact_tag, _SHARE):
                     yield txn.dxid
                     if stmt.dead:

@@ -15,8 +15,9 @@ No strong lock is counted on the tag, so a weak request is granted without
 walking the holders, and a release touches only the releasing
 transaction's own requests: the time per round stays flat in N.  One case
 times a strong request meeting the N holders, which the blocking rule
-decides by walking them, in O(N).  One more case times the lock every
-writer takes on its own local xid.
+decides by walking them, in O(N).  Two cases time a writer's lock on its
+own local xid: what every writer pays while nobody waits on it, and the
+first waiter's transfer of it into the table.
 
 The last case times one release in front of N EXCLUSIVE waiters on one
 tag, for N = 16, 64, 256 and 1,024: the release promotes the first waiter,
@@ -95,20 +96,45 @@ def test_strong_request_meets_weak_holders(benchmark, holders):
 
 
 def test_own_xid_lock(benchmark):
-    """A writer takes the transaction lock on its own new local xid, a tag
-    nobody has used, and then ends: the tag's queue is made for the one
-    request and dropped again, emptied, before its counts are touched."""
+    """What a writer pays for the transaction lock on its own new local
+    xid while nobody waits on it: its segment reserves the lock's arrival
+    number (`LockTable.reserve`) into its map of such locks
+    (`Segment.xid_locks`), and the writer's local end drops the entry.  No
+    request is made and the tag gets no queue."""
     table = LockTable(0)
+    xid_locks = {}
     xids = itertools.count(1)
 
     def one_round():
         xid = next(xids)
-        tag = LockTag(TagKind.TRANSACTION, 0, xid)
-        result, _ = table.acquire(xid, tag, LockMode.EXCLUSIVE, 1)
-        table.release_all(xid)
-        return result
+        xid_locks[xid] = table.reserve()
+        return xid_locks.pop(xid)
 
-    assert benchmark(one_round) is AcquireResult.GRANTED
+    benchmark(one_round)
+    assert xid_locks == {} and table._queues == {}
+
+
+def test_wait_on_a_writers_xid(benchmark):
+    """A transaction finds a writer's stamp: it files the writer's own xid
+    lock under its reserved number (`LockTable.transfer`) and waits on it in
+    SHARE; the writer's `release_all` promotes it, and then it ends too.
+    The writer's request, no longer made at xid assignment, is made here,
+    on the one path that still needs it."""
+    table = LockTable(0)
+    xids = itertools.count(1, 2)
+
+    def one_round():
+        writer = next(xids)
+        waiter = writer + 1
+        tag = LockTag(TagKind.TRANSACTION, 0, writer)
+        seq = table.reserve()
+        table.transfer(writer, tag, LockMode.EXCLUSIVE, 1, seq)
+        blocked, _ = table.acquire(waiter, tag, LockMode.SHARE, 1)
+        promoted = table.release_all(writer)
+        table.release_all(waiter)
+        return blocked, [r.txn - writer for r in promoted]
+
+    assert benchmark(one_round) == (AcquireResult.BLOCKED, [1])
 
 
 @pytest.mark.parametrize("waiters", WAITERS)

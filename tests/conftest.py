@@ -14,7 +14,7 @@ def pytest_report_header(config):
 
 
 # LockTable methods that change lock state
-_CHANGES = ("acquire", "release_all", "release_tuple_lock")
+_CHANGES = ("acquire", "release_all", "release_tuple_lock", "transfer")
 
 
 def _checked(method):

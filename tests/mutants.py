@@ -227,6 +227,31 @@ MUTANTS = [
         (f"{COMMIT}::test_two_segment_write_counts",),
     ),
     Mutant(
+        "xid-lock-outlives-its-transaction",
+        "src/htapsim/commit.py",
+        (("            seg.xid_locks.pop(local, None)\n", ""),),
+        "a writer's local end leaves its own xid lock reserved when no waiter"
+        " filed it in the lock table, so `xid_locks` keeps one entry per"
+        " writer for the rest of the run",
+        (
+            LIVENESS,
+            "tests/test_costs.py"
+            "::test_lock_acquires_per_finished_transaction_are_flat_in_run_length",
+        ),
+    ),
+    Mutant(
+        "xid-lock-transferred-with-a-fresh-number",
+        "src/htapsim/segment.py",
+        (("_EXCLUSIVE, cl.clock, seq)", "_EXCLUSIVE, cl.clock, self.locks.reserve())"),),
+        "the first waiter files the stamper's xid lock under a new arrival"
+        " number rather than the one reserved at xid assignment, so the"
+        " stamper's end wakes that queue after queues born later",
+        (
+            "tests/test_sim.py::TestPaperScenarios"
+            "::test_a_filed_xid_lock_wakes_in_its_reserved_place",
+        ),
+    ),
+    Mutant(
         "cpu-ties-to-the-highest-name",
         "src/htapsim/resgroup.py",
         (

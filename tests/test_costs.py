@@ -11,6 +11,7 @@ import functools
 import pytest
 
 from htapsim.bench import WORKLOADS, build
+from htapsim.locks import LockTable
 from htapsim.sim import Cluster, SimConfig
 
 CLIENTS = 8
@@ -21,26 +22,40 @@ SHORT, LONG = 200, 800  # ticks
 # ratio by up to 4x.
 FLAT = 0.05
 
+# (owner, name) of every method these tests wrap; `tests/test_tooling.py`
+# checks that each is still defined on its owner
+SCHEDULE, ACQUIRE = WRAPPED = ((Cluster, "schedule"), (LockTable, "acquire"))
+
+
+def calls_per_finished_txn(monkeypatch, owner, name: str, workload: str, ticks: int) -> float:
+    """Calls of `owner.name` per transaction committed or aborted in a
+    `ticks`-long run.  After the run, no segment keeps a reserved own-xid
+    lock (`Segment.xid_locks`) of a transaction that has finished."""
+    calls = 0
+    method = getattr(owner, name)
+
+    @functools.wraps(method)
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    cluster = build(workload, CLIENTS, SimConfig(trace_enabled=False))
+    cluster.run(until_tick=ticks)
+    monkeypatch.setattr(owner, name, method)
+    for seg in cluster.segments:
+        outlived = [local for local in seg.xid_locks if seg.states[local] != "in_progress"]
+        assert not outlived, (workload, ticks, seg.id, outlived)
+    finished = cluster.committed_txns + cluster.aborted_txns
+    assert finished > 0
+    return calls / finished
+
 
 def events_per_finished_txn(monkeypatch, workload: str, ticks: int) -> float:
     """`Cluster.schedule` calls, the events perfbench counts as `sim.events`,
     per transaction committed or aborted in a `ticks`-long run."""
-    calls = 0
-    schedule = Cluster.schedule
-
-    @functools.wraps(schedule)
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return schedule(*args, **kwargs)
-
-    monkeypatch.setattr(Cluster, "schedule", counted)
-    cluster = build(workload, CLIENTS, SimConfig(trace_enabled=False))
-    cluster.run(until_tick=ticks)
-    monkeypatch.setattr(Cluster, "schedule", schedule)
-    finished = cluster.committed_txns + cluster.aborted_txns
-    assert finished > 0
-    return calls / finished
+    return calls_per_finished_txn(monkeypatch, *SCHEDULE, workload, ticks)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -49,5 +64,17 @@ def test_events_per_finished_transaction_are_flat_in_run_length(monkeypatch, wor
     long = events_per_finished_txn(monkeypatch, workload, LONG)
     assert abs(long / short - 1) <= FLAT, (
         f"{workload}: {short:.3f} events per transaction at {SHORT} ticks,"
+        f" {long:.3f} at {LONG}"
+    )
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_lock_acquires_per_finished_transaction_are_flat_in_run_length(monkeypatch, workload):
+    """`LockTable.acquire` calls, which perfbench counts as
+    `locks.acquire.calls`, per finished transaction."""
+    short = calls_per_finished_txn(monkeypatch, *ACQUIRE, workload, SHORT)
+    long = calls_per_finished_txn(monkeypatch, *ACQUIRE, workload, LONG)
+    assert abs(long / short - 1) <= FLAT, (
+        f"{workload}: {short:.3f} lock acquires per transaction at {SHORT} ticks,"
         f" {long:.3f} at {LONG}"
     )

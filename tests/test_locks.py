@@ -326,6 +326,59 @@ class TestOneRecord:
         table.check_invariants()
 
 
+class TestTransfer:
+    """A writer's lock on its own xid is held outside the table with its
+    arrival number reserved (`reserve`), and filed under that number when
+    its first waiter comes (`transfer`)."""
+
+    XACT = LockTag(TagKind.TRANSACTION, 0, 7)
+    TUPLE = LockTag(TagKind.TUPLE, 0, ("t1", 0))
+
+    def test_a_transferred_lock_keeps_its_reserved_number(self):
+        table = LockTable(0)
+        table.acquire(1, rel(0), LockMode.ROW_EXCLUSIVE, 0)
+        seq = table.reserve()
+        table.acquire(2, rel(0), LockMode.ROW_EXCLUSIVE, 1)
+        table.acquire(1, self.TUPLE, LockMode.EXCLUSIVE, 1)
+        table.transfer(1, self.XACT, LockMode.EXCLUSIVE, 2, seq)
+        result, blockers = table.acquire(2, self.XACT, LockMode.SHARE, 2)
+        assert (result, [(b.txn, b.seq) for b in blockers]) == (AcquireResult.BLOCKED, [(1, 1)])
+        assert table._queues[self.XACT].born == seq == 1
+        assert [(r.tag, r.seq) for r in table.locks_of(1)] == [
+            (rel(0), 0),
+            (self.XACT, 1),
+            (self.TUPLE, 3),
+        ]
+        table.check_invariants()
+
+    def test_a_release_wakes_the_transferred_queue_by_its_reserved_number(self):
+        """Txn 1's tuple lock is made after its xid lock's reservation but
+        filed before the transfer; txn 1's end wakes the xid lock's waiter
+        first, as if the lock had been taken at the reservation."""
+        table = LockTable(0)
+        seq = table.reserve()
+        table.acquire(1, self.TUPLE, LockMode.EXCLUSIVE, 0)
+        table.acquire(2, self.TUPLE, LockMode.EXCLUSIVE, 1)
+        table.transfer(1, self.XACT, LockMode.EXCLUSIVE, 2, seq)
+        table.acquire(3, self.XACT, LockMode.SHARE, 2)
+        assert [(r.txn, r.tag) for r in table.release_all(1)] == [
+            (3, self.XACT),
+            (2, self.TUPLE),
+        ]
+        table.check_invariants()
+
+    def test_transfer_onto_a_tag_with_requests_is_refused(self):
+        table = LockTable(0)
+        seq = table.reserve()
+        table.acquire(2, self.XACT, LockMode.SHARE, 0)
+        with pytest.raises(ProtocolError):
+            table.transfer(1, self.XACT, LockMode.EXCLUSIVE, 1, seq)
+        with pytest.raises(ProtocolError):
+            table.transfer(1, LockTag(TagKind.TRANSACTION, 1, 7), LockMode.EXCLUSIVE, 1, seq)
+        assert not table.has_requests(1)
+        table.check_invariants()
+
+
 def strong_table():
     """Txns 1 and 2 hold t1 in ROW_EXCLUSIVE, txn 1 holds t2 in SHARE and
     txn 2 waits for t2 in EXCLUSIVE."""

@@ -15,6 +15,7 @@ import pytest
 
 from htapsim.dtm import TxnState, expected_accounting, visible
 from htapsim.gdd import Outcome, detect, reduce
+from htapsim.locks import LockMode, LockTag, RequestStatus, TagKind
 from htapsim.scenario import Scenario, SessionDef, Step, TableSpec, build_cluster, parse_sql
 from htapsim.sim import SimConfig
 from htapsim.store import Predicate, TableDef
@@ -246,9 +247,39 @@ def check_parked(cluster) -> bool:
     return False
 
 
+def check_xid_locks(cluster) -> bool:
+    """Each writer's lock on its own local xid is in one place on its
+    segment: reserved in `xid_locks` while its tag has no queue, or filed in
+    the lock table as its tag's first request, granted to its writer in
+    EXCLUSIVE.  No reserved entry outlives its local xid's transaction.
+    Returns False, as `check_records` does, to run through
+    `run(stop_when=...)`."""
+    for seg in cluster.segments:
+        queues = seg.locks._queues
+        for local in seg.xid_locks:
+            where = (cluster.clock, seg.id, local)
+            assert seg.states.get(local) == "in_progress", (where, seg.states.get(local))
+            assert LockTag(TagKind.TRANSACTION, seg.id, local) not in queues, where
+        for local, state in seg.states.items():
+            if state != "in_progress" or local in seg.xid_locks:
+                continue
+            where = (cluster.clock, seg.id, local)
+            queue = queues.get(LockTag(TagKind.TRANSACTION, seg.id, local))
+            assert queue is not None, where
+            first = next(iter(queue.requests.values()))
+            assert (first.txn, first.mode, first.status, first.seq) == (
+                seg.mapping.entries[local],
+                LockMode.EXCLUSIVE,
+                RequestStatus.GRANTED,
+                queue.born,
+            ), (where, first)
+    return False
+
+
 def check_each_event(cluster) -> bool:
-    """`check_records` and `check_parked`, for `run(stop_when=...)`."""
-    return check_records(cluster) or check_parked(cluster)
+    """`check_records`, `check_parked` and `check_xid_locks`, for
+    `run(stop_when=...)`."""
+    return check_records(cluster) or check_parked(cluster) or check_xid_locks(cluster)
 
 
 def liveness_stats(n_scenarios=150, base_seed=5000, **mode):

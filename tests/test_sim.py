@@ -153,6 +153,18 @@ class TestPaperScenarios:
             "global out-degree of 3 is 0: remove vertex 3, drop edges [4-->3@seg1]",
         ]
 
+    def test_a_filed_xid_lock_wakes_in_its_reserved_place(self):
+        """At tick 13 B's abort on seg1 wakes D, waiting on B's transaction
+        lock there, and A, waiting on a tuple lock.  B's xid lock was filed
+        in the lock table only when D came to wait on it, but under the
+        number reserved when B got its xid, before the tuple lock's queue
+        was born, so D's grant comes first."""
+        _, result = run_file("clean_mixed_edges.yaml")
+        assert [l for l in result.trace if l.startswith("13|seg1|lock_grant|")] == [
+            "13|seg1|lock_grant|dxid=4 tag=transaction:2@seg1 mode=SHARE",
+            "13|seg1|lock_grant|dxid=1 tag=tuple:('t1', 0)@seg1 mode=EXCLUSIVE",
+        ]
+
     def test_empty_scenario(self):
         result = run_text("")
         assert result.outcomes == {}

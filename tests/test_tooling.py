@@ -2,8 +2,8 @@
 
 `tests/mutants.py` and `perfbench` run outside the quick suite, so a
 refactor that moves a mutant's old text, renames a test a mutant names, or
-moves a name the tracer wraps would otherwise show only when someone runs
-them.  These checks read files and change nothing.
+moves a name the tracer or the cost tests wrap would otherwise show only
+when someone runs them.  These checks read files and change nothing.
 """
 
 import re
@@ -12,6 +12,7 @@ import types
 import pytest
 
 from mutants import MUTANTS, ROOT
+from test_costs import WRAPPED
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -47,3 +48,11 @@ def test_every_name_the_tracer_wraps_is_defined_on_its_owner():
         f"{owner.__name__}.{attr}" for owner, attr, _ in targets if attr not in vars(owner)
     ]
     assert not missing, f"the tracer wraps names its owners do not define: {missing}"
+
+
+def test_every_name_the_cost_tests_wrap_is_defined_on_its_owner():
+    """`tests/test_costs.py` counts calls by wrapping names listed in its
+    `WRAPPED`; a name moved off its owner would be wrapped there afresh, or
+    counted from a parent class, and the count would read wrong."""
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in WRAPPED if attr not in vars(owner)]
+    assert not missing, f"test_costs wraps names its owners do not define: {missing}"
