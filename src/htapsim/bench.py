@@ -12,7 +12,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 
-from .sim import Cluster, SimConfig
+from .sim import Cluster, SimConfig, _check_int
 # Not called here: perfbench's tracer looks `parse_sql` up in this module to
 # count scenario parsing (ROADMAP item 2 moves that lookup).
 from .steps import Step, parse_sql  # noqa: F401
@@ -235,6 +235,7 @@ def bench(
     config: SimConfig | None = None,
     seed: int = 0,
 ) -> BenchResult:
+    _check_int("duration_ticks", duration_ticks, 1)
     cluster = build(workload, clients, config, seed)
     cluster.run(until_tick=duration_ticks)
 
@@ -262,7 +263,7 @@ def bench(
         ticks=duration_ticks,
         committed=cluster.committed_txns,
         aborted=cluster.aborted_txns,
-        tps=cluster.committed_txns / duration_ticks if duration_ticks else 0.0,
+        tps=cluster.committed_txns / duration_ticks,
         p50_latency=percentile(latencies, 0.5),
         p95_latency=percentile(latencies, 0.95),
         max_inflight_updates=cluster.max_inflight_updates,

@@ -118,9 +118,6 @@ class ResourceGroups:
     def __contains__(self, name: str) -> bool:
         return name in self.configs
 
-    def slot_quota(self, name: str) -> float:
-        return self.memory[name].slot_quota
-
 
 class Admission(Enum):
     RUN = "run"
@@ -268,11 +265,10 @@ class CpuScheduler:
     So one tick costs O(bursts that end + bursts that start), plus a pass
     over the cpuset groups and, when a shared core is free, one listing of
     the runnable share groups; nothing is done per running task.
-    `_shared_free` counts the shared cores no task holds, and a start charges
-    its whole burst to its group at once.  `group_core_ticks`, read only by
-    tests, takes back the ticks still to run of the bursts in `_ends`, so
-    after each tick it is the sum, over the ticks so far, of each group's
-    running tasks after that tick.
+    `_shared_free` counts the shared cores no task holds.  No ledger of CPU
+    used is kept: the core-ticks a group runs in a tick are its
+    `group_running` after that tick, so `_ends` and `group_running` are the
+    only records a running burst has.
     """
 
     def __init__(self, groups: ResourceGroups):
@@ -298,19 +294,6 @@ class CpuScheduler:
         # running tasks per group
         self.group_running: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
         self.vtime: dict[str, float] = {name: 0.0 for name in self.share_groups}
-        # burst ticks of every task started, per group
-        self._charged: dict[str, int] = {n: 0 for n in sorted(groups.configs)}
-
-    @property
-    def group_core_ticks(self) -> dict[str, int]:
-        """Core-ticks run per group: what the started bursts were charged,
-        less the ticks after this one that the running bursts still need."""
-        core_ticks = dict(self._charged)
-        now = self._ticks + 1
-        for end, tasks in self._ends.items():
-            for task in tasks:
-                core_ticks[task.group] -= end - now
-        return core_ticks
 
     def submit(self, query, group: str, burst: int) -> None:
         if type(burst) is not int or burst < 1:
@@ -337,7 +320,7 @@ class CpuScheduler:
         """Advance one tick; returns queries whose bursts completed."""
         self._ticks = now = self._ticks + 1
         finished = []
-        running, ends, charged = self.group_running, self._ends, self._charged
+        running, ends = self.group_running, self._ends
         weights = self.share_groups
         free = self._shared_free
         for task in ends.pop(now, ()):
@@ -353,7 +336,6 @@ class CpuScheduler:
             while waiting and running[name] < len(cores):
                 task = waiting.popleft()
                 running[name] += 1
-                charged[name] += task.burst
                 ends.setdefault(now + task.burst, []).append(task)
 
         # shared cores: smallest virtual time first among runnable share groups
@@ -373,7 +355,6 @@ class CpuScheduler:
                 burst = task.burst
                 vtime[name] += burst / weights[name]
                 running[name] += 1
-                charged[name] += burst
                 ends.setdefault(now + burst, []).append(task)
                 free -= 1
                 if free == 0:

@@ -106,6 +106,11 @@ class SimConfig:
         if self.gdd_period is not None:
             _check_int("gdd_period: detector period", self.gdd_period, 1)
         _check_int("collection_skew", self.collection_skew, 0)
+        if not isinstance(self.link_delays, dict):
+            raise ValueError(f"link_delays must be a dict, not {self.link_delays!r}")
+        groups = self.resource_groups
+        if not (isinstance(groups, list) and all(isinstance(g, ResourceGroupConfig) for g in groups)):
+            raise ValueError(f"resource_groups must be a list of ResourceGroupConfig, not {groups!r}")
         # segment-to-segment links are legal, though no message takes one
         sites = range(-1, self.n_segments)
         for link, delay in self.link_delays.items():

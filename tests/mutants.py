@@ -265,15 +265,17 @@ MUTANTS = [
         ("tests/test_resgroup.py::test_equal_weights_tie_to_the_lowest_name",),
     ),
     Mutant(
-        "cpu-core-ticks-count-the-tick-in-hand-as-still-to-run",
+        "share-burst-ends-a-tick-late",
         "src/htapsim/resgroup.py",
-        (("        now = self._ticks + 1\n", "        now = self._ticks\n"),),
-        "`group_core_ticks` takes back one tick too many for every running"
-        " burst, the tick just run, so a group reads one core-tick short per"
-        " running task",
         (
-            "tests/test_resgroup.py::TestCpuScheduler"
-            "::test_running_counts_match_a_recount_after_every_tick",
+            (
+                "                ends.setdefault(now + burst, [])",
+                "                ends.setdefault(now + burst + 1, [])",
+            ),
+        ),
+        "a share group's burst is filed one tick past its end, so it holds"
+        " its core and counts one core-tick more than its length",
+        (
             "tests/test_resgroup.py::TestCpuScheduler"
             "::test_a_burst_counts_one_core_tick_per_tick_it_runs",
         ),

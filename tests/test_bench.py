@@ -104,6 +104,14 @@ def test_bench_leaves_the_callers_config_unchanged():
         pytest.param(lambda: build("read-only", 4), "unknown workload 'read-only'", id="workload"),
         pytest.param(lambda: build("update-only", 0), "need at least one client", id="no-clients"),
         pytest.param(
+            lambda: bench("update-only", 2, 0), "duration_ticks must be >= 1, not 0", id="no-ticks"
+        ),
+        pytest.param(
+            lambda: bench("update-only", 2, -5),
+            "duration_ticks must be >= 1, not -5",
+            id="negative-ticks",
+        ),
+        pytest.param(
             lambda: Cluster(SimConfig(resource_groups=default_htap_groups())).add_session(
                 "s1", "etl_group"
             ),

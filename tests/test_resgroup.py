@@ -38,6 +38,15 @@ def usage_of(ledger, query) -> float:
     return rec.slot + rec.group_shared + rec.global_shared
 
 
+def counted_tick(sched, core_ticks):
+    """`sched.tick()`, adding each group's core-ticks in that tick, its
+    `group_running` after it, to `core_ticks`; returns what `tick()` did."""
+    finished = sched.tick()
+    for name, n in sched.group_running.items():
+        core_ticks[name] = core_ticks.get(name, 0) + n
+    return finished
+
+
 def grantable_waiting(sched) -> int:
     """Waiting tasks that could run now given the hard caps."""
     n = 0
@@ -59,7 +68,7 @@ class TestConfigValidation:
         mem = groups.memory["olap"]
         assert mem.total == 350.0
         assert mem.shared == 70.0
-        assert groups.slot_quota("olap") == 28.0
+        assert mem.slot_quota == 28.0
 
     def test_concurrency_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -284,15 +293,26 @@ class TestCpuScheduler:
         still 3 after the tick that ends it."""
         sched = CpuScheduler(ResourceGroups([shares("a")], 1000.0))
         sched.submit("q", "a", 3)
-        read = []
+        core_ticks, read = {}, []
         for _ in range(4):
-            finished = sched.tick()
-            read.append(sched.group_core_ticks["a"])
+            finished = counted_tick(sched, core_ticks)
+            read.append(core_ticks["a"])
         assert read == [1, 2, 3, 3]
         assert finished == ["q"]
         assert not sched.has_work()
 
-    def test_share_ratio_converges_one_to_three(self):
+    @pytest.mark.parametrize(
+        "burst",
+        [
+            lambda name, n: 1 + n % 3,
+            lambda name, n: 40 if name == "a" else 1,
+            lambda name, n: 1 if name == "a" else 40,
+        ],
+        ids=["cycle-1-3", "a-40-b-1", "a-1-b-40"],
+    )
+    def test_share_ratio_converges_one_to_three(self, burst):
+        """Weights 20:60, both groups always queued: their core-ticks
+        converge to 1:3 whatever lengths their bursts have."""
         groups = ResourceGroups(
             [shares("a", mem=10, cpu=20), shares("b", mem=10, cpu=60)],
             1000.0,
@@ -300,22 +320,24 @@ class TestCpuScheduler:
         )
         sched = CpuScheduler(groups)
         counter = {"a": 0, "b": 0}
+        core_ticks = {}
         for tick in range(10_000):
             for name in ("a", "b"):
                 while len(sched.waiting[name]) < 64:
                     counter[name] += 1
-                    sched.submit(f"{name}{counter[name]}", name, 1 + (counter[name] % 3))
-            sched.tick()
-        ratio = sched.group_core_ticks["a"] / sched.group_core_ticks["b"]
+                    sched.submit(f"{name}{counter[name]}", name, burst(name, counter[name]))
+            counted_tick(sched, core_ticks)
+        ratio = core_ticks["a"] / core_ticks["b"]
         assert abs(ratio - 1 / 3) < 0.05 / 3 * 5  # 1:3 within 5%
 
     def test_lone_share_group_gets_all_cores(self):
         groups = ResourceGroups([shares("a", mem=10, cpu=20)], 1000.0, n_cores=32)
         sched = CpuScheduler(groups)
+        core_ticks = {}
         for tick in range(1000):
             self.saturate(sched, "a", 64 - len(sched.waiting["a"]), start=tick * 64)
-            sched.tick()
-        assert sched.group_core_ticks["a"] >= 0.99 * 32 * 1000
+            counted_tick(sched, core_ticks)
+        assert core_ticks["a"] >= 0.99 * 32 * 1000
 
     def test_cpuset_throughput_independent_of_other_load(self):
         def run(with_noise):
@@ -375,16 +397,17 @@ class TestCpuScheduler:
             [shares("a", mem=10, cpu=20), shares("b", mem=10, cpu=20)], 1000.0, n_cores=1
         )
         sched = CpuScheduler(groups)
+        core_ticks = {}
         for tick in range(200):
             names = ("b",) if tick < 100 else ("a", "b")
             for name in names:
                 if not sched.waiting[name]:
                     sched.submit(f"{name}{tick}", name, 1)
-            sched.tick()
+            counted_tick(sched, core_ticks)
             if tick == 99:
-                assert sched.group_core_ticks == {"a": 0, "b": 100}
-        assert 45 <= sched.group_core_ticks["a"] <= 55
-        assert 145 <= sched.group_core_ticks["b"] <= 155
+                assert core_ticks == {"a": 0, "b": 100}
+        assert 45 <= core_ticks["a"] <= 55
+        assert 145 <= core_ticks["b"] <= 155
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -404,7 +427,6 @@ class TestCpuScheduler:
             n_cores=8,
         )
         sched = CpuScheduler(groups)
-        core_ticks = {name: 0 for name in "abp"}
         for n, op in enumerate(ops + ["tick"] * 8):
             if op != "tick":
                 sched.submit(f"q{n}", op[0], op[1])
@@ -415,9 +437,6 @@ class TestCpuScheduler:
                 for task in tasks:
                     recount[task.group] += 1
             assert sched.group_running == recount
-            for name in core_ticks:
-                core_ticks[name] += recount[name]
-            assert sched.group_core_ticks == core_ticks
 
 
 class ReferenceScheduler:
@@ -448,7 +467,6 @@ class ReferenceScheduler:
         self.running = []
         self.group_running = {n: 0 for n in sorted(groups.configs)}
         self.vtime = {name: 0.0 for name in self.share_groups}
-        self.group_core_ticks = {n: 0 for n in sorted(groups.configs)}
 
     def submit(self, query, group, burst):
         if group in self.share_groups and not (
@@ -492,8 +510,6 @@ class ReferenceScheduler:
             self.vtime[name] += task.remaining / self.share_groups[name]
             self._start(task)
             free -= 1
-        for name, n in self.group_running.items():
-            self.group_core_ticks[name] += n
         return finished
 
 
@@ -513,7 +529,7 @@ def run_side_by_side(groups, ops):
     """Run `ops` on `CpuScheduler` and `ReferenceScheduler` side by side:
     after every tick, the same finished queries in the same order, the same
     running tasks with the same ticks left, in start order within each end
-    tick, and the same per-group counts, core-ticks and vtimes."""
+    tick, and the same per-group counts and vtimes."""
     sched, ref = CpuScheduler(groups), ReferenceScheduler(groups)
 
     def tick():
@@ -527,7 +543,6 @@ def run_side_by_side(groups, ops):
             for t in sorted(ref.running, key=lambda t: t.remaining)
         ]
         assert sched.group_running == ref.group_running
-        assert sched.group_core_ticks == ref.group_core_ticks
         assert sched.vtime == ref.vtime
         assert sched.has_work() == bool(ref.running or any(ref.waiting.values()))
 

@@ -249,6 +249,24 @@ class TestSimConfig:
             with pytest.raises(ValueError, match=r"link_delays: link \(.*\) is not two sites"):
                 SimConfig(link_delays={link: 5})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"link_delays": None}, "link_delays must be a dict, not None"),
+            ({"link_delays": [((0, 1), 2)]}, r"link_delays must be a dict, not \[\(\(0, 1\), 2\)\]"),
+            ({"resource_groups": None}, "resource_groups must be a list of ResourceGroupConfig, not None"),
+            ({"resource_groups": "g"}, "resource_groups must be a list of ResourceGroupConfig, not 'g'"),
+            ({"resource_groups": ["g"]}, r"resource_groups must be a list of ResourceGroupConfig, not \['g'\]"),
+        ],
+        ids=["links-none", "links-list", "groups-none", "groups-str", "groups-of-str"],
+    )
+    def test_malformed_container_rejected(self, fields, message):
+        """`link_delays=None` or a list of pairs used to fail with an
+        `AttributeError`, `resource_groups=None` only once `build_cluster`
+        ran, and a string inside `Cluster`."""
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**fields)
+
     def test_link_from_a_site_to_itself_rejected(self):
         """No message goes from a site to itself, so such a delay used to be
         ignored."""
@@ -1003,11 +1021,27 @@ sessions:
         assert cluster.sessions["A"].outcomes == ["aborted:deadlock_victim", "committed"]
         assert self.second_burst_ticks(cluster) == self.second_burst_ticks(plain) == 9
 
-    @pytest.mark.parametrize("clients", [2, 4, 9])
-    def test_a_cpu_tick_is_queued_exactly_while_the_scheduler_has_work(self, clients):
+    @pytest.mark.parametrize("clients", [2, 4, 9, 32])
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            bench.default_htap_groups(),
+            [
+                ResourceGroupConfig("olap_group", 10, 15, 20, cpuset=frozenset(range(8))),
+                ResourceGroupConfig("oltp_group", 50, 15, 20, cpu_rate_limit=20),
+            ],
+        ],
+        ids=["shares", "olap-cpuset"],
+    )
+    def test_a_cpu_tick_is_queued_exactly_while_the_scheduler_has_work(self, groups, clients):
         """After every event of a `mixed-htap` run, one `_cpu_tick` is queued
-        if the scheduler has work, and none otherwise."""
-        cluster = bench.build("mixed-htap", clients, SimConfig(trace_enabled=False), seed=1)
+        if the scheduler has work, and none otherwise; each group's running
+        count is the tasks filed in `_ends`, the free shared cores are the
+        shared cores less the share groups' running tasks, and no cpuset
+        group runs more tasks than it has cores."""
+        config = SimConfig(resource_groups=groups, trace_enabled=False)
+        cluster = bench.build("mixed-htap", clients, config, seed=1)
+        cpu = cluster.cpu
         events = 0
 
         def check(cluster):
@@ -1016,7 +1050,13 @@ sessions:
             queued = sum(
                 fn == cluster._cpu_tick for bucket in cluster._buckets.values() for fn in bucket
             )
-            assert queued == cluster.cpu.has_work(), f"tick {cluster.clock}"
+            assert queued == cpu.has_work(), f"tick {cluster.clock}"
+            recount = Counter(task.group for tasks in cpu._ends.values() for task in tasks)
+            assert cpu.group_running == {name: recount[name] for name in cpu.group_running}
+            free = cpu.shared_cores - sum(cpu.group_running[name] for name in cpu.share_groups)
+            assert cpu._shared_free == free >= 0, f"tick {cluster.clock}"
+            for name, cores in cpu.cpuset_groups.items():
+                assert cpu.group_running[name] <= len(cores), f"tick {cluster.clock}"
             return False
 
         cluster.run(until_tick=400, stop_when=check)
