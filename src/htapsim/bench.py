@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .sim import Cluster, SimConfig, _check_int
 # Not called here: perfbench's tracer looks `parse_sql` up in this module to
@@ -52,13 +53,18 @@ class BenchResult:
         return "\n".join(lines)
 
 
+# `mixed-htap`'s two resource groups: its OLAP clients run in the first, its
+# OLTP clients in the second
+OLAP_GROUP, OLTP_GROUP = "olap_group", "oltp_group"
+
+
 def default_htap_groups() -> list:
     """Equal-share split between the analytical and transactional groups."""
     from .resgroup import ResourceGroupConfig
 
     return [
-        ResourceGroupConfig("olap_group", 10, 15, 20, cpu_rate_limit=20),
-        ResourceGroupConfig("oltp_group", 50, 15, 20, cpu_rate_limit=20),
+        ResourceGroupConfig(OLAP_GROUP, 10, 15, 20, cpu_rate_limit=20),
+        ResourceGroupConfig(OLTP_GROUP, 50, 15, 20, cpu_rate_limit=20),
     ]
 
 
@@ -162,51 +168,18 @@ def build(
     closed-loop sessions whose generators draw from `seed`.
 
     Steps issue in eager order whatever `config` says, and `mixed-htap` gets
-    `default_htap_groups()` when `config` names no resource groups.
+    `default_htap_groups()` when `config` names no resource groups; groups
+    it names must include `OLAP_GROUP` and `OLTP_GROUP`.
     """
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; pick one of {WORKLOADS}")
-    if clients < 1:
-        raise ValueError("need at least one client")
+    _check_int("clients", clients, 1)
     config = dataclasses.replace(config or SimConfig(), eager=True)
     if workload == "mixed-htap" and not config.resource_groups:
         config.resource_groups = default_htap_groups()
     cluster = Cluster(config)
 
-    if workload == "update-only":
-        keys = max(64, clients * 8)
-        cluster.create_table(
-            TableDef("accounts"), [(k, 0) for k in range(keys)]
-        )
-        for i in range(clients):
-            sid = f"c{i:03d}"
-            cluster.add_session(
-                sid, step_iter=update_only_client(sid, i, clients, random.Random(seed + i), keys)
-            )
-    elif workload == "insert-only":
-        cluster.create_table(TableDef("history"))
-        for i in range(clients):
-            sid = f"c{i:03d}"
-            cluster.add_session(
-                sid,
-                step_iter=insert_only_client(sid, i, random.Random(seed + i), config.n_segments),
-            )
-    elif workload == "tpcb-like":
-        scale = (100 * max(1, clients // 4 + 1), 10, max(1, clients // 8 + 1))
-        accounts, tellers, branches = scale
-        cluster.create_table(TableDef("accounts"), [(k, 0) for k in range(accounts)])
-        cluster.create_table(TableDef("tellers"), [(k, 0) for k in range(tellers)])
-        cluster.create_table(TableDef("branches"), [(k, 0) for k in range(branches)])
-        cluster.create_table(TableDef("history"))
-        for i in range(clients):
-            sid = f"c{i:03d}"
-            cluster.add_session(
-                sid, step_iter=tpcb_like_client(sid, i, clients, random.Random(seed + i), scale)
-            )
-    else:  # mixed-htap: OLAP scans and OLTP point updates in separate groups
-        group_names = sorted(cluster.resources.configs)
-        olap_group = next((g for g in group_names if "olap" in g), group_names[0])
-        oltp_group = next((g for g in group_names if "oltp" in g), group_names[-1])
+    if workload == "mixed-htap":  # OLAP scans and OLTP point updates in separate groups
         keys = max(64, clients * 4)
         cluster.create_table(TableDef("accounts"), [(k, 0) for k in range(keys)])
         cluster.create_table(TableDef("bigtable"), [(k, k) for k in range(30)])
@@ -215,16 +188,36 @@ def build(
         for i in range(olap_clients):
             sid = f"olap{i:03d}"
             cluster.add_session(
-                sid, group=olap_group, step_iter=olap_client(sid, random.Random(seed + i), 40)
+                sid, group=OLAP_GROUP, step_iter=olap_client(sid, random.Random(seed + i), 40)
             )
         for i in range(oltp_clients):
             sid = f"oltp{i:03d}"
             cluster.add_session(
                 sid,
-                group=oltp_group,
+                group=OLTP_GROUP,
                 step_iter=oltp_client(sid, i, oltp_clients, random.Random(seed + 1000 + i), keys),
             )
+        return cluster
 
+    # the other workloads run `clients` sessions of one client kind
+    if workload == "update-only":
+        keys = max(64, clients * 8)
+        cluster.create_table(TableDef("accounts"), [(k, 0) for k in range(keys)])
+        client = partial(update_only_client, clients=clients, keys=keys)
+    elif workload == "insert-only":
+        cluster.create_table(TableDef("history"))
+        client = partial(insert_only_client, n_segments=config.n_segments)
+    else:  # tpcb-like
+        scale = (100 * (clients // 4 + 1), 10, clients // 8 + 1)
+        accounts, tellers, branches = scale
+        cluster.create_table(TableDef("accounts"), [(k, 0) for k in range(accounts)])
+        cluster.create_table(TableDef("tellers"), [(k, 0) for k in range(tellers)])
+        cluster.create_table(TableDef("branches"), [(k, 0) for k in range(branches)])
+        cluster.create_table(TableDef("history"))
+        client = partial(tpcb_like_client, clients=clients, scale=scale)
+    for i in range(clients):
+        sid = f"c{i:03d}"
+        cluster.add_session(sid, step_iter=client(sid, i, rng=random.Random(seed + i)))
     return cluster
 
 

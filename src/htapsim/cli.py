@@ -143,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the model options of `run` and `bench`, read by `_config`
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--segments", type=_positive_int, default=3)
+    model.add_argument("--segments", type=_positive_int, default=SimConfig.n_segments)
     model.add_argument("--legacy-locking", action="store_true")
-    model.add_argument("--gdd-period", type=_positive_int, default=100)
+    model.add_argument("--gdd-period", type=_positive_int, default=SimConfig.gdd_period)
 
     p_run = sub.add_parser("run", parents=[model], help="execute a scenario file")
     p_run.add_argument("scenario")

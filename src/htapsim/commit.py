@@ -71,8 +71,7 @@ def commit(cl: Cluster, session: Session):
             writers.append(seg)
         elif seg.locks.has_requests(dxid):
             others.append(seg)
-    written = tuple([seg.id for seg in writers])
-    cl._log(("coord", COMMIT_START, session.sid, dxid, protocol, written))
+    cl._log(("coord", COMMIT_START, session.sid, dxid, protocol, txn.write_segments))
     if protocol is _TWO_PHASE:
         yield from _round(cl, session, writers, _MSG_PREPARE, _segment_prepare)
         _fsync(cl, cl.coord, txn, dtm_mod.FSYNC_COORD_COMMIT)

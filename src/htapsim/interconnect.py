@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .gdd import first_cycle
+from .sim import _check_int
 from .store import route
 
 OUTER_SLICE = 1
@@ -148,10 +149,8 @@ def run_join_scenario(
     inner_rows: dict[int, list[int]] | None = None,
 ) -> JoinResult:
     """Execute the two-table redistribute join dataflow to completion or stall."""
-    if n_segments < 1:
-        raise ValueError("need at least one segment")
-    if capacity < 1:
-        raise ValueError("channel capacity must be at least 1")
+    _check_int("n_segments", n_segments, 1)
+    _check_int("capacity", capacity, 1)
     if outer_rows is None or inner_rows is None:
         if n_segments < 3:
             raise ValueError("the built-in adversarial routing needs 3 segments")

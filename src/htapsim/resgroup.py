@@ -33,6 +33,14 @@ class ResourceGroupConfig:
     cpuset: frozenset[int] | None = None  # simulated cores (hard)
 
     def __post_init__(self):
+        # counts are ints and memory percentages numbers; a bool is neither
+        counts = [("concurrency", self.concurrency), ("cpu_rate_limit", self.cpu_rate_limit)]
+        for field, value in counts + [("cpuset core", core) for core in self.cpuset or ()]:
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(f"group {self.name}: {field} must be an integer, not {value!r}")
+        for field in ("memory_limit", "memory_shared_quota"):
+            if isinstance(getattr(self, field), bool):
+                raise ConfigError(f"group {self.name}: {field} must be a number, not a bool")
         if self.concurrency < 1:
             raise ConfigError(f"group {self.name}: concurrency must be >= 1")
         if not (0 < self.memory_limit <= 100):

@@ -35,12 +35,14 @@ if TYPE_CHECKING:
 BOOTSTRAP_LOCAL_XID = 0  # preloaded rows belong to this always-committed xid
 
 # the relation lock each statement kind takes, on the coordinator and on every
-# segment it reaches; legacy locking overrides "update" (see Site.work)
+# segment it reaches: (mode with the detector, mode under legacy locking).
+# Greenplum 5 updates a table under EXCLUSIVE, one writer at a time; each site
+# keeps its column as `Site.lock_modes` when it is built
 RELATION_LOCK_MODE = {
-    "update": LockMode.ROW_EXCLUSIVE,
-    "insert": LockMode.ROW_EXCLUSIVE,
-    "select": LockMode.ACCESS_SHARE,
-    "lock": LockMode.ACCESS_EXCLUSIVE,
+    "update": (LockMode.ROW_EXCLUSIVE, LockMode.EXCLUSIVE),
+    "insert": (LockMode.ROW_EXCLUSIVE, LockMode.ROW_EXCLUSIVE),
+    "select": (LockMode.ACCESS_SHARE, LockMode.ACCESS_SHARE),
+    "lock": (LockMode.ACCESS_EXCLUSIVE, LockMode.ACCESS_EXCLUSIVE),
 }
 
 # Per-transaction paths read these members as module constants: reading one
@@ -66,7 +68,10 @@ class Site:
         self.id = id
         self.locks = LockTable(id)
         self.parked: dict[int, Generator] = {}  # dxid -> its waiting part
-        self.relation_tags: dict[str, LockTag] = {}  # table name -> its tag here
+        legacy = cluster.config.legacy_locking
+        self.lock_modes = {kind: modes[legacy] for kind, modes in RELATION_LOCK_MODE.items()}
+        # table name -> its relation tag here, made by `Cluster.create_table`
+        self.relation_tags: dict[str, LockTag] = {}
 
     def acquire_or_park(self, txn: TransactionDescriptor, tag: LockTag, mode) -> bool:
         """Request `tag` in `mode` for `txn`; True if granted.  Otherwise
@@ -118,13 +123,8 @@ class Site:
         txn, step = stmt.txn, stmt.step
         if stmt.dead:
             return
-        mode = RELATION_LOCK_MODE[step.kind]
-        if step.kind == "update" and cl.config.legacy_locking:
-            mode = _EXCLUSIVE  # legacy locking: one writer per table
-        tag = self.relation_tags.get(step.table)
-        if tag is None:
-            tag = self.relation_tags[step.table] = LockTag(TagKind.RELATION, self.id, step.table)
-        if not self.acquire_or_park(txn, tag, mode):
+        tag = self.relation_tags[step.table]
+        if not self.acquire_or_park(txn, tag, self.lock_modes[step.kind]):
             yield txn.dxid
             if stmt.dead:
                 return

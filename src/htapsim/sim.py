@@ -37,6 +37,7 @@ from . import dtm as dtm_mod
 from .commit import abort, commit
 from .dtm import DistributedTxnManager, TransactionDescriptor, TxnState
 from .gdd import DetectionVerdict, Outcome, break_deadlock, detect
+from .locks import LockTag, TagKind
 from .resgroup import (
     N_CORES,
     Admission,
@@ -85,6 +86,9 @@ class SimConfig:
     # ticks between the detector daemon's runs; None runs no daemon, and a
     # scripted `detect` step still runs the detector
     gdd_period: int | None = 100
+    # Greenplum 5's table locks: an update takes its table EXCLUSIVE, not ROW
+    # EXCLUSIVE (`segment.RELATION_LOCK_MODE`); read once when the cluster is
+    # built, as `trace_enabled` is
     legacy_locking: bool = False
     force_2pc: bool = False
     # issue order: strict (False) issues the lowest `seq` of all sessions'
@@ -250,6 +254,8 @@ class Cluster:
         if table.name in self.catalog:
             raise ValueError(f"duplicate table {table.name!r}")
         self.catalog[table.name] = table
+        for site in self.sites:
+            site.relation_tags[table.name] = LockTag(TagKind.RELATION, site.id, table.name)
         for seg in self.segments:
             seg.store.create_table(table)
         for values in rows:

@@ -129,7 +129,7 @@ MUTANTS = [
         "dead-part-takes-its-lock",
         "src/htapsim/segment.py",
         (
-            ("        if stmt.dead:\n            return\n        mode = ", "        mode = "),
+            ("        if stmt.dead:\n            return\n        tag = ", "        tag = "),
             (
                 "            yield txn.dxid\n            if stmt.dead:\n                return\n",
                 "            yield txn.dxid\n        if stmt.dead:\n            return\n",
@@ -139,6 +139,23 @@ MUTANTS = [
         " relation lock before it stops, leaving a request for the ended"
         " transaction there",
         (f"{ORACLE}::test_victims_commit_or_abort_exactly_once_per_cycle",),
+    ),
+    Mutant(
+        "legacy-update-takes-row-exclusive",
+        "src/htapsim/segment.py",
+        (
+            (
+                '"update": (LockMode.ROW_EXCLUSIVE, LockMode.EXCLUSIVE),',
+                '"update": (LockMode.ROW_EXCLUSIVE, LockMode.ROW_EXCLUSIVE),',
+            ),
+        ),
+        "legacy locking takes an update's table in ROW EXCLUSIVE, as the"
+        " detector mode does, so two updates of one table run at once instead"
+        " of one writer at a time",
+        (
+            "tests/test_sim.py::TestLegacyLocking"
+            "::test_legacy_mode_serializes_updates_on_one_relation",
+        ),
     ),
     Mutant(
         "commit-round-first-writer-only",

@@ -102,7 +102,19 @@ def test_bench_leaves_the_callers_config_unchanged():
     "call, message",
     [
         pytest.param(lambda: build("read-only", 4), "unknown workload 'read-only'", id="workload"),
-        pytest.param(lambda: build("update-only", 0), "need at least one client", id="no-clients"),
+        pytest.param(
+            lambda: build("update-only", 0), "clients must be >= 1, not 0", id="no-clients"
+        ),
+        pytest.param(
+            lambda: bench("update-only", 2.5, 10),
+            "clients must be an integer, not 2.5",
+            id="fractional-clients",
+        ),
+        pytest.param(
+            lambda: bench("update-only", True, 10),
+            "clients must be an integer, not True",
+            id="boolean-clients",
+        ),
         pytest.param(
             lambda: bench("update-only", 2, 0), "duration_ticks must be >= 1, not 0", id="no-ticks"
         ),

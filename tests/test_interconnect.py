@@ -58,9 +58,23 @@ class TestAppendixCase:
             run_join_scenario(3, capacity=0)
 
     @pytest.mark.parametrize(
+        "capacity, message",
+        [(True, "capacity must be an integer, not True"),
+         (1.5, "capacity must be an integer, not 1.5")],
+        ids=["boolean capacity", "fractional capacity"],
+    )
+    def test_non_integer_capacity_rejected(self, capacity, message):
+        with pytest.raises(ValueError, match=message):
+            run_join_scenario(3, capacity=capacity)
+
+    @pytest.mark.parametrize(
         "segments, message",
-        [(0, "need at least one segment"), (2, "adversarial routing needs 3 segments")],
-        ids=["no segment", "two segments"],
+        [
+            (0, "n_segments must be >= 1, not 0"),
+            (2, "adversarial routing needs 3 segments"),
+            (3.0, "n_segments must be an integer, not 3.0"),
+        ],
+        ids=["no segment", "two segments", "float segments"],
     )
     def test_too_few_segments_rejected(self, segments, message):
         with pytest.raises(ValueError, match=message):

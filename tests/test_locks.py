@@ -367,6 +367,22 @@ class TestTransfer:
         ]
         table.check_invariants()
 
+    def test_a_holder_with_no_other_request_here_is_filed_by_the_transfer(self):
+        """On a table where the writer has made no request, the transfer is
+        its first: `locks_of` lists the filed lock, and `release_all` ends
+        it and wakes its waiter."""
+        table = LockTable(0)
+        seq = table.reserve()
+        table.transfer(1, self.XACT, LockMode.EXCLUSIVE, 0, seq)
+        assert [(r.tag, r.mode, r.seq) for r in table.locks_of(1)] == [
+            (self.XACT, LockMode.EXCLUSIVE, seq)
+        ]
+        result, _ = table.acquire(2, self.XACT, LockMode.SHARE, 1)
+        assert result is AcquireResult.BLOCKED
+        assert [(r.txn, r.tag) for r in table.release_all(1)] == [(2, self.XACT)]
+        assert not table.has_requests(1)
+        table.check_invariants()
+
     def test_transfer_onto_a_tag_with_requests_is_refused(self):
         table = LockTable(0)
         seq = table.reserve()

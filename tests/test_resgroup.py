@@ -116,9 +116,22 @@ class TestConfigValidation:
             (dict(cpu_rate_limit=0), "cpu rate limit out of"),
             (dict(cpu_rate_limit=101), "cpu rate limit out of"),
             (dict(cpuset=frozenset()), "empty cpuset"),
+            (dict(concurrency=1.5, cpu_rate_limit=10), "concurrency must be an integer, not 1.5"),
+            (dict(concurrency=True, cpu_rate_limit=10), "concurrency must be an integer, not True"),
+            (dict(cpu_rate_limit=20.5), "cpu_rate_limit must be an integer, not 20.5"),
+            (dict(cpuset=frozenset({1.5})), "cpuset core must be an integer, not 1.5"),
+            (
+                dict(memory_limit=True, cpu_rate_limit=10),
+                "memory_limit must be a number, not a bool",
+            ),
+            (
+                dict(memory_shared_quota=True, cpu_rate_limit=10),
+                "memory_shared_quota must be a number, not a bool",
+            ),
         ],
         ids=["no memory", "memory above 100", "no shared quota", "no cpu", "cpu above 100",
-             "empty cpuset"],
+             "empty cpuset", "fractional concurrency", "boolean concurrency",
+             "fractional cpu", "fractional core", "boolean memory", "boolean shared quota"],
     )
     def test_out_of_range_config_rejected(self, config, message):
         fields = dict(name="g", concurrency=1, memory_limit=10) | config
